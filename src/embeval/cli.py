@@ -16,22 +16,17 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import PipelineConfig, recount_stats, run_pipeline
-from .errors import (
-    EmbevalError,
-    InputParseError,
-    StaleCacheError,
-    UnknownTokenError,
-    UsageError,
-)
+from .errors import EmbevalError, InputParseError, UnknownTokenError, UsageError
 from .metrics import (
     DENOMINATOR_POLICIES,
     OOV_POLICIES,
     coverage,
+    descriptor_queries,
     diversity_matrix,
-    keyword_tokens,
+    keyword_queries,
     relational_coverage,
 )
-from .neighbors import cache_load, cache_path, cache_store, top_k, top_k_batch
+from .neighbors import neighbor_map, top_k
 from .report import ManifestTimer, RunManifest, markdown_table, pct, write_csv
 from .stringsim import VocabIndex
 from .thesaurus import RELATION_TYPES, descriptor_pairs, keywords, parse_ntriples_skos, parse_tsv
@@ -248,33 +243,6 @@ def cmd_coverage(args) -> int:
     return 0
 
 
-def _cache_directory(args) -> str | None:
-    if getattr(args, "cache_dir", None):
-        return args.cache_dir
-    return os.environ.get(CACHE_DIR_ENV) or None
-
-
-def _neighbor_map_for(model, queries: list[str], k: int, cache_dir, refresh: bool):
-    """Neighbor sets for all queryable tokens, via the on-disk cache when enabled."""
-    wanted = sorted(q for q in set(queries)
-                    if model.index.get(q) is not None and model.index[q] not in model.zero_rows)
-    if cache_dir is None:
-        return top_k_batch(model, wanted, k).by_query()
-    path = cache_path(cache_dir, model.name, k)
-    if os.path.exists(path) and not refresh:
-        cached = cache_load(path, model, k)
-        missing = [q for q in wanted if q not in cached]
-        if missing:
-            raise StaleCacheError(
-                f"cache {path} lacks {len(missing)} needed queries "
-                f"(e.g. {missing[0]!r}); rerun with --refresh"
-            )
-        return cached
-    result = top_k_batch(model, wanted, k).by_query()
-    cache_store(path, model, k, result.values())
-    return result
-
-
 def cmd_diversity(args) -> int:
     if len(args.model) < 2:
         raise UsageError("diversity needs at least two --model files")
@@ -282,7 +250,7 @@ def cmd_diversity(args) -> int:
     _require_files(*args.model, args.thesaurus)
     out = _out_dir(args)
     lowercase = not args.no_lowercase
-    cache_dir = _cache_directory(args)
+    cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV) or None
     manifest = _manifest(
         "diversity", list(args.model) + [args.thesaurus],
         {"k": k_values, "lang": args.lang, "denominator": args.denominator,
@@ -293,18 +261,12 @@ def cmd_diversity(args) -> int:
         manifest.parameters["zero_vectors"] = {m.name: len(m.zero_rows) for m in models}
         th = _load_thesaurus(args.thesaurus)
         labels = [kw.label for kw in keywords(th, args.lang)]
-        single_tokens = []
-        for label in labels:
-            tokens = keyword_tokens(label, lowercase=lowercase)
-            if len(tokens) == 1:
-                single_tokens.append(tokens[0])
+        queries = keyword_queries(labels, lowercase)
+        neighbor_maps = {m.name: neighbor_map(m, queries, max(k_values), cache_dir, args.refresh)
+                         for m in models}
         csv_rows = []
         md_parts = [f"# Neighborhood diversity (n={len(labels)} keywords, lang={args.lang})\n"]
         for k in k_values:
-            neighbor_maps = {
-                m.name: _neighbor_map_for(m, single_tokens, k, cache_dir, args.refresh)
-                for m in models
-            }
             matrix = diversity_matrix(
                 models, labels, k,
                 lowercase=lowercase, denominator=args.denominator,
@@ -361,13 +323,16 @@ def cmd_relations(args) -> int:
             for rel in RELATION_TYPES
         }
         all_pairs = [p for rel in RELATION_TYPES for p in selections[rel].pairs]
+        queries = descriptor_queries(all_pairs, lowercase)
+        neighbor_maps = {m.name: neighbor_map(m, queries, max(k_values)) for m in models}
         csv_rows = []
         md_parts = [f"# Relational coverage (lang={args.lang}, oov={args.oov_policy})\n"]
         for k in k_values:
             rows = []
             for model in models:
                 results = relational_coverage(
-                    model, all_pairs, k, lowercase=lowercase, oov_policy=args.oov_policy
+                    model, all_pairs, k, lowercase=lowercase, oov_policy=args.oov_policy,
+                    neighbors=neighbor_maps[model.name],
                 )
                 row = [model.name]
                 for rel, short in RELATION_COLUMNS:

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .neighbors import NeighborSet, top_k
+from .neighbors import NeighborSet, neighbor_map, queryable
 from .corpus import HYPHEN_CHARS, DASH_CHARS
 from .stringsim import VocabIndex, best_match
 from .thesaurus import DescriptorPair
@@ -171,10 +171,8 @@ def coverage(
     return result
 
 
-def _neighbor_tokens(ns: NeighborSet, lowercase: bool) -> frozenset[str]:
-    if lowercase:
-        return frozenset(t.lower() for t in ns.tokens())
-    return frozenset(ns.tokens())
+def _label(label: str, lowercase: bool) -> str:
+    return label.lower() if lowercase else label
 
 
 def _single_token(label: str, lowercase: bool) -> str | None:
@@ -182,9 +180,25 @@ def _single_token(label: str, lowercase: bool) -> str | None:
     return tokens[0] if len(tokens) == 1 else None
 
 
-def _queryable(model: EmbeddingModel, token: str) -> bool:
-    row = model.index.get(token)
-    return row is not None and row not in model.zero_rows
+def keyword_queries(keywords: Sequence[str], lowercase: bool = True) -> list[str]:
+    """The neighbor queries of diversity: the tokens of the single-token keywords."""
+    tokens = (_single_token(label, lowercase) for label in keywords)
+    return [t for t in tokens if t is not None]
+
+
+def descriptor_queries(pairs: Sequence[DescriptorPair], lowercase: bool = True) -> list[str]:
+    """The neighbor queries of relational coverage: the descriptor labels."""
+    return [_label(pair.descriptor_label, lowercase) for pair in pairs]
+
+
+def _neighbor_tokens(neighbors: dict[str, NeighborSet], query: str, k: int,
+                     lowercase: bool) -> frozenset[str]:
+    """The top-k tokens of ``query``: the first k entries of its set in the map."""
+    ns = neighbors.get(query)
+    if ns is None or ns.k_requested < k:
+        raise ValueError(f"neighbor map lacks the top-{k} of {query!r}")
+    tokens = ns.tokens()[:k]
+    return frozenset(t.lower() for t in tokens) if lowercase else frozenset(tokens)
 
 
 def diversity(
@@ -200,15 +214,20 @@ def diversity(
     """Share of keywords whose top-k neighborhoods in the two models are disjoint.
 
     Multi-token keywords and keywords missing from either vocabulary are
-    skipped and counted; precomputed neighbor maps (for example from the
-    on-disk cache) are used when given, otherwise neighborhoods are computed
-    fresh.  Keywords whose neighborhoods are empty in both models are
-    skipped so that comparing a model with itself always yields zero.
+    skipped and counted.  Neighborhoods are read from the given neighbor
+    maps (for example from the on-disk cache), which must hold capacity
+    >= k; a map not given is searched once with ``neighbor_map``.
+    Keywords whose neighborhoods are empty in both models are skipped so
+    that comparing a model with itself always yields zero.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if denominator not in DENOMINATOR_POLICIES:
         raise ValueError(f"unknown denominator policy {denominator!r}")
+    if neighbors_a is None:
+        neighbors_a = neighbor_map(model_a, keyword_queries(keywords, lowercase), k)
+    if neighbors_b is None:
+        neighbors_b = neighbor_map(model_b, keyword_queries(keywords, lowercase), k)
     result = DiversityResult(
         model_a.name, model_b.name, k,
         n_total=len(keywords), n_evaluated=0, n_disjoint=0,
@@ -219,17 +238,11 @@ def diversity(
         if token is None:
             result.n_skipped_multiword += 1
             continue
-        if not _queryable(model_a, token) or not _queryable(model_b, token):
+        if not queryable(model_a, token) or not queryable(model_b, token):
             result.n_skipped_oov += 1
             continue
-        ns_a = neighbors_a.get(token) if neighbors_a is not None else None
-        if ns_a is None:
-            ns_a = top_k(model_a, token, k)
-        ns_b = neighbors_b.get(token) if neighbors_b is not None else None
-        if ns_b is None:
-            ns_b = top_k(model_b, token, k)
-        set_a = _neighbor_tokens(ns_a, lowercase)
-        set_b = _neighbor_tokens(ns_b, lowercase)
+        set_a = _neighbor_tokens(neighbors_a, token, k, lowercase)
+        set_b = _neighbor_tokens(neighbors_b, token, k, lowercase)
         if not set_a and not set_b:
             result.n_skipped_empty += 1
             continue
@@ -250,14 +263,19 @@ def diversity_matrix(
     """All unordered model pairs, computed once and mirrored; zero diagonal."""
     if len(models) < 2:
         raise ValueError("diversity needs at least two models")
+    given = neighbor_maps or {}
+    queries = keyword_queries(keywords, lowercase)
+    maps = {
+        m.name: given[m.name] if m.name in given else neighbor_map(m, queries, k)
+        for m in models
+    }
     out: dict[tuple[str, str], DiversityResult] = {}
     for i, a in enumerate(models):
         for b in models[i + 1 :]:
-            maps = neighbor_maps or {}
             res = diversity(
                 a, b, keywords, k,
                 lowercase=lowercase, denominator=denominator,
-                neighbors_a=maps.get(a.name), neighbors_b=maps.get(b.name),
+                neighbors_a=maps[a.name], neighbors_b=maps[b.name],
             )
             out[(a.name, b.name)] = res
             out[(b.name, a.name)] = res
@@ -275,15 +293,19 @@ def relational_coverage(
     """Relational coverage per relation type present in ``pairs``.
 
     A pair counts as found when the concept label is among the descriptor's
-    top-k neighbor tokens (compared as exact lowercase strings by default).
-    Descriptors missing from the vocabulary count as misses under the
-    default policy, keeping n at the full pair count; the ``skip`` policy
-    removes them from the denominator instead.
+    top-k neighbor tokens (compared as exact lowercase strings by default),
+    read from ``neighbors`` (capacity >= k) or, when that is not given,
+    from one ``neighbor_map`` search of the descriptors.  Descriptors
+    missing from the vocabulary count as misses under the default policy,
+    keeping n at the full pair count; the ``skip`` policy removes them from
+    the denominator instead.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if oov_policy not in OOV_POLICIES:
         raise ValueError(f"unknown oov policy {oov_policy!r}")
+    if neighbors is None:
+        neighbors = neighbor_map(model, descriptor_queries(pairs, lowercase), k)
     results: dict[str, RelationalResult] = {}
     for pair in pairs:
         res = results.get(pair.relation_type)
@@ -293,14 +315,11 @@ def relational_coverage(
                 n_pairs=0, n_found=0, n_oov_descriptors=0, oov_policy=oov_policy,
             )
         res.n_pairs += 1
-        descriptor = pair.descriptor_label.lower() if lowercase else pair.descriptor_label
-        concept = pair.concept_label.lower() if lowercase else pair.concept_label
-        if not _queryable(model, descriptor):
+        descriptor = _label(pair.descriptor_label, lowercase)
+        if not queryable(model, descriptor):
             res.n_oov_descriptors += 1
             continue
-        ns = neighbors.get(descriptor) if neighbors is not None else None
-        if ns is None:
-            ns = top_k(model, descriptor, k)
-        if concept in _neighbor_tokens(ns, lowercase):
+        concept = _label(pair.concept_label, lowercase)
+        if concept in _neighbor_tokens(neighbors, descriptor, k, lowercase):
             res.n_found += 1
     return results

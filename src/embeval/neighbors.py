@@ -1,16 +1,16 @@
 """Exact top-k cosine neighborhoods with deterministic ordering and an on-disk cache.
 
 Search is brute force on purpose: the evaluation metrics are set-membership
-tests, and an approximate index could silently bias them.  Throughput comes
-from running batched dot products against the row-normalized matrix.  Ties
-are broken by ascending vocabulary index so repeated runs produce identical
-tables.
+tests, and an approximate index could silently bias them.  Ties are broken
+by ascending vocabulary index so repeated runs produce identical tables.
+Under that order the top-k of a query is exactly the first k entries of its
+top-K for any k <= K, so ``neighbor_map`` searches each query once at the
+largest k a run needs and the metrics read prefixes.
 """
 
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +113,19 @@ def _query_scores(model: EmbeddingModel, row: int) -> np.ndarray:
     return scores
 
 
+def _search(model: EmbeddingModel, query: str, k: int) -> NeighborSet:
+    scores = _query_scores(model, model.index[query])
+    idx = _select_top(scores, k)
+    entries = tuple((model.vocab[i], float(scores[i])) for i in idx)
+    return NeighborSet(query, k, model.name, entries)
+
+
+def queryable(model: EmbeddingModel, token: str) -> bool:
+    """Whether ``token`` has a neighborhood: it is in the vocabulary with a nonzero row."""
+    row = model.index.get(token)
+    return row is not None and row not in model.zero_rows
+
+
 def top_k(model: EmbeddingModel, query: str, k: int) -> NeighborSet:
     """Exact k nearest neighbors of ``query`` by cosine similarity.
 
@@ -127,84 +140,81 @@ def top_k(model: EmbeddingModel, query: str, k: int) -> NeighborSet:
         raise UnknownTokenError(f"token {query!r} not in model {model.name!r}")
     if row in model.zero_rows:
         raise ZeroVectorError(f"query {query!r} has a zero vector in {model.name!r}")
-    if k == 0:
-        return NeighborSet(query, 0, model.name, ())
-    scores = _query_scores(model, row)
-    idx = _select_top(scores, k)
-    entries = tuple((model.vocab[i], float(scores[i])) for i in idx)
-    return NeighborSet(query, k, model.name, entries)
+    return _search(model, query, k)
 
 
-def top_k_batch(
-    model: EmbeddingModel,
-    queries: list[str],
-    k: int,
-    workers: int = 1,
-) -> BatchResult:
+def top_k_batch(model: EmbeddingModel, queries: list[str], k: int) -> BatchResult:
     """Elementwise top_k over many queries; unknown or zero-vector queries are skipped.
 
-    Results are in input order and independent of the worker count.
+    Results are in input order.  Every query is scored by the same
+    matrix-vector product as top_k, so the result is bitwise identical to
+    top_k whatever the shape of the batch.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    rows: list[int] = []
-    kept: list[str] = []
-    skipped: list[str] = []
-    for q in queries:
-        row = model.index.get(q)
-        if row is None or row in model.zero_rows:
-            skipped.append(q)
-        else:
-            kept.append(q)
-            rows.append(row)
-
-    model.unit_matrix()  # materialize once, outside the worker threads
-
-    # Every query is scored by the same matrix-vector product as top_k, so
-    # the result is bitwise identical however the batch is sharded.
-    def run_one(pos: int) -> NeighborSet:
-        scores = _query_scores(model, rows[pos])
-        idx = _select_top(scores, k)
-        entries = tuple((model.vocab[i], float(scores[i])) for i in idx)
-        return NeighborSet(kept[pos], k, model.name, entries)
-
-    if workers > 1 and len(rows) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            neighbor_sets = list(pool.map(run_one, range(len(rows))))
-    else:
-        neighbor_sets = [run_one(pos) for pos in range(len(rows))]
+    neighbor_sets = [_search(model, q, k) for q in queries if queryable(model, q)]
+    skipped = [q for q in queries if not queryable(model, q)]
     return BatchResult(neighbor_sets=neighbor_sets, skipped=skipped)
 
 
-def cache_path(cache_dir, model_name: str, k: int) -> str:
-    return os.path.join(os.fspath(cache_dir), f"{model_name}.k{k}.neighbors.tsv")
+def neighbor_map(model: EmbeddingModel, queries: list[str], k: int, cache_dir=None,
+                 refresh: bool = False) -> dict[str, NeighborSet]:
+    """Neighbor sets of capacity >= k for every queryable query, each searched once.
+
+    Any k' <= k is served by the first k' entries.  With ``cache_dir`` the
+    map goes through the model's cache file: a file of capacity >= k serves
+    the call, one of smaller capacity is rebuilt at k, and one built for
+    other vectors or lacking a needed query raises StaleCacheError unless
+    ``refresh`` asks for a rebuild.
+    """
+    wanted = sorted(q for q in set(queries) if queryable(model, q))
+    if cache_dir is None:
+        return top_k_batch(model, wanted, k).by_query()
+    path = cache_path(cache_dir, model.name)
+    cached = cache_load(path, model, k) if os.path.exists(path) and not refresh else None
+    if cached is not None:
+        missing = [q for q in wanted if q not in cached]
+        if missing:
+            raise StaleCacheError(
+                f"cache {path} lacks {len(missing)} needed queries "
+                f"(e.g. {missing[0]!r}); rerun with --refresh"
+            )
+        return cached
+    result = top_k_batch(model, wanted, k).by_query()
+    cache_store(path, model, k, result.values())
+    return result
+
+
+def cache_path(cache_dir, model_name: str) -> str:
+    return os.path.join(os.fspath(cache_dir), f"{model_name}.neighbors.tsv")
+
+
+def _cache_header(model: EmbeddingModel, k: int) -> dict:
+    return {"digest": model.content_digest(), "dim": model.dim, "k": k, "model": model.name}
 
 
 def cache_store(path, model: EmbeddingModel, k: int, neighbor_sets) -> None:
-    """Persist neighbor sets, keyed by model name, content digest and k.
+    """Persist neighbor sets searched at capacity k, keyed by model name and content digest.
 
-    Written atomically (temp file then rename) so a crashed run never leaves
-    a half-valid cache behind.
+    A query with an empty neighborhood is recorded as the line ``query TAB 0``
+    so that a later run finds it.  Written atomically (temp file then
+    rename) so a crashed run never leaves a half-valid cache behind.
     """
-    header = {
-        "digest": model.content_digest(),
-        "dim": model.dim,
-        "k": k,
-        "model": model.name,
-    }
     sets = sorted(neighbor_sets, key=lambda ns: ns.query)
     directory = os.path.dirname(os.fspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
+            fh.write(json.dumps(_cache_header(model, k), sort_keys=True) + "\n")
             for ns in sets:
                 if ns.model_name != model.name or ns.k_requested != k:
                     raise ValueError(
                         f"neighbor set for {ns.query!r} does not belong to "
                         f"({model.name!r}, k={k})"
                     )
+                if not ns.entries:
+                    fh.write(f"{ns.query}\t0\n")
                 for rank, (token, score) in enumerate(ns.entries, start=1):
                     fh.write(f"{ns.query}\t{rank}\t{token}\t{score:.9f}\n")
         os.replace(tmp, os.fspath(path))
@@ -214,8 +224,12 @@ def cache_store(path, model: EmbeddingModel, k: int, neighbor_sets) -> None:
         raise
 
 
-def cache_load(path, model: EmbeddingModel, k: int) -> dict[str, NeighborSet]:
-    """Load cached neighbor sets for (model, k); raises StaleCacheError on mismatch."""
+def cache_load(path, model: EmbeddingModel, k: int) -> dict[str, NeighborSet] | None:
+    """Cached neighbor sets at the file's capacity, or None when that is below k.
+
+    Raises StaleCacheError when the file was built for another model or
+    other vectors.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     if lines and lines[-1] == "":
@@ -226,21 +240,26 @@ def cache_load(path, model: EmbeddingModel, k: int) -> dict[str, NeighborSet]:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise CacheFormatError(f"bad cache header: {exc}", line_no=1) from None
-    expected = {
-        "digest": model.content_digest(),
-        "dim": model.dim,
-        "k": k,
-        "model": model.name,
-    }
+    capacity = header.get("k") if isinstance(header, dict) else None
+    if type(capacity) is not int or capacity < 0:
+        raise CacheFormatError("cache header lacks a capacity k", line_no=1)
+    expected = _cache_header(model, capacity)
     if header != expected:
         raise StaleCacheError(
             f"cache at {os.fspath(path)} was built for {header}, need {expected}; "
             "rerun with --refresh to rebuild"
         )
+    if capacity < k:
+        return None
 
     by_query: dict[str, list[tuple[str, float]]] = {}
+    empty: set[str] = set()
     for line_no, line in enumerate(lines[1:], start=2):
         parts = line.split("\t")
+        if parts[1:] == ["0"] and parts[0] not in by_query:
+            by_query[parts[0]] = []
+            empty.add(parts[0])
+            continue
         if len(parts) != 4:
             raise CacheFormatError("expected 4 tab-separated fields", line_no=line_no)
         query, rank_s, token, score_s = parts
@@ -250,12 +269,13 @@ def cache_load(path, model: EmbeddingModel, k: int) -> dict[str, NeighborSet]:
             score = float(score_s)
         except ValueError:
             raise CacheFormatError("unparseable rank or score", line_no=line_no) from None
-        if rank != len(entries) + 1:
+        if rank != len(entries) + 1 or rank > capacity or query in empty:
             raise CacheFormatError(
-                f"rank {rank} out of order for query {query!r}", line_no=line_no
+                f"rank {rank} out of order or above capacity for query {query!r}",
+                line_no=line_no,
             )
         entries.append((token, score))
     return {
-        q: NeighborSet(q, k, model.name, tuple(entries))
+        q: NeighborSet(q, capacity, model.name, tuple(entries))
         for q, entries in by_query.items()
     }

@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from embeval.cli import main
@@ -182,6 +183,57 @@ def test_diversity_stale_cache_errors_unless_refresh(tmp_path, thesaurus_path):
     write_fixture_model(a, "alpha", flip=True)
     assert main(args + ["--out", str(tmp_path / "d2")]) == 3
     assert main(args + ["--refresh", "--out", str(tmp_path / "d3")]) == 0
+
+
+def _diversity_tables(out: Path) -> tuple[bytes, bytes]:
+    return (out / "diversity.csv").read_bytes(), (out / "diversity.md").read_bytes()
+
+
+def test_diversity_cache_records_empty_neighborhoods(tmp_path, thesaurus_path):
+    # "armut" is the only real word: its neighborhood is empty in both models
+    for name in ("alpha", "beta"):
+        save_vec(make_model(name, ["armut", "null", "nichts"], [[1, 0], [0, 0], [0, 0]]),
+                 tmp_path / f"{name}.vec")
+    args = [
+        "diversity", "--model", str(tmp_path / "alpha.vec"), "--model", str(tmp_path / "beta.vec"),
+        "--thesaurus", str(thesaurus_path), "--k", "5", "--cache-dir", str(tmp_path / "cache"),
+    ]
+    assert main(args + ["--out", str(tmp_path / "d1")]) == 0
+    assert main(args + ["--out", str(tmp_path / "d2")]) == 0
+    assert _diversity_tables(tmp_path / "d1") == _diversity_tables(tmp_path / "d2")
+    row = (tmp_path / "d1" / "diversity.csv").read_text(encoding="utf-8").splitlines()[1]
+    assert row.split(",")[8] == "1"  # n_skipped_empty: "armut"
+
+
+def test_diversity_cache_capacity_serves_smaller_k(tmp_path, thesaurus_path):
+    rng = np.random.default_rng(5)
+    vocab = FIXTURE_VOCAB + [f"wort{i}" for i in range(30)]
+    for name in ("alpha", "beta"):
+        save_vec(make_model(name, vocab, rng.standard_normal((len(vocab), 4))),
+                 tmp_path / f"{name}.vec")
+    cache = tmp_path / "cache"
+
+    def run(k: str, out: str, cache_dir: Path) -> int:
+        return main([
+            "diversity", "--model", str(tmp_path / "alpha.vec"),
+            "--model", str(tmp_path / "beta.vec"), "--thesaurus", str(thesaurus_path),
+            "--k", k, "--cache-dir", str(cache_dir), "--out", str(tmp_path / out),
+        ])
+
+    assert run("5", "k5", cache) == 0
+    # a larger k rebuilds the smaller-capacity files without --refresh
+    assert run("20", "k20", cache) == 0
+    assert run("20", "fresh20", tmp_path / "fresh20") == 0
+    assert _diversity_tables(tmp_path / "k20") == _diversity_tables(tmp_path / "fresh20")
+    files = sorted(cache.glob("*.neighbors.tsv"))
+    assert [f.name for f in files] == ["alpha.neighbors.tsv", "beta.neighbors.tsv"]
+    before = [f.read_bytes() for f in files]
+    assert all(json.loads(b.split(b"\n")[0])["k"] == 20 for b in before)
+    # a smaller k is served by the K=20 files, which stay as they are
+    assert run("10", "k10", cache) == 0
+    assert [f.read_bytes() for f in files] == before
+    assert run("10", "fresh10", tmp_path / "fresh10") == 0
+    assert _diversity_tables(tmp_path / "k10") == _diversity_tables(tmp_path / "fresh10")
 
 
 def test_cache_dir_from_environment(tmp_path, thesaurus_path, monkeypatch):

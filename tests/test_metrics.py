@@ -3,13 +3,15 @@ import pytest
 
 from embeval.metrics import (
     coverage,
+    descriptor_queries,
     diversity,
     diversity_matrix,
     keyword_covered,
+    keyword_queries,
     keyword_tokens,
     relational_coverage,
 )
-from embeval.neighbors import cache_load, cache_store, top_k_batch
+from embeval.neighbors import cache_load, cache_store, neighbor_map, top_k_batch
 from embeval.report import pct
 from embeval.thesaurus import DescriptorPair
 from conftest import anchored, make_model, random_model
@@ -337,3 +339,36 @@ def test_relational_matches_naive_enumeration():
         assert (result.n_pairs, result.n_found, result.n_oov_descriptors) == (
             n_pairs, n_found, n_oov,
         )
+
+
+def test_metrics_read_prefixes_of_a_larger_capacity():
+    rng = np.random.default_rng(31)
+    model_a = random_model(rng, "A", 30, 4, n_duplicate_rows=3, n_zero_rows=2)
+    model_b = random_model(rng, "B", 30, 4, n_duplicate_rows=3, n_zero_rows=2)
+    labels = list(model_a.vocab[:12]) + ["zwei wörter", "fehlt"]
+    pairs = [
+        DescriptorPair(model_a.vocab[i], model_a.vocab[(i * 7 + 3) % 30], "related", "de")
+        for i in range(12)
+    ]
+    maps_a = neighbor_map(model_a, keyword_queries(labels), 29)
+    maps_b = neighbor_map(model_b, keyword_queries(labels), 29)
+    rel_map = neighbor_map(model_a, descriptor_queries(pairs), 29)
+    for k in (1, 4, 10, 29):
+        fresh = diversity(model_a, model_b, labels, k)
+        served = diversity(model_a, model_b, labels, k, neighbors_a=maps_a, neighbors_b=maps_b)
+        assert served == fresh
+        assert relational_coverage(model_a, pairs, k, neighbors=rel_map) == (
+            relational_coverage(model_a, pairs, k)
+        )
+
+
+def test_metrics_reject_a_map_below_capacity():
+    model_a, model_b = _diversity_plant()
+    small_a = neighbor_map(model_a, ["a", "b"], 1)
+    small_b = neighbor_map(model_b, ["a", "b"], 1)
+    with pytest.raises(ValueError):
+        diversity(model_a, model_b, ["a", "b"], 2, neighbors_a=small_a, neighbors_b=small_b)
+    model, pairs = _relation_plant()
+    small = neighbor_map(model, descriptor_queries(pairs), 2)
+    with pytest.raises(ValueError):
+        relational_coverage(model, pairs, 3, neighbors=small)

@@ -1,12 +1,20 @@
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from embeval.errors import StaleCacheError, UnknownTokenError, ZeroVectorError
+from embeval.errors import CacheFormatError, StaleCacheError, UnknownTokenError, ZeroVectorError
 from embeval.neighbors import (
     cache_load,
+    cache_path,
     cache_store,
     cosine,
+    neighbor_map,
     normalize_rows,
+    queryable,
     top_k,
     top_k_batch,
 )
@@ -174,26 +182,31 @@ def test_batch_skips_unknown_queries():
     assert batch.skipped == ["zzz"]
 
 
-def test_batch_order_and_worker_independence():
+def test_batch_shape_independence():
     rng = np.random.default_rng(10)
-    model = random_model(rng, "m", 60, 5, n_duplicate_rows=4)
+    model = random_model(rng, "m", 60, 5, n_duplicate_rows=4, n_zero_rows=2)
     queries = [model.vocab[i] for i in (3, 9, 27, 41, 55, 0)]
     base = top_k_batch(model, queries, 8).by_query()
     permuted = top_k_batch(model, list(reversed(queries)), 8).by_query()
-    threaded = top_k_batch(model, queries, 8, workers=3).by_query()
-    assert base == permuted == threaded
+    halves = {
+        **top_k_batch(model, queries[:3], 8).by_query(),
+        **top_k_batch(model, queries[3:], 8).by_query(),
+    }
+    singletons = {}
+    for q in queries:
+        singletons.update(top_k_batch(model, [q], 8).by_query())
+    assert base == permuted == halves == singletons
 
 
 def test_batch_moderate_scale_smoke():
-    # 5,000-word model, 200 queries: shards through the threaded path and
-    # stays well inside an interactive time budget
+    # 5,000-word model, 200 queries: stays well inside an interactive time budget
     import time
 
     rng = np.random.default_rng(11)
     model = random_model(rng, "big", 5000, 32)
     queries = [model.vocab[int(i)] for i in rng.integers(0, 5000, size=200)]
     start = time.perf_counter()
-    result = top_k_batch(model, queries, 10, workers=4)
+    result = top_k_batch(model, queries, 10)
     elapsed = time.perf_counter() - start
     assert len(result.neighbor_sets) == len(queries)
     assert elapsed < 10.0
@@ -227,7 +240,20 @@ def test_cache_detects_digest_mismatch(tmp_path):
     with pytest.raises(StaleCacheError):
         cache_load(path, other, 3)
     with pytest.raises(StaleCacheError):
-        cache_load(path, model, 4)
+        cache_load(path, other, 4)  # stale whatever the capacity asked for
+
+
+def test_cache_capacity_serves_every_smaller_k(tmp_path):
+    rng = np.random.default_rng(15)
+    model = random_model(rng, "toy", 20, 4)
+    path = tmp_path / "c.tsv"
+    cache_store(path, model, 3, top_k_batch(model, model.vocab[:4], 3).neighbor_sets)
+    for k in (0, 2, 3):
+        loaded = cache_load(path, model, k)
+        assert {ns.k_requested for ns in loaded.values()} == {3}
+        for q, ns in loaded.items():
+            assert ns.tokens()[:k] == top_k(model, q, k).tokens()
+    assert cache_load(path, model, 4) is None  # below capacity: the caller rebuilds
 
 
 def test_cache_write_is_atomic(tmp_path):
@@ -241,3 +267,111 @@ def test_cache_write_is_atomic(tmp_path):
         cache_store(path, model, 3, bad)  # k mismatch aborts mid-write
     assert path.read_bytes() == before
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_cache_records_empty_neighborhoods(tmp_path):
+    # one real word, the rest zero rows: "a" is queryable but has no neighbors
+    model = make_model("m", ["a", "z1", "z2"], [[1, 0], [0, 0], [0, 0]])
+    first = neighbor_map(model, ["a", "z1"], 5, tmp_path)
+    assert first == {"a": top_k(model, "a", 5)} and first["a"].entries == ()
+    text = Path(cache_path(tmp_path, "m")).read_text(encoding="utf-8")
+    assert text.splitlines()[1:] == ["a\t0"]
+    assert neighbor_map(model, ["a", "z1"], 5, tmp_path) == first
+
+
+@pytest.mark.parametrize("extra", ["a\t2\tb\t0.000000000", "c\t0\nc\t1\ta\t0.500000000"])
+def test_cache_rejects_ranks_beyond_a_record(tmp_path, extra):
+    # a rank above the capacity, or a ranked line after an empty-neighborhood record
+    model = make_model("m", ["a", "b", "c"], [[1, 0], [0, 1], [1, 1]])
+    path = tmp_path / "m.neighbors.tsv"
+    cache_store(path, model, 1, top_k_batch(model, ["a"], 1).neighbor_sets)
+    path.write_text(path.read_text(encoding="utf-8") + extra + "\n", encoding="utf-8")
+    with pytest.raises(CacheFormatError):
+        cache_load(path, model, 1)
+
+
+def test_neighbor_map_searches_each_distinct_query_once(monkeypatch):
+    rng = np.random.default_rng(16)
+    model = random_model(rng, "m", 30, 4, n_zero_rows=2)
+    queries = [model.vocab[i] for i in (1, 5, 1, 7, 5)] + ["fehlt"]
+    batches = []
+    real = top_k_batch
+
+    def spy(model, queries, k):
+        batches.append(list(queries))
+        return real(model, queries, k)
+
+    monkeypatch.setattr("embeval.neighbors.top_k_batch", spy)
+    result = neighbor_map(model, queries, 6)
+    wanted = sorted({q for q in queries if queryable(model, q)})
+    assert batches == [wanted]
+    assert result == {q: top_k(model, q, 6) for q in wanted}
+
+
+def test_neighbor_map_cache_policy(tmp_path):
+    rng = np.random.default_rng(17)
+    model = random_model(rng, "toy", 30, 4)
+    queries = model.vocab[:6]
+    path = Path(cache_path(tmp_path, "toy"))
+
+    def capacity():
+        return json.loads(path.read_text(encoding="utf-8").splitlines()[0])["k"]
+
+    neighbor_map(model, queries, 3, tmp_path)
+    assert capacity() == 3
+    # a smaller stored capacity is rebuilt at the larger k without refresh
+    assert neighbor_map(model, queries, 8, tmp_path) == neighbor_map(model, queries, 8)
+    assert capacity() == 8
+    # a larger stored capacity serves a smaller k and is left as it is
+    before = path.read_bytes()
+    served = neighbor_map(model, queries[:4], 5, tmp_path)
+    assert path.read_bytes() == before
+    assert {q: ns.tokens()[:5] for q, ns in served.items() if q in queries[:4]} == {
+        q: top_k(model, q, 5).tokens() for q in queries[:4]
+    }
+    # a missing query or other vectors make the file stale unless refresh
+    with pytest.raises(StaleCacheError):
+        neighbor_map(model, model.vocab[:7], 5, tmp_path)
+    other = random_model(rng, "toy", 30, 4)
+    with pytest.raises(StaleCacheError):
+        neighbor_map(other, queries, 5, tmp_path)
+    assert neighbor_map(other, queries, 5, tmp_path, refresh=True) == neighbor_map(other, queries, 5)
+    assert capacity() == 5
+
+
+@st.composite
+def tie_models(draw):
+    """Small models with integer rows: exact ties, duplicate rows and zero rows."""
+    dim = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    rows = draw(st.lists(row, min_size=1, max_size=16))
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))]
+    rows += [[0] * dim] * draw(st.integers(0, 3))
+    return make_model("m", [f"w{i:02d}" for i in range(len(rows))], rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=tie_models(), data=st.data())
+def test_provider_prefix_equals_top_k(model, data):
+    capacity = data.draw(st.integers(0, len(model.vocab) + 1))
+    result = neighbor_map(model, model.vocab, capacity)
+    assert set(result) == {q for q in model.vocab if queryable(model, q)}
+    for query, ns in result.items():
+        assert ns.k_requested == capacity
+        for k in range(capacity + 1):
+            assert ns.entries[:k] == top_k(model, query, k).entries
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=tie_models(), data=st.data())
+def test_cache_round_trip_prefix_equals_fresh_search(model, data):
+    capacity = data.draw(st.integers(0, len(model.vocab) + 1))
+    sets = top_k_batch(model, model.vocab, capacity).neighbor_sets
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.neighbors.tsv"
+        cache_store(path, model, capacity, sets)
+        for k in range(capacity + 1):
+            loaded = cache_load(path, model, k)
+            assert set(loaded) == {ns.query for ns in sets}
+            for query, ns in loaded.items():
+                assert ns.tokens()[:k] == top_k(model, query, k).tokens()
