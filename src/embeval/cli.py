@@ -117,10 +117,13 @@ def _model_name(path: str) -> str:
     return name[: -len(".vec")] if name.endswith(".vec") else Path(path).stem
 
 
-def _load_models(paths: list[str]):
+def _load_models(paths: list[str], manifest: RunManifest):
+    """Load each model and record it as a manifest input with the digest of
+    the bytes it was parsed from, so each model file is read once."""
     models = []
     for path in paths:
         models.append(load_vec(path, _model_name(path)))
+        manifest.add_input(path, models[-1].source_digest)
     names = [m.name for m in models]
     if len(set(names)) != len(names):
         raise UsageError(f"model names are not unique: {names}")
@@ -206,11 +209,12 @@ def cmd_coverage(args) -> int:
     out = _out_dir(args)
     lowercase = not args.no_lowercase
     manifest = _manifest(
-        "coverage", list(args.model) + [args.thesaurus],
+        "coverage", [],
         {"s": s_values, "lang": args.lang, "lowercase": lowercase},
     )
     with ManifestTimer(manifest):
-        models = _load_models(args.model)
+        models = _load_models(args.model, manifest)
+        manifest.add_input(args.thesaurus)
         manifest.parameters["zero_vectors"] = {m.name: len(m.zero_rows) for m in models}
         th = _load_thesaurus(args.thesaurus)
         labels = [kw.label for kw in keywords(th, args.lang)]
@@ -252,12 +256,13 @@ def cmd_diversity(args) -> int:
     lowercase = not args.no_lowercase
     cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV) or None
     manifest = _manifest(
-        "diversity", list(args.model) + [args.thesaurus],
+        "diversity", [],
         {"k": k_values, "lang": args.lang, "denominator": args.denominator,
          "lowercase": lowercase, "cache_dir": cache_dir, "refresh": args.refresh},
     )
     with ManifestTimer(manifest):
-        models = _load_models(args.model)
+        models = _load_models(args.model, manifest)
+        manifest.add_input(args.thesaurus)
         manifest.parameters["zero_vectors"] = {m.name: len(m.zero_rows) for m in models}
         th = _load_thesaurus(args.thesaurus)
         labels = [kw.label for kw in keywords(th, args.lang)]
@@ -310,12 +315,13 @@ def cmd_relations(args) -> int:
     out = _out_dir(args)
     lowercase = not args.no_lowercase
     manifest = _manifest(
-        "relations", list(args.model) + [args.thesaurus],
+        "relations", [],
         {"k": k_values, "lang": args.lang, "single_word_only": args.single_word_only,
          "oov_policy": args.oov_policy, "lowercase": lowercase},
     )
     with ManifestTimer(manifest):
-        models = _load_models(args.model)
+        models = _load_models(args.model, manifest)
+        manifest.add_input(args.thesaurus)
         manifest.parameters["zero_vectors"] = {m.name: len(m.zero_rows) for m in models}
         th = _load_thesaurus(args.thesaurus)
         selections = {
@@ -375,9 +381,9 @@ def cmd_neighbors(args) -> int:
         raise UsageError(f"k must be >= 0, got {args.k}")
     _require_files(args.model)
     out = _out_dir(args)
-    manifest = _manifest("neighbors", [args.model], {"word": args.word, "k": args.k})
+    manifest = _manifest("neighbors", [], {"word": args.word, "k": args.k})
     with ManifestTimer(manifest):
-        model = load_vec(args.model, _model_name(args.model))
+        [model] = _load_models([args.model], manifest)
         try:
             ns = top_k(model, args.word, args.k)
         except (UnknownTokenError, EmbevalError) as exc:

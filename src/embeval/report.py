@@ -60,8 +60,11 @@ class RunManifest:
     version: str = ""
     duration_seconds: float = 0.0
 
-    def add_input(self, path) -> None:
-        self.inputs.append({"path": str(path), "sha256": sha256_file(path)})
+    def add_input(self, path, sha256: str | None = None) -> None:
+        """Record an input; ``sha256`` is its digest when already known."""
+        if sha256 is None:
+            sha256 = sha256_file(path)
+        self.inputs.append({"path": str(path), "sha256": sha256})
 
     def to_json(self) -> str:
         record = {

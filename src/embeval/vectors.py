@@ -8,8 +8,10 @@ concurrent readers are safe.
 
 import hashlib
 import io
+import itertools
 import logging
 import os
+import warnings
 from dataclasses import dataclass, field
 from typing import BinaryIO, Union
 
@@ -122,12 +124,25 @@ def _read_bytes(source: Source) -> bytes:
     return source.read()
 
 
+# Kept body lines whose components one np.loadtxt call parses.  8192 was no
+# faster and raised a two-model diversity run's peak RSS by about 10 MB.
+_CHUNK = 1024
+# ASCII separators that numpy strips around a number as whitespace but
+# float() rejects; a file holding one is parsed by float() alone.
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
 def load_vec(source: Source, name: str, keep_first: bool = False) -> EmbeddingModel:
     """Parse a word-vector text file into an EmbeddingModel.
 
     ``keep_first`` downgrades duplicate tokens from an error to a warning,
     keeping the first occurrence; the duplicate row is dropped so the header
     count is then allowed to exceed the stored row count.
+
+    A component is accepted when ``float()`` accepts it and the result is
+    finite.  The line structure is checked line by line; the numbers of up
+    to ``_CHUNK`` kept lines are parsed by one ``np.loadtxt`` call, and the
+    first failing line of the file names the error.
     """
     raw = _read_bytes(source)
     digest = hashlib.sha256(raw).hexdigest()
@@ -135,17 +150,20 @@ def load_vec(source: Source, name: str, keep_first: bool = False) -> EmbeddingMo
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise VecFormatError(f"not valid UTF-8: {exc}") from None
-    if text.startswith("﻿"):
+    del raw
+    if text.startswith("\ufeff"):
         raise VecFormatError("file starts with a BOM", line_no=1)
+    use_loadtxt = not any(c in text for c in _LOADTXT_ONLY_SPACE)
 
     lines = text.split("\n")
+    del text
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
         raise VecFormatError("empty file", line_no=1)
 
     header = lines[0].split(" ")
-    if len(header) != 2 or not header[0].isdigit() or not header[1].isdigit():
+    if len(header) != 2 or not header[0].isdecimal() or not header[1].isdecimal():
         raise VecFormatError(f"malformed header {lines[0]!r}", line_no=1)
     count, dim = int(header[0]), int(header[1])
     if dim <= 0:
@@ -157,55 +175,112 @@ def load_vec(source: Source, name: str, keep_first: bool = False) -> EmbeddingMo
         )
 
     vocab: list[str] = []
-    seen: dict[str, int] = {}
-    rows = np.empty((count, dim), dtype=np.float64)
-    dropped = 0
-    for line_no, line in enumerate(lines[1:], start=2):
-        parts = line.split(" ")
-        if len(parts) != dim + 1:
-            raise VecFormatError(
-                f"expected token plus {dim} components, found {len(parts) - 1}",
-                line_no=line_no,
-            )
-        token = parts[0]
-        if not token:
-            raise VecFormatError("empty token", line_no=line_no)
-        if token in seen:
+    seen: set[str] = set()
+    # allocated once the first chunk has parsed, so a header's dimension is
+    # backed by a body line before it sizes an array
+    rows: np.ndarray | None = None
+    rests: list[str] = []
+    line_nos: list[int] = []
+
+    def flush() -> None:
+        nonlocal rows
+        if not rests:
+            return
+        block = _parse_components(rests, line_nos, dim, use_loadtxt)
+        if rows is None:
+            rows = np.empty((count, dim), dtype=np.float64)
+        stored = len(vocab) - len(rests)
+        rows[stored : len(vocab)] = block
+        rests.clear()
+        line_nos.clear()
+
+    for line_no, line in enumerate(itertools.islice(lines, 1, None), start=2):
+        token, _, rest = line.partition(" ")
+        error = None
+        if line.count(" ") != dim:
+            error = f"expected token plus {dim} components, found {line.count(' ')}"
+        elif not token:
+            error = "empty token"
+        elif token in seen:
             if not keep_first:
-                raise VecFormatError(f"duplicate token {token!r}", line_no=line_no)
-            logger.warning(
-                "%s: duplicate token %r on line %d; keeping first occurrence",
-                name, token, line_no,
-            )
-            dropped += 1
-            continue
-        try:
-            values = [float(p) for p in parts[1:]]
-        except ValueError:
-            raise VecFormatError("unparseable vector component", line_no=line_no) from None
-        if not all(np.isfinite(values)):
-            raise VecFormatError("non-finite vector component", line_no=line_no)
-        seen[token] = len(vocab)
-        rows[len(vocab)] = values
+                error = f"duplicate token {token!r}"
+            else:
+                logger.warning(
+                    "%s: duplicate token %r on line %d; keeping first occurrence",
+                    name, token, line_no,
+                )
+                continue
+        if error is not None:
+            flush()  # an error on an earlier line of the chunk wins
+            raise VecFormatError(error, line_no=line_no)
+        seen.add(token)
         vocab.append(token)
+        rests.append(rest)
+        line_nos.append(line_no)
+        if len(rests) == _CHUNK:
+            flush()
+    flush()
+    del lines, seen
 
-    if dropped:
-        rows = rows[: len(vocab)]
-
-    matrix = rows
-    norms = np.linalg.norm(matrix, axis=1)
-    zero_rows = frozenset(int(i) for i in np.flatnonzero(norms == 0.0))
-    if zero_rows:
-        logger.warning("%s: %d zero vector(s) in input", name, len(zero_rows))
-    return EmbeddingModel(
+    if rows is None:
+        try:
+            rows = np.empty((0, dim), dtype=np.float64)
+        except ValueError:
+            raise VecFormatError(f"dimension {dim} is too large", line_no=1) from None
+    model = EmbeddingModel(
         name=name,
         dim=dim,
         vocab=vocab,
-        matrix=matrix,
+        matrix=rows[: len(vocab)],
         normalized=False,
-        zero_rows=zero_rows,
         source_digest=digest,
     )
+    if model.zero_rows:
+        logger.warning("%s: %d zero vector(s) in input", name, len(model.zero_rows))
+    return model
+
+
+def _parse_components(
+    rests: list[str], line_nos: list[int], dim: int, use_loadtxt: bool
+) -> np.ndarray:
+    """The ``(len(rests), dim)`` rows spelled by the component strings ``rests``.
+
+    loadtxt and float() both round correctly, so they agree on every literal
+    loadtxt accepts.  Where loadtxt fails or drops a line (it rejects ``1_0``
+    and non-ASCII digits, which float() accepts, and skips an empty line),
+    the chunk is re-read with float(), which alone decides what is
+    unparseable.
+    """
+    block = None
+    if use_loadtxt:
+        try:
+            with warnings.catch_warnings():
+                # a chunk of empty strings is "no data" to loadtxt
+                warnings.simplefilter("ignore", UserWarning)
+                block = np.loadtxt(
+                    rests, delimiter=" ", comments=None, quotechar=None,
+                    dtype=np.float64, ndmin=2,
+                )
+        except ValueError:
+            pass
+    if block is None or block.shape != (len(rests), dim):
+        block = np.empty((len(rests), dim), dtype=np.float64)
+        for i, rest in enumerate(rests):
+            try:
+                block[i] = [float(p) for p in rest.split(" ")]
+            except ValueError:
+                _check_finite(block[:i], line_nos)
+                raise VecFormatError(
+                    "unparseable vector component", line_no=line_nos[i]
+                ) from None
+    _check_finite(block, line_nos)
+    return block
+
+
+def _check_finite(block: np.ndarray, line_nos: list[int]) -> None:
+    bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
+    if bad.size:
+        raise VecFormatError("non-finite vector component", line_no=line_nos[bad[0]])
 
 
 def save_vec(model: EmbeddingModel, dest: Union[str, os.PathLike, BinaryIO]) -> None:

@@ -5,9 +5,16 @@ scans.  The point is that none of it shares pruning, banding or selection
 logic with the code under test.
 """
 
+import hashlib
+import logging
 import re
 
 import numpy as np
+
+from embeval.errors import VecFormatError
+from embeval.vectors import EmbeddingModel, Source, _read_bytes
+
+logger = logging.getLogger(__name__)
 
 HYPHENS = "-­‐‑‒–—"
 _HYPHEN_RE = re.compile(f"[{HYPHENS}]")
@@ -120,3 +127,91 @@ def naive_relational(model, pairs, k: int, lowercase=True):
         if concept in naive_neighbor_tokens(model, descriptor, k, lowercase):
             acc[1] += 1
     return {rel: tuple(v) for rel, v in out.items()}
+
+
+# The word-vector loader as it was before components were parsed a chunk at
+# a time: one float() per component, checks in file order.
+def load_vec_oracle(source: Source, name: str, keep_first: bool = False) -> EmbeddingModel:
+    """Parse a word-vector text file into an EmbeddingModel.
+
+    ``keep_first`` downgrades duplicate tokens from an error to a warning,
+    keeping the first occurrence; the duplicate row is dropped so the header
+    count is then allowed to exceed the stored row count.
+    """
+    raw = _read_bytes(source)
+    digest = hashlib.sha256(raw).hexdigest()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise VecFormatError(f"not valid UTF-8: {exc}") from None
+    if text.startswith("﻿"):
+        raise VecFormatError("file starts with a BOM", line_no=1)
+
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise VecFormatError("empty file", line_no=1)
+
+    header = lines[0].split(" ")
+    if len(header) != 2 or not header[0].isdigit() or not header[1].isdigit():
+        raise VecFormatError(f"malformed header {lines[0]!r}", line_no=1)
+    count, dim = int(header[0]), int(header[1])
+    if dim <= 0:
+        raise VecFormatError(f"dimension must be positive, got {dim}", line_no=1)
+
+    if len(lines) - 1 != count:
+        raise VecFormatError(
+            f"header declares {count} rows but file has {len(lines) - 1}"
+        )
+
+    vocab: list[str] = []
+    seen: dict[str, int] = {}
+    rows = np.empty((count, dim), dtype=np.float64)
+    dropped = 0
+    for line_no, line in enumerate(lines[1:], start=2):
+        parts = line.split(" ")
+        if len(parts) != dim + 1:
+            raise VecFormatError(
+                f"expected token plus {dim} components, found {len(parts) - 1}",
+                line_no=line_no,
+            )
+        token = parts[0]
+        if not token:
+            raise VecFormatError("empty token", line_no=line_no)
+        if token in seen:
+            if not keep_first:
+                raise VecFormatError(f"duplicate token {token!r}", line_no=line_no)
+            logger.warning(
+                "%s: duplicate token %r on line %d; keeping first occurrence",
+                name, token, line_no,
+            )
+            dropped += 1
+            continue
+        try:
+            values = [float(p) for p in parts[1:]]
+        except ValueError:
+            raise VecFormatError("unparseable vector component", line_no=line_no) from None
+        if not all(np.isfinite(values)):
+            raise VecFormatError("non-finite vector component", line_no=line_no)
+        seen[token] = len(vocab)
+        rows[len(vocab)] = values
+        vocab.append(token)
+
+    if dropped:
+        rows = rows[: len(vocab)]
+
+    matrix = rows
+    norms = np.linalg.norm(matrix, axis=1)
+    zero_rows = frozenset(int(i) for i in np.flatnonzero(norms == 0.0))
+    if zero_rows:
+        logger.warning("%s: %d zero vector(s) in input", name, len(zero_rows))
+    return EmbeddingModel(
+        name=name,
+        dim=dim,
+        vocab=vocab,
+        matrix=matrix,
+        normalized=False,
+        zero_rows=zero_rows,
+        source_digest=digest,
+    )

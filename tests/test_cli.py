@@ -484,3 +484,35 @@ def test_help_exits_zero():
 
 def test_unknown_command_exits_two():
     assert main(["frobnicate"]) == 2
+
+
+def test_absurd_vec_dimension_is_parse_error(tmp_path, thesaurus_path):
+    bad = tmp_path / "bad.vec"
+    bad.write_bytes(b"1 4611686018427387904\na 1\n")
+    rc = main([
+        "coverage", "--model", str(bad), "--thesaurus", str(thesaurus_path),
+        "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 3
+
+
+def test_manifest_hashes_each_model_file_once(tmp_path, model_path, thesaurus_path, monkeypatch):
+    import hashlib
+
+    from embeval import report
+
+    hashed = []
+    real = report.sha256_file
+    monkeypatch.setattr(report, "sha256_file", lambda path: hashed.append(str(path)) or real(path))
+    out = tmp_path / "o"
+    rc = main([
+        "coverage", "--model", str(model_path), "--thesaurus", str(thesaurus_path),
+        "--out", str(out),
+    ])
+    assert rc == 0
+    assert hashed == [str(thesaurus_path)]
+    inputs = json.loads((out / "coverage.manifest.json").read_text())["inputs"]
+    assert inputs == [
+        {"path": str(model_path), "sha256": hashlib.sha256(model_path.read_bytes()).hexdigest()},
+        {"path": str(thesaurus_path), "sha256": real(thesaurus_path)},
+    ]

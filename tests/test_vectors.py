@@ -2,11 +2,14 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from embeval import vectors
 from embeval.errors import UnknownTokenError, VecFormatError
 from embeval.neighbors import normalize_rows
 from embeval.vectors import contains, load_vec, save_vec, vector
 from conftest import make_model
+from oracles import load_vec_oracle
 
 
 def _vec_bytes(*lines: str) -> bytes:
@@ -179,3 +182,99 @@ def test_writer_format_is_strict(tmp_path):
     assert lines[2] == "b -3 2e-07"
     assert text.endswith("\n")
     assert "  " not in text and " \n" not in text
+
+
+def test_load_absurd_dimension_is_format_error():
+    # the header's dimension must be backed by a body line before it sizes
+    # an array
+    with pytest.raises(VecFormatError, match="line 2: expected token plus 4611686018427387904 components, found 1"):
+        load_vec(b"1 4611686018427387904\na 1\n", "x")
+    with pytest.raises(VecFormatError, match="line 1: dimension 4611686018427387904 is too large"):
+        load_vec(b"0 4611686018427387904\n", "x")
+
+
+def test_load_non_decimal_header_digits_are_format_error():
+    # "²" is a digit to str.isdigit() but not a number to int()
+    with pytest.raises(VecFormatError, match="line 1: malformed header"):
+        load_vec(_vec_bytes("² 1", "a 1"), "x")
+
+
+def test_load_accepts_float_literals_loadtxt_rejects():
+    # the rule is float()'s: underscores, non-ASCII digits, surrounding
+    # whitespace such as a trailing CR
+    model = load_vec(_vec_bytes("2 2", "a 1_0 ١", "b 2.5\r 3\r"), "odd")
+    assert model.matrix.tolist() == [[10.0, 1.0], [2.5, 3.0]]
+
+
+def test_load_rejects_separators_float_rejects():
+    # numpy strips U+001C..U+001F around a number; float() does not
+    with pytest.raises(VecFormatError, match="line 3: unparseable"):
+        load_vec(_vec_bytes("2 1", "a 1", "b 2\x1c"), "x")
+
+
+@pytest.mark.parametrize("lines, message", [
+    (("4 2", "a 1 2", "b 1 x", "c 3 4", "d 5"), "line 3: unparseable vector component"),
+    (("3 2", "a nan 2", "b 1 2", "c 1 x"), "line 2: non-finite vector component"),
+])
+def test_load_first_failing_line_wins_within_a_chunk(lines, message):
+    with pytest.raises(VecFormatError) as excinfo:
+        load_vec(_vec_bytes(*lines), "order")
+    assert str(excinfo.value) == message
+
+
+def test_load_errors_across_chunk_boundaries(monkeypatch):
+    monkeypatch.setattr(vectors, "_CHUNK", 2)
+    data = _vec_bytes("5 1", "a 1", "b 2", "c 3", "d inf", "a 5")
+    with pytest.raises(VecFormatError) as excinfo:
+        load_vec(data, "chunks")
+    assert str(excinfo.value) == "line 5: non-finite vector component"
+    model = load_vec(_vec_bytes("5 1", "a 1", "b 2", "a 3", "c 4", "d 5"), "chunks", keep_first=True)
+    assert model.vocab == ["a", "b", "c", "d"]
+    assert model.matrix[:, 0].tolist() == [1.0, 2.0, 4.0, 5.0]
+
+
+_TOKENS = st.sampled_from(["a", "b", "c", "ä", "wort"])
+_GOOD = ["0", "-0", "1", "-1.5e-2", ".5", "+3", "1_0", "١", "2.", "1e-400",
+         "0.30000000000000004", "12345678901234567890", "7e30"]
+_BAD = ["nan", "inf", "1e400", "x", "", "1__0", "0x1", "1\x1c", "\r", "1\r2"]
+
+
+@st.composite
+def _vec_files(draw):
+    dim = draw(st.integers(1, 3))
+    body = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["good"] * 6 + ["bad", "count", "empty"]))
+        n = dim if kind != "count" else draw(st.sampled_from([dim - 1, dim + 1]))
+        comps = [draw(st.sampled_from(_GOOD)) for _ in range(n)]
+        if kind == "bad" and comps:
+            comps[draw(st.integers(0, n - 1))] = draw(st.sampled_from(_BAD))
+        if comps and draw(st.booleans()):
+            comps[-1] += "\r"
+        token = "" if kind == "empty" else draw(_TOKENS)
+        body.append(" ".join([token] + comps))
+    count = len(body) + draw(st.sampled_from([0] * 8 + [-1, 1]))
+    return _vec_bytes(f"{max(count, 0)} {dim}", *body)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=_vec_files(), chunk=st.integers(1, 3), keep_first=st.booleans())
+def test_load_matches_per_component_oracle(data, chunk, keep_first):
+    def run(loader):
+        try:
+            return loader(data, "p", keep_first=keep_first)
+        except VecFormatError as exc:
+            return str(exc)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vectors, "_CHUNK", chunk)
+        got = run(load_vec)
+    want = run(load_vec_oracle)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert got.vocab == want.vocab
+    assert np.array_equal(got.matrix.view(np.uint64), want.matrix.view(np.uint64))
+    assert got.zero_rows == want.zero_rows
+    assert got.source_digest == want.source_digest
