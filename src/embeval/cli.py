@@ -24,6 +24,7 @@ from .metrics import (
     descriptor_queries,
     diversity_matrix,
     keyword_queries,
+    match_map,
     relational_coverage,
 )
 from .neighbors import neighbor_map, top_k
@@ -221,10 +222,10 @@ def cmd_coverage(args) -> int:
         csv_rows = []
         md_columns: dict[str, dict[str, str]] = {m.name: {} for m in models}
         for model in models:
-            index = VocabIndex(model.vocab)
+            matches = match_map(VocabIndex(model.vocab), labels, min(s_values), lowercase)
             md_columns[model.name]["Vocab size"] = str(len(model.vocab))
             for s in s_values:
-                result = coverage(model, labels, s, lowercase=lowercase, index=index)
+                result = coverage(model, labels, s, lowercase=lowercase, matches=matches)
                 csv_rows.append(
                     [model.name, len(model.vocab), str(s), result.n_keywords,
                      result.n_covered, pct(result.c)]

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .neighbors import NeighborSet, neighbor_map, queryable
 from .corpus import HYPHEN_CHARS, DASH_CHARS
-from .stringsim import VocabIndex, best_match
+from .stringsim import RatioMatch, VocabIndex, best_match
 from .thesaurus import DescriptorPair
 from .vectors import EmbeddingModel
 
@@ -120,6 +120,63 @@ class RelationalResult:
         return 100.0 * self.n_found / n
 
 
+def _match_tokens(
+    tokens: Sequence[str],
+    index: VocabIndex,
+    s: float,
+    matches: dict[str, RatioMatch | None],
+) -> None:
+    """Add the ``best_match`` at s of each token up to its first miss to ``matches``.
+
+    A token already in ``matches`` is not matched again.
+    """
+    for token in tokens:
+        if token not in matches:
+            matches[token] = best_match(token, index, s)
+        if matches[token] is None:
+            return
+
+
+def _match_records(
+    tokens: Sequence[str], matches: dict[str, RatioMatch | None], s: float
+) -> list[tuple[str, str, float]] | None:
+    """Match records of the tokens if every one reaches ratio >= s in ``matches``.
+
+    An empty token list never counts as covered.
+    """
+    if not tokens:
+        logger.warning("keyword reduced to no tokens; counted as not covered")
+        return None
+    records: list[tuple[str, str, float]] = []
+    for token in tokens:
+        if token not in matches:
+            raise ValueError(f"match map lacks the keyword token {token!r}")
+        m = matches[token]
+        if m is None or m.ratio < s:
+            return None
+        records.append((token, m.matched_vocab_token, m.ratio))
+    return records
+
+
+def match_map(
+    index: VocabIndex,
+    keywords: Sequence[str],
+    s_min: float,
+    lowercase: bool = True,
+) -> dict[str, RatioMatch | None]:
+    """The ``best_match`` at ``s_min`` of every keyword token coverage can reach.
+
+    Each label's tokens are matched in order up to the first miss, and each
+    distinct token once.  The match at any s >= s_min is the stored match
+    if its ratio is >= s, and a miss otherwise, so one map serves every
+    such threshold.
+    """
+    matches: dict[str, RatioMatch | None] = {}
+    for label in keywords:
+        _match_tokens(keyword_tokens(label, lowercase=lowercase), index, s_min, matches)
+    return matches
+
+
 def keyword_covered(
     keyword: Sequence[str],
     model: EmbeddingModel,
@@ -133,20 +190,12 @@ def keyword_covered(
     default (lowercasing is idempotent, so pre-normalized tokens are fine).
     An empty keyword never counts as covered.
     """
-    if not keyword:
-        logger.warning("keyword reduced to no tokens; counted as not covered")
-        return None
     if index is None:
         index = VocabIndex(model.vocab)
-    matches: list[tuple[str, str, float]] = []
-    for token in keyword:
-        if lowercase:
-            token = token.lower()
-        m = best_match(token, index, s)
-        if m is None:
-            return None
-        matches.append((token, m.matched_vocab_token, m.ratio))
-    return matches
+    tokens = [t.lower() for t in keyword] if lowercase else list(keyword)
+    matches: dict[str, RatioMatch | None] = {}
+    _match_tokens(tokens, index, s, matches)
+    return _match_records(tokens, matches, s)
 
 
 def coverage(
@@ -155,19 +204,25 @@ def coverage(
     s: float,
     lowercase: bool = True,
     index: VocabIndex | None = None,
+    matches: dict[str, RatioMatch | None] | None = None,
 ) -> CoverageResult:
-    """Coverage of the keyword list in the model vocabulary at threshold s."""
+    """Coverage of the keyword list in the model vocabulary at threshold s.
+
+    Token matches are read from ``matches``, a ``match_map`` of these
+    keywords built at a threshold <= s; a map not given is built at s.
+    """
     if not 0.0 < s <= 1.0:
         raise ValueError(f"threshold s must be in (0, 1], got {s}")
-    if index is None:
-        index = VocabIndex(model.vocab)
+    if matches is None:
+        if index is None:
+            index = VocabIndex(model.vocab)
+        matches = match_map(index, keywords, s, lowercase=lowercase)
     result = CoverageResult(model.name, s, n_keywords=len(keywords), n_covered=0)
     for label in keywords:
-        tokens = keyword_tokens(label, lowercase=lowercase)
-        matches = keyword_covered(tokens, model, s, index=index, lowercase=lowercase)
-        if matches is not None:
+        records = _match_records(keyword_tokens(label, lowercase=lowercase), matches, s)
+        if records is not None:
             result.n_covered += 1
-            result.hits.append(KeywordHit(label, matches))
+            result.hits.append(KeywordHit(label, records))
     return result
 
 

@@ -161,9 +161,12 @@ def best_match(token: str, vocab: VocabIndex, s: float) -> Optional[RatioMatch]:
     """Most similar vocabulary token with ratio >= s, or None.
 
     Ties on the ratio go to the lowest vocabulary index.  s=1 degrades to an
-    exact hash lookup; for s<1 only length buckets that can still reach the
-    threshold are scanned, and each candidate runs a banded DP that aborts
-    once the threshold distance is exceeded.
+    exact hash lookup; for s<1 only length buckets that can get within the
+    threshold distance are scanned, and each candidate runs a banded DP
+    that aborts once that distance is exceeded.
+    The match does not depend on s beyond its ratio reaching s: for any
+    s' >= s, ``best_match(token, vocab, s')`` is this match if its ratio is
+    >= s', and None otherwise.
     """
     if not 0.0 < s <= 1.0:
         raise ValueError(f"threshold s must be in (0, 1], got {s}")
@@ -188,6 +191,12 @@ def best_match(token: str, vocab: VocabIndex, s: float) -> Optional[RatioMatch]:
             continue
         total = lt + length
         limit = _max_distance_for(s, total)
+        # Every candidate differs from token (an exact hit returned above), so
+        # its distance is at least the length difference, and at least 2 (one
+        # substitution) at equal length: skip a bucket that cannot get within
+        # the limit, such as the padded window's edges.
+        if (abs(length - lt) or 2) > limit:
+            continue
         for idx in bucket:
             cand = vocab.tokens[idx]
             d = _edit_distance_sub2_bounded(token, cand, limit)

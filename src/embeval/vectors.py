@@ -65,13 +65,13 @@ class EmbeddingModel:
                 raise ValueError(f"duplicate token {tok!r}")
             self.index[tok] = i
         if len(self.vocab):
-            norms = np.linalg.norm(self.matrix, axis=1)
             # zero rows are a property of the matrix; never trust the caller
             # to have flagged them all
             self.zero_rows = frozenset(self.zero_rows) | frozenset(
-                int(i) for i in np.flatnonzero(norms == 0.0)
+                int(i) for i in np.flatnonzero(~self.matrix.any(axis=1))
             )
             if self.normalized:
+                norms = np.linalg.norm(self.matrix, axis=1)
                 nonzero = np.setdiff1d(np.arange(len(self.vocab)), list(self.zero_rows))
                 if nonzero.size and np.max(np.abs(norms[nonzero] - 1.0)) > 1e-6:
                     raise ValueError("normalized model has rows with norm far from 1")
@@ -88,7 +88,7 @@ class EmbeddingModel:
         if self.normalized:
             return self.matrix
         if self._unit_matrix is None:
-            self._unit_matrix, _ = _normalize_matrix(self.matrix)
+            self._unit_matrix = _normalize_matrix(self.matrix)
             self._unit_matrix.flags.writeable = False
         return self._unit_matrix
 
@@ -201,6 +201,8 @@ def load_vec(source: Source, name: str, keep_first: bool = False) -> EmbeddingMo
             error = f"expected token plus {dim} components, found {line.count(' ')}"
         elif not token:
             error = "empty token"
+        elif token.split() != [token]:
+            error = f"token {token!r} contains whitespace"
         elif token in seen:
             if not keep_first:
                 error = f"duplicate token {token!r}"
@@ -302,9 +304,25 @@ def save_vec(model: EmbeddingModel, dest: Union[str, os.PathLike, BinaryIO]) -> 
             fh.close()
 
 
-def _normalize_matrix(matrix: np.ndarray) -> tuple[np.ndarray, frozenset[int]]:
-    norms = np.linalg.norm(matrix, axis=1)
-    zero = norms == 0.0
-    safe = np.where(zero, 1.0, norms)
-    unit = matrix / safe[:, None]
-    return unit, frozenset(int(i) for i in np.flatnonzero(zero))
+# Below this norm the sum of squares np.linalg.norm takes is subnormal or 0
+# and has lost precision: the direct formula scales the row (1e-160) to
+# 1.0000056, not 1.
+_MIN_DIRECT_NORM = np.sqrt(np.finfo(np.float64).tiny)
+
+
+def _normalize_matrix(matrix: np.ndarray) -> np.ndarray:
+    """The matrix with unit rows; zero rows stay zero.
+
+    A nonzero row whose squared norm is subnormal or overflows is divided by
+    its largest absolute component first; every other row is divided by
+    its norm as computed directly.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(matrix, axis=1)
+    unit = matrix / np.where(norms == 0.0, 1.0, norms)[:, None]
+    suspect = np.flatnonzero((norms < _MIN_DIRECT_NORM) | np.isinf(norms))
+    rescale = suspect[matrix[suspect].any(axis=1)]
+    if rescale.size:
+        scaled = matrix[rescale] / np.abs(matrix[rescale]).max(axis=1)[:, None]
+        unit[rescale] = scaled / np.linalg.norm(scaled, axis=1)[:, None]
+    return unit

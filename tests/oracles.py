@@ -8,10 +8,13 @@ logic with the code under test.
 import hashlib
 import logging
 import re
+from typing import Sequence
 
 import numpy as np
 
 from embeval.errors import VecFormatError
+from embeval.metrics import CoverageResult, KeywordHit, keyword_tokens
+from embeval.stringsim import VocabIndex, best_match
 from embeval.vectors import EmbeddingModel, Source, _read_bytes
 
 logger = logging.getLogger(__name__)
@@ -215,3 +218,56 @@ def load_vec_oracle(source: Source, name: str, keep_first: bool = False) -> Embe
         zero_rows=zero_rows,
         source_digest=digest,
     )
+
+
+# Coverage as it was before token matches were shared across thresholds:
+# one best_match per token, label and threshold.
+def keyword_covered_oracle(
+    keyword: Sequence[str],
+    model: EmbeddingModel,
+    s: float,
+    index: VocabIndex | None = None,
+    lowercase: bool = True,
+) -> list[tuple[str, str, float]] | None:
+    """Match records if every keyword token reaches ratio >= s in the vocabulary.
+
+    Returns None when any token misses.  Tokens are lowercased first by
+    default (lowercasing is idempotent, so pre-normalized tokens are fine).
+    An empty keyword never counts as covered.
+    """
+    if not keyword:
+        logger.warning("keyword reduced to no tokens; counted as not covered")
+        return None
+    if index is None:
+        index = VocabIndex(model.vocab)
+    matches: list[tuple[str, str, float]] = []
+    for token in keyword:
+        if lowercase:
+            token = token.lower()
+        m = best_match(token, index, s)
+        if m is None:
+            return None
+        matches.append((token, m.matched_vocab_token, m.ratio))
+    return matches
+
+
+def coverage_oracle(
+    model: EmbeddingModel,
+    keywords: Sequence[str],
+    s: float,
+    lowercase: bool = True,
+    index: VocabIndex | None = None,
+) -> CoverageResult:
+    """Coverage of the keyword list in the model vocabulary at threshold s."""
+    if not 0.0 < s <= 1.0:
+        raise ValueError(f"threshold s must be in (0, 1], got {s}")
+    if index is None:
+        index = VocabIndex(model.vocab)
+    result = CoverageResult(model.name, s, n_keywords=len(keywords), n_covered=0)
+    for label in keywords:
+        tokens = keyword_tokens(label, lowercase=lowercase)
+        matches = keyword_covered_oracle(tokens, model, s, index=index, lowercase=lowercase)
+        if matches is not None:
+            result.n_covered += 1
+            result.hits.append(KeywordHit(label, matches))
+    return result

@@ -516,3 +516,40 @@ def test_manifest_hashes_each_model_file_once(tmp_path, model_path, thesaurus_pa
         {"path": str(model_path), "sha256": hashlib.sha256(model_path.read_bytes()).hexdigest()},
         {"path": str(thesaurus_path), "sha256": real(thesaurus_path)},
     ]
+
+
+def test_vec_token_holding_other_whitespace_is_parse_error(tmp_path, thesaurus_path, capsys):
+    bad = tmp_path / "bad.vec"
+    bad.write_bytes("2 1\na 1\nb\u00a0c 2\n".encode("utf-8"))
+    rc = main([
+        "coverage", "--model", str(bad), "--thesaurus", str(thesaurus_path),
+        "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 3
+    assert "line 3: token 'b\\xa0c' contains whitespace" in capsys.readouterr().err
+
+
+def test_coverage_matches_each_token_once_per_model(tmp_path, model_path, thesaurus_path, monkeypatch):
+    import embeval.metrics as metrics_module
+    from embeval.stringsim import best_match
+
+    calls = []
+
+    def counting(token, index, s):
+        calls.append((token, s))
+        return best_match(token, index, s)
+
+    monkeypatch.setattr(metrics_module, "best_match", counting)
+    flipped = tmp_path / "flipped.vec"
+    write_fixture_model(flipped, "flipped", flip=True)
+    rc = main([
+        "coverage", "--model", str(model_path), "--model", str(flipped),
+        "--thesaurus", str(thesaurus_path),
+        "--s", "1.0", "--s", "0.9", "--s", "0.95", "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 0
+    # both models share one vocabulary, so they match the same tokens
+    half = len(calls) // 2
+    assert half > 0 and calls[:half] == calls[half:]
+    assert {s for _, s in calls} == {0.9}
+    assert len({t for t, _ in calls[:half]}) == half

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import embeval.metrics as metrics_module
 from embeval.metrics import (
     coverage,
     descriptor_queries,
@@ -9,13 +11,15 @@ from embeval.metrics import (
     keyword_covered,
     keyword_queries,
     keyword_tokens,
+    match_map,
     relational_coverage,
 )
 from embeval.neighbors import cache_load, cache_store, neighbor_map, top_k_batch
 from embeval.report import pct
+from embeval.stringsim import VocabIndex, best_match
 from embeval.thesaurus import DescriptorPair
 from conftest import anchored, make_model, random_model
-from oracles import naive_coverage_count, naive_diversity, naive_relational
+from oracles import coverage_oracle, naive_coverage_count, naive_diversity, naive_relational
 
 
 def test_keyword_tokens_lowercases_and_splits_hyphens():
@@ -98,6 +102,81 @@ def test_coverage_matches_naive_enumeration():
         assert coverage(model, labels, s).n_covered == naive_coverage_count(
             vocab, labels, s
         )
+
+
+_WORD = st.text(alphabet="abcäßé", min_size=1, max_size=7)
+
+
+@st.composite
+def _coverage_cases(draw):
+    """A vocabulary with duplicates, labels of 1-3 tokens and 1-4 thresholds."""
+    vocab = draw(st.lists(_WORD, min_size=1, max_size=12))
+
+    def near(word):
+        pos = draw(st.integers(0, len(word)))
+        op = draw(st.sampled_from(["insert", "delete", "substitute"]))
+        char = draw(st.sampled_from("abcäßé"))
+        if op == "insert":
+            return word[:pos] + char + word[pos:]
+        return word[:pos] + (char if op == "substitute" else "") + word[pos + 1 :]
+
+    token = st.one_of(
+        st.sampled_from(vocab),
+        st.sampled_from(vocab).map(near),
+        _WORD,
+        st.just("qqq"),  # misses at every threshold
+    )
+    # a shared pool, so tokens repeat across labels
+    pool = draw(st.lists(token.map(lambda w: w or "x"), min_size=1, max_size=8))
+    labels = []
+    for _ in range(draw(st.integers(1, 8))):
+        tokens = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        if draw(st.booleans()):
+            tokens = [t.capitalize() for t in tokens]
+        labels.append(draw(st.sampled_from([" ", "-"])).join(tokens))
+    thresholds = st.sampled_from([0.5, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0]) | st.floats(0.3, 1.0)
+    s_values = draw(st.lists(thresholds, min_size=1, max_size=4))
+    return vocab, labels, s_values
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_coverage_cases(), lowercase=st.booleans())
+def test_coverage_over_one_map_equals_per_threshold_oracle(case, lowercase):
+    vocab, labels, s_values = case
+    index = VocabIndex(vocab)
+    distinct = sorted(set(vocab))
+    model = make_model("m", distinct, np.eye(len(distinct)))
+    matches = match_map(index, labels, min(s_values), lowercase=lowercase)
+    for s in s_values:
+        got = coverage(model, labels, s, lowercase=lowercase, matches=matches)
+        want = coverage_oracle(model, labels, s, lowercase=lowercase, index=index)
+        assert (got.n_keywords, got.n_covered) == (want.n_keywords, want.n_covered)
+        assert got.hits == want.hits
+
+
+def test_match_map_matches_each_reachable_token_once(monkeypatch):
+    calls = []
+
+    def counting(token, index, s):
+        calls.append(token)
+        return best_match(token, index, s)
+
+    monkeypatch.setattr(metrics_module, "best_match", counting)
+    model = make_model("m", ["macht", "staat", "sozial"], np.eye(3))
+    labels = ["Macht", "Staat-Macht", "qqq Macht", "qqq Sozial", "xxx-yyy", "Soziale Macht"]
+    matches = match_map(VocabIndex(model.vocab), labels, 0.9)
+    # "sozial" and "yyy" only follow a miss
+    assert calls == ["macht", "staat", "qqq", "xxx", "soziale"]
+    assert set(matches) == set(calls)
+    covered = {s: coverage(model, labels, s, matches=matches).n_covered for s in (1.0, 0.95, 0.9)}
+    assert covered == {1.0: 2, 0.95: 2, 0.9: 3}
+    assert len(calls) == 5
+
+
+def test_coverage_rejects_a_map_lacking_a_token():
+    model = make_model("m", ["macht"], [[1.0]])
+    with pytest.raises(ValueError, match="lacks the keyword token 'macht'"):
+        coverage(model, ["Macht"], 0.9, matches={})
 
 
 def _diversity_plant():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from embeval.stringsim import (
     VocabIndex,
@@ -137,3 +138,15 @@ def test_pruned_equals_unpruned_scan():
         for s in (0.9, 0.95):
             query = "".join(rng.choice("abcdefghü") for _ in range(rng.randrange(3, 10)))
             assert best_match(query, vocab, s) == scan_match(query, vocab, s)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    vocab=st.lists(st.text(alphabet="abäß", min_size=1, max_size=9), min_size=1, max_size=40),
+    query=st.text(alphabet="abäß", min_size=1, max_size=9),
+    s=st.sampled_from([0.5, 0.6, 0.75, 0.8, 0.875, 0.9, 0.95, 1.0]) | st.floats(0.05, 1.0),
+)
+def test_pruned_equals_unpruned_scan_at_any_threshold(vocab, query, s):
+    # small alphabets put many candidates one substitution or one indel away,
+    # at thresholds where whole length buckets are skipped
+    assert best_match(query, VocabIndex(vocab), s) == scan_match(query, VocabIndex(vocab), s)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from embeval.errors import ThesaurusFormatError
 from embeval.thesaurus import (
@@ -239,3 +240,114 @@ def test_reparse_is_stable(thesaurus_mini_path):
     b = parse_ntriples_skos(thesaurus_mini_path)
     assert [kw.label for kw in keywords(a, "de")] == [kw.label for kw in keywords(b, "de")]
     assert a.edges == b.edges
+
+
+_IRIS = st.sampled_from(["http://ex/c1", "http://ex/c2", "http://ex/ä3", "urn:x:4"])
+_LANGS = st.sampled_from(["", "de", "EN", "de-AT"])
+_NAMED_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _triples(tsv_safe: bool):
+    """(subject, predicate, object, lang) rows; labels TSV can hold if ``tsv_safe``."""
+    chars = st.characters(
+        blacklist_categories=("Cs",), blacklist_characters="\t\n" if tsv_safe else ""
+    )
+    special = st.sampled_from(['"', "\\", "ä", "ß", " ", " ", "."] + ([] if tsv_safe else ["\n", "\t"]))
+    label = st.text(chars | special, max_size=8)
+    return st.lists(
+        st.tuples(_IRIS, st.sampled_from(["prefLabel", "altLabel"]), label, _LANGS)
+        | st.tuples(_IRIS, st.sampled_from(["broader", "narrower", "related"]), _IRIS, st.just("")),
+        min_size=1, max_size=12,
+    )
+
+
+def _nt_literal(text: str, draw) -> str:
+    """``text`` as an N-Triples literal body, each character plain, named or \\u-escaped."""
+    out = []
+    for ch in text:
+        if ord(ch) < 0x10000 and draw(st.booleans()):
+            code = f"{ord(ch):04x}"
+            out.append("\\u" + (code.upper() if draw(st.booleans()) else code))
+        else:
+            out.append(_NAMED_ESCAPES.get(ch, ch))
+    return "".join(out)
+
+
+def _nt_lines(triples, draw) -> list[str]:
+    lines = []
+    for s, p, o, lang in triples:
+        if p in ("prefLabel", "altLabel"):
+            obj = f'"{_nt_literal(o, draw)}"' + (f"@{lang}" if lang else "")
+        else:
+            obj = f"<{o}>"
+        lines.append(f"<{s}> <{SKOS}{p}> {obj} .")
+    return lines
+
+
+def _tsv_lines(triples) -> list[str]:
+    return [TSV_HEADER] + ["\t".join(t) for t in triples]
+
+
+def _content(th):
+    return (
+        list(th.concepts),
+        {c.id: (c.pref_labels, c.alt_labels) for c in th.concepts.values()},
+        th.edges,
+    )
+
+
+def _encode(lines: list[str]) -> bytes:
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@settings(max_examples=150, deadline=None)
+@given(triples=_triples(tsv_safe=False), data=st.data())
+def test_ntriples_round_trip_of_escaped_labels(triples, data):
+    th = parse_ntriples_skos(_encode(_nt_lines(triples, data.draw)))
+    labels = {
+        (c.id, kind, text, lang)
+        for c in th.concepts.values()
+        for kind, pairs in (("prefLabel", c.pref_labels), ("altLabel", c.alt_labels))
+        for text, lang in pairs
+    }
+    assert labels == {
+        (s, p, o, lang.lower()) for s, p, o, lang in triples if p in ("prefLabel", "altLabel")
+    }
+    inverse = {"broader": "narrower", "narrower": "broader"}
+    want_edges = set()
+    for s, p, o, _ in triples:
+        if p != "prefLabel":
+            want_edges.add((p, s, o))
+        if p in inverse:
+            want_edges.add((inverse[p], o, s))
+    assert {(rel, s, o) for rel, pairs in th.edges.items() for s, o in pairs} == want_edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(triples=_triples(tsv_safe=True), data=st.data())
+def test_tsv_and_ntriples_parse_alike(triples, data):
+    a = parse_ntriples_skos(_encode(_nt_lines(triples, data.draw)))
+    b = parse_tsv(_encode(_tsv_lines(triples)))
+    assert _content(a) == _content(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(triples=_triples(tsv_safe=True), data=st.data())
+def test_thesaurus_parsers_name_the_corrupted_line(triples, data):
+    nt_lines = _nt_lines(triples, data.draw)
+    i = data.draw(st.integers(0, len(nt_lines) - 1))
+    if triples[i][1] in ("prefLabel", "altLabel") and data.draw(st.booleans()):
+        nt_lines[i] = nt_lines[i].replace('> "', '> "\\q', 1)  # unknown escape
+    else:
+        nt_lines[i] = nt_lines[i][: -len(" .")]
+    with pytest.raises(ThesaurusFormatError) as excinfo:
+        parse_ntriples_skos(_encode(nt_lines))
+    assert excinfo.value.line_no == i + 1
+
+    tsv_lines = _tsv_lines(triples)
+    j = data.draw(st.integers(1, len(tsv_lines) - 1))
+    s, p, o, lang = triples[j - 1]
+    tsv_lines[j] = data.draw(st.sampled_from([f"{s}\t{p}\t{o}", f"{s}\texactMatch\t{o}\t{lang}"]))
+    with pytest.raises(ThesaurusFormatError) as excinfo:
+        parse_tsv(_encode(tsv_lines))
+    assert excinfo.value.line_no == j + 1

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from embeval import vectors
 from embeval.errors import UnknownTokenError, VecFormatError
-from embeval.neighbors import normalize_rows
+from embeval.neighbors import normalize_rows, top_k
 from embeval.vectors import contains, load_vec, save_vec, vector
 from conftest import make_model
 from oracles import load_vec_oracle
@@ -98,6 +98,64 @@ def test_zero_vectors_flagged(caplog):
         model = load_vec(_vec_bytes("2 2", "a 0 0", "b 1 0"), "zeros")
     assert model.zero_rows == {0}
     assert "zero vector" in caplog.text
+
+
+@pytest.mark.parametrize("space", ["\t", "\r", "\x1c", "\xa0"])
+def test_load_rejects_token_holding_other_whitespace(space):
+    with pytest.raises(VecFormatError) as excinfo:
+        load_vec(_vec_bytes("2 1", "a 1", f"b{space}c 2"), "ws")
+    assert str(excinfo.value) == f"line 3: token {'b' + space + 'c'!r} contains whitespace"
+
+
+def test_huge_row_ranks_by_its_true_cosine(recwarn):
+    model = load_vec(_vec_bytes("3 2", "a 1e200 1e200", "b 1 1", "c 1 0"), "huge")
+    entries = top_k(model, "b", 2).entries
+    assert [t for t, _ in entries] == ["a", "c"]
+    assert entries[0][1] == pytest.approx(1.0)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_tiny_row_is_not_a_zero_row(caplog):
+    with caplog.at_level("WARNING"):
+        model = load_vec(_vec_bytes("3 2", "a 1e-200 1e-200", "b 1 1", "c 1 0"), "tiny")
+    assert model.zero_rows == frozenset()
+    assert "zero vector" not in caplog.text
+    entries = top_k(model, "b", 2).entries
+    assert [t for t, _ in entries] == ["a", "c"]
+    assert entries[0][1] == pytest.approx(1.0)
+
+
+_COMPONENTS = st.sampled_from(
+    [0.0, -0.0, 1.0, -2.5, 5e-324, 1e-200, 1e-160, 1.5e-154, 1e154, 1e200, -1.7e308]
+)
+# the least norm whose squares sum to a normal float
+_DIRECT_NORM = np.sqrt(np.finfo(np.float64).tiny)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 3).flatmap(
+    lambda dim: st.lists(st.lists(_COMPONENTS | st.floats(-1e6, 1e6), min_size=dim, max_size=dim),
+                         min_size=1, max_size=6)
+))
+def test_unit_rows_keep_the_direct_formula_where_it_is_defined(rows):
+    matrix = np.array(rows, dtype=np.float64)
+    model = make_model("n", [f"w{i}" for i in range(len(rows))], matrix)
+    with np.errstate(all="ignore"):
+        norms = np.linalg.norm(matrix, axis=1)
+        direct = matrix / np.where(norms == 0.0, 1.0, norms)[:, None]
+    unit = model.unit_matrix()
+    for i, row in enumerate(matrix):
+        if not row.any():
+            assert i in model.zero_rows
+            assert not unit[i].any()
+            continue
+        assert i not in model.zero_rows
+        if _DIRECT_NORM <= norms[i] < np.inf:
+            assert np.array_equal(unit[i].view(np.uint64), direct[i].view(np.uint64))
+        else:
+            scaled = row / np.abs(row).max()
+            assert unit[i] == pytest.approx(scaled / np.linalg.norm(scaled))
+        assert np.linalg.norm(unit[i]) == pytest.approx(1.0)
 
 
 def test_contains_is_case_sensitive():
