@@ -8,11 +8,15 @@ line break but keeps the remaining breaks as boundaries, otherwise per-line
 language routing and line-level deduplication would have nothing to work on
 and the cascade would not be idempotent.
 
-Deduplication hashes the final tokenized form of each line, so two raw
-lines that clean to the same sentence count as duplicates.
+Deduplication is exact and keeps the first occurrence of each final
+tokenized line, so two raw lines that clean to the same sentence count as
+duplicates.  The per-line stages do their character work in C-level
+builtins (``re`` substitutions, ``str`` methods, ``dict.fromkeys``) rather
+than in per-character Python loops.
 """
 
 import logging
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -39,24 +43,33 @@ _HYPHEN_RE = re.compile(f"[{HYPHEN_CHARS}{DASH_CHARS}]")
 PUNCT_CHARS = ".,();:?!\"'„“”‚‘’«»"
 
 _INT_TOKEN_RE = re.compile(r"^(0|[1-9][0-9]{0,5})$")
+# _INT_TOKEN_RE needs an ASCII digit, so text without one has no number to convert.
+_DIGIT_RE = re.compile("[0-9]")
+# The parts numbers_to_words converts: everything between whitespace runs.
+_CHUNK_RE = re.compile(r"\S+")
 
-FNV64_OFFSET = 0xCBF29CE484222325
-FNV64_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
 
-
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs of the cleaning cascade, loadable from a key=value file."""
+    """Knobs of the cleaning cascade, loadable from a key=value file.
+
+    Frozen so that ``cover_pattern``, compiled once from ``cover_delimiter``
+    at construction, always matches it.
+    """
 
     languages: tuple[str, ...] = ("de", "en")
     confidence_threshold: float = 0.7
     cover_delimiter: str | None = None
     convert_numbers: bool = True
+    cover_pattern: re.Pattern | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        pattern = re.compile(self.cover_delimiter) if self.cover_delimiter else None
+        object.__setattr__(self, "cover_pattern", pattern)
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
-        cfg = cls()
+        values = {}
         with open(path, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 stripped = line.strip()
@@ -68,23 +81,36 @@ class PipelineConfig:
                 key = key.strip()
                 value = value.strip()
                 if key == "languages":
-                    cfg.languages = tuple(v.strip() for v in value.split(",") if v.strip())
+                    values[key] = tuple(v.strip() for v in value.split(",") if v.strip())
                 elif key == "confidence_threshold":
                     try:
-                        cfg.confidence_threshold = float(value)
+                        threshold = float(value)
                     except ValueError:
                         raise InputParseError(
                             f"{path}: line {line_no}: confidence_threshold must be a number"
                         ) from None
+                    # A nan threshold would silently keep every line: confidence < nan is false.
+                    if not (math.isfinite(threshold) and 0.0 <= threshold <= 1.0):
+                        raise InputParseError(
+                            f"{path}: line {line_no}: confidence_threshold must be in [0, 1], got {value!r}"
+                        )
+                    values[key] = threshold
                 elif key == "cover_delimiter":
-                    cfg.cover_delimiter = value or None
+                    try:
+                        re.compile(value)
+                    except re.error as exc:
+                        raise InputParseError(
+                            f"{path}: line {line_no}: cover_delimiter is not a valid regular expression: {exc}"
+                        ) from None
+                    values[key] = value or None
                 elif key == "convert_numbers":
                     if value.lower() not in ("true", "false"):
                         raise InputParseError(f"{path}: line {line_no}: convert_numbers must be true or false")
-                    cfg.convert_numbers = value.lower() == "true"
+                    values[key] = value.lower() == "true"
                 else:
                     raise InputParseError(f"{path}: line {line_no}: unknown key {key!r}")
-        return cfg
+        # re caches compiled patterns, so __post_init__ reuses the one compiled above.
+        return cls(**values)
 
 
 @dataclass
@@ -131,14 +157,14 @@ class PipelineReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def strip_cover(text: str, cover_delimiter: str) -> str:
+def strip_cover(text: str, cover_delimiter: str | re.Pattern) -> str:
     """Drop everything up to and including the first line matching the pattern."""
     pattern = re.compile(cover_delimiter)
     lines = text.split("\n")
     for i, line in enumerate(lines):
         if pattern.search(line):
             return "\n".join(lines[i + 1 :])
-    logger.warning("cover delimiter %r not found; text kept unchanged", cover_delimiter)
+    logger.warning("cover delimiter %r not found; text kept unchanged", pattern.pattern)
     return text
 
 
@@ -155,17 +181,18 @@ def dehyphenate(text: str) -> str:
 def split_camel_case(text: str) -> str:
     """Insert a space at lowercase-to-uppercase boundaries; acronyms stay intact.
 
-    Uses str.islower/isupper so umlauts and other non-ASCII letters are
-    classified correctly (re has no Unicode category classes).
+    A boundary is a character for which str.islower holds followed by one for
+    which str.isupper holds, so umlauts and other non-ASCII letters are
+    classified correctly.  re has no Unicode category classes, so the two
+    predicates are evaluated once per distinct character of the text, and one
+    substitution inserts every space.
     """
-    if not text:
+    chars = set(text)
+    lower = "".join(c for c in chars if c.islower())
+    upper = "".join(c for c in chars if c.isupper())
+    if not lower or not upper:
         return text
-    out = [text[0]]
-    for prev, ch in zip(text, text[1:]):
-        if prev.islower() and ch.isupper():
-            out.append(" ")
-        out.append(ch)
-    return "".join(out)
+    return re.sub(f"(?<=[{re.escape(lower)}])(?=[{re.escape(upper)}])", " ", text)
 
 
 def normalize_ws_lower(text: str) -> str:
@@ -181,6 +208,9 @@ def tokenize(text: str) -> list[str]:
     """Whitespace tokens with leading/trailing punctuation detached as own tokens."""
     out: list[str] = []
     for chunk in text.split():
+        if chunk[0] not in PUNCT_CHARS and chunk[-1] not in PUNCT_CHARS:
+            out.append(chunk)
+            continue
         head: list[str] = []
         tail: list[str] = []
         start, end = 0, len(chunk)
@@ -206,6 +236,8 @@ def numbers_to_words(text: str, lang: str, hyphenate: bool = True) -> str:
     """
     if lang not in ("de", "en"):
         raise ValueError(f"unsupported language {lang!r}")
+    if not _DIGIT_RE.search(text):
+        return text
 
     def convert_chunk(chunk: str) -> str:
         start, end = 0, len(chunk)
@@ -222,48 +254,14 @@ def numbers_to_words(text: str, lang: str, hyphenate: bool = True) -> str:
         words = number_to_words(value, lang, hyphenate=hyphenate)
         return chunk[:start] + words + chunk[end:]
 
-    lines = text.split("\n")
-    converted = []
-    for line in lines:
-        parts = re.split(r"(\s+)", line)
-        converted.append(
-            "".join(convert_chunk(p) if p and not p.isspace() else p for p in parts)
-        )
-    return "\n".join(converted)
-
-
-def fnv1a_64(data: bytes) -> int:
-    """64-bit FNV-1a hash."""
-    h = FNV64_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * FNV64_PRIME) & _MASK64
-    return h
+    return _CHUNK_RE.sub(lambda m: convert_chunk(m.group()), text)
 
 
 def dedup_sentences(lines: Iterable[str]) -> tuple[list[str], DedupReport]:
-    """Keep the first occurrence of each line, dropping later exact duplicates.
-
-    Lines are hashed with 64-bit FNV-1a over their UTF-8 bytes; a hash hit is
-    confirmed against the stored strings so a collision never drops a
-    non-duplicate.
-    """
-    seen: dict[int, list[str]] = {}
-    kept: list[str] = []
-    report = DedupReport()
-    for line in lines:
-        h = fnv1a_64(line.encode("utf-8"))
-        bucket = seen.get(h)
-        if bucket is not None and line in bucket:
-            report.dropped += 1
-            continue
-        if bucket is None:
-            seen[h] = [line]
-        else:
-            bucket.append(line)
-        kept.append(line)
-        report.kept += 1
-    return kept, report
+    """Keep the first occurrence of each line, dropping later exact duplicates."""
+    lines = list(lines)
+    kept = list(dict.fromkeys(lines))
+    return kept, DedupReport(kept=len(kept), dropped=len(lines) - len(kept))
 
 
 def clean_document(
@@ -275,8 +273,8 @@ def clean_document(
     """Run the per-document stages (everything before corpus-wide dedup)."""
     doc = CorpusDocument(doc_id=doc_id, raw_text=text)
     text = text.replace("\r\n", "\n").replace("\r", "\n")
-    if config.cover_delimiter:
-        text = strip_cover(text, config.cover_delimiter)
+    if config.cover_pattern:
+        text = strip_cover(text, config.cover_pattern)
     text = dehyphenate(text)
     text = split_camel_case(text)
     for line in text.split("\n"):

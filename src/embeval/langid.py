@@ -15,6 +15,7 @@ still contributes signal when present.
 import math
 import re
 from collections import Counter
+from itertools import repeat
 
 UNKNOWN = "unknown"
 
@@ -103,9 +104,10 @@ class TrigramClassifier:
         grams = _trigrams(line)
         scores = {}
         for lang in self.languages:
-            table = self._logprob[lang]
-            fallback = self._fallback[lang]
-            scores[lang] = sum(table.get(g, fallback) for g in grams)
+            # The builtin sum over the same values in the same order as a
+            # per-gram loop: fsum, numpy or partial sums would change the
+            # score bits and with them the routing.
+            scores[lang] = sum(map(self._logprob[lang].get, grams, repeat(self._fallback[lang])))
         top = max(self.languages, key=lambda lang: scores[lang])
         peak = scores[top]
         denom = sum(math.exp(s - peak) for s in scores.values())

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CacheFormatError, StaleCacheError, UnknownTokenError, ZeroVectorError
-from .vectors import EmbeddingModel
+from .vectors import _MIN_DIRECT_NORM, EmbeddingModel
 
 
 @dataclass(frozen=True)
@@ -55,16 +55,29 @@ class BatchResult:
 
 
 def cosine(u, v) -> float:
-    """Cosine similarity of two equal-length, nonzero vectors, clamped to [-1, 1]."""
+    """Cosine similarity of two equal-length, nonzero vectors, clamped to [-1, 1].
+
+    When a norm is subnormal-prone or overflows, or the dot product or the
+    product of the norms overflows, each vector is first divided by its
+    largest absolute component, as ``unit_matrix`` does for such rows.
+    """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape or u.ndim != 1:
         raise ValueError(f"vector shapes differ: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
+    if not u.any() or not v.any():
         raise ZeroVectorError("cosine is undefined for all-zero vectors")
-    return min(1.0, max(-1.0, float(np.dot(u, v)) / (nu * nv)))
+    with np.errstate(over="ignore"):
+        nu = float(np.linalg.norm(u))
+        nv = float(np.linalg.norm(v))
+        dot = float(np.dot(u, v))
+    if not (min(nu, nv) >= _MIN_DIRECT_NORM and np.isfinite([nu * nv, dot]).all()):
+        u = u / np.abs(u).max()
+        v = v / np.abs(v).max()
+        nu = float(np.linalg.norm(u))
+        nv = float(np.linalg.norm(v))
+        dot = float(np.dot(u, v))
+    return min(1.0, max(-1.0, dot / (nu * nv)))
 
 
 def normalize_rows(model: EmbeddingModel) -> EmbeddingModel:

@@ -7,13 +7,17 @@ logic with the code under test.
 
 import hashlib
 import logging
+import math
 import re
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from embeval.corpus import DedupReport
 from embeval.errors import VecFormatError
+from embeval.langid import UNKNOWN, _trigrams
 from embeval.metrics import CoverageResult, KeywordHit, keyword_tokens
+from embeval.numwords import MAX_NUMBER, number_to_words
 from embeval.stringsim import VocabIndex, best_match
 from embeval.vectors import EmbeddingModel, Source, _read_bytes
 
@@ -271,3 +275,140 @@ def coverage_oracle(
             result.n_covered += 1
             result.hits.append(KeywordHit(label, matches))
     return result
+
+
+# The per-line stages of the cleaning cascade as they were before they were
+# moved onto C-level builtins: a character loop for camel case, a split and
+# join for numbers, a punctuation loop for every token, FNV-1a buckets for
+# deduplication, and a generator sum for the trigram scores.
+PUNCT_CHARS = ".,();:?!\"'„“”‚‘’«»"
+
+_INT_TOKEN_RE = re.compile(r"^(0|[1-9][0-9]{0,5})$")
+
+FNV64_OFFSET = 0xCBF29CE484222325
+FNV64_PRIME = 0x100000001B3
+_MASK64 = (1 << 64) - 1
+
+
+def split_camel_case_oracle(text: str) -> str:
+    """Insert a space at lowercase-to-uppercase boundaries; acronyms stay intact.
+
+    Uses str.islower/isupper so umlauts and other non-ASCII letters are
+    classified correctly (re has no Unicode category classes).
+    """
+    if not text:
+        return text
+    out = [text[0]]
+    for prev, ch in zip(text, text[1:]):
+        if prev.islower() and ch.isupper():
+            out.append(" ")
+        out.append(ch)
+    return "".join(out)
+
+
+def tokenize_oracle(text: str) -> list[str]:
+    """Whitespace tokens with leading/trailing punctuation detached as own tokens."""
+    out: list[str] = []
+    for chunk in text.split():
+        head: list[str] = []
+        tail: list[str] = []
+        start, end = 0, len(chunk)
+        while start < end and chunk[start] in PUNCT_CHARS:
+            head.append(chunk[start])
+            start += 1
+        while end > start and chunk[end - 1] in PUNCT_CHARS:
+            tail.append(chunk[end - 1])
+            end -= 1
+        out.extend(head)
+        if start < end:
+            out.append(chunk[start:end])
+        out.extend(reversed(tail))
+    return out
+
+
+def numbers_to_words_oracle(text: str, lang: str, hyphenate: bool = True) -> str:
+    """Replace integer tokens 0..999,999 with their numeral words.
+
+    A digit run counts as an integer token when tokenization would detach it
+    whole, i.e. it may be wrapped in detachable punctuation ("(1999)") but
+    not glued to letters or to internal punctuation ("2.1", "01.02.2020").
+    """
+    if lang not in ("de", "en"):
+        raise ValueError(f"unsupported language {lang!r}")
+
+    def convert_chunk(chunk: str) -> str:
+        start, end = 0, len(chunk)
+        while start < end and chunk[start] in PUNCT_CHARS:
+            start += 1
+        while end > start and chunk[end - 1] in PUNCT_CHARS:
+            end -= 1
+        core = chunk[start:end]
+        if not _INT_TOKEN_RE.match(core):
+            return chunk
+        value = int(core)
+        if value > MAX_NUMBER:
+            return chunk
+        words = number_to_words(value, lang, hyphenate=hyphenate)
+        return chunk[:start] + words + chunk[end:]
+
+    lines = text.split("\n")
+    converted = []
+    for line in lines:
+        parts = re.split(r"(\s+)", line)
+        converted.append(
+            "".join(convert_chunk(p) if p and not p.isspace() else p for p in parts)
+        )
+    return "\n".join(converted)
+
+
+def fnv1a_64(data: bytes) -> int:
+    """64-bit FNV-1a hash."""
+    h = FNV64_OFFSET
+    for byte in data:
+        h ^= byte
+        h = (h * FNV64_PRIME) & _MASK64
+    return h
+
+
+def dedup_sentences_oracle(lines: Iterable[str]) -> tuple[list[str], DedupReport]:
+    """Keep the first occurrence of each line, dropping later exact duplicates.
+
+    Lines are hashed with 64-bit FNV-1a over their UTF-8 bytes; a hash hit is
+    confirmed against the stored strings so a collision never drops a
+    non-duplicate.
+    """
+    seen: dict[int, list[str]] = {}
+    kept: list[str] = []
+    report = DedupReport()
+    for line in lines:
+        h = fnv1a_64(line.encode("utf-8"))
+        bucket = seen.get(h)
+        if bucket is not None and line in bucket:
+            report.dropped += 1
+            continue
+        if bucket is None:
+            seen[h] = [line]
+        else:
+            bucket.append(line)
+        kept.append(line)
+        report.kept += 1
+    return kept, report
+
+
+def classify_oracle(self, line: str) -> tuple[str, float]:
+    """Best language and its posterior probability; UNKNOWN for letterless lines.
+
+    ``self`` is a ``TrigramClassifier``; this is its ``classify`` method.
+    """
+    if not any(ch.isalpha() for ch in line):
+        return UNKNOWN, 0.0
+    grams = _trigrams(line)
+    scores = {}
+    for lang in self.languages:
+        table = self._logprob[lang]
+        fallback = self._fallback[lang]
+        scores[lang] = sum(table.get(g, fallback) for g in grams)
+    top = max(self.languages, key=lambda lang: scores[lang])
+    peak = scores[top]
+    denom = sum(math.exp(s - peak) for s in scores.values())
+    return top, 1.0 / denom

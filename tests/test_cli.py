@@ -464,6 +464,18 @@ def test_bad_config_is_parse_error(tmp_path):
     assert rc == 3
 
 
+def test_invalid_cover_delimiter_is_parse_error(tmp_path, capsys):
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "a.txt").write_text("Die Gesellschaft wandelt sich.", encoding="utf-8")
+    config = tmp_path / "bad.conf"
+    config.write_text("languages = de,en\ncover_delimiter = ([\n", encoding="utf-8")
+    rc = main(["clean", "--input", str(docs), "--out", str(tmp_path / "o"),
+               "--config", str(config)])
+    assert rc == 3
+    assert "line 2: cover_delimiter is not a valid regular expression" in capsys.readouterr().err
+
+
 def test_internal_error_exits_four(tmp_path, model_path, thesaurus_path, monkeypatch):
     import embeval.cli as cli_module
 

@@ -1,14 +1,18 @@
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import embeval.corpus as corpus
 from embeval.errors import InputParseError
 from embeval.corpus import (
+    PUNCT_CHARS,
     PipelineConfig,
     clean_document,
     dedup_sentences,
     dehyphenate,
-    fnv1a_64,
     normalize_ws_lower,
     numbers_to_words,
     recount_stats,
@@ -16,6 +20,15 @@ from embeval.corpus import (
     split_camel_case,
     strip_cover,
     tokenize,
+)
+from embeval.langid import TrigramClassifier, default_classifier
+from oracles import (
+    classify_oracle,
+    dedup_sentences_oracle,
+    fnv1a_64,
+    numbers_to_words_oracle,
+    split_camel_case_oracle,
+    tokenize_oracle,
 )
 
 GERMAN_DOC = """Deckblatt Information
@@ -350,3 +363,143 @@ def test_config_rejects_unknown_key(tmp_path):
     path.write_text("nope=1\n", encoding="utf-8")
     with pytest.raises(InputParseError, match="unknown key"):
         PipelineConfig.from_file(path)
+
+
+def test_config_rejects_invalid_cover_delimiter(tmp_path):
+    path = tmp_path / "bad.conf"
+    path.write_text("languages=de\ncover_delimiter = ([\n", encoding="utf-8")
+    with pytest.raises(
+        InputParseError, match="line 2: cover_delimiter is not a valid regular expression"
+    ):
+        PipelineConfig.from_file(path)
+
+
+def test_config_compiles_cover_delimiter_once(tmp_path):
+    path = tmp_path / "pipeline.conf"
+    path.write_text("cover_delimiter=^---$\n", encoding="utf-8")
+    config = PipelineConfig.from_file(path)
+    assert config.cover_pattern.pattern == "^---$"
+    assert PipelineConfig().cover_pattern is None
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.1", "1.5"])
+def test_config_rejects_out_of_range_threshold(tmp_path, value):
+    path = tmp_path / "bad.conf"
+    path.write_text(f"# threshold\nconfidence_threshold = {value}\n", encoding="utf-8")
+    with pytest.raises(InputParseError, match="line 2: confidence_threshold must be in"):
+        PipelineConfig.from_file(path)
+
+
+@pytest.mark.parametrize("value, expected", [("0", 0.0), ("1", 1.0)])
+def test_config_accepts_threshold_bounds(tmp_path, value, expected):
+    path = tmp_path / "pipeline.conf"
+    path.write_text(f"confidence_threshold={value}\n", encoding="utf-8")
+    assert PipelineConfig.from_file(path).confidence_threshold == expected
+
+
+# Characters where str predicates, re classes and the cascade's character
+# sets disagree or meet: ß/ẞ/ǅ (lower, upper, titlecase), separators that
+# str.split and re's \s treat as whitespace (U+001C, U+0085, U+00A0, U+3000),
+# non-ASCII digits (Arabic-Indic three, superscript two), every detachable
+# punctuation character, hyphens and dashes.
+# Each group is drawn equally often, so the rare characters meet the common ones.
+_FUZZ_GROUPS = [
+    list("aAbBzZüÜ "),
+    list("ßẞǅ") + ["\t", "\n", "\x1c", "\x85", "\xa0", "\u3000", "٣", "²"],
+    list("0123456789") + list(PUNCT_CHARS) + list(corpus.HYPHEN_CHARS + corpus.DASH_CHARS),
+]
+_FUZZ_CHARS = [c for group in _FUZZ_GROUPS for c in group]
+_SURROGATES = ["\ud800", "\udfff"]
+_WORDS = ["Die", "Gesellschaft", "sozialStaat", "the", "Welfare", "NATO", "über", "Sozial-"]
+_NUMBERS = st.integers(0, 9_999_999).map(str)
+
+
+def _texts(surrogates: bool):
+    groups = _FUZZ_GROUPS[:1] + [_FUZZ_GROUPS[1] + (_SURROGATES if surrogates else [])] + _FUZZ_GROUPS[2:]
+    piece = st.one_of(*map(st.sampled_from, groups), st.sampled_from(_WORDS), _NUMBERS)
+    return st.lists(piece, max_size=30).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_texts(surrogates=True))
+@example("aǅb ßẞ üÜ a\ud800B")
+def test_split_camel_case_equals_oracle(text):
+    assert split_camel_case(text) == split_camel_case_oracle(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_texts(surrogates=True), st.sampled_from(["de", "en"]), st.booleans())
+def test_numbers_to_words_equals_oracle(text, lang, hyphenate):
+    assert numbers_to_words(text, lang, hyphenate) == numbers_to_words_oracle(text, lang, hyphenate)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_texts(surrogates=True))
+def test_tokenize_equals_oracle(text):
+    assert tokenize(text) == tokenize_oracle(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["", "a", "a b", "A b"]) | _texts(surrogates=True), max_size=20))
+def test_dedup_sentences_equals_oracle(lines):
+    # The oracle hashes UTF-8 bytes and cannot encode a lone surrogate, so it
+    # sees each line as its surrogatepass bytes read as Latin-1: an injective
+    # map, under which first occurrences are the same positions.
+    encoded = [line.encode("utf-8", "surrogatepass").decode("latin-1") for line in lines]
+    expected, expected_report = dedup_sentences_oracle(encoded)
+    kept, report = dedup_sentences(iter(lines))
+    original = dict(zip(encoded, lines))
+    assert kept == [original[line] for line in expected]
+    assert (report.kept, report.dropped) == (expected_report.kept, expected_report.dropped)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_texts(surrogates=True))
+def test_classify_equals_oracle(line):
+    clf = default_classifier()
+    assert clf.classify(line) == classify_oracle(clf, line)
+
+
+class _OracleClassifier(TrigramClassifier):
+    """The default classifier's tables, scored by the oracle's classify."""
+
+    def __init__(self):
+        self.__dict__.update(default_classifier().__dict__)
+
+    classify = classify_oracle
+
+
+# Whole documents: lines of words, numbers and punctuation in both languages.
+_LINE = st.lists(
+    st.one_of(
+        st.sampled_from(_WORDS + ["ist", "und", "of", "and", "(1999)", "42,", "2.1", "Sozial-\nstaat"]),
+        st.sampled_from(_FUZZ_CHARS),
+        _NUMBERS,
+    ),
+    max_size=12,
+).map(" ".join)
+_DOCUMENT = st.lists(_LINE, min_size=1, max_size=8).map("\n".join)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_DOCUMENT, min_size=1, max_size=4))
+def test_run_pipeline_equals_oracle_cascade(texts):
+    # Documents read from UTF-8 files cannot hold lone surrogates, so none are drawn.
+    docs = [(f"d{i}", text + "\n" + texts[0]) for i, text in enumerate(texts)]
+    config = PipelineConfig(confidence_threshold=0.6)
+    with tempfile.TemporaryDirectory() as tmp:
+        out, oracle_out = Path(tmp, "new"), Path(tmp, "oracle")
+        stats, report, _ = run_pipeline(docs, config, out)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus, "split_camel_case", split_camel_case_oracle)
+            mp.setattr(corpus, "numbers_to_words", numbers_to_words_oracle)
+            mp.setattr(corpus, "tokenize", tokenize_oracle)
+            mp.setattr(corpus, "dedup_sentences", dedup_sentences_oracle)
+            oracle_stats, oracle_report, _ = run_pipeline(
+                docs, config, oracle_out, classifier=_OracleClassifier()
+            )
+        for lang in config.languages:
+            name = f"corpus.{lang}.txt"
+            assert (out / name).read_bytes() == (oracle_out / name).read_bytes()
+    assert stats == oracle_stats
+    assert report == oracle_report

@@ -1,10 +1,11 @@
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from embeval.errors import CacheFormatError, StaleCacheError, UnknownTokenError, ZeroVectorError
 from embeval.neighbors import (
@@ -50,6 +51,33 @@ def test_cosine_stays_in_range():
     for _ in range(200):
         u = rng.standard_normal(4) * 1e3
         assert -1.0 <= cosine(u, u * 7.5) <= 1.0
+
+
+def test_cosine_of_huge_vectors_does_not_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cosine([1e200, 1e200], [1e200, 1e200]) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_cosine_of_tiny_vector_is_defined():
+    assert cosine([1e-200, 1e-200], [1, 1]) == pytest.approx(1.0, abs=1e-15)
+    assert cosine([5e-324, 0], [0, 1]) == 0.0
+
+
+_COMPONENT = st.floats(-1e100, 1e100, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(_COMPONENT, min_size=n, max_size=n), st.lists(_COMPONENT, min_size=n, max_size=n)
+)))
+def test_cosine_keeps_direct_formula_in_normal_range(pair):
+    u, v = (np.asarray(x, dtype=np.float64) for x in pair)
+    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+    dot = float(np.dot(u, v))
+    smallest = float(np.sqrt(np.finfo(np.float64).tiny))
+    assume(min(nu, nv) >= smallest and np.isfinite([nu * nv, dot]).all())
+    assert cosine(u, v) == min(1.0, max(-1.0, dot / (nu * nv)))
 
 
 def test_normalize_rows_unit_rows_unchanged():
