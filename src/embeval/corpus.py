@@ -273,7 +273,7 @@ def clean_document(
     """Run the per-document stages (everything before corpus-wide dedup)."""
     doc = CorpusDocument(doc_id=doc_id, raw_text=text)
     text = text.replace("\r\n", "\n").replace("\r", "\n")
-    if config.cover_pattern:
+    if config.cover_pattern is not None:
         text = strip_cover(text, config.cover_pattern)
     text = dehyphenate(text)
     text = split_camel_case(text)

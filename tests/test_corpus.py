@@ -374,7 +374,7 @@ def test_config_rejects_invalid_cover_delimiter(tmp_path):
         PipelineConfig.from_file(path)
 
 
-def test_config_compiles_cover_delimiter_once(tmp_path):
+def test_config_holds_compiled_cover_delimiter(tmp_path):
     path = tmp_path / "pipeline.conf"
     path.write_text("cover_delimiter=^---$\n", encoding="utf-8")
     config = PipelineConfig.from_file(path)
