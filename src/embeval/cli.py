@@ -17,21 +17,14 @@ from pathlib import Path
 from . import __version__
 from .corpus import PipelineConfig, recount_stats, run_pipeline
 from .errors import EmbevalError, InputParseError, UnknownTokenError, UsageError
-from .metrics import (
-    DENOMINATOR_POLICIES,
-    OOV_POLICIES,
-    coverage,
-    descriptor_queries,
-    diversity_matrix,
-    keyword_queries,
-    match_map,
-    relational_coverage,
-)
-from .neighbors import neighbor_map, top_k
 from .report import ManifestTimer, RunManifest, markdown_table, pct, write_csv
-from .stringsim import VocabIndex
-from .thesaurus import RELATION_TYPES, descriptor_pairs, keywords, parse_ntriples_skos, parse_tsv
-from .vectors import load_vec
+
+# The vector commands import metrics, neighbors, stringsim, thesaurus and
+# vectors when they run, so clean and stats never load numpy.  The parser's
+# choices are therefore spelled here; test_cli checks them against
+# metrics.DENOMINATOR_POLICIES and metrics.OOV_POLICIES.
+DENOMINATOR_CHOICES = ("evaluated", "total")
+OOV_CHOICES = ("miss", "skip")
 
 CACHE_DIR_ENV = "EMBEVAL_CACHE_DIR"
 
@@ -69,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thesaurus", required=True)
     p.add_argument("--k", action="append", type=int, help="neighborhood size (repeatable)")
     p.add_argument("--lang", default="de")
-    p.add_argument("--denominator", choices=DENOMINATOR_POLICIES, default="evaluated")
+    p.add_argument("--denominator", choices=DENOMINATOR_CHOICES, default="evaluated")
     p.add_argument("--cache-dir", help=f"neighbor cache directory (or ${CACHE_DIR_ENV})")
     p.add_argument("--refresh", action="store_true", help="rebuild stale or incomplete caches")
     p.add_argument("--no-lowercase", action="store_true")
@@ -81,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", action="append", type=int)
     p.add_argument("--lang", default="de")
     p.add_argument("--single-word-only", action="store_true")
-    p.add_argument("--oov-policy", choices=OOV_POLICIES, default="miss")
+    p.add_argument("--oov-policy", choices=OOV_CHOICES, default="miss")
     p.add_argument("--no-lowercase", action="store_true")
     p.add_argument("--out", required=True)
 
@@ -121,6 +114,8 @@ def _model_name(path: str) -> str:
 def _load_models(paths: list[str], manifest: RunManifest):
     """Load each model and record it as a manifest input with the digest of
     the bytes it was parsed from, so each model file is read once."""
+    from .vectors import load_vec
+
     models = []
     for path in paths:
         models.append(load_vec(path, _model_name(path)))
@@ -132,6 +127,8 @@ def _load_models(paths: list[str], manifest: RunManifest):
 
 
 def _load_thesaurus(path: str):
+    from .thesaurus import parse_ntriples_skos, parse_tsv
+
     if str(path).endswith(".tsv"):
         return parse_tsv(path)
     return parse_ntriples_skos(path)
@@ -205,6 +202,10 @@ def cmd_stats(args) -> int:
 
 
 def cmd_coverage(args) -> int:
+    from .metrics import coverage, match_map
+    from .stringsim import VocabIndex
+    from .thesaurus import keywords
+
     s_values = _check_s_values(args.s or [0.9, 0.95, 1.0])
     _require_files(*args.model, args.thesaurus)
     out = _out_dir(args)
@@ -249,6 +250,10 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_diversity(args) -> int:
+    from .metrics import diversity_matrix, keyword_queries
+    from .neighbors import neighbor_map
+    from .thesaurus import keywords
+
     if len(args.model) < 2:
         raise UsageError("diversity needs at least two --model files")
     k_values = _check_k_values(args.k or [10, 50, 200])
@@ -311,6 +316,10 @@ def cmd_diversity(args) -> int:
 
 
 def cmd_relations(args) -> int:
+    from .metrics import descriptor_queries, relational_coverage
+    from .neighbors import neighbor_map
+    from .thesaurus import RELATION_TYPES, descriptor_pairs
+
     k_values = _check_k_values(args.k or [10, 50, 200])
     _require_files(*args.model, args.thesaurus)
     out = _out_dir(args)
@@ -378,6 +387,8 @@ def cmd_relations(args) -> int:
 
 
 def cmd_neighbors(args) -> int:
+    from .neighbors import top_k
+
     if args.k < 0:
         raise UsageError(f"k must be >= 0, got {args.k}")
     _require_files(args.model)

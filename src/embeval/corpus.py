@@ -1,12 +1,14 @@
 """Cleaning cascade turning extracted document text into per-language corpora.
 
 Stages, in order: cover-page stripping, dehyphenation, camel-case splitting,
-per-line language routing, number-to-word conversion, whitespace/lowercase
-normalization, tokenization, and sentence deduplication.  Line boundaries
-are the sentence proxy throughout: dehyphenation joins words split across a
-line break but keeps the remaining breaks as boundaries, otherwise per-line
-language routing and line-level deduplication would have nothing to work on
-and the cascade would not be idempotent.
+then per line whitespace/lowercase normalization and tokenization,
+number-to-word conversion, language routing of the resulting line, and
+finally sentence deduplication.  Line boundaries are the sentence proxy
+throughout: dehyphenation joins words split across a line break but keeps
+the remaining breaks as boundaries, otherwise per-line language routing and
+line-level deduplication would have nothing to work on and the cascade would
+not be idempotent.  A line is routed by the text that is written, so a
+rerun on the output routes it the same way.
 
 Deduplication is exact and keeps the first occurrence of each final
 tokenized line, so two raw lines that clean to the same sentence count as
@@ -45,8 +47,11 @@ PUNCT_CHARS = ".,();:?!\"'„“”‚‘’«»"
 _INT_TOKEN_RE = re.compile(r"^(0|[1-9][0-9]{0,5})$")
 # _INT_TOKEN_RE needs an ASCII digit, so text without one has no number to convert.
 _DIGIT_RE = re.compile("[0-9]")
-# The parts numbers_to_words converts: everything between whitespace runs.
-_CHUNK_RE = re.compile(r"\S+")
+# The parts numbers_to_words may convert: whole whitespace-delimited chunks
+# holding an ASCII digit (_INT_TOKEN_RE leaves every other chunk as it is).
+# The lookbehind starts a match only at a chunk's start and the first class
+# cannot cross a digit, so the scan stays linear in the text's length.
+_CHUNK_RE = re.compile(r"(?<!\S)[^\s0-9]*[0-9]\S*")
 
 
 @dataclass(frozen=True)
@@ -270,7 +275,22 @@ def clean_document(
     config: PipelineConfig,
     classifier: TrigramClassifier | None = None,
 ) -> CorpusDocument:
-    """Run the per-document stages (everything before corpus-wide dedup)."""
+    """Run the per-document stages (everything before corpus-wide dedup).
+
+    Each line is routed by its final, written text, so cleaning the output
+    again routes every line the same way.  Numerals are spelled in the
+    language of the line before conversion; when the words change the line,
+    it is routed again.
+    """
+
+    def route(line: str) -> tuple[str, float] | None:
+        lang, confidence = classify_line_language(
+            line, threshold=config.confidence_threshold, classifier=classifier
+        )
+        if lang == UNKNOWN or lang not in config.languages:
+            return None
+        return lang, confidence
+
     doc = CorpusDocument(doc_id=doc_id, raw_text=text)
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     if config.cover_pattern is not None:
@@ -278,21 +298,19 @@ def clean_document(
     text = dehyphenate(text)
     text = split_camel_case(text)
     for line in text.split("\n"):
-        if not line.strip():
+        line = " ".join(tokenize(normalize_ws_lower(line)))
+        if not line:
             continue
-        lang, confidence = classify_line_language(
-            line, threshold=config.confidence_threshold, classifier=classifier
-        )
-        if lang == UNKNOWN or lang not in config.languages:
+        routed = route(line)
+        if routed is not None and config.convert_numbers:
+            converted = numbers_to_words(line, routed[0], hyphenate=False)
+            if converted != line:
+                line = " ".join(tokenize(normalize_ws_lower(converted)))
+                routed = route(line)
+        if routed is None:
             doc.unknown_lines += 1
             continue
-        if config.convert_numbers:
-            line = numbers_to_words(line, lang, hyphenate=False)
-        line = normalize_ws_lower(line)
-        tokens = tokenize(line)
-        if not tokens:
-            continue
-        doc.lines.append(CleanedLine(" ".join(tokens), lang, confidence))
+        doc.lines.append(CleanedLine(line, *routed))
     return doc
 
 

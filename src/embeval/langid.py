@@ -13,13 +13,10 @@ still contributes signal when present.
 """
 
 import math
-import re
 from collections import Counter
 from itertools import repeat
 
 UNKNOWN = "unknown"
-
-_WS_RE = re.compile(r"\s+")
 
 _DE_SEED = """
 Die soziale Ungleichheit in der modernen Gesellschaft ist ein zentrales Thema
@@ -69,7 +66,9 @@ behavior is discussed.
 
 
 def _trigrams(text: str) -> list[str]:
-    padded = " " + _WS_RE.sub(" ", text.strip()) + " "
+    # str.split and re's \s agree on whitespace; split-and-join is the faster
+    # of the two ways to collapse it.
+    padded = " " + " ".join(text.split()) + " "
     return [padded[i : i + 3] for i in range(len(padded) - 2)]
 
 

@@ -5,14 +5,23 @@ substitution.  With those costs the normalized similarity
 
     ratio(a, b) = (|a| + |b| - dist(a, b)) / (|a| + |b|)
 
-lies in [0, 1] and equals 1 exactly for equal strings.  ``best_match``
-scans a vocabulary for the most similar token above a threshold; a length
-index plus a banded DP with an early cutoff keep that tractable when the
-vocabulary has millions of entries.
+lies in [0, 1] and equals 1 exactly for equal strings.  A substitution
+costs as much as a deletion plus an insertion, so the distance is
+|a| + |b| - 2 * LCS(a, b), where LCS is the length of a longest common
+subsequence.  ``best_match`` scans a vocabulary for the most similar token
+above a threshold: a length index skips the buckets that cannot reach it,
+and the bit-parallel LCS of Allison & Dix (1986) and Hyyrö (2004) scores a
+whole length bucket at once, one 64-bit lane per candidate.
 """
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
+
+# Longest token the numpy kernel takes: its bit vector and the carry out of
+# its top bit must fit in one uint64 lane.
+_LANE_BITS = 63
 
 
 @dataclass(frozen=True)
@@ -66,62 +75,6 @@ def edit_distance_sub2(a: str, b: str) -> int:
     return prev[-1]
 
 
-def _edit_distance_sub2_bounded(a: str, b: str, limit: int) -> Optional[int]:
-    """Like edit_distance_sub2 but gives up once the distance exceeds ``limit``.
-
-    Returns None when the distance is > limit.  Any alignment path visiting a
-    cell with |i - j| > limit already costs more than limit, so the DP only
-    fills a band of that half-width.
-    """
-    if limit < 0:
-        return None
-    la, lb = len(a), len(b)
-    if abs(la - lb) > limit:
-        return None
-    lo = 0
-    while lo < la and lo < lb and a[lo] == b[lo]:
-        lo += 1
-    while la > lo and lb > lo and a[la - 1] == b[lb - 1]:
-        la -= 1
-        lb -= 1
-    a = a[lo:la]
-    b = b[lo:lb]
-    la, lb = len(a), len(b)
-    if la == 0:
-        return lb if lb <= limit else None
-    if lb == 0:
-        return la if la <= limit else None
-
-    inf = limit + 1
-    prev = [j if j <= limit else inf for j in range(lb + 1)]
-    for i in range(1, la + 1):
-        j_lo = max(1, i - limit)
-        j_hi = min(lb, i + limit)
-        cur = [inf] * (lb + 1)
-        if j_lo == 1:
-            cur[0] = i if i <= limit else inf
-        ca = a[i - 1]
-        row_min = inf
-        for j in range(j_lo, j_hi + 1):
-            if ca == b[j - 1]:
-                best = prev[j - 1]
-            else:
-                best = prev[j - 1] + 2
-            up = prev[j] + 1
-            if up < best:
-                best = up
-            left = cur[j - 1] + 1
-            if left < best:
-                best = left
-            cur[j] = best
-            if best < row_min:
-                row_min = best
-        if row_min > limit:
-            return None
-        prev = cur
-    return prev[lb] if prev[lb] <= limit else None
-
-
 def ratio(a: str, b: str) -> float:
     """Normalized similarity in [0, 1]; 1.0 iff equal (two empties count as equal)."""
     total = len(a) + len(b)
@@ -131,12 +84,17 @@ def ratio(a: str, b: str) -> float:
 
 
 class VocabIndex:
-    """Immutable token collection with hash and length lookups for best_match."""
+    """Immutable token collection with hash and length lookups for best_match.
+
+    Each scanned length bucket also keeps its code points as columns, built
+    the first time best_match scans it (see ``columns``).
+    """
 
     def __init__(self, tokens: Sequence[str]):
         self.tokens = list(tokens)
         self.position: dict[str, int] = {}
         self.by_length: dict[int, list[int]] = {}
+        self._columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for i, tok in enumerate(self.tokens):
             if tok not in self.position:
                 self.position[tok] = i
@@ -147,6 +105,77 @@ class VocabIndex:
 
     def __contains__(self, token: str) -> bool:
         return token in self.position
+
+    def columns(self, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """The length bucket as ``(alphabet, codes)``, built on first use.
+
+        ``alphabet`` holds the bucket's distinct code points in ascending
+        order.  ``codes[j, c]`` is the index into it of the j-th code point
+        of the bucket's c-th token, with columns in ``by_length`` order.
+        Every token of the bucket has exactly ``length`` code points, so the
+        fixed-width array is exact for any code point, NUL included.
+        """
+        cols = self._columns.get(length)
+        if cols is None:
+            bucket = self.by_length[length]
+            points = np.array([self.tokens[i] for i in bucket], dtype=f"<U{length}").view(np.uint32)
+            alphabet, inverse = np.unique(points, return_inverse=True)
+            # the narrowest unsigned type that indexes the alphabet, since
+            # the columns of every scanned bucket stay in memory
+            inverse = inverse.astype(np.min_scalar_type(len(alphabet) - 1))
+            codes = np.ascontiguousarray(inverse.reshape(len(bucket), length).T)
+            cols = self._columns[length] = (alphabet, codes)
+        return cols
+
+
+def _bucket_lcs(token: str, vocab: VocabIndex, length: int) -> np.ndarray:
+    """LCS length of token with each token of a length bucket, in ``by_length`` order.
+
+    After each candidate character, the number of zero bits among the lowest
+    i + 1 bits of the state V is the LCS of token[:i + 1] with the candidate's
+    prefix read so far.  Per character with position mask P in token,
+    U = V & P and V = (V + U) | (V - U), cut to the token's m bits; the LCS
+    is the number of zero bits at the end.  A token of up to 63 code points
+    keeps one uint64 lane per candidate (V + U < 2^64 since V < 2^63), and
+    the bucket advances one character column at a time; a longer token runs
+    the same recurrence on Python ints, one candidate at a time.
+    """
+    m = len(token)
+    # Each character of token mapped to the bitmask of its positions.
+    masks: dict[str, int] = {}
+    for pos, ch in enumerate(token):
+        masks[ch] = masks.get(ch, 0) | (1 << pos)
+    if m > _LANE_BITS:
+        full = (1 << m) - 1
+        out = []
+        for idx in vocab.by_length[length]:
+            v = full
+            for ch in vocab.tokens[idx]:
+                u = v & masks.get(ch, 0)
+                v = ((v + u) | (v - u)) & full
+            out.append(m - v.bit_count())
+        return np.array(out, dtype=np.int64)
+
+    alphabet, codes = vocab.columns(length)
+    # Peq[k]: position mask of alphabet[k] in token, 0 for characters it lacks.
+    peq = np.zeros(len(alphabet), dtype=np.uint64)
+    points = np.array([ord(ch) for ch in masks], dtype=np.uint32)
+    where = np.minimum(np.searchsorted(alphabet, points), len(alphabet) - 1)
+    found = alphabet[where] == points
+    peq[where[found]] = np.array(list(masks.values()), dtype=np.uint64)[found]
+
+    full = np.uint64((1 << m) - 1)
+    v = np.full(codes.shape[1], full, dtype=np.uint64)
+    u = np.empty_like(v)
+    t = np.empty_like(v)
+    for col in codes:
+        np.take(peq, col, out=t)
+        np.bitwise_and(v, t, out=u)
+        np.add(v, u, out=t)
+        np.subtract(v, u, out=v)
+        np.bitwise_or(v, t, out=v)
+        np.bitwise_and(v, full, out=v)
+    return m - np.bitwise_count(v).astype(np.int64)
 
 
 def _max_distance_for(s: float, total_len: int) -> int:
@@ -162,8 +191,8 @@ def best_match(token: str, vocab: VocabIndex, s: float) -> Optional[RatioMatch]:
 
     Ties on the ratio go to the lowest vocabulary index.  s=1 degrades to an
     exact hash lookup; for s<1 only length buckets that can get within the
-    threshold distance are scanned, and each candidate runs a banded DP
-    that aborts once that distance is exceeded.
+    threshold distance are scanned, each with one bit-parallel LCS pass
+    over all of its candidates.
     The match does not depend on s beyond its ratio reaching s: for any
     s' >= s, ``best_match(token, vocab, s')`` is this match if its ratio is
     >= s', and None otherwise.
@@ -179,7 +208,7 @@ def best_match(token: str, vocab: VocabIndex, s: float) -> Optional[RatioMatch]:
     lt = len(token)
     # ratio >= s forces |len(a)-len(b)| <= (1-s)(len(a)+len(b)); the resulting
     # candidate length window is widened by one on each side so float rounding
-    # can only add candidates (the DP cutoff rejects them exactly).
+    # can only add candidates (the distance limit rejects them exactly).
     lo = max(1, int(lt * s / (2.0 - s)) - 1)
     hi = int(lt * (2.0 - s) / s) + 2
 
@@ -197,15 +226,18 @@ def best_match(token: str, vocab: VocabIndex, s: float) -> Optional[RatioMatch]:
         # the limit, such as the padded window's edges.
         if (abs(length - lt) or 2) > limit:
             continue
-        for idx in bucket:
-            cand = vocab.tokens[idx]
-            d = _edit_distance_sub2_bounded(token, cand, limit)
-            if d is None:
-                continue
-            r = (total - d) / total
-            if best is None or r > best.ratio or (r == best.ratio and idx < best_idx):
-                best = RatioMatch(token, cand, r)
-                best_idx = idx
+        # Within a bucket the smallest distance is the largest LCS, and
+        # argmax takes its first, lowest-index candidate.
+        lcs = _bucket_lcs(token, vocab, length)
+        j = int(lcs.argmax())
+        d = total - 2 * int(lcs[j])
+        if d > limit:
+            continue
+        idx = bucket[j]
+        r = (total - d) / total
+        if best is None or r > best.ratio or (r == best.ratio and idx < best_idx):
+            best = RatioMatch(token, vocab.tokens[idx], r)
+            best_idx = idx
     return best
 
 

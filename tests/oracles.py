@@ -15,7 +15,7 @@ import numpy as np
 
 from embeval.corpus import DedupReport
 from embeval.errors import VecFormatError
-from embeval.langid import UNKNOWN, _trigrams
+from embeval.langid import UNKNOWN
 from embeval.metrics import CoverageResult, KeywordHit, keyword_tokens
 from embeval.numwords import MAX_NUMBER, number_to_words
 from embeval.stringsim import VocabIndex, best_match
@@ -395,6 +395,15 @@ def dedup_sentences_oracle(lines: Iterable[str]) -> tuple[list[str], DedupReport
     return kept, report
 
 
+_WS_RE = re.compile(r"\s+")
+
+
+def trigrams_oracle(text: str) -> list[str]:
+    """Character trigrams of the space-padded, whitespace-collapsed text."""
+    padded = " " + _WS_RE.sub(" ", text.strip()) + " "
+    return [padded[i : i + 3] for i in range(len(padded) - 2)]
+
+
 def classify_oracle(self, line: str) -> tuple[str, float]:
     """Best language and its posterior probability; UNKNOWN for letterless lines.
 
@@ -402,7 +411,7 @@ def classify_oracle(self, line: str) -> tuple[str, float]:
     """
     if not any(ch.isalpha() for ch in line):
         return UNKNOWN, 0.0
-    grams = _trigrams(line)
+    grams = trigrams_oracle(line)
     scores = {}
     for lang in self.languages:
         table = self._logprob[lang]

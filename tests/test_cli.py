@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -369,6 +372,45 @@ def test_clean_and_stats_roundtrip(tmp_path):
         assert int(vocab) == recounted[lang].vocabulary
 
 
+def test_clean_and_stats_load_no_numpy(tmp_path):
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "a.txt").write_text("Die Gesellschaft wandelt sich seit 3 Jahren.\n", encoding="utf-8")
+    out = tmp_path / "cleaned"
+    script = (
+        "import sys\n"
+        "from embeval.cli import main\n"
+        f"assert main(['clean', '--input', {str(docs)!r}, '--out', {str(out)!r}]) == 0\n"
+        f"assert main(['stats', {str(out / 'corpus.de.txt')!r}, '--out', {str(tmp_path / 's')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')))\n"
+    )
+    import embeval
+
+    env = {**os.environ, "PYTHONPATH": str(Path(embeval.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_package_exports_resolve_to_their_modules():
+    import importlib
+
+    import embeval
+
+    for name in embeval.__all__:
+        if name != "__version__":
+            module = importlib.import_module(f"embeval.{embeval._EXPORTS[name]}")
+            assert getattr(embeval, name) is getattr(module, name)
+
+
+def test_parser_choices_match_metric_policies():
+    from embeval.cli import DENOMINATOR_CHOICES, OOV_CHOICES
+    from embeval.metrics import DENOMINATOR_POLICIES, OOV_POLICIES
+
+    assert DENOMINATOR_CHOICES == DENOMINATOR_POLICIES
+    assert OOV_CHOICES == OOV_POLICIES
+
+
 def test_rerun_is_byte_identical_and_manifest_stable(tmp_path, model_path, thesaurus_path):
     out1 = tmp_path / "r1"
     out2 = tmp_path / "r2"
@@ -477,12 +519,13 @@ def test_invalid_cover_delimiter_is_parse_error(tmp_path, capsys):
 
 
 def test_internal_error_exits_four(tmp_path, model_path, thesaurus_path, monkeypatch):
-    import embeval.cli as cli_module
+    import embeval.metrics as metrics_module
 
     def boom(*args, **kwargs):
         raise RuntimeError("simulated fault")
 
-    monkeypatch.setattr(cli_module, "coverage", boom)
+    # cmd_coverage imports coverage from metrics when it runs
+    monkeypatch.setattr(metrics_module, "coverage", boom)
     rc = main([
         "coverage", "--model", str(model_path), "--thesaurus", str(thesaurus_path),
         "--out", str(tmp_path / "o"),

@@ -21,7 +21,7 @@ from embeval.corpus import (
     strip_cover,
     tokenize,
 )
-from embeval.langid import TrigramClassifier, default_classifier
+from embeval.langid import TrigramClassifier, _trigrams, default_classifier
 from oracles import (
     classify_oracle,
     dedup_sentences_oracle,
@@ -29,6 +29,7 @@ from oracles import (
     numbers_to_words_oracle,
     split_camel_case_oracle,
     tokenize_oracle,
+    trigrams_oracle,
 )
 
 GERMAN_DOC = """Deckblatt Information
@@ -266,6 +267,12 @@ def test_run_pipeline_end_to_end(tmp_path):
 
 def test_run_pipeline_idempotent(tmp_path):
     docs = _write_docs(tmp_path)
+    # Its capitalized form scores as English, its cleaned form as German: a
+    # line routed by its raw form moves to the other corpus on a rerun.
+    (docs / "doc_moves.txt").write_text(
+        "Cover\n---\nEr bei bis interviews einkommen interviews interviews oder es.\n",
+        encoding="utf-8",
+    )
     config = PipelineConfig(cover_delimiter="^---$")
     out1 = tmp_path / "out1"
     run_pipeline(docs, config, out1)
@@ -457,6 +464,7 @@ def test_dedup_sentences_equals_oracle(lines):
 @given(_texts(surrogates=True))
 def test_classify_equals_oracle(line):
     clf = default_classifier()
+    assert _trigrams(line) == trigrams_oracle(line)
     assert clf.classify(line) == classify_oracle(clf, line)
 
 
@@ -503,3 +511,17 @@ def test_run_pipeline_equals_oracle_cascade(texts):
             assert (out / name).read_bytes() == (oracle_out / name).read_bytes()
     assert stats == oracle_stats
     assert report == oracle_report
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_DOCUMENT, min_size=1, max_size=4), st.booleans())
+def test_run_pipeline_on_its_own_output_is_byte_identical(texts, convert_numbers):
+    config = PipelineConfig(confidence_threshold=0.6, convert_numbers=convert_numbers)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first"), Path(tmp, "second")
+        _, _, outputs = run_pipeline([(f"d{i}", text) for i, text in enumerate(texts)], config, first)
+        again = [(lang, path.read_text(encoding="utf-8")) for lang, path in outputs.items()]
+        run_pipeline(again, config, second)
+        for lang in config.languages:
+            name = f"corpus.{lang}.txt"
+            assert (second / name).read_bytes() == (first / name).read_bytes()

@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from embeval.stringsim import (
     VocabIndex,
+    _bucket_lcs,
     best_match,
     edit_distance_sub2,
     ratio,
@@ -140,13 +141,85 @@ def test_pruned_equals_unpruned_scan():
             assert best_match(query, vocab, s) == scan_match(query, vocab, s)
 
 
+# Non-ASCII, astral (one code point, two UTF-16 units) and NUL characters,
+# and a lone surrogate: each is one code point to both kernels.
+_CHARS = st.sampled_from(["a", "b", "ä", "ß", "\U0001d518", "\x00", "\ud800"])
+_THRESHOLDS = st.sampled_from([0.5, 0.6, 0.75, 0.8, 0.875, 0.9, 0.95, 1.0]) | st.floats(0.05, 1.0)
+
+
+@st.composite
+def _near_words(draw, base, n):
+    """n words a few deletions, insertions or substitutions away from base."""
+    words = []
+    for _ in range(n):
+        word = list(base)
+        for _ in range(draw(st.integers(0, 4))):
+            op = draw(st.integers(0, 2))
+            pos = draw(st.integers(0, len(word)))
+            if op == 0 and pos < len(word):
+                del word[pos]
+            elif op == 1:
+                word.insert(pos, draw(_CHARS))
+            elif pos < len(word):
+                word[pos] = draw(_CHARS)
+        words.append("".join(word))
+    return words
+
+
+@st.composite
+def _scan_cases(draw):
+    """(vocab, query): many short words, or a few of 62 to 130 code points, so
+    both the uint64 lanes (up to 63) and the Python-int path (above) run."""
+    if draw(st.booleans()):
+        alphabet = draw(st.sampled_from(["ab", "abäß", "aß\U0001d518\x00"]))
+        word = st.text(alphabet=alphabet, max_size=9)
+        return draw(st.lists(word, min_size=1, max_size=40)), draw(word)
+    base = draw(st.text(alphabet=_CHARS, min_size=62, max_size=130))
+    query, *vocab = draw(_near_words(base, draw(st.integers(2, 6))))
+    return vocab, query
+
+
 @settings(max_examples=400, deadline=None)
-@given(
-    vocab=st.lists(st.text(alphabet="abäß", min_size=1, max_size=9), min_size=1, max_size=40),
-    query=st.text(alphabet="abäß", min_size=1, max_size=9),
-    s=st.sampled_from([0.5, 0.6, 0.75, 0.8, 0.875, 0.9, 0.95, 1.0]) | st.floats(0.05, 1.0),
-)
-def test_pruned_equals_unpruned_scan_at_any_threshold(vocab, query, s):
+@given(case=_scan_cases(), s=_THRESHOLDS)
+# a bucket of more than 256 distinct code points takes wider column indices
+@example(case=([chr(0x100 + i) + chr(0x300 - i) for i in range(300)], chr(0x300 - 7) + "x"), s=0.5)
+def test_pruned_equals_unpruned_scan_at_any_threshold(case, s):
     # small alphabets put many candidates one substitution or one indel away,
-    # at thresholds where whole length buckets are skipped
+    # at thresholds where whole length buckets are skipped; near words share
+    # ratios at different indices and in different buckets
+    vocab, query = case
     assert best_match(query, VocabIndex(vocab), s) == scan_match(query, VocabIndex(vocab), s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    token=st.text(alphabet=_CHARS, max_size=12) | st.text(alphabet=_CHARS, min_size=62, max_size=130),
+    length=st.integers(1, 12) | st.integers(62, 130),
+    data=st.data(),
+)
+def test_bucket_lcs_gives_edit_distance(token, length, data):
+    bucket = data.draw(st.lists(
+        st.text(alphabet=_CHARS, min_size=length, max_size=length), min_size=1, max_size=5
+    ))
+    vocab = VocabIndex(bucket)
+    lcs = _bucket_lcs(token, vocab, length)
+    candidates = [vocab.tokens[i] for i in vocab.by_length[length]]
+    assert len(lcs) == len(candidates)
+    for cand, common in zip(candidates, lcs.tolist()):
+        assert len(token) + length - 2 * common == edit_distance_sub2(token, cand)
+
+
+def test_best_match_tie_across_buckets_prefers_lowest_index():
+    # two deletions (8/10) and three insertions (12/15) give the same float
+    assert ratio("abcdef", "abcd") == ratio("abcdef", "abcdefxyz") == 0.8
+    for s in (0.8, 0.5):
+        assert best_match("abcdef", VocabIndex(["abcdefxyz", "abcd"]), s).matched_vocab_token == "abcdefxyz"
+        assert best_match("abcdef", VocabIndex(["abcd", "abcdefxyz"]), s).matched_vocab_token == "abcd"
+
+
+def test_best_match_keeps_a_ratio_equal_to_the_threshold():
+    assert best_match("ab", VocabIndex(["abb"]), 0.8) == scan_match("ab", VocabIndex(["abb"]), 0.8)
+    assert best_match("ab", VocabIndex(["abb"]), 0.8).ratio == 0.8
+    long_query = "ab" * 40
+    m = best_match(long_query, VocabIndex([long_query + "b"]), 160 / 161)
+    assert m is not None and m.ratio == 160 / 161
