@@ -14,7 +14,6 @@ _EXPORTS = {
     "relational_coverage": "metrics",
     "NeighborSet": "neighbors",
     "cosine": "neighbors",
-    "normalize_rows": "neighbors",
     "top_k": "neighbors",
     "top_k_batch": "neighbors",
     "RatioMatch": "stringsim",
@@ -51,7 +50,6 @@ __all__ = [
     "edit_distance_sub2",
     "keywords",
     "load_vec",
-    "normalize_rows",
     "parse_ntriples_skos",
     "parse_tsv",
     "ratio",

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .neighbors import NeighborSet, neighbor_map, queryable
+from .neighbors import NeighborMap, neighbor_map, queryable
 from .corpus import HYPHEN_CHARS, DASH_CHARS
 from .stringsim import RatioMatch, VocabIndex, best_match
 from .thesaurus import DescriptorPair
@@ -246,13 +246,13 @@ def descriptor_queries(pairs: Sequence[DescriptorPair], lowercase: bool = True) 
     return [_label(pair.descriptor_label, lowercase) for pair in pairs]
 
 
-def _neighbor_tokens(neighbors: dict[str, NeighborSet], query: str, k: int,
+def _neighbor_tokens(neighbors: NeighborMap, query: str, k: int,
                      lowercase: bool) -> frozenset[str]:
-    """The top-k tokens of ``query``: the first k entries of its set in the map."""
-    ns = neighbors.get(query)
-    if ns is None or ns.k_requested < k:
+    """The top-k tokens of ``query``: the first k of its tokens in the map."""
+    tokens = neighbors.tokens.get(query)
+    if tokens is None or neighbors.k < k:
         raise ValueError(f"neighbor map lacks the top-{k} of {query!r}")
-    tokens = ns.tokens()[:k]
+    tokens = tokens[:k]
     return frozenset(t.lower() for t in tokens) if lowercase else frozenset(tokens)
 
 
@@ -263,8 +263,8 @@ def diversity(
     k: int,
     lowercase: bool = True,
     denominator: str = "evaluated",
-    neighbors_a: dict[str, NeighborSet] | None = None,
-    neighbors_b: dict[str, NeighborSet] | None = None,
+    neighbors_a: NeighborMap | None = None,
+    neighbors_b: NeighborMap | None = None,
 ) -> DiversityResult:
     """Share of keywords whose top-k neighborhoods in the two models are disjoint.
 
@@ -313,7 +313,7 @@ def diversity_matrix(
     k: int,
     lowercase: bool = True,
     denominator: str = "evaluated",
-    neighbor_maps: dict[str, dict[str, NeighborSet]] | None = None,
+    neighbor_maps: dict[str, NeighborMap] | None = None,
 ) -> dict[tuple[str, str], DiversityResult]:
     """All unordered model pairs, computed once and mirrored; zero diagonal."""
     if len(models) < 2:
@@ -343,7 +343,7 @@ def relational_coverage(
     k: int,
     lowercase: bool = True,
     oov_policy: str = "miss",
-    neighbors: dict[str, NeighborSet] | None = None,
+    neighbors: NeighborMap | None = None,
 ) -> dict[str, RelationalResult]:
     """Relational coverage per relation type present in ``pairs``.
 

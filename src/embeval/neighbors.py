@@ -6,9 +6,19 @@ by ascending vocabulary index so repeated runs produce identical tables.
 Under that order the top-k of a query is exactly the first k entries of its
 top-K for any k <= K, so ``neighbor_map`` searches each query once at the
 largest k a run needs and the metrics read prefixes.
+
+``top_k`` scores one query with a matrix-vector product (GEMV) and reports
+the scores.  ``top_k_batch`` scores a block of queries with one matrix
+product (GEMM), whose scores can differ from the GEMV ones in the last
+bits.  It keeps a query's GEMM order only where a rounding-error bound
+proves that order is the GEMV one (see ``_certified``), and searches every
+other query again by GEMV, so both give the same tokens.  The metrics read
+only tokens, so a ``NeighborMap`` and the cache hold ordered token tuples
+and no scores.
 """
 
 import json
+import logging
 import os
 import tempfile
 from dataclasses import dataclass
@@ -17,6 +27,8 @@ import numpy as np
 
 from .errors import CacheFormatError, StaleCacheError, UnknownTokenError, ZeroVectorError
 from .vectors import _MIN_DIRECT_NORM, EmbeddingModel
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -45,13 +57,23 @@ class NeighborSet:
 
 @dataclass
 class BatchResult:
-    """Per-query neighbor sets plus the queries that had to be skipped."""
+    """The ``(query, tokens)`` of each queryable query in input order, the
+    skipped queries, and how many queries fell back to the GEMV search."""
 
-    neighbor_sets: list[NeighborSet]
+    neighbor_sets: list[tuple[str, tuple[str, ...]]]
     skipped: list[str]
+    fallbacks: int
 
-    def by_query(self) -> dict[str, NeighborSet]:
-        return {ns.query: ns for ns in self.neighbor_sets}
+
+@dataclass(frozen=True)
+class NeighborMap:
+    """Ordered neighbor tokens per query, searched at capacity ``k``.
+
+    The top-k' of a query for any k' <= k is the first k' of its tokens.
+    """
+
+    k: int
+    tokens: dict[str, tuple[str, ...]]
 
 
 def cosine(u, v) -> float:
@@ -78,20 +100,6 @@ def cosine(u, v) -> float:
         nv = float(np.linalg.norm(v))
         dot = float(np.dot(u, v))
     return min(1.0, max(-1.0, dot / (nu * nv)))
-
-
-def normalize_rows(model: EmbeddingModel) -> EmbeddingModel:
-    """Copy of the model with unit-length rows; zero rows stay zero and are flagged."""
-    unit = np.array(model.unit_matrix())
-    return EmbeddingModel(
-        name=model.name,
-        dim=model.dim,
-        vocab=list(model.vocab),
-        matrix=unit,
-        normalized=True,
-        zero_rows=model.zero_rows,
-        source_digest=model.source_digest,
-    )
 
 
 def _select_top(scores: np.ndarray, k: int) -> np.ndarray:
@@ -156,45 +164,116 @@ def top_k(model: EmbeddingModel, query: str, k: int) -> NeighborSet:
     return _search(model, query, k)
 
 
-def top_k_batch(model: EmbeddingModel, queries: list[str], k: int) -> BatchResult:
-    """Elementwise top_k over many queries; unknown or zero-vector queries are skipped.
+# delta: the product of the norms of two rows of ``unit_matrix`` is at most
+# 1 + delta.  A computed unit row has norm 1 within about d units of
+# roundoff, far below delta for any practical dimension d.
+_NORM_SLACK = 2.0 ** -20
 
-    Results are in input order.  Every query is scored by the same
-    matrix-vector product as top_k, so the result is bitwise identical to
-    top_k whatever the shape of the batch.
+
+def _certified(ordered: np.ndarray, dim: int) -> np.ndarray:
+    """Per row of GEMM scores in descending order: whether every adjacent gap
+    exceeds ``2 * gamma(d + 2) * (1 + delta)``.
+
+    ``gamma(n) = n*eps / (1 - n*eps)`` with ``eps = 2**-52``, twice the unit
+    roundoff u, and ``delta = 2**-20``.  A dot product of two d-vectors
+    computed in any summation order, with or without fused multiply-adds,
+    lies within ``gamma_u(d) * sum(|x_i * y_i|)`` of the exact one (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., section
+    3.1), and that sum is at most ``|x| |y| <= 1 + delta`` for unit rows.
+    So the GEMM and the GEMV score of one pair differ by at most
+    ``2 * gamma_u(d) * (1 + delta) <= gamma(d + 2) * (1 + delta)``, and two
+    GEMM scores further apart than twice that are in the same strict order
+    as their GEMV scores.
+    """
+    n_eps = (dim + 2) * np.finfo(np.float64).eps
+    bound = 2.0 * n_eps / (1.0 - n_eps) * (1.0 + _NORM_SLACK)
+    return (ordered[:, :-1] - ordered[:, 1:] > bound).all(axis=1)
+
+
+def top_k_batch(model: EmbeddingModel, queries: list[str], k: int) -> BatchResult:
+    """The top-k tokens of each queryable query; unknown or zero-vector queries are skipped.
+
+    Each block of ``max(1, dim // 8)`` queries is scored by one GEMM, so
+    the score block and its index array each take at most an eighth of the
+    bytes of the unit matrix (one query's scores when dim < 8).  A query's
+    top K+1 candidates (all of them when there are fewer) are ordered by
+    (score desc, index asc).  When ``_certified`` proves every adjacent gap
+    among them, the GEMV search of ``top_k`` ranks the same first K
+    candidates in the same order above every other row, so they are its
+    top K.  Any other query, such as one with an exact tie, is searched by
+    ``top_k`` itself.  The tokens are therefore those of ``top_k`` whatever
+    the shape of the batch.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    neighbor_sets = [_search(model, q, k) for q in queries if queryable(model, q)]
+    wanted = [q for q in queries if queryable(model, q)]
     skipped = [q for q in queries if not queryable(model, q)]
-    return BatchResult(neighbor_sets=neighbor_sets, skipped=skipped)
+    n = len(model)
+    n_candidates = n - 1 - len(model.zero_rows)
+    kk = min(k, n_candidates)
+    if kk <= 0:
+        return BatchResult([(q, ()) for q in wanted], skipped, fallbacks=0)
+    m = min(k + 1, n_candidates)
+    unit = model.unit_matrix()
+    zero = np.fromiter(model.zero_rows, dtype=np.intp, count=len(model.zero_rows))
+    rows = np.fromiter((model.index[q] for q in wanted), dtype=np.intp, count=len(wanted))
+    block = max(1, model.dim // 8)
+    neighbor_sets: list[tuple[str, tuple[str, ...]]] = []
+    fallbacks = 0
+    for start in range(0, len(wanted), block):
+        block_rows = rows[start : start + block]
+        scores = unit[block_rows] @ unit.T
+        scores[np.arange(block_rows.size), block_rows] = -np.inf
+        scores[:, zero] = -np.inf
+        top = np.argpartition(scores, n - m, axis=1)[:, n - m :]
+        top_scores = np.take_along_axis(scores, top, axis=1)
+        order = np.lexsort((top, -top_scores), axis=1)
+        top = np.take_along_axis(top, order, axis=1)
+        if (top == block_rows[:, None]).any():
+            raise ValueError("query token appears in its own neighborhood")
+        certified = _certified(np.take_along_axis(top_scores, order, axis=1), model.dim)
+        for query, idx, ok in zip(wanted[start : start + block], top[:, :kk].tolist(), certified):
+            if ok:
+                neighbor_sets.append((query, tuple(map(model.vocab.__getitem__, idx))))
+            else:
+                fallbacks += 1
+                neighbor_sets.append((query, tuple(_search(model, query, k).tokens())))
+    return BatchResult(neighbor_sets, skipped, fallbacks)
 
 
 def neighbor_map(model: EmbeddingModel, queries: list[str], k: int, cache_dir=None,
-                 refresh: bool = False) -> dict[str, NeighborSet]:
-    """Neighbor sets of capacity >= k for every queryable query, each searched once.
+                 refresh: bool = False) -> NeighborMap:
+    """Neighbor tokens at capacity >= k for every queryable query, each searched once.
 
-    Any k' <= k is served by the first k' entries.  With ``cache_dir`` the
+    Any k' <= k is served by the first k' tokens.  With ``cache_dir`` the
     map goes through the model's cache file: a file of capacity >= k serves
     the call, one of smaller capacity is rebuilt at k, and one built for
-    other vectors or lacking a needed query raises StaleCacheError unless
-    ``refresh`` asks for a rebuild.
+    other vectors, written in another format or lacking a needed query
+    raises StaleCacheError unless ``refresh`` asks for a rebuild.  A search
+    logs at debug level how many queries it certified and how many fell
+    back to GEMV.
     """
     wanted = sorted(q for q in set(queries) if queryable(model, q))
-    if cache_dir is None:
-        return top_k_batch(model, wanted, k).by_query()
-    path = cache_path(cache_dir, model.name)
-    cached = cache_load(path, model, k) if os.path.exists(path) and not refresh else None
-    if cached is not None:
-        missing = [q for q in wanted if q not in cached]
-        if missing:
-            raise StaleCacheError(
-                f"cache {path} lacks {len(missing)} needed queries "
-                f"(e.g. {missing[0]!r}); rerun with --refresh"
-            )
-        return cached
-    result = top_k_batch(model, wanted, k).by_query()
-    cache_store(path, model, k, result.values())
+    path = None if cache_dir is None else cache_path(cache_dir, model.name)
+    if path is not None and os.path.exists(path) and not refresh:
+        cached = cache_load(path, model, k)
+        if cached is not None:
+            missing = [q for q in wanted if q not in cached.tokens]
+            if missing:
+                raise StaleCacheError(
+                    f"cache {path} lacks {len(missing)} needed queries "
+                    f"(e.g. {missing[0]!r}); rerun with --refresh"
+                )
+            return cached
+    batch = top_k_batch(model, wanted, k)
+    searched = len(batch.neighbor_sets)
+    logger.debug(
+        "%s: searched %d queries at k=%d: %d certified, %d fell back to GEMV",
+        model.name, searched, k, searched - batch.fallbacks, batch.fallbacks,
+    )
+    result = NeighborMap(k, dict(batch.neighbor_sets))
+    if path is not None:
+        cache_store(path, model, result)
     return result
 
 
@@ -203,33 +282,33 @@ def cache_path(cache_dir, model_name: str) -> str:
 
 
 def _cache_header(model: EmbeddingModel, k: int) -> dict:
-    return {"digest": model.content_digest(), "dim": model.dim, "k": k, "model": model.name}
+    # "format" names the layout of the lines: the query, then its tokens
+    return {"digest": model.content_digest(), "dim": model.dim, "format": "tokens",
+            "k": k, "model": model.name}
 
 
-def cache_store(path, model: EmbeddingModel, k: int, neighbor_sets) -> None:
-    """Persist neighbor sets searched at capacity k, keyed by model name and content digest.
+def cache_store(path, model: EmbeddingModel, neighbors: NeighborMap) -> None:
+    """Persist a neighbor map, keyed by model name, content digest and capacity.
 
-    A query with an empty neighborhood is recorded as the line ``query TAB 0``
-    so that a later run finds it.  Written atomically (temp file then
-    rename) so a crashed run never leaves a half-valid cache behind.
+    Each query is one line: the query, then its tokens in order,
+    tab-separated; a query with an empty neighborhood is the query alone.
+    Written atomically (temp file then rename) so a crashed run never
+    leaves a half-valid cache behind.
     """
-    sets = sorted(neighbor_sets, key=lambda ns: ns.query)
     directory = os.path.dirname(os.fspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        lines = [json.dumps(_cache_header(model, neighbors.k), sort_keys=True)]
+        for query in sorted(neighbors.tokens):
+            tokens = neighbors.tokens[query]
+            if len(tokens) > neighbors.k:
+                raise ValueError(
+                    f"{len(tokens)} neighbors of {query!r} exceed the capacity {neighbors.k}"
+                )
+            lines.append("\t".join((query, *tokens)))
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(_cache_header(model, k), sort_keys=True) + "\n")
-            for ns in sets:
-                if ns.model_name != model.name or ns.k_requested != k:
-                    raise ValueError(
-                        f"neighbor set for {ns.query!r} does not belong to "
-                        f"({model.name!r}, k={k})"
-                    )
-                if not ns.entries:
-                    fh.write(f"{ns.query}\t0\n")
-                for rank, (token, score) in enumerate(ns.entries, start=1):
-                    fh.write(f"{ns.query}\t{rank}\t{token}\t{score:.9f}\n")
+            fh.write("\n".join(lines) + "\n")
         os.replace(tmp, os.fspath(path))
     except BaseException:
         if os.path.exists(tmp):
@@ -237,11 +316,12 @@ def cache_store(path, model: EmbeddingModel, k: int, neighbor_sets) -> None:
         raise
 
 
-def cache_load(path, model: EmbeddingModel, k: int) -> dict[str, NeighborSet] | None:
-    """Cached neighbor sets at the file's capacity, or None when that is below k.
+def cache_load(path, model: EmbeddingModel, k: int) -> NeighborMap | None:
+    """The cached neighbor map at the file's capacity, or None when that is below k.
 
-    Raises StaleCacheError when the file was built for another model or
-    other vectors.
+    Raises StaleCacheError when the file was built for another model, other
+    vectors or in another format (such as the per-rank lines with scores
+    that earlier versions wrote), and CacheFormatError for a malformed line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
@@ -265,30 +345,19 @@ def cache_load(path, model: EmbeddingModel, k: int) -> dict[str, NeighborSet] | 
     if capacity < k:
         return None
 
-    by_query: dict[str, list[tuple[str, float]]] = {}
-    empty: set[str] = set()
+    tokens: dict[str, tuple[str, ...]] = {}
     for line_no, line in enumerate(lines[1:], start=2):
-        parts = line.split("\t")
-        if parts[1:] == ["0"] and parts[0] not in by_query:
-            by_query[parts[0]] = []
-            empty.add(parts[0])
-            continue
-        if len(parts) != 4:
-            raise CacheFormatError("expected 4 tab-separated fields", line_no=line_no)
-        query, rank_s, token, score_s = parts
-        entries = by_query.setdefault(query, [])
-        try:
-            rank = int(rank_s)
-            score = float(score_s)
-        except ValueError:
-            raise CacheFormatError("unparseable rank or score", line_no=line_no) from None
-        if rank != len(entries) + 1 or rank > capacity or query in empty:
-            raise CacheFormatError(
-                f"rank {rank} out of order or above capacity for query {query!r}",
-                line_no=line_no,
-            )
-        entries.append((token, score))
-    return {
-        q: NeighborSet(q, capacity, model.name, tuple(entries))
-        for q, entries in by_query.items()
-    }
+        query, *neighbors = line.split("\t")
+        error = None
+        if not query or "" in neighbors:
+            error = "empty field"
+        elif query in tokens:
+            error = f"query {query!r} repeated"
+        elif len(neighbors) > capacity:
+            error = f"{len(neighbors)} neighbors of {query!r} exceed the capacity {capacity}"
+        elif query in neighbors:
+            error = f"query {query!r} lists itself"
+        if error is not None:
+            raise CacheFormatError(error, line_no=line_no)
+        tokens[query] = tuple(neighbors)
+    return NeighborMap(capacity, tokens)

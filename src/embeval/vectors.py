@@ -40,7 +40,6 @@ class EmbeddingModel:
     dim: int
     vocab: list[str]
     matrix: np.ndarray
-    normalized: bool = False
     zero_rows: frozenset[int] = frozenset()
     source_digest: str | None = None
     index: dict[str, int] = field(init=False, repr=False)
@@ -70,11 +69,6 @@ class EmbeddingModel:
             self.zero_rows = frozenset(self.zero_rows) | frozenset(
                 int(i) for i in np.flatnonzero(~self.matrix.any(axis=1))
             )
-            if self.normalized:
-                norms = np.linalg.norm(self.matrix, axis=1)
-                nonzero = np.setdiff1d(np.arange(len(self.vocab)), list(self.zero_rows))
-                if nonzero.size and np.max(np.abs(norms[nonzero] - 1.0)) > 1e-6:
-                    raise ValueError("normalized model has rows with norm far from 1")
         self.matrix.flags.writeable = False
 
     def __contains__(self, token: str) -> bool:
@@ -85,8 +79,6 @@ class EmbeddingModel:
 
     def unit_matrix(self) -> np.ndarray:
         """Row-normalized matrix (zero rows stay zero), computed once and cached."""
-        if self.normalized:
-            return self.matrix
         if self._unit_matrix is None:
             self._unit_matrix = _normalize_matrix(self.matrix)
             self._unit_matrix.flags.writeable = False
@@ -234,7 +226,6 @@ def load_vec(source: Source, name: str, keep_first: bool = False) -> EmbeddingMo
         dim=dim,
         vocab=vocab,
         matrix=rows[: len(vocab)],
-        normalized=False,
         source_digest=digest,
     )
     if model.zero_rows:

@@ -218,7 +218,6 @@ def load_vec_oracle(source: Source, name: str, keep_first: bool = False) -> Embe
         dim=dim,
         vocab=vocab,
         matrix=matrix,
-        normalized=False,
         zero_rows=zero_rows,
         source_digest=digest,
     )

@@ -208,6 +208,40 @@ def test_diversity_cache_records_empty_neighborhoods(tmp_path, thesaurus_path):
     assert row.split(",")[8] == "1"  # n_skipped_empty: "armut"
 
 
+def test_diversity_cache_of_the_per_rank_format_needs_refresh(
+    tmp_path, thesaurus_path, capsys, monkeypatch
+):
+    from embeval.neighbors import queryable, top_k
+
+    monkeypatch.delenv("EMBEVAL_CACHE_DIR", raising=False)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    models = []
+    for name, flip in (("alpha", False), ("beta", True)):
+        write_fixture_model(tmp_path / f"{name}.vec", name, flip=flip)
+        model = load_vec(tmp_path / f"{name}.vec", name)
+        models += ["--model", str(tmp_path / f"{name}.vec")]
+        # the layout earlier versions wrote: no format in the header, then
+        # query TAB rank TAB neighbor TAB score per entry
+        header = {"digest": model.source_digest, "dim": model.dim, "k": 5, "model": name}
+        lines = [json.dumps(header, sort_keys=True)]
+        for query in (q for q in model.vocab if queryable(model, q)):
+            for rank, (token, score) in enumerate(top_k(model, query, 5).entries, 1):
+                lines.append(f"{query}\t{rank}\t{token}\t{score:.9f}")
+        (cache / f"{name}.neighbors.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    args = ["diversity", *models, "--thesaurus", str(thesaurus_path), "--k", "5"]
+    cached = args + ["--cache-dir", str(cache)]
+
+    assert main(cached + ["--out", str(tmp_path / "stale")]) == 3
+    assert "--refresh" in capsys.readouterr().err
+    assert main(cached + ["--refresh", "--out", str(tmp_path / "rebuilt")]) == 0
+    assert main(cached + ["--out", str(tmp_path / "warm")]) == 0
+    assert main(args + ["--out", str(tmp_path / "fresh")]) == 0
+    fresh = _diversity_tables(tmp_path / "fresh")
+    assert _diversity_tables(tmp_path / "rebuilt") == fresh
+    assert _diversity_tables(tmp_path / "warm") == fresh
+
+
 def test_diversity_cache_capacity_serves_smaller_k(tmp_path, thesaurus_path):
     rng = np.random.default_rng(5)
     vocab = FIXTURE_VOCAB + [f"wort{i}" for i in range(30)]

@@ -14,7 +14,7 @@ from embeval.metrics import (
     match_map,
     relational_coverage,
 )
-from embeval.neighbors import cache_load, cache_store, neighbor_map, top_k_batch
+from embeval.neighbors import cache_load, cache_store, neighbor_map
 from embeval.report import pct
 from embeval.stringsim import VocabIndex, best_match
 from embeval.thesaurus import DescriptorPair
@@ -291,8 +291,7 @@ def test_diversity_from_cache_equals_fresh(tmp_path):
     maps = {}
     for model in (model_a, model_b):
         path = tmp_path / f"{model.name}.tsv"
-        sets = top_k_batch(model, ["a", "b"], 2).neighbor_sets
-        cache_store(path, model, 2, sets)
+        cache_store(path, model, neighbor_map(model, ["a", "b"], 2))
         maps[model.name] = cache_load(path, model, 2)
     cached = diversity(
         model_a, model_b, ["a", "b"], 2,
@@ -312,8 +311,7 @@ def test_diversity_matrix_from_cache_equals_fresh(tmp_path):
     maps = {}
     for model in models:
         path = tmp_path / f"{model.name}.tsv"
-        sets = top_k_batch(model, labels, 4).neighbor_sets
-        cache_store(path, model, 4, sets)
+        cache_store(path, model, neighbor_map(model, labels, 4))
         maps[model.name] = cache_load(path, model, 4)
     cached = diversity_matrix(models, labels, 4, neighbor_maps=maps)
 

@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -9,12 +11,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from embeval.errors import CacheFormatError, StaleCacheError, UnknownTokenError, ZeroVectorError
 from embeval.neighbors import (
+    NeighborMap,
+    _certified,
+    _NORM_SLACK,
     cache_load,
     cache_path,
     cache_store,
     cosine,
     neighbor_map,
-    normalize_rows,
     queryable,
     top_k,
     top_k_batch,
@@ -80,25 +84,23 @@ def test_cosine_keeps_direct_formula_in_normal_range(pair):
     assert cosine(u, v) == min(1.0, max(-1.0, dot / (nu * nv)))
 
 
-def test_normalize_rows_unit_rows_unchanged():
+def test_unit_matrix_unit_rows_unchanged():
     model = make_model("m", ["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
-    normalized = normalize_rows(model)
-    assert np.allclose(normalized.matrix, model.matrix, atol=1e-9)
-    again = normalize_rows(normalized)
-    assert np.array_equal(again.matrix, normalized.matrix)
+    unit = model.unit_matrix()
+    assert np.allclose(unit, model.matrix, atol=1e-9)
+    again = make_model("m", ["a", "b"], unit).unit_matrix()
+    assert np.array_equal(again, unit)
 
 
-def test_normalize_rows_345():
+def test_unit_matrix_345():
     model = make_model("m", ["a"], [[3.0, 4.0]])
-    assert normalize_rows(model).matrix[0].tolist() == pytest.approx([0.6, 0.8])
+    assert model.unit_matrix()[0].tolist() == pytest.approx([0.6, 0.8])
 
 
-def test_normalize_rows_keeps_zero_rows():
+def test_unit_matrix_keeps_zero_rows():
     model = make_model("m", ["a", "z"], [[1.0, 1.0], [0.0, 0.0]])
-    normalized = normalize_rows(model)
-    assert normalized.zero_rows == {1}
-    assert normalized.matrix[1].tolist() == [0.0, 0.0]
-    assert normalized.normalized
+    assert model.zero_rows == {1}
+    assert model.unit_matrix()[1].tolist() == [0.0, 0.0]
 
 
 def test_top_k_zero_k():
@@ -186,44 +188,37 @@ def test_top_k_scale_invariance():
     assert top_k(model2, "w3", 10).tokens() == order
 
 
-def test_top_k_identical_before_and_after_normalization():
-    rng = np.random.default_rng(8)
-    model = random_model(rng, "m", 40, 6)
-    normalized = normalize_rows(model)
-    for query in model.vocab[:5]:
-        assert top_k(model, query, 7) == top_k(normalized, query, 7)
-
-
 def test_batch_singleton_equals_top_k():
     rng = np.random.default_rng(9)
     model = random_model(rng, "m", 25, 4)
     single = top_k(model, "w0003", 5)
     batch = top_k_batch(model, ["w0003"], 5)
-    assert batch.neighbor_sets == [single]
+    assert batch.neighbor_sets == [("w0003", tuple(single.tokens()))]
     assert batch.skipped == []
 
 
 def test_batch_skips_unknown_queries():
     model = make_model("m", ["a", "b"], [[1, 0], [0, 1]])
     batch = top_k_batch(model, ["a", "zzz"], 1)
-    assert [ns.query for ns in batch.neighbor_sets] == ["a"]
+    assert [q for q, _ in batch.neighbor_sets] == ["a"]
     assert batch.skipped == ["zzz"]
 
 
 def test_batch_shape_independence():
     rng = np.random.default_rng(10)
-    model = random_model(rng, "m", 60, 5, n_duplicate_rows=4, n_zero_rows=2)
-    queries = [model.vocab[i] for i in (3, 9, 27, 41, 55, 0)]
-    base = top_k_batch(model, queries, 8).by_query()
-    permuted = top_k_batch(model, list(reversed(queries)), 8).by_query()
-    halves = {
-        **top_k_batch(model, queries[:3], 8).by_query(),
-        **top_k_batch(model, queries[3:], 8).by_query(),
-    }
-    singletons = {}
-    for q in queries:
-        singletons.update(top_k_batch(model, [q], 8).by_query())
-    assert base == permuted == halves == singletons
+    for dim in (5, 16, 40):  # blocks of 1, 2 and 5 queries
+        model = random_model(rng, "m", 60, dim, n_duplicate_rows=4, n_zero_rows=2)
+        queries = [model.vocab[i] for i in (3, 9, 27, 41, 55, 0)]
+        base = dict(top_k_batch(model, queries, 8).neighbor_sets)
+        permuted = dict(top_k_batch(model, list(reversed(queries)), 8).neighbor_sets)
+        halves = {
+            **dict(top_k_batch(model, queries[:3], 8).neighbor_sets),
+            **dict(top_k_batch(model, queries[3:], 8).neighbor_sets),
+        }
+        singletons = {}
+        for q in queries:
+            singletons.update(top_k_batch(model, [q], 8).neighbor_sets)
+        assert base == permuted == halves == singletons
 
 
 def test_batch_moderate_scale_smoke():
@@ -238,25 +233,54 @@ def test_batch_moderate_scale_smoke():
     elapsed = time.perf_counter() - start
     assert len(result.neighbor_sets) == len(queries)
     assert elapsed < 10.0
-    spot = result.neighbor_sets[0]
-    assert spot == top_k(model, spot.query, 10)
+    query, tokens = result.neighbor_sets[0]
+    assert list(tokens) == top_k(model, query, 10).tokens()
+
+
+def test_certification_needs_every_gap_above_the_bound():
+    for dim in (1, 50, 300):
+        n_eps = (dim + 2) * 2.0**-52
+        bound = 2 * n_eps / (1 - n_eps) * (1 + _NORM_SLACK)
+        above = np.nextafter(bound, 1.0)
+        assert _certified(np.array([[0.0, -bound]]), dim).tolist() == [False]
+        assert _certified(np.array([[0.0, -above]]), dim).tolist() == [True]
+        assert _certified(np.array([[0.0, -above, -above]]), dim).tolist() == [False]
+        assert _certified(np.array([[0.0], [1.0]]), dim).tolist() == [True, True]
+
+
+def test_near_duplicate_rows_fall_back_to_the_gemv_order():
+    # one base row plus 1e-15 noise: GEMM and GEMV round the near-equal
+    # scores differently and often order them differently
+    raw_differs = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal(48) + 1e-15 * rng.standard_normal((60, 48))
+        model = make_model("m", [f"w{i:02d}" for i in range(60)], rows)
+        queries = model.vocab[::7]
+        batch = top_k_batch(model, queries, 10)
+        assert batch.fallbacks == len(queries)
+        expected = {q: top_k(model, q, 10).tokens() for q in queries}
+        assert {q: list(t) for q, t in batch.neighbor_sets} == expected
+        unit = model.unit_matrix()
+        query_rows = [model.index[q] for q in queries]
+        scores = unit[query_rows] @ unit.T
+        scores[np.arange(len(queries)), query_rows] = -np.inf
+        for query, row in zip(queries, scores):
+            raw = [model.vocab[i] for i in np.lexsort((np.arange(60), -row))[:10]]
+            raw_differs += raw != expected[query]
+    assert raw_differs > 0  # the fixture does separate the two orders
 
 
 def test_cache_round_trip(tmp_path):
     rng = np.random.default_rng(12)
     model = random_model(rng, "toy", 30, 4)
     queries = model.vocab[:10]
-    sets = top_k_batch(model, queries, 5).neighbor_sets
+    stored = neighbor_map(model, queries, 5)
     path = tmp_path / "toy.k5.neighbors.tsv"
-    cache_store(path, model, 5, sets)
+    cache_store(path, model, stored)
     loaded = cache_load(path, model, 5)
-    assert set(loaded) == set(queries)
-    for ns in sets:
-        got = loaded[ns.query]
-        assert got.tokens() == ns.tokens()
-        for (_, s_got), (_, s_want) in zip(got.entries, ns.entries):
-            assert s_got == pytest.approx(s_want, abs=5e-10)  # 9-decimal serialization
-            assert f"{s_got:.9f}" == f"{s_want:.9f}"
+    assert set(loaded.tokens) == set(queries)
+    assert loaded == stored
 
 
 def test_cache_detects_digest_mismatch(tmp_path):
@@ -264,7 +288,7 @@ def test_cache_detects_digest_mismatch(tmp_path):
     model = random_model(rng, "toy", 20, 4)
     other = random_model(rng, "toy", 20, 4)
     path = tmp_path / "c.tsv"
-    cache_store(path, model, 3, top_k_batch(model, model.vocab[:4], 3).neighbor_sets)
+    cache_store(path, model, neighbor_map(model, model.vocab[:4], 3))
     with pytest.raises(StaleCacheError):
         cache_load(path, other, 3)
     with pytest.raises(StaleCacheError):
@@ -275,12 +299,12 @@ def test_cache_capacity_serves_every_smaller_k(tmp_path):
     rng = np.random.default_rng(15)
     model = random_model(rng, "toy", 20, 4)
     path = tmp_path / "c.tsv"
-    cache_store(path, model, 3, top_k_batch(model, model.vocab[:4], 3).neighbor_sets)
+    cache_store(path, model, neighbor_map(model, model.vocab[:4], 3))
     for k in (0, 2, 3):
         loaded = cache_load(path, model, k)
-        assert {ns.k_requested for ns in loaded.values()} == {3}
-        for q, ns in loaded.items():
-            assert ns.tokens()[:k] == top_k(model, q, k).tokens()
+        assert loaded.k == 3
+        for q, tokens in loaded.tokens.items():
+            assert list(tokens[:k]) == top_k(model, q, k).tokens()
     assert cache_load(path, model, 4) is None  # below capacity: the caller rebuilds
 
 
@@ -288,11 +312,11 @@ def test_cache_write_is_atomic(tmp_path):
     rng = np.random.default_rng(14)
     model = random_model(rng, "toy", 10, 3)
     path = tmp_path / "c.tsv"
-    bad = top_k_batch(model, model.vocab[:2], 2).neighbor_sets
-    cache_store(path, model, 2, bad)
+    good = neighbor_map(model, model.vocab[:2], 2)
+    cache_store(path, model, good)
     before = path.read_bytes()
     with pytest.raises(ValueError):
-        cache_store(path, model, 3, bad)  # k mismatch aborts mid-write
+        cache_store(path, model, NeighborMap(1, good.tokens))  # over capacity aborts mid-write
     assert path.read_bytes() == before
     assert list(tmp_path.glob("*.tmp")) == []
 
@@ -301,21 +325,39 @@ def test_cache_records_empty_neighborhoods(tmp_path):
     # one real word, the rest zero rows: "a" is queryable but has no neighbors
     model = make_model("m", ["a", "z1", "z2"], [[1, 0], [0, 0], [0, 0]])
     first = neighbor_map(model, ["a", "z1"], 5, tmp_path)
-    assert first == {"a": top_k(model, "a", 5)} and first["a"].entries == ()
+    assert first == NeighborMap(5, {"a": ()}) and top_k(model, "a", 5).entries == ()
     text = Path(cache_path(tmp_path, "m")).read_text(encoding="utf-8")
-    assert text.splitlines()[1:] == ["a\t0"]
+    assert text.splitlines()[1:] == ["a"]
     assert neighbor_map(model, ["a", "z1"], 5, tmp_path) == first
 
 
 @pytest.mark.parametrize("extra", ["a\t2\tb\t0.000000000", "c\t0\nc\t1\ta\t0.500000000"])
 def test_cache_rejects_ranks_beyond_a_record(tmp_path, extra):
-    # a rank above the capacity, or a ranked line after an empty-neighborhood record
+    # per-rank lines of the earlier layout appended to a file of capacity 1:
+    # a repeated query, or more neighbors than the capacity
     model = make_model("m", ["a", "b", "c"], [[1, 0], [0, 1], [1, 1]])
     path = tmp_path / "m.neighbors.tsv"
-    cache_store(path, model, 1, top_k_batch(model, ["a"], 1).neighbor_sets)
+    cache_store(path, model, neighbor_map(model, ["a"], 1))
     path.write_text(path.read_text(encoding="utf-8") + extra + "\n", encoding="utf-8")
     with pytest.raises(CacheFormatError):
         cache_load(path, model, 1)
+
+
+@pytest.mark.parametrize("body, line_no, message", [
+    (["a\tb\tc"], 2, "2 neighbors of 'a' exceed the capacity 1"),
+    (["a\tb", "a\tc"], 3, "query 'a' repeated"),
+    (["b\tc", "a\ta"], 3, "query 'a' lists itself"),
+    (["a\tb", "c\t"], 3, "empty field"),
+])
+def test_cache_rejects_malformed_lines(tmp_path, body, line_no, message):
+    model = make_model("m", ["a", "b", "c"], [[1, 0], [0, 1], [1, 1]])
+    path = tmp_path / "m.neighbors.tsv"
+    cache_store(path, model, NeighborMap(1, {}))
+    header = path.read_text(encoding="utf-8").splitlines()[0]
+    path.write_text("\n".join([header, *body]) + "\n", encoding="utf-8")
+    with pytest.raises(CacheFormatError, match=f"^line {line_no}: {message}") as exc:
+        cache_load(path, model, 1)
+    assert exc.value.line_no == line_no
 
 
 def test_neighbor_map_searches_each_distinct_query_once(monkeypatch):
@@ -333,7 +375,7 @@ def test_neighbor_map_searches_each_distinct_query_once(monkeypatch):
     result = neighbor_map(model, queries, 6)
     wanted = sorted({q for q in queries if queryable(model, q)})
     assert batches == [wanted]
-    assert result == {q: top_k(model, q, 6) for q in wanted}
+    assert result == NeighborMap(6, {q: tuple(top_k(model, q, 6).tokens()) for q in wanted})
 
 
 def test_neighbor_map_cache_policy(tmp_path):
@@ -354,7 +396,7 @@ def test_neighbor_map_cache_policy(tmp_path):
     before = path.read_bytes()
     served = neighbor_map(model, queries[:4], 5, tmp_path)
     assert path.read_bytes() == before
-    assert {q: ns.tokens()[:5] for q, ns in served.items() if q in queries[:4]} == {
+    assert {q: list(t[:5]) for q, t in served.tokens.items() if q in queries[:4]} == {
         q: top_k(model, q, 5).tokens() for q in queries[:4]
     }
     # a missing query or other vectors make the file stale unless refresh
@@ -369,8 +411,11 @@ def test_neighbor_map_cache_policy(tmp_path):
 
 @st.composite
 def tie_models(draw):
-    """Small models with integer rows: exact ties, duplicate rows and zero rows."""
-    dim = draw(st.integers(1, 4))
+    """Small models with integer rows: exact ties, duplicate rows and zero rows.
+
+    Up to dimension 4 a block holds one query; from 16 on, two or more.
+    """
+    dim = draw(st.one_of(st.integers(1, 4), st.integers(16, 20)))
     row = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
     rows = draw(st.lists(row, min_size=1, max_size=16))
     rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))]
@@ -378,28 +423,77 @@ def tie_models(draw):
     return make_model("m", [f"w{i:02d}" for i in range(len(rows))], rows)
 
 
+@st.composite
+def gaussian_models(draw):
+    """Models with Gaussian float rows, whose top-k orders mostly certify.
+
+    Dimensions 16 to 40 put 2 to 5 queries in a block; a few rows are zero.
+    """
+    n = draw(st.integers(1, 40))
+    dim = draw(st.integers(16, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_model(rng, "m", n, dim, n_zero_rows=draw(st.integers(0, 2)))
+
+
+def _assert_prefixes_equal_top_k(model, queries, capacity):
+    result = neighbor_map(model, queries, capacity)
+    assert set(result.tokens) == {q for q in queries if queryable(model, q)}
+    assert result.k == capacity
+    for query, tokens in result.tokens.items():
+        for k in range(capacity + 1):
+            assert list(tokens[:k]) == top_k(model, query, k).tokens()
+
+
 @settings(max_examples=150, deadline=None)
 @given(model=tie_models(), data=st.data())
 def test_provider_prefix_equals_top_k(model, data):
     capacity = data.draw(st.integers(0, len(model.vocab) + 1))
-    result = neighbor_map(model, model.vocab, capacity)
-    assert set(result) == {q for q in model.vocab if queryable(model, q)}
-    for query, ns in result.items():
-        assert ns.k_requested == capacity
-        for k in range(capacity + 1):
-            assert ns.entries[:k] == top_k(model, query, k).entries
+    _assert_prefixes_equal_top_k(model, model.vocab, capacity)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=gaussian_models(), data=st.data())
+def test_provider_prefix_equals_top_k_on_gaussian_rows(model, data):
+    capacity = data.draw(st.integers(0, len(model.vocab) + 1))
+    queries = data.draw(st.lists(st.sampled_from(model.vocab), max_size=12))
+    _assert_prefixes_equal_top_k(model, queries, capacity)
+
+
+def _logged_counts(records) -> dict[str, tuple[int, int, int]]:
+    counts = {}
+    for record in records:
+        found = re.fullmatch(
+            r"(\w+): searched (\d+) queries at k=\d+: (\d+) certified, (\d+) fell back to GEMV",
+            record.getMessage(),
+        )
+        if found:
+            counts[found[1]] = tuple(int(found[i]) for i in (2, 3, 4))
+    return counts
+
+
+def test_neighbor_map_logs_certified_and_fallback_counts(caplog):
+    caplog.set_level(logging.DEBUG, logger="embeval.neighbors")
+    rng = np.random.default_rng(40)
+    gaussian = random_model(rng, "gauss", 200, 32)
+    duplicated = random_model(rng, "dup", 200, 32, n_duplicate_rows=20)
+    neighbor_map(gaussian, gaussian.vocab[:30], 20)
+    neighbor_map(duplicated, duplicated.vocab, 20)
+    counts = _logged_counts(caplog.records)
+    assert counts["gauss"] == (30, 30, 0)
+    searched, certified, fallbacks = counts["dup"]
+    assert searched == 200 and certified + fallbacks == 200 and fallbacks > 0
 
 
 @settings(max_examples=100, deadline=None)
 @given(model=tie_models(), data=st.data())
 def test_cache_round_trip_prefix_equals_fresh_search(model, data):
     capacity = data.draw(st.integers(0, len(model.vocab) + 1))
-    sets = top_k_batch(model, model.vocab, capacity).neighbor_sets
+    stored = neighbor_map(model, model.vocab, capacity)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.neighbors.tsv"
-        cache_store(path, model, capacity, sets)
+        cache_store(path, model, stored)
         for k in range(capacity + 1):
             loaded = cache_load(path, model, k)
-            assert set(loaded) == {ns.query for ns in sets}
-            for query, ns in loaded.items():
-                assert ns.tokens()[:k] == top_k(model, query, k).tokens()
+            assert set(loaded.tokens) == set(stored.tokens)
+            for query, tokens in loaded.tokens.items():
+                assert list(tokens[:k]) == top_k(model, query, k).tokens()

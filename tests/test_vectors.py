@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from embeval import vectors
 from embeval.errors import UnknownTokenError, VecFormatError
-from embeval.neighbors import normalize_rows, top_k
+from embeval.neighbors import top_k
 from embeval.vectors import contains, load_vec, save_vec, vector
 from conftest import make_model
 from oracles import load_vec_oracle
@@ -178,12 +178,12 @@ def test_vector_unknown_token():
         vector(model, "zzz")
 
 
-def test_vector_unit_norm_after_normalize():
+def test_unit_matrix_rows_have_unit_norm():
     rng = np.random.default_rng(5)
     model = make_model("r", [f"w{i}" for i in range(20)], rng.standard_normal((20, 7)))
-    normalized = normalize_rows(model)
-    for token in normalized.vocab:
-        assert abs(np.linalg.norm(vector(normalized, token)) - 1.0) < 1e-6
+    unit = model.unit_matrix()
+    for token in model.vocab:
+        assert abs(np.linalg.norm(unit[model.index[token]]) - 1.0) < 1e-6
 
 
 def test_load_is_deterministic():
