@@ -15,18 +15,31 @@ tokenized line, so two raw lines that clean to the same sentence count as
 duplicates.  The per-line stages do their character work in C-level
 builtins (``re`` substitutions, ``str`` methods, ``dict.fromkeys``) rather
 than in per-character Python loops.
+
+``clean_document`` is a pure function of one document, so ``run_pipeline``
+runs it in forked worker processes, one per CPU the process may run on and
+at most one per document.  Each worker reads its own files and sends one
+``marshal`` record per document back through a pipe; the parent reads them
+in document order and does the corpus-wide steps (routing, deduplication,
+stats) alone.  The corpora, stats and report are therefore identical for
+any number of workers.  With one CPU, or on a platform without
+``os.fork``, the documents are cleaned serially in the process itself.
 """
 
+import contextlib
 import logging
+import marshal
 import math
 import os
 import re
+import signal
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Union
 
-from .errors import InputParseError
-from .langid import UNKNOWN, TrigramClassifier, classify_line_language
+from .errors import InputParseError, WorkerError
+from .langid import UNKNOWN, TrigramClassifier, classify_line_language, default_classifier
 from .numwords import MAX_NUMBER, number_to_words
 
 logger = logging.getLogger(__name__)
@@ -317,17 +330,122 @@ def clean_document(
 Documents = Union[str, os.PathLike, Iterable[tuple[str, str]]]
 
 
-def _iter_documents(documents: Documents, report: PipelineReport):
-    if isinstance(documents, (str, os.PathLike)):
-        paths = sorted(Path(documents).glob("*.txt"))
-        for path in paths:
-            try:
-                yield str(path), path.read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError) as exc:
-                logger.warning("skipping unreadable input %s: %s", path, exc)
-                report.files_skipped.append(str(path))
+def _usable_cpus() -> int:
+    """CPUs this process may run on; tests patch it to force a worker count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity, as on macOS
+        return os.cpu_count() or 1
+
+
+def _doc_id(item) -> str:
+    return str(item) if isinstance(item, Path) else item[0]
+
+
+def _clean_item(item, config: PipelineConfig, classifier) -> tuple:
+    """One input as the record run_pipeline aggregates: (skipped, unknown_lines, lines).
+
+    ``item`` is a file path, read here, or a ``(doc_id, text)`` pair; lines
+    are ``(text, lang)`` pairs.
+    """
+    if isinstance(item, Path):
+        try:
+            text = item.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            logger.warning("skipping unreadable input %s: %s", item, exc)
+            return True, 0, []
     else:
-        yield from documents
+        text = item[1]
+    doc = clean_document(_doc_id(item), text, config, classifier)
+    return False, doc.unknown_lines, [(line.text, line.lang) for line in doc.lines]
+
+
+class _LogCapture(logging.Handler):
+    """Keeps each record as the plain values ``marshal`` can send to the parent."""
+
+    def __init__(self, records: list):
+        super().__init__()
+        self.records = records
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append(
+            (record.name, record.levelno, record.pathname, record.lineno, record.getMessage(), record.funcName)
+        )
+
+
+def _work(items: list, config: PipelineConfig, classifier, fd: int) -> None:
+    """Body of a worker process: one marshal record per item, written to ``fd``.
+
+    A record is ``(skipped, unknown_lines, lines, failure, logs)``:
+    ``failure`` is the traceback text of an exception raised while cleaning
+    the item (the worker then stops), and ``logs`` are the records logged
+    meanwhile.  The handlers inherited from the parent are removed, so a
+    record is emitted once, by the parent, in document order.
+    """
+    logs: list = []
+    for lg in logging.Logger.manager.loggerDict.values():
+        if isinstance(lg, logging.Logger):
+            lg.handlers = []
+            lg.propagate = True
+    logging.root.handlers = [_LogCapture(logs)]
+    with os.fdopen(fd, "wb") as out:
+        for item in items:
+            failure = None
+            try:
+                record = _clean_item(item, config, classifier)
+            except Exception:
+                failure = traceback.format_exc()
+                record = (False, 0, [])
+            marshal.dump((*record, failure, logs), out)
+            logs.clear()
+            if failure is not None:
+                return
+
+
+def _forked_records(items: list, workers: int, config: PipelineConfig, classifier):
+    """The records of ``_clean_item`` for every item, in order, made by forked workers.
+
+    Item i goes to worker i mod ``workers``, so reading the workers' pipes
+    round-robin gives the items in order.  Each worker's log records are
+    emitted here with its record.  On any exit, normal or not, every worker
+    is killed and reaped.  Workers run only the cascade's Python code, so
+    threads of the parent (a BLAS pool, say) hold no lock a worker needs.
+    """
+    procs: list[tuple[int, object]] = []
+    try:
+        for w in range(workers):
+            rfd, wfd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(rfd)
+                    for _, reader in procs:
+                        reader.close()
+                    _work(items[w::workers], config, classifier, wfd)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(wfd)
+            procs.append((pid, os.fdopen(rfd, "rb")))
+        for i, item in enumerate(items):
+            _, reader = procs[i % workers]
+            try:
+                skipped, unknown_lines, lines, failure, logs = marshal.load(reader)
+            except EOFError:
+                raise WorkerError(f"the worker process cleaning {_doc_id(item)} ended without a result") from None
+            for name, levelno, pathname, lineno, msg, func in logs:
+                logging.getLogger(name).handle(
+                    logging.LogRecord(name, levelno, pathname, lineno, msg, None, None, func)
+                )
+            if failure is not None:
+                raise WorkerError(f"cleaning {_doc_id(item)} failed in a worker process:\n{failure.rstrip()}")
+            yield skipped, unknown_lines, lines
+    finally:
+        for pid, reader in procs:
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def run_pipeline(
@@ -339,25 +457,47 @@ def run_pipeline(
 ) -> tuple[list[CorpusStats], PipelineReport, dict[str, Path]]:
     """Clean all documents and write one deduplicated corpus file per language.
 
+    ``documents`` is a directory, whose ``*.txt`` files are read in name
+    order, or an iterable of ``(doc_id, text)`` pairs, read into a list
+    first.  Documents are cleaned in one forked worker per usable CPU, at
+    most one per document; serially where there is one or where the
+    platform has no ``os.fork``.  Results are aggregated in document order,
+    so the output does not depend on the number of workers.
+
     Returns per-language stats (the stats CSV columns), a run report, and the
     paths of the written corpus files.
     """
     report = PipelineReport()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    if classifier is None:
+        classifier = default_classifier()
+    if isinstance(documents, (str, os.PathLike)):
+        items: list = sorted(Path(documents).glob("*.txt"))
+    else:
+        items = list(documents)
+    workers = min(len(items), _usable_cpus())
 
     routed: dict[str, list[str]] = {lang: [] for lang in config.languages}
     contributors: dict[str, set[str]] = {lang: set() for lang in config.languages}
 
-    for doc_id, text in _iter_documents(documents, report):
-        report.files_processed += 1
-        doc = clean_document(doc_id, text, config, classifier)
-        report.unknown_lines += doc.unknown_lines
-        if not doc.lines:
-            report.empty_documents += 1
-        for line in doc.lines:
-            routed[line.lang].append(line.text)
-            contributors[line.lang].add(doc_id)
+    if workers > 1 and hasattr(os, "fork"):
+        records = _forked_records(items, workers, config, classifier)
+    else:
+        records = (_clean_item(item, config, classifier) for item in items)
+    with contextlib.closing(records):
+        for item, (skipped, unknown_lines, lines) in zip(items, records):
+            doc_id = _doc_id(item)
+            if skipped:
+                report.files_skipped.append(doc_id)
+                continue
+            report.files_processed += 1
+            report.unknown_lines += unknown_lines
+            if not lines:
+                report.empty_documents += 1
+            for text, lang in lines:
+                routed[lang].append(text)
+                contributors[lang].add(doc_id)
 
     stats: list[CorpusStats] = []
     outputs: dict[str, Path] = {}

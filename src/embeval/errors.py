@@ -58,3 +58,7 @@ class ZeroVectorError(EmbevalError):
 
 class UsageError(EmbevalError):
     """Invalid command-line arguments detected before any heavy work."""
+
+
+class WorkerError(EmbevalError):
+    """A worker process failed to clean a document."""

@@ -13,7 +13,9 @@ still contributes signal when present.
 """
 
 import math
+import operator
 from collections import Counter
+from functools import reduce
 from itertools import repeat
 
 UNKNOWN = "unknown"
@@ -103,13 +105,16 @@ class TrigramClassifier:
         grams = _trigrams(line)
         scores = {}
         for lang in self.languages:
-            # The builtin sum over the same values in the same order as a
-            # per-gram loop: fsum, numpy or partial sums would change the
-            # score bits and with them the routing.
-            scores[lang] = sum(map(self._logprob[lang].get, grams, repeat(self._fallback[lang])))
+            # A plain left-to-right fold, as a per-gram loop adds: the builtin
+            # sum compensates its rounding since Python 3.12, and it, fsum,
+            # numpy or partial sums would make the score bits, and with them
+            # the routing, depend on the interpreter.
+            scores[lang] = reduce(
+                operator.add, map(self._logprob[lang].get, grams, repeat(self._fallback[lang])), 0.0
+            )
         top = max(self.languages, key=lambda lang: scores[lang])
         peak = scores[top]
-        denom = sum(math.exp(s - peak) for s in scores.values())
+        denom = reduce(operator.add, (math.exp(s - peak) for s in scores.values()), 0.0)
         return top, 1.0 / denom
 
 

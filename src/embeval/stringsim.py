@@ -38,41 +38,33 @@ def edit_distance_sub2(a: str, b: str) -> int:
 
     Operates on Unicode code points. Symmetric; 0 iff the strings are equal.
     """
-    # Common prefixes/suffixes never change the optimal alignment cost.
-    lo = 0
-    hi_a, hi_b = len(a), len(b)
-    while lo < hi_a and lo < hi_b and a[lo] == b[lo]:
-        lo += 1
-    while hi_a > lo and hi_b > lo and a[hi_a - 1] == b[hi_b - 1]:
-        hi_a -= 1
-        hi_b -= 1
-    a = a[lo:hi_a]
-    b = b[lo:hi_b]
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
     if len(b) > len(a):
         a, b = b, a
+    return len(a) + len(b) - 2 * _lcs(_position_masks(b), len(b), a)
 
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        append = cur.append
-        for j, cb in enumerate(b, start=1):
-            if ca == cb:
-                best = prev[j - 1]
-            else:
-                best = prev[j - 1] + 2
-            up = prev[j] + 1
-            if up < best:
-                best = up
-            left = cur[j - 1] + 1
-            if left < best:
-                best = left
-            append(best)
-        prev = cur
-    return prev[-1]
+
+def _position_masks(token: str) -> dict[str, int]:
+    """Each character of token mapped to the bitmask of its positions."""
+    masks: dict[str, int] = {}
+    for pos, ch in enumerate(token):
+        masks[ch] = masks.get(ch, 0) | (1 << pos)
+    return masks
+
+
+def _lcs(masks: dict[str, int], m: int, other: str) -> int:
+    """LCS length of other with the m-character token whose ``_position_masks`` are given.
+
+    After each character of other, the number of zero bits among the lowest
+    m bits of the state V is the LCS of the token with the prefix of other
+    read so far.  Per character with position mask P in the token,
+    U = V & P and V = (V + U) | (V - U), cut to m bits.
+    """
+    full = (1 << m) - 1
+    v = full
+    for ch in other:
+        u = v & masks.get(ch, 0)
+        v = ((v + u) | (v - u)) & full
+    return m - v.bit_count()
 
 
 def ratio(a: str, b: str) -> float:
@@ -141,20 +133,9 @@ def _bucket_lcs(token: str, vocab: VocabIndex, length: int) -> np.ndarray:
     the same recurrence on Python ints, one candidate at a time.
     """
     m = len(token)
-    # Each character of token mapped to the bitmask of its positions.
-    masks: dict[str, int] = {}
-    for pos, ch in enumerate(token):
-        masks[ch] = masks.get(ch, 0) | (1 << pos)
+    masks = _position_masks(token)
     if m > _LANE_BITS:
-        full = (1 << m) - 1
-        out = []
-        for idx in vocab.by_length[length]:
-            v = full
-            for ch in vocab.tokens[idx]:
-                u = v & masks.get(ch, 0)
-                v = ((v + u) | (v - u)) & full
-            out.append(m - v.bit_count())
-        return np.array(out, dtype=np.int64)
+        return np.array([_lcs(masks, m, vocab.tokens[idx]) for idx in vocab.by_length[length]], dtype=np.int64)
 
     alphabet, codes = vocab.columns(length)
     # Peq[k]: position mask of alphabet[k] in token, 0 for characters it lacks.

@@ -279,7 +279,7 @@ def coverage_oracle(
 # The per-line stages of the cleaning cascade as they were before they were
 # moved onto C-level builtins: a character loop for camel case, a split and
 # join for numbers, a punctuation loop for every token, FNV-1a buckets for
-# deduplication, and a generator sum for the trigram scores.
+# deduplication, and a per-gram loop of float additions for the trigram scores.
 PUNCT_CHARS = ".,();:?!\"'„“”‚‘’«»"
 
 _INT_TOKEN_RE = re.compile(r"^(0|[1-9][0-9]{0,5})$")
@@ -415,8 +415,13 @@ def classify_oracle(self, line: str) -> tuple[str, float]:
     for lang in self.languages:
         table = self._logprob[lang]
         fallback = self._fallback[lang]
-        scores[lang] = sum(table.get(g, fallback) for g in grams)
+        score = 0.0
+        for g in grams:
+            score += table.get(g, fallback)
+        scores[lang] = score
     top = max(self.languages, key=lambda lang: scores[lang])
     peak = scores[top]
-    denom = sum(math.exp(s - peak) for s in scores.values())
+    denom = 0.0
+    for s in scores.values():
+        denom += math.exp(s - peak)
     return top, 1.0 / denom

@@ -426,6 +426,25 @@ def test_clean_and_stats_load_no_numpy(tmp_path):
     assert result.stdout.splitlines()[-1] == "[]"
 
 
+def test_clean_imports_no_multiprocessing(tmp_path):
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    for i in range(3):
+        (docs / f"d{i}.txt").write_text(f"Die Gesellschaft wandelt sich seit {i} Jahren.\n", encoding="utf-8")
+    script = (
+        "import sys\n"
+        "from embeval.cli import main\n"
+        f"assert main(['clean', '--input', {str(docs)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('multiprocessing', 'concurrent')))\n"
+    )
+    import embeval
+
+    env = {**os.environ, "PYTHONPATH": str(Path(embeval.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
 def test_package_exports_resolve_to_their_modules():
     import importlib
 

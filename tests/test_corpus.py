@@ -1,4 +1,7 @@
+import contextlib
+import os
 import random
+import signal
 import tempfile
 from pathlib import Path
 
@@ -6,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import embeval.corpus as corpus
-from embeval.errors import InputParseError
+from embeval.cli import main
+from embeval.errors import InputParseError, WorkerError
 from embeval.corpus import (
     PUNCT_CHARS,
     PipelineConfig,
@@ -525,3 +529,107 @@ def test_run_pipeline_on_its_own_output_is_byte_identical(texts, convert_numbers
         for lang in config.languages:
             name = f"corpus.{lang}.txt"
             assert (second / name).read_bytes() == (first / name).read_bytes()
+
+
+def _with_workers(workers: int, documents, config, out):
+    """run_pipeline as it runs on a machine with ``workers`` usable CPUs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus, "_usable_cpus", lambda: workers)
+        return run_pipeline(documents, config, out)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(_DOCUMENT | st.just(""), min_size=1, max_size=6),
+    st.sets(st.integers(0, 5), max_size=3),
+    st.integers(2, 3),
+)
+def test_run_pipeline_output_does_not_depend_on_the_worker_count(texts, unreadable_after, workers):
+    config = PipelineConfig(confidence_threshold=0.6, cover_delimiter="^---$")
+    with tempfile.TemporaryDirectory() as tmp:
+        docs = Path(tmp, "docs")
+        docs.mkdir()
+        for i, text in enumerate(texts):
+            (docs / f"d{i}.txt").write_text(text, encoding="utf-8")
+        # d{i}x.txt sorts right after d{i}.txt
+        for i in unreadable_after:
+            (docs / f"d{i}x.txt").write_bytes(b"\xff not utf-8")
+        pairs = [(f"d{i}", text) for i, text in enumerate(texts)]
+        skipped = [str(docs / f"d{i}x.txt") for i in sorted(unreadable_after)]
+        for documents, expected_skipped in ((docs, skipped), (pairs, [])):
+            serial, forked = Path(tmp, "serial"), Path(tmp, "forked")
+            stats, report, _ = _with_workers(1, documents, config, serial)
+            assert _with_workers(workers, documents, config, forked)[:2] == (stats, report)
+            for lang in config.languages:
+                name = f"corpus.{lang}.txt"
+                assert (forked / name).read_bytes() == (serial / name).read_bytes()
+            assert report.files_processed == len(texts)
+            assert report.files_skipped == expected_skipped
+            assert report.empty_documents >= texts.count("")
+
+
+def test_run_pipeline_runs_serially_without_fork(tmp_path, monkeypatch):
+    monkeypatch.delattr(corpus.os, "fork")
+    stats, report, _ = _with_workers(3, _write_docs(tmp_path), PipelineConfig(), tmp_path / "o")
+    assert report.files_processed == 4
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: int):
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_worker_failure_names_the_document_and_leaves_no_child(tmp_path, monkeypatch, capsys):
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    for i in range(5):
+        (docs / f"d{i}.txt").write_text("Die Gesellschaft wandelt sich.\n", encoding="utf-8")
+    original = corpus.clean_document
+
+    def clean_or_fail(doc_id, text, *args):
+        if doc_id.endswith("d3.txt"):
+            raise RuntimeError("simulated fault")
+        return original(doc_id, text, *args)
+
+    monkeypatch.setattr(corpus, "clean_document", clean_or_fail)
+    monkeypatch.setattr(corpus, "_usable_cpus", lambda: 2)
+    with _time_limit(30):
+        with pytest.raises(WorkerError) as info:
+            run_pipeline(docs, PipelineConfig(), tmp_path / "o")
+        message = str(info.value)
+        assert str(docs / "d3.txt") in message
+        assert "Traceback" in message
+        assert "in clean_or_fail" in message
+        assert "RuntimeError: simulated fault" in message
+        assert main(["clean", "--input", str(docs), "--out", str(tmp_path / "cli")]) == 4
+    assert "RuntimeError: simulated fault" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_logs_reach_the_parent_once_in_document_order(tmp_path, monkeypatch, caplog):
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    for i in range(5):
+        (docs / f"d{i}.txt").write_text("Die Gesellschaft wandelt sich.\n", encoding="utf-8")
+    for name in ("d1x.txt", "d3x.txt"):
+        (docs / name).write_bytes(b"\xff not utf-8")
+    monkeypatch.setattr(corpus, "_usable_cpus", lambda: 2)
+    with caplog.at_level("WARNING"):
+        run_pipeline(docs, PipelineConfig(cover_delimiter="^---$"), tmp_path / "o")
+    cover = "cover delimiter '^---$' not found; text kept unchanged"
+    expected = [cover, cover, f"skipping unreadable input {docs / 'd1x.txt'}", cover, cover,
+                f"skipping unreadable input {docs / 'd3x.txt'}", cover, "no output lines for language 'en'"]
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == len(expected)
+    assert all(m.startswith(e) for m, e in zip(messages, expected)), messages
+    assert {(r.name, r.levelname) for r in caplog.records} == {("embeval.corpus", "WARNING")}

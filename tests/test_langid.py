@@ -1,6 +1,11 @@
+import builtins
+import math
+from itertools import repeat
+
 import pytest
 
-from embeval.langid import TrigramClassifier, classify_line_language, default_classifier
+from embeval.langid import TrigramClassifier, _trigrams, classify_line_language, default_classifier
+from oracles import classify_oracle
 
 
 def _read_fixture(path):
@@ -71,3 +76,30 @@ def test_classifier_needs_two_languages():
 
 def test_default_classifier_is_cached():
     assert default_classifier() is default_classifier()
+
+
+def _neumaier_sum(values, start=0):
+    """The compensated float sum of the builtin ``sum`` since Python 3.12."""
+    total, c = float(start), 0.0
+    for x in values:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+# Mixed lines whose scores are close enough that a compensated sum moves the
+# confidence bits.
+@pytest.mark.parametrize("line", ["and und", "die the", "social die of gesellschaft", "the of gesellschaft of"])
+def test_classify_does_not_depend_on_the_builtin_sum(monkeypatch, line):
+    clf = default_classifier()
+    values = list(map(clf._logprob["de"].get, _trigrams(line), repeat(clf._fallback["de"])))
+    fold = 0.0
+    for v in values:
+        fold += v
+    assert _neumaier_sum(values) != fold
+    expected = classify_oracle(clf, line)
+    with monkeypatch.context() as mp:
+        mp.setattr(builtins, "sum", _neumaier_sum)
+        got = clf.classify(line)
+    assert got == expected
