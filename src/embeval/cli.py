@@ -6,9 +6,17 @@ computation starts.  Every command writes CSV and Markdown tables plus a
 run manifest into --out; rerunning with identical inputs and parameters
 reproduces the tables byte for byte (the manifest differs only in its
 duration field).
+
+The vector commands (coverage, diversity, relations) share one skeleton,
+``_vector_command``: it loads the models and the thesaurus, records them
+in the manifest and writes the tables.  Each command adds its argument
+checks, its manifest parameters and a ``tables`` function, which builds
+the match or neighbor maps and reads the metrics off them; this module is
+the one place that builds maps.
 """
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -49,34 +57,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus_files", nargs="+", help="cleaned corpus files (<name>.<lang>.txt)")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("coverage", help="keyword coverage of model vocabularies")
-    p.add_argument("--model", action="append", required=True, help="word-vector file (repeatable)")
-    p.add_argument("--thesaurus", required=True)
-    p.add_argument("--s", action="append", type=float, help="similarity threshold (repeatable)")
-    p.add_argument("--lang", default="de")
-    p.add_argument("--no-lowercase", action="store_true")
-    p.add_argument("--out", required=True)
+    # the inputs every vector command reads
+    vector = argparse.ArgumentParser(add_help=False)
+    vector.add_argument("--model", action="append", required=True, help="word-vector file (repeatable)")
+    vector.add_argument("--thesaurus", required=True)
+    vector.add_argument("--lang", default="de")
+    vector.add_argument("--no-lowercase", action="store_true")
+    vector.add_argument("--out", required=True)
 
-    p = sub.add_parser("diversity", help="neighborhood diversity between models")
-    p.add_argument("--model", action="append", required=True)
-    p.add_argument("--thesaurus", required=True)
+    p = sub.add_parser("coverage", parents=[vector], help="keyword coverage of model vocabularies")
+    p.add_argument("--s", action="append", type=float, help="similarity threshold (repeatable)")
+
+    p = sub.add_parser("diversity", parents=[vector], help="neighborhood diversity between models")
     p.add_argument("--k", action="append", type=int, help="neighborhood size (repeatable)")
-    p.add_argument("--lang", default="de")
     p.add_argument("--denominator", choices=DENOMINATOR_CHOICES, default="evaluated")
     p.add_argument("--cache-dir", help=f"neighbor cache directory (or ${CACHE_DIR_ENV})")
     p.add_argument("--refresh", action="store_true", help="rebuild stale or incomplete caches")
-    p.add_argument("--no-lowercase", action="store_true")
-    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("relations", help="relational coverage per relation type")
-    p.add_argument("--model", action="append", required=True)
-    p.add_argument("--thesaurus", required=True)
+    p = sub.add_parser("relations", parents=[vector], help="relational coverage per relation type")
     p.add_argument("--k", action="append", type=int)
-    p.add_argument("--lang", default="de")
     p.add_argument("--single-word-only", action="store_true")
     p.add_argument("--oov-policy", choices=OOV_CHOICES, default="miss")
-    p.add_argument("--no-lowercase", action="store_true")
-    p.add_argument("--out", required=True)
 
     p = sub.add_parser("neighbors", help="print the top-k neighbors of one word")
     p.add_argument("--model", required=True)
@@ -147,15 +148,20 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _write_stats(path: Path, stats) -> None:
+    rows = [[s.lang, s.tokens, s.vocabulary, s.files, f"{s.megabytes:.2f}"] for s in stats]
+    write_csv(path, ["lang", "tokens", "vocabulary", "files", "megabytes"], rows)
+
+
 def cmd_clean(args) -> int:
-    _require_dirs = Path(args.input)
-    if not _require_dirs.is_dir():
+    input_dir = Path(args.input)
+    if not input_dir.is_dir():
         raise UsageError(f"no such input directory: {args.input}")
     if args.config:
         _require_files(args.config)
     config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
     out = _out_dir(args)
-    inputs = sorted(str(p) for p in Path(args.input).glob("*.txt"))
+    inputs = sorted(str(p) for p in input_dir.glob("*.txt"))
     if args.config:
         inputs.append(args.config)
     manifest = _manifest(
@@ -164,10 +170,7 @@ def cmd_clean(args) -> int:
     )
     with ManifestTimer(manifest):
         stats, report, outputs = run_pipeline(args.input, config, out, corpus_name=args.name)
-        rows = [
-            [s.lang, s.tokens, s.vocabulary, s.files, f"{s.megabytes:.2f}"] for s in stats
-        ]
-        write_csv(out / "corpus_stats.csv", ["lang", "tokens", "vocabulary", "files", "megabytes"], rows)
+        _write_stats(out / "corpus_stats.csv", stats)
         summary = {
             "files_processed": report.files_processed,
             "files_skipped": report.files_skipped,
@@ -191,13 +194,32 @@ def cmd_stats(args) -> int:
     out = _out_dir(args)
     manifest = _manifest("stats", list(args.corpus_files), {})
     with ManifestTimer(manifest):
-        stats = recount_stats(args.corpus_files)
-        rows = [
-            [s.lang, s.tokens, s.vocabulary, s.files, f"{s.megabytes:.2f}"] for s in stats
-        ]
-        write_csv(out / "stats.csv", ["lang", "tokens", "vocabulary", "files", "megabytes"], rows)
+        _write_stats(out / "stats.csv", recount_stats(args.corpus_files))
     manifest.write(out / "stats.manifest.json")
     print(f"wrote {out / 'stats.csv'}")
+    return 0
+
+
+def _vector_command(args, parameters: dict, tables) -> int:
+    """Load the models and the thesaurus, then write ``tables(models, thesaurus)``.
+
+    ``tables`` returns the CSV header, the CSV rows and the Markdown text,
+    written to ``<command>.csv`` and ``<command>.md`` next to the manifest.
+    """
+    _require_files(*args.model, args.thesaurus)
+    out = _out_dir(args)
+    parameters = {**parameters, "lang": args.lang, "lowercase": not args.no_lowercase}
+    manifest = _manifest(args.command, [], parameters)
+    with ManifestTimer(manifest):
+        models = _load_models(args.model, manifest)
+        manifest.add_input(args.thesaurus)
+        manifest.parameters["zero_vectors"] = {m.name: len(m.zero_rows) for m in models}
+        header, rows, md = tables(models, _load_thesaurus(args.thesaurus))
+        csv_path, md_path = out / f"{args.command}.csv", out / f"{args.command}.md"
+        write_csv(csv_path, header, rows)
+        md_path.write_text(md, encoding="utf-8")
+    manifest.write(out / f"{args.command}.manifest.json")
+    print(f"wrote {csv_path} and {md_path}")
     return 0
 
 
@@ -207,46 +229,26 @@ def cmd_coverage(args) -> int:
     from .thesaurus import keywords
 
     s_values = _check_s_values(args.s or [0.9, 0.95, 1.0])
-    _require_files(*args.model, args.thesaurus)
-    out = _out_dir(args)
     lowercase = not args.no_lowercase
-    manifest = _manifest(
-        "coverage", [],
-        {"s": s_values, "lang": args.lang, "lowercase": lowercase},
-    )
-    with ManifestTimer(manifest):
-        models = _load_models(args.model, manifest)
-        manifest.add_input(args.thesaurus)
-        manifest.parameters["zero_vectors"] = {m.name: len(m.zero_rows) for m in models}
-        th = _load_thesaurus(args.thesaurus)
-        labels = [kw.label for kw in keywords(th, args.lang)]
-        csv_rows = []
-        md_columns: dict[str, dict[str, str]] = {m.name: {} for m in models}
+
+    def tables(models, th):
+        labels = keywords(th, args.lang)
+        rows = []
         for model in models:
             matches = match_map(VocabIndex(model.vocab), labels, min(s_values), lowercase)
-            md_columns[model.name]["Vocab size"] = str(len(model.vocab))
             for s in s_values:
-                result = coverage(model, labels, s, lowercase=lowercase, matches=matches)
-                csv_rows.append(
-                    [model.name, len(model.vocab), str(s), result.n_keywords,
-                     result.n_covered, pct(result.c)]
-                )
-                md_columns[model.name][f"s={s}"] = pct(result.c)
-        write_csv(
-            out / "coverage.csv",
-            ["model", "vocab_size", "s", "n_keywords", "n_covered", "c"],
-            csv_rows,
-        )
-        header = [""] + [m.name for m in models]
-        md_rows = [["Vocab size"] + [md_columns[m.name]["Vocab size"] for m in models]]
-        for s in s_values:
-            md_rows.append([f"s={s}"] + [md_columns[m.name][f"s={s}"] for m in models])
+                result = coverage(model, labels, s, matches, lowercase)
+                rows.append([model.name, len(model.vocab), str(s), result.n_keywords,
+                             result.n_covered, pct(result.c)])
+        # rows run model by model, so rows[j::len(s_values)] is the j-th threshold of each model
+        md_rows = [["Vocab size"] + [str(len(m.vocab)) for m in models]]
+        md_rows += [[f"s={s}"] + [row[-1] for row in rows[j :: len(s_values)]]
+                    for j, s in enumerate(s_values)]
         md = f"# Keyword coverage (n={len(labels)} keywords, lang={args.lang})\n\n"
-        md += markdown_table(header, md_rows)
-        (out / "coverage.md").write_text(md, encoding="utf-8")
-    manifest.write(out / "coverage.manifest.json")
-    print(f"wrote {out / 'coverage.csv'} and {out / 'coverage.md'}")
-    return 0
+        md += markdown_table([""] + [m.name for m in models], md_rows)
+        return ["model", "vocab_size", "s", "n_keywords", "n_covered", "c"], rows, md
+
+    return _vector_command(args, {"s": s_values}, tables)
 
 
 def cmd_diversity(args) -> int:
@@ -257,62 +259,37 @@ def cmd_diversity(args) -> int:
     if len(args.model) < 2:
         raise UsageError("diversity needs at least two --model files")
     k_values = _check_k_values(args.k or [10, 50, 200])
-    _require_files(*args.model, args.thesaurus)
-    out = _out_dir(args)
     lowercase = not args.no_lowercase
     cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV) or None
-    manifest = _manifest(
-        "diversity", [],
-        {"k": k_values, "lang": args.lang, "denominator": args.denominator,
-         "lowercase": lowercase, "cache_dir": cache_dir, "refresh": args.refresh},
-    )
-    with ManifestTimer(manifest):
-        models = _load_models(args.model, manifest)
-        manifest.add_input(args.thesaurus)
-        manifest.parameters["zero_vectors"] = {m.name: len(m.zero_rows) for m in models}
-        th = _load_thesaurus(args.thesaurus)
-        labels = [kw.label for kw in keywords(th, args.lang)]
+
+    def tables(models, th):
+        labels = keywords(th, args.lang)
         queries = keyword_queries(labels, lowercase)
-        neighbor_maps = {m.name: neighbor_map(m, queries, max(k_values), cache_dir, args.refresh)
-                         for m in models}
-        csv_rows = []
+        maps = {m.name: neighbor_map(m, queries, max(k_values), cache_dir, args.refresh)
+                for m in models}
+        rows = []
         md_parts = [f"# Neighborhood diversity (n={len(labels)} keywords, lang={args.lang})\n"]
         for k in k_values:
-            matrix = diversity_matrix(
-                models, labels, k,
-                lowercase=lowercase, denominator=args.denominator,
-                neighbor_maps=neighbor_maps,
-            )
-            for i, a in enumerate(models):
-                for b in models[i + 1 :]:
-                    res = matrix[(a.name, b.name)]
-                    csv_rows.append(
-                        [k, a.name, b.name, res.n_total, res.n_evaluated,
-                         res.n_disjoint, res.n_skipped_multiword, res.n_skipped_oov,
-                         res.n_skipped_empty, pct(res.d), res.denominator]
-                    )
-            header = [f"top-{k}"] + [m.name for m in models]
-            rows = []
-            for a in models:
-                row = [a.name]
-                for b in models:
-                    row.append("-" if a.name == b.name else pct(matrix[(a.name, b.name)].d))
-                rows.append(row)
-            md_parts.append(markdown_table(header, rows))
+            matrix = diversity_matrix(models, labels, k, maps, lowercase, args.denominator)
+            for a, b in itertools.combinations(models, 2):
+                res = matrix[(a.name, b.name)]
+                rows.append([k, a.name, b.name, res.n_total, res.n_evaluated,
+                             res.n_disjoint, res.n_skipped_multiword, res.n_skipped_oov,
+                             res.n_skipped_empty, pct(res.d), res.denominator])
+            md_rows = [[a.name] + ["-" if a.name == b.name else pct(matrix[(a.name, b.name)].d)
+                                   for b in models] for a in models]
+            md_parts.append(markdown_table([f"top-{k}"] + [m.name for m in models], md_rows))
         md_parts.append(
             "Neighborhoods exclude the query token itself; zero-vector and "
             "out-of-vocabulary keywords are skipped and counted in the CSV.\n"
         )
-        write_csv(
-            out / "diversity.csv",
-            ["k", "model_a", "model_b", "n_total", "n_evaluated", "n_disjoint",
-             "n_skipped_multiword", "n_skipped_oov", "n_skipped_empty", "d", "denominator"],
-            csv_rows,
-        )
-        (out / "diversity.md").write_text("\n".join(md_parts), encoding="utf-8")
-    manifest.write(out / "diversity.manifest.json")
-    print(f"wrote {out / 'diversity.csv'} and {out / 'diversity.md'}")
-    return 0
+        header = ["k", "model_a", "model_b", "n_total", "n_evaluated", "n_disjoint",
+                  "n_skipped_multiword", "n_skipped_oov", "n_skipped_empty", "d", "denominator"]
+        return header, rows, "\n".join(md_parts)
+
+    parameters = {"k": k_values, "denominator": args.denominator, "cache_dir": cache_dir,
+                  "refresh": args.refresh}
+    return _vector_command(args, parameters, tables)
 
 
 def cmd_relations(args) -> int:
@@ -321,69 +298,50 @@ def cmd_relations(args) -> int:
     from .thesaurus import RELATION_TYPES, descriptor_pairs
 
     k_values = _check_k_values(args.k or [10, 50, 200])
-    _require_files(*args.model, args.thesaurus)
-    out = _out_dir(args)
     lowercase = not args.no_lowercase
-    manifest = _manifest(
-        "relations", [],
-        {"k": k_values, "lang": args.lang, "single_word_only": args.single_word_only,
-         "oov_policy": args.oov_policy, "lowercase": lowercase},
-    )
-    with ManifestTimer(manifest):
-        models = _load_models(args.model, manifest)
-        manifest.add_input(args.thesaurus)
-        manifest.parameters["zero_vectors"] = {m.name: len(m.zero_rows) for m in models}
-        th = _load_thesaurus(args.thesaurus)
+
+    def tables(models, th):
         selections = {
             rel: descriptor_pairs(th, rel, args.lang, single_word_only=args.single_word_only)
             for rel in RELATION_TYPES
         }
-        all_pairs = [p for rel in RELATION_TYPES for p in selections[rel].pairs]
-        queries = descriptor_queries(all_pairs, lowercase)
-        neighbor_maps = {m.name: neighbor_map(m, queries, max(k_values)) for m in models}
-        csv_rows = []
+        pairs = [p for rel in RELATION_TYPES for p in selections[rel].pairs]
+        queries = descriptor_queries(pairs, lowercase)
+        maps = {m.name: neighbor_map(m, queries, max(k_values)) for m in models}
+        rows = []
         md_parts = [f"# Relational coverage (lang={args.lang}, oov={args.oov_policy})\n"]
         for k in k_values:
-            rows = []
+            md_rows = []
             for model in models:
-                results = relational_coverage(
-                    model, all_pairs, k, lowercase=lowercase, oov_policy=args.oov_policy,
-                    neighbors=neighbor_maps[model.name],
-                )
-                row = [model.name]
+                results = relational_coverage(model, pairs, k, maps[model.name], lowercase,
+                                              args.oov_policy)
+                md_row = [model.name]
                 for rel, short in RELATION_COLUMNS:
                     res = results.get(rel)
                     if res is None:
-                        csv_rows.append([k, model.name, short, 0, 0, 0, args.oov_policy, pct(0.0)])
-                        row.append("0.00 (n=0)")
-                        continue
-                    csv_rows.append(
-                        [k, model.name, short, res.n_pairs, res.n_found,
-                         res.n_oov_descriptors, res.oov_policy, pct(res.r)]
-                    )
-                    row.append(pct(res.r))
-                rows.append(row)
-            header = [f"top-{k}"] + [short for _, short in RELATION_COLUMNS]
-            md_parts.append(markdown_table(header, rows))
-        n_pairs_by_rel = {rel: len(selections[rel].pairs) for rel in RELATION_TYPES}
+                        rows.append([k, model.name, short, 0, 0, 0, args.oov_policy, pct(0.0)])
+                        md_row.append("0.00 (n=0)")
+                    else:
+                        rows.append([k, model.name, short, res.n_pairs, res.n_found,
+                                     res.n_oov_descriptors, res.oov_policy, pct(res.r)])
+                        md_row.append(pct(res.r))
+                md_rows.append(md_row)
+            md_parts.append(markdown_table([f"top-{k}"] + [short for _, short in RELATION_COLUMNS], md_rows))
+
+        def per_relation(count) -> str:
+            return ", ".join(f"{short}={count(selections[rel])}" for rel, short in RELATION_COLUMNS)
+
         md_parts.append(
-            "Pairs per relation: "
-            + ", ".join(f"{short}={n_pairs_by_rel[rel]}" for rel, short in RELATION_COLUMNS)
-            + "; dropped (no label in lang): "
-            + ", ".join(f"{short}={selections[rel].skipped_no_lang}" for rel, short in RELATION_COLUMNS)
-            + "; dropped (multiword): "
-            + ", ".join(f"{short}={selections[rel].skipped_multiword}" for rel, short in RELATION_COLUMNS)
-            + "\n"
+            f"Pairs per relation: {per_relation(lambda sel: len(sel.pairs))}"
+            f"; dropped (no label in lang): {per_relation(lambda sel: sel.skipped_no_lang)}"
+            f"; dropped (multiword): {per_relation(lambda sel: sel.skipped_multiword)}\n"
         )
-        write_csv(
-            out / "relations.csv",
-            ["k", "model", "relation", "n_pairs", "n_found", "n_oov_descriptors", "oov_policy", "r"],
-            csv_rows,
-        )
-        (out / "relations.md").write_text("\n".join(md_parts), encoding="utf-8")
-    manifest.write(out / "relations.manifest.json")
-    print(f"wrote {out / 'relations.csv'} and {out / 'relations.md'}")
-    return 0
+        header = ["k", "model", "relation", "n_pairs", "n_found", "n_oov_descriptors", "oov_policy", "r"]
+        return header, rows, "\n".join(md_parts)
+
+    parameters = {"k": k_values, "single_word_only": args.single_word_only,
+                  "oov_policy": args.oov_policy}
+    return _vector_command(args, parameters, tables)
 
 
 def cmd_neighbors(args) -> int:

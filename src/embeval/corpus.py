@@ -140,10 +140,9 @@ class CleanedLine:
 
 @dataclass
 class CorpusDocument:
-    """One document after cleaning: routed, tokenized lines plus raw text."""
+    """One document after cleaning: routed, tokenized lines."""
 
     doc_id: str
-    raw_text: str
     lines: list[CleanedLine] = field(default_factory=list)
     unknown_lines: int = 0
 
@@ -304,7 +303,7 @@ def clean_document(
             return None
         return lang, confidence
 
-    doc = CorpusDocument(doc_id=doc_id, raw_text=text)
+    doc = CorpusDocument(doc_id=doc_id)
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     if config.cover_pattern is not None:
         text = strip_cover(text, config.cover_pattern)
@@ -531,21 +530,18 @@ def run_pipeline(
     return stats, report, outputs
 
 
-def recount_stats(paths: Iterable, lang_of=None) -> list[CorpusStats]:
+def recount_stats(paths: Iterable) -> list[CorpusStats]:
     """Recount per-language stats from existing corpus files.
 
-    The language defaults to the second-to-last filename suffix
+    The language is the second-to-last filename suffix
     (``name.de.txt`` -> ``de``); ``files`` counts the corpus files that were
     aggregated per language.
     """
     by_lang: dict[str, dict] = {}
     for path in paths:
         path = Path(path)
-        if lang_of is not None:
-            lang = lang_of(path)
-        else:
-            parts = path.name.split(".")
-            lang = parts[-2] if len(parts) >= 3 else "unknown"
+        parts = path.name.split(".")
+        lang = parts[-2] if len(parts) >= 3 else "unknown"
         acc = by_lang.setdefault(
             lang, {"tokens": 0, "vocab": set(), "files": 0, "bytes": 0}
         )

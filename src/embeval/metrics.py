@@ -1,44 +1,38 @@
-"""The three intrinsic evaluation metrics over models and a thesaurus.
+"""The three intrinsic evaluation metrics, as pure functions over prebuilt maps.
 
 * coverage: share of thesaurus keywords whose tokens are all found in a
-  model vocabulary, exactly or within a ratio-similarity threshold s.
+  model vocabulary, exactly or within a ratio-similarity threshold s.  It
+  reads each token's match from a ``match_map``.
 * diversity: share of keywords whose top-k neighborhoods in two models are
-  disjoint.
+  disjoint.  It reads them from one ``neighbors.neighbor_map`` per model.
 * relational coverage: share of (descriptor, concept) pairs where the
   concept label appears among the descriptor's top-k neighbors, per
-  relation type.
+  relation type.  It reads them from the model's ``neighbor_map``.
 
-Keyword labels are lowercased by default and hyphens are mapped to spaces
-before whitespace splitting, mirroring what the corpus cleaning does to the
-training text; otherwise case and hyphenation would spuriously zero the
-scores.  All percentages are exact counts scaled by 100; rendering to two
-decimals happens in the report layer.
+No metric searches a vocabulary itself: the caller builds each map once
+per model, and every threshold or k reads it.  Every metric splits a label
+with ``thesaurus.keyword_tokens`` (lowercased by default, hyphens mapped
+to spaces), mirroring what the corpus cleaning does to the training text;
+otherwise case and hyphenation would spuriously zero the scores.  A label
+of more than one token is skipped by diversity and counts as an
+out-of-vocabulary descriptor, or as a concept not found, in relational
+coverage.  All percentages are exact counts scaled by 100; rendering to
+two decimals happens in the report layer.
 """
 
 import logging
-import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .neighbors import NeighborMap, neighbor_map, queryable
-from .corpus import HYPHEN_CHARS, DASH_CHARS
+from .neighbors import NeighborMap, queryable
 from .stringsim import RatioMatch, VocabIndex, best_match
-from .thesaurus import DescriptorPair
+from .thesaurus import DescriptorPair, keyword_tokens
 from .vectors import EmbeddingModel
 
 logger = logging.getLogger(__name__)
 
-_HYPHEN_TO_SPACE = re.compile(f"[{HYPHEN_CHARS}{DASH_CHARS}]")
-
 DENOMINATOR_POLICIES = ("evaluated", "total")
 OOV_POLICIES = ("miss", "skip")
-
-
-def keyword_tokens(label: str, lowercase: bool = True) -> tuple[str, ...]:
-    """Tokens of a thesaurus label, aligned with corpus tokens."""
-    text = label.lower() if lowercase else label
-    text = _HYPHEN_TO_SPACE.sub(" ", text)
-    return tuple(text.split())
 
 
 @dataclass
@@ -90,14 +84,6 @@ class DiversityResult:
             return 0.0
         return 100.0 * self.n_disjoint / n
 
-    @property
-    def d_evaluated(self) -> float:
-        return 100.0 * self.n_disjoint / self.n_evaluated if self.n_evaluated else 0.0
-
-    @property
-    def d_total(self) -> float:
-        return 100.0 * self.n_disjoint / self.n_total if self.n_total else 0.0
-
 
 @dataclass
 class RelationalResult:
@@ -118,23 +104,6 @@ class RelationalResult:
         if n <= 0:
             return 0.0
         return 100.0 * self.n_found / n
-
-
-def _match_tokens(
-    tokens: Sequence[str],
-    index: VocabIndex,
-    s: float,
-    matches: dict[str, RatioMatch | None],
-) -> None:
-    """Add the ``best_match`` at s of each token up to its first miss to ``matches``.
-
-    A token already in ``matches`` is not matched again.
-    """
-    for token in tokens:
-        if token not in matches:
-            matches[token] = best_match(token, index, s)
-        if matches[token] is None:
-            return
 
 
 def _match_records(
@@ -173,50 +142,28 @@ def match_map(
     """
     matches: dict[str, RatioMatch | None] = {}
     for label in keywords:
-        _match_tokens(keyword_tokens(label, lowercase=lowercase), index, s_min, matches)
+        for token in keyword_tokens(label, lowercase=lowercase):
+            if token not in matches:
+                matches[token] = best_match(token, index, s_min)
+            if matches[token] is None:
+                break
     return matches
-
-
-def keyword_covered(
-    keyword: Sequence[str],
-    model: EmbeddingModel,
-    s: float,
-    index: VocabIndex | None = None,
-    lowercase: bool = True,
-) -> list[tuple[str, str, float]] | None:
-    """Match records if every keyword token reaches ratio >= s in the vocabulary.
-
-    Returns None when any token misses.  Tokens are lowercased first by
-    default (lowercasing is idempotent, so pre-normalized tokens are fine).
-    An empty keyword never counts as covered.
-    """
-    if index is None:
-        index = VocabIndex(model.vocab)
-    tokens = [t.lower() for t in keyword] if lowercase else list(keyword)
-    matches: dict[str, RatioMatch | None] = {}
-    _match_tokens(tokens, index, s, matches)
-    return _match_records(tokens, matches, s)
 
 
 def coverage(
     model: EmbeddingModel,
     keywords: Sequence[str],
     s: float,
+    matches: dict[str, RatioMatch | None],
     lowercase: bool = True,
-    index: VocabIndex | None = None,
-    matches: dict[str, RatioMatch | None] | None = None,
 ) -> CoverageResult:
     """Coverage of the keyword list in the model vocabulary at threshold s.
 
     Token matches are read from ``matches``, a ``match_map`` of these
-    keywords built at a threshold <= s; a map not given is built at s.
+    keywords built at a threshold <= s.
     """
     if not 0.0 < s <= 1.0:
         raise ValueError(f"threshold s must be in (0, 1], got {s}")
-    if matches is None:
-        if index is None:
-            index = VocabIndex(model.vocab)
-        matches = match_map(index, keywords, s, lowercase=lowercase)
     result = CoverageResult(model.name, s, n_keywords=len(keywords), n_covered=0)
     for label in keywords:
         records = _match_records(keyword_tokens(label, lowercase=lowercase), matches, s)
@@ -224,10 +171,6 @@ def coverage(
             result.n_covered += 1
             result.hits.append(KeywordHit(label, records))
     return result
-
-
-def _label(label: str, lowercase: bool) -> str:
-    return label.lower() if lowercase else label
 
 
 def _single_token(label: str, lowercase: bool) -> str | None:
@@ -242,8 +185,8 @@ def keyword_queries(keywords: Sequence[str], lowercase: bool = True) -> list[str
 
 
 def descriptor_queries(pairs: Sequence[DescriptorPair], lowercase: bool = True) -> list[str]:
-    """The neighbor queries of relational coverage: the descriptor labels."""
-    return [_label(pair.descriptor_label, lowercase) for pair in pairs]
+    """The neighbor queries of relational coverage: the tokens of the single-token descriptors."""
+    return keyword_queries([pair.descriptor_label for pair in pairs], lowercase)
 
 
 def _neighbor_tokens(neighbors: NeighborMap, query: str, k: int,
@@ -261,17 +204,16 @@ def diversity(
     model_b: EmbeddingModel,
     keywords: Sequence[str],
     k: int,
+    neighbors_a: NeighborMap,
+    neighbors_b: NeighborMap,
     lowercase: bool = True,
     denominator: str = "evaluated",
-    neighbors_a: NeighborMap | None = None,
-    neighbors_b: NeighborMap | None = None,
 ) -> DiversityResult:
     """Share of keywords whose top-k neighborhoods in the two models are disjoint.
 
     Multi-token keywords and keywords missing from either vocabulary are
-    skipped and counted.  Neighborhoods are read from the given neighbor
-    maps (for example from the on-disk cache), which must hold capacity
-    >= k; a map not given is searched once with ``neighbor_map``.
+    skipped and counted.  Neighborhoods are read from the two neighbor
+    maps of the ``keyword_queries``, which must hold capacity >= k.
     Keywords whose neighborhoods are empty in both models are skipped so
     that comparing a model with itself always yields zero.
     """
@@ -279,10 +221,6 @@ def diversity(
         raise ValueError(f"k must be >= 1, got {k}")
     if denominator not in DENOMINATOR_POLICIES:
         raise ValueError(f"unknown denominator policy {denominator!r}")
-    if neighbors_a is None:
-        neighbors_a = neighbor_map(model_a, keyword_queries(keywords, lowercase), k)
-    if neighbors_b is None:
-        neighbors_b = neighbor_map(model_b, keyword_queries(keywords, lowercase), k)
     result = DiversityResult(
         model_a.name, model_b.name, k,
         n_total=len(keywords), n_evaluated=0, n_disjoint=0,
@@ -311,26 +249,22 @@ def diversity_matrix(
     models: Sequence[EmbeddingModel],
     keywords: Sequence[str],
     k: int,
+    neighbor_maps: dict[str, NeighborMap],
     lowercase: bool = True,
     denominator: str = "evaluated",
-    neighbor_maps: dict[str, NeighborMap] | None = None,
 ) -> dict[tuple[str, str], DiversityResult]:
-    """All unordered model pairs, computed once and mirrored; zero diagonal."""
+    """All unordered model pairs, computed once and mirrored; zero diagonal.
+
+    ``neighbor_maps`` holds one neighbor map per model name.
+    """
     if len(models) < 2:
         raise ValueError("diversity needs at least two models")
-    given = neighbor_maps or {}
-    queries = keyword_queries(keywords, lowercase)
-    maps = {
-        m.name: given[m.name] if m.name in given else neighbor_map(m, queries, k)
-        for m in models
-    }
     out: dict[tuple[str, str], DiversityResult] = {}
     for i, a in enumerate(models):
         for b in models[i + 1 :]:
             res = diversity(
-                a, b, keywords, k,
+                a, b, keywords, k, neighbor_maps[a.name], neighbor_maps[b.name],
                 lowercase=lowercase, denominator=denominator,
-                neighbors_a=maps[a.name], neighbors_b=maps[b.name],
             )
             out[(a.name, b.name)] = res
             out[(b.name, a.name)] = res
@@ -341,26 +275,25 @@ def relational_coverage(
     model: EmbeddingModel,
     pairs: Sequence[DescriptorPair],
     k: int,
+    neighbors: NeighborMap,
     lowercase: bool = True,
     oov_policy: str = "miss",
-    neighbors: NeighborMap | None = None,
 ) -> dict[str, RelationalResult]:
     """Relational coverage per relation type present in ``pairs``.
 
-    A pair counts as found when the concept label is among the descriptor's
-    top-k neighbor tokens (compared as exact lowercase strings by default),
-    read from ``neighbors`` (capacity >= k) or, when that is not given,
-    from one ``neighbor_map`` search of the descriptors.  Descriptors
-    missing from the vocabulary count as misses under the default policy,
-    keeping n at the full pair count; the ``skip`` policy removes them from
-    the denominator instead.
+    A pair counts as found when the concept label's token is among the
+    descriptor's top-k neighbor tokens (compared as exact lowercase
+    strings by default), read from ``neighbors``, the neighbor map of the
+    ``descriptor_queries`` (capacity >= k).  A descriptor of more than one
+    token, or missing from the vocabulary, is out of vocabulary; such
+    descriptors count as misses under the default policy, keeping n at the
+    full pair count, and the ``skip`` policy removes them from the
+    denominator instead.  A concept of more than one token is never found.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if oov_policy not in OOV_POLICIES:
         raise ValueError(f"unknown oov policy {oov_policy!r}")
-    if neighbors is None:
-        neighbors = neighbor_map(model, descriptor_queries(pairs, lowercase), k)
     results: dict[str, RelationalResult] = {}
     for pair in pairs:
         res = results.get(pair.relation_type)
@@ -370,11 +303,12 @@ def relational_coverage(
                 n_pairs=0, n_found=0, n_oov_descriptors=0, oov_policy=oov_policy,
             )
         res.n_pairs += 1
-        descriptor = _label(pair.descriptor_label, lowercase)
-        if not queryable(model, descriptor):
+        descriptor = _single_token(pair.descriptor_label, lowercase)
+        if descriptor is None or not queryable(model, descriptor):
             res.n_oov_descriptors += 1
             continue
-        concept = _label(pair.concept_label, lowercase)
+        # None, a multi-token concept, is in no neighbor set
+        concept = _single_token(pair.concept_label, lowercase)
         if concept in _neighbor_tokens(neighbors, descriptor, k, lowercase):
             res.n_found += 1
     return results

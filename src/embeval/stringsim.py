@@ -221,16 +221,3 @@ def best_match(token: str, vocab: VocabIndex, s: float) -> Optional[RatioMatch]:
             best_idx = idx
     return best
 
-
-def scan_match(token: str, vocab: VocabIndex, s: float) -> Optional[RatioMatch]:
-    """Unpruned reference scan over the whole vocabulary; same contract as best_match."""
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"threshold s must be in (0, 1], got {s}")
-    best: RatioMatch | None = None
-    for idx, cand in enumerate(vocab.tokens):
-        r = ratio(token, cand)
-        if r < s:
-            continue
-        if best is None or r > best.ratio:
-            best = RatioMatch(token, cand, r)
-    return best

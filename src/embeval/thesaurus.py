@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass, field
 from typing import BinaryIO, Union
 
+from .corpus import DASH_CHARS, HYPHEN_CHARS
 from .errors import ThesaurusFormatError
 
 SKOS_NS = "http://www.w3.org/2004/02/skos/core#"
@@ -35,7 +36,19 @@ _TRIPLE_RE = re.compile(r"^<([^<>\s]*)>\s+<([^<>\s]*)>\s+(.+?)\s*\.\s*$")
 _LITERAL_RE = re.compile(r'^"((?:[^"\\]|\\.)*)"(?:@([A-Za-z][A-Za-z0-9-]*))?$')
 _IRI_RE = re.compile(r"^<([^<>\s]*)>$")
 
+_HYPHEN_TO_SPACE = re.compile(f"[{HYPHEN_CHARS}{DASH_CHARS}]")
+
 Source = Union[str, os.PathLike, bytes, BinaryIO]
+
+
+def keyword_tokens(label: str, lowercase: bool = True) -> tuple[str, ...]:
+    """Tokens of a thesaurus label, aligned with corpus tokens.
+
+    Hyphens and dashes become spaces before the whitespace split, as the
+    corpus cleaning does, so every metric reads a label the same way.
+    """
+    text = label.lower() if lowercase else label
+    return tuple(_HYPHEN_TO_SPACE.sub(" ", text).split())
 
 
 @dataclass
@@ -60,15 +73,6 @@ class Concept:
 
 
 @dataclass(frozen=True)
-class Relation:
-    """A typed edge; target is a concept id, or a literal label for altLabel."""
-
-    source: str
-    type: str
-    target: str
-
-
-@dataclass(frozen=True)
 class DescriptorPair:
     """One (descriptor label, related-concept label) pair for the relation metrics."""
 
@@ -76,14 +80,6 @@ class DescriptorPair:
     concept_label: str
     relation_type: str
     lang: str
-
-
-@dataclass(frozen=True)
-class Keyword:
-    """A thesaurus label kept verbatim together with its whitespace token split."""
-
-    label: str
-    tokens: tuple[str, ...]
 
 
 @dataclass
@@ -131,11 +127,6 @@ class Thesaurus:
                 self._add_edge(inverse, obj, subject)
             return
         raise ValueError(f"unsupported predicate {predicate!r}")
-
-    def relations(self, relation_type: str) -> list[Relation]:
-        if relation_type not in RELATION_TYPES:
-            raise ValueError(f"unknown relation type {relation_type!r}")
-        return [Relation(s, relation_type, t) for s, t in self.edges[relation_type]]
 
     def n_concepts(self) -> int:
         return len(self.concepts)
@@ -271,18 +262,14 @@ def parse_tsv(source: Source) -> Thesaurus:
     return th
 
 
-def keywords(th: Thesaurus, lang: str) -> list[Keyword]:
+def keywords(th: Thesaurus, lang: str) -> list[str]:
     """All pref and alt labels in ``lang``, deduplicated, in sorted order."""
     seen: set[str] = set()
     for concept in th.concepts.values():
         for text, tag in concept.pref_labels + concept.alt_labels:
             if tag == lang:
                 seen.add(text)
-    return [Keyword(label, tuple(label.split())) for label in sorted(seen)]
-
-
-def _is_single_word(label: str) -> bool:
-    return len(label.strip().split()) == 1
+    return sorted(seen)
 
 
 def descriptor_pairs(
@@ -294,9 +281,9 @@ def descriptor_pairs(
     """(descriptor label, concept label) pairs for one relation type.
 
     Pairs whose endpoints lack a label in ``lang`` are dropped and counted;
-    with ``single_word_only`` any pair with a whitespace-containing label on
-    either side is dropped and counted.  Hyphenated labels count as single
-    words.
+    with ``single_word_only`` any pair with a label of more than one
+    ``keyword_tokens`` token on either side is dropped and counted, so a
+    hyphenated label counts as several words.
     """
     if relation not in RELATION_TYPES:
         raise ValueError(f"unknown relation type {relation!r}")
@@ -323,7 +310,7 @@ def descriptor_pairs(
         for d_label in src_labels:
             for c_label in tgt_labels:
                 if single_word_only and not (
-                    _is_single_word(d_label) and _is_single_word(c_label)
+                    len(keyword_tokens(d_label)) == len(keyword_tokens(c_label)) == 1
                 ):
                     selection.skipped_multiword += 1
                     continue

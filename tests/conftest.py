@@ -4,6 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from embeval.metrics import (
+    coverage,
+    descriptor_queries,
+    diversity,
+    keyword_queries,
+    match_map,
+    relational_coverage,
+)
+from embeval.neighbors import neighbor_map
+from embeval.stringsim import VocabIndex
 from embeval.vectors import EmbeddingModel
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -38,6 +48,26 @@ def anchored(c: float, axis: int, dim: int = 2) -> list[float]:
     vec[axis] = c
     vec[1 - axis] = rest
     return vec
+
+
+# The metrics read prebuilt maps; these build the smallest map each call needs.
+def coverage_at(model, labels, s: float, lowercase: bool = True):
+    matches = match_map(VocabIndex(model.vocab), labels, s, lowercase)
+    return coverage(model, labels, s, matches=matches, lowercase=lowercase)
+
+
+def diversity_at(model_a, model_b, labels, k: int, lowercase: bool = True,
+                 denominator: str = "evaluated"):
+    queries = keyword_queries(labels, lowercase)
+    return diversity(model_a, model_b, labels, k, neighbors_a=neighbor_map(model_a, queries, k),
+                     neighbors_b=neighbor_map(model_b, queries, k), lowercase=lowercase,
+                     denominator=denominator)
+
+
+def relational_at(model, pairs, k: int, lowercase: bool = True, oov_policy: str = "miss"):
+    neighbors = neighbor_map(model, descriptor_queries(pairs, lowercase), k)
+    return relational_coverage(model, pairs, k, neighbors=neighbors, lowercase=lowercase,
+                               oov_policy=oov_policy)
 
 
 @pytest.fixture

@@ -9,16 +9,17 @@ import hashlib
 import logging
 import math
 import re
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from embeval.corpus import DedupReport
 from embeval.errors import VecFormatError
 from embeval.langid import UNKNOWN
-from embeval.metrics import CoverageResult, KeywordHit, keyword_tokens
+from embeval.metrics import CoverageResult, KeywordHit
 from embeval.numwords import MAX_NUMBER, number_to_words
-from embeval.stringsim import VocabIndex, best_match
+from embeval.stringsim import RatioMatch, VocabIndex, best_match, ratio
+from embeval.thesaurus import keyword_tokens
 from embeval.vectors import EmbeddingModel, Source, _read_bytes
 
 logger = logging.getLogger(__name__)
@@ -47,6 +48,21 @@ def ratio_oracle(a: str, b: str) -> float:
     if total == 0:
         return 1.0
     return (total - dp_edit_distance_sub2(a, b)) / total
+
+
+# The unpruned vocabulary scan best_match replaced (criterion 11's oracle).
+def scan_match(token: str, vocab: VocabIndex, s: float) -> Optional[RatioMatch]:
+    """Unpruned reference scan over the whole vocabulary; same contract as best_match."""
+    if not 0.0 < s <= 1.0:
+        raise ValueError(f"threshold s must be in (0, 1], got {s}")
+    best: RatioMatch | None = None
+    for idx, cand in enumerate(vocab.tokens):
+        r = ratio(token, cand)
+        if r < s:
+            continue
+        if best is None or r > best.ratio:
+            best = RatioMatch(token, cand, r)
+    return best
 
 
 def knn_oracle(model, query: str, k: int) -> list[tuple[str, float]]:
@@ -126,12 +142,12 @@ def naive_relational(model, pairs, k: int, lowercase=True):
     for pair in pairs:
         acc = out.setdefault(pair.relation_type, [0, 0, 0])
         acc[0] += 1
-        descriptor = pair.descriptor_label.lower() if lowercase else pair.descriptor_label
-        concept = pair.concept_label.lower() if lowercase else pair.concept_label
-        if not _queryable(model, descriptor):
+        descriptor = keyword_tokens_oracle(pair.descriptor_label, lowercase)
+        concept = keyword_tokens_oracle(pair.concept_label, lowercase)
+        if len(descriptor) != 1 or not _queryable(model, descriptor[0]):
             acc[2] += 1
             continue
-        if concept in naive_neighbor_tokens(model, descriptor, k, lowercase):
+        if len(concept) == 1 and concept[0] in naive_neighbor_tokens(model, descriptor[0], k, lowercase):
             acc[1] += 1
     return {rel: tuple(v) for rel, v in out.items()}
 

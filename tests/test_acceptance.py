@@ -13,13 +13,20 @@ import numpy as np
 
 from embeval.cli import main
 from embeval.corpus import PipelineConfig, run_pipeline
-from embeval.metrics import coverage, diversity, relational_coverage
 from embeval.neighbors import top_k
 from embeval.report import pct
-from embeval.stringsim import VocabIndex, best_match, edit_distance_sub2, ratio, scan_match
+from embeval.stringsim import VocabIndex, best_match, edit_distance_sub2, ratio
 from embeval.thesaurus import DescriptorPair
 from embeval.vectors import save_vec
-from conftest import DATA_DIR, anchored, make_model, random_model
+from conftest import (
+    DATA_DIR,
+    anchored,
+    coverage_at,
+    diversity_at,
+    make_model,
+    random_model,
+    relational_at,
+)
 from oracles import (
     dp_edit_distance_sub2,
     naive_coverage_count,
@@ -28,6 +35,7 @@ from oracles import (
     knn_oracle,
     ratio_oracle,
     raw_cosine,
+    scan_match,
 )
 
 
@@ -98,8 +106,8 @@ def test_criterion_03_coverage_fixture_values():
     with _criterion(3, "3-keyword coverage fixture: 33.33 at s=1.0, 66.67 at s=0.9"):
         model = make_model("m", ["sozial", "ungleichheit", "macht"], np.eye(3))
         labels = ["soziale Ungleichheit", "Macht", "Armut"]
-        assert pct(coverage(model, labels, 1.0).c) == "33.33"
-        assert pct(coverage(model, labels, 0.9).c) == "66.67"
+        assert pct(coverage_at(model, labels, 1.0).c) == "33.33"
+        assert pct(coverage_at(model, labels, 0.9).c) == "66.67"
 
 
 def test_criterion_04_coverage_monotone_in_s():
@@ -121,7 +129,7 @@ def test_criterion_04_coverage_monotone_in_s():
                 keywords.append(variant)
             previous = None
             for s in (0.85, 0.9, 0.95, 1.0):
-                c = coverage(model, keywords, s).c
+                c = coverage_at(model, keywords, s).c
                 if previous is not None:
                     assert c <= previous
                 previous = c
@@ -136,12 +144,12 @@ def test_criterion_05_diversity_laws():
             model_b = random_model(rng, "B", n, 5)
             labels = [model_a.vocab[i] for i in rng.choice(n, size=12, replace=False)]
             for k in (1, 5, 10, 50):
-                self_result = diversity(model_a, model_a, labels, k)
+                self_result = diversity_at(model_a, model_a, labels, k)
                 assert pct(self_result.d) == "0.00"
             previous = None
             for k in (1, 5, 10, 50):
-                ab = diversity(model_a, model_b, labels, k)
-                ba = diversity(model_b, model_a, labels, k)
+                ab = diversity_at(model_a, model_b, labels, k)
+                ba = diversity_at(model_b, model_a, labels, k)
                 assert ab.d == ba.d
                 if previous is not None:
                     assert ab.d <= previous
@@ -155,8 +163,8 @@ def test_criterion_06_relational_monotone_and_planted_flip():
             anchored(0.99, 0), anchored(0.98, 0), anchored(0.97, 0), anchored(0.2, 0),
         ])
         pairs = [DescriptorPair("Macht", "Herrschaft", "related", "de")]
-        assert relational_coverage(model, pairs, 2)["related"].n_found == 0
-        assert relational_coverage(model, pairs, 10)["related"].n_found == 1
+        assert relational_at(model, pairs, 2)["related"].n_found == 0
+        assert relational_at(model, pairs, 10)["related"].n_found == 1
 
         rng = np.random.default_rng(6006)
         for trial in range(20):
@@ -169,7 +177,7 @@ def test_criterion_06_relational_monotone_and_planted_flip():
             ]
             previous = None
             for k in (1, 3, 10, n - 1):
-                r = relational_coverage(rmodel, rpairs, k)["broader"].r
+                r = relational_at(rmodel, rpairs, k)["broader"].r
                 if previous is not None:
                     assert r >= previous
                 previous = r
@@ -190,11 +198,11 @@ def test_criterion_07_brute_force_metric_equivalence():
             labels = list(rng.choice(words, size=8, replace=False)) + ["soziale lage"]
 
             for s in (0.8, 0.9, 1.0):
-                got = coverage(model_a, labels, s).n_covered
+                got = coverage_at(model_a, labels, s).n_covered
                 assert got == naive_coverage_count(vocab, labels, s)
 
             for k in (1, 3, 6):
-                result = diversity(model_a, model_b, labels, k)
+                result = diversity_at(model_a, model_b, labels, k)
                 assert (result.n_evaluated, result.n_disjoint) == naive_diversity(
                     model_a, model_b, labels, k
                 )
@@ -205,7 +213,7 @@ def test_criterion_07_brute_force_metric_equivalence():
                 if i != j
             ] + [DescriptorPair("fehlt", vocab[0], "related", "de")]
             for k in (1, 4):
-                res = relational_coverage(model_a, pairs, k)["related"]
+                res = relational_at(model_a, pairs, k)["related"]
                 naive = naive_relational(model_a, pairs, k)["related"]
                 assert (res.n_pairs, res.n_found, res.n_oov_descriptors) == naive
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -10,9 +11,8 @@ import pytest
 
 from embeval.cli import main
 from embeval.corpus import recount_stats
-from embeval.metrics import coverage
 from embeval.vectors import load_vec, save_vec
-from conftest import DATA_DIR, make_model
+from conftest import DATA_DIR, coverage_at, make_model
 
 
 def _f(c: float) -> float:
@@ -66,8 +66,7 @@ def test_coverage_matches_metrics_oracle(tmp_path, model_path, thesaurus_path):
 
     model = load_vec(model_path, "fixture")
     th = parse_ntriples_skos(thesaurus_path)
-    labels = [kw.label for kw in keywords(th, "de")]
-    expected = coverage(model, labels, 1.0)
+    expected = coverage_at(model, keywords(th, "de"), 1.0)
     assert expected.n_covered == 5 and expected.n_keywords == 8
     assert f",{expected.n_covered},62.50" in csv_text
     assert (out / "coverage.manifest.json").is_file()
@@ -571,19 +570,29 @@ def test_invalid_cover_delimiter_is_parse_error(tmp_path, capsys):
     assert "line 2: cover_delimiter is not a valid regular expression" in capsys.readouterr().err
 
 
-def test_internal_error_exits_four(tmp_path, model_path, thesaurus_path, monkeypatch):
+@pytest.mark.parametrize("command, metric", [
+    ("coverage", "coverage"),
+    ("diversity", "diversity_matrix"),
+    ("relations", "relational_coverage"),
+], ids=["coverage", "diversity", "relations"])
+def test_internal_error_exits_four(tmp_path, model_path, thesaurus_path, monkeypatch, capsys,
+                                   command, metric):
     import embeval.metrics as metrics_module
 
     def boom(*args, **kwargs):
         raise RuntimeError("simulated fault")
 
-    # cmd_coverage imports coverage from metrics when it runs
-    monkeypatch.setattr(metrics_module, "coverage", boom)
+    # each command looks its metric up in embeval.metrics when it runs, so
+    # the function found there is the one called
+    monkeypatch.setattr(metrics_module, metric, boom)
+    flipped = tmp_path / "flipped.vec"
+    write_fixture_model(flipped, "flipped", flip=True)
     rc = main([
-        "coverage", "--model", str(model_path), "--thesaurus", str(thesaurus_path),
-        "--out", str(tmp_path / "o"),
+        command, "--model", str(model_path), "--model", str(flipped),
+        "--thesaurus", str(thesaurus_path), "--out", str(tmp_path / "o"),
     ])
     assert rc == 4
+    assert "simulated fault" in capsys.readouterr().err
 
 
 def test_help_exits_zero():
@@ -605,8 +614,6 @@ def test_absurd_vec_dimension_is_parse_error(tmp_path, thesaurus_path):
 
 
 def test_manifest_hashes_each_model_file_once(tmp_path, model_path, thesaurus_path, monkeypatch):
-    import hashlib
-
     from embeval import report
 
     hashed = []
@@ -661,3 +668,65 @@ def test_coverage_matches_each_token_once_per_model(tmp_path, model_path, thesau
     assert half > 0 and calls[:half] == calls[half:]
     assert {s for _, s in calls} == {0.9}
     assert len({t for t, _ in calls[:half]}) == half
+
+
+# sha256 of the CSV and Markdown tables the vector commands write for the
+# mini fixture with the fixture and flipped models, recorded before the
+# three commands shared one skeleton.
+PINNED_TABLES = {
+    "coverage": (["--s", "0.8", "--s", "0.93"], {
+        "csv": "07693605089536b350eb49137ce3d86ab4e675b5daf7d40fd4956b3ebbc90966",
+        "md": "1e0578d2292a231ea92aa5e85afcad9003f8b6eb34f6e7818b81adc50774e322",
+    }),
+    "diversity": (["--k", "2", "--k", "4"], {
+        "csv": "b7a62a2e99be125352da2cac898d81c2d7e180c0f939c164bb4d10d299247358",
+        "md": "f1ccf9513bdfa0c653addb5c7c800e442d99fea6c8a311f0c3c961d1c531d7f2",
+    }),
+    "relations": (["--k", "2", "--k", "4"], {
+        "csv": "9df5ec962835187ed3f4d918b1d463d7b213d9d5b9aa80223def5758aa9bd38a",
+        "md": "5c6408b9c5c320952dbd398601427a80edec0622c5827d956c274118593a3d3c",
+    }),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_TABLES))
+def test_vector_command_tables_are_pinned(tmp_path, model_path, thesaurus_path, command):
+    flipped = tmp_path / "flipped.vec"
+    write_fixture_model(flipped, "flipped", flip=True)
+    extra, digests = PINNED_TABLES[command]
+    out = tmp_path / "o"
+    assert main([
+        command, "--model", str(model_path), "--model", str(flipped),
+        "--thesaurus", str(thesaurus_path), *extra, "--out", str(out),
+    ]) == 0
+    got = {ext: hashlib.sha256((out / f"{command}.{ext}").read_bytes()).hexdigest() for ext in digests}
+    assert got == digests
+
+
+def test_relations_split_hyphenated_labels_as_the_corpus_does(tmp_path):
+    # "sozial-politik" sits next to "armut" in the model, but the label
+    # "Sozial-Politik" is two tokens, as in coverage and diversity
+    model = tmp_path / "general.vec"
+    save_vec(make_model("general", ["sozial-politik", "armut", "macht"],
+                        [[1, 0], [0.99, _f(0.99)], [0, 1]]), model)
+    tsv = tmp_path / "thesaurus.tsv"
+    tsv.write_text(
+        "subject\tpredicate\tobject\tlang\n"
+        "c1\tprefLabel\tSozial-Politik\tde\n"
+        "c2\tprefLabel\tArmut\tde\n"
+        "c1\trelated\tc2\t\n",
+        encoding="utf-8",
+    )
+
+    def rel_row(*flags: str) -> list[str]:
+        out = tmp_path / "-".join(("rel",) + flags)
+        assert main(["relations", "--model", str(model), "--thesaurus", str(tsv),
+                     "--k", "1", *flags, "--out", str(out)]) == 0
+        lines = (out / "relations.csv").read_text(encoding="utf-8").splitlines()
+        return next(l for l in lines if ",rel," in l).split(",")
+
+    # k, model, relation, n_pairs, n_found, n_oov_descriptors, ...
+    assert rel_row()[3:6] == ["1", "0", "1"]
+    assert rel_row("--single-word-only")[3:6] == ["0", "0", "0"]
+    md = (tmp_path / "rel---single-word-only" / "relations.md").read_text(encoding="utf-8")
+    assert "dropped (multiword): bro=0, nar=0, rel=1, alt=0" in md

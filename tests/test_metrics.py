@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,17 +10,16 @@ from embeval.metrics import (
     descriptor_queries,
     diversity,
     diversity_matrix,
-    keyword_covered,
     keyword_queries,
-    keyword_tokens,
     match_map,
     relational_coverage,
 )
+from embeval.corpus import DASH_CHARS, HYPHEN_CHARS
 from embeval.neighbors import cache_load, cache_store, neighbor_map
 from embeval.report import pct
 from embeval.stringsim import VocabIndex, best_match
-from embeval.thesaurus import DescriptorPair
-from conftest import anchored, make_model, random_model
+from embeval.thesaurus import DescriptorPair, Thesaurus, descriptor_pairs, keyword_tokens
+from conftest import anchored, coverage_at, diversity_at, make_model, random_model, relational_at
 from oracles import coverage_oracle, naive_coverage_count, naive_diversity, naive_relational
 
 
@@ -31,28 +32,27 @@ def test_keyword_tokens_lowercases_and_splits_hyphens():
 def test_keyword_covered_exact():
     model = make_model("m", ["macht"], [[1.0, 0.0]])
     for s in (0.9, 1.0):
-        assert keyword_covered(("macht",), model, s) is not None
+        assert coverage_at(model, ["macht"], s).n_covered == 1
 
 
 def test_keyword_covered_compound_threshold():
     model = make_model("m", ["sozial", "ungleichheit"], [[1, 0], [0, 1]])
-    assert keyword_covered(("soziale", "ungleichheit"), model, 1.0) is None
-    matches = keyword_covered(("soziale", "ungleichheit"), model, 0.9)
-    assert matches is not None
-    assert matches[0][1] == "sozial"
-    assert matches[0][2] == pytest.approx(12 / 13)
+    assert coverage_at(model, ["soziale ungleichheit"], 1.0).n_covered == 0
+    [hit] = coverage_at(model, ["soziale ungleichheit"], 0.9).hits
+    assert hit.matches[0][1] == "sozial"
+    assert hit.matches[0][2] == pytest.approx(12 / 13)
 
 
 def test_keyword_covered_empty_warns(caplog):
     model = make_model("m", ["macht"], [[1.0, 0.0]])
     with caplog.at_level("WARNING"):
-        assert keyword_covered((), model, 0.9) is None
+        assert coverage_at(model, [" - "], 0.9).n_covered == 0
     assert "no tokens" in caplog.text
 
 
 def test_coverage_superset_is_100():
     model = make_model("m", ["a", "b", "c"], np.eye(3))
-    result = coverage(model, ["a", "b", "c"], 1.0)
+    result = coverage_at(model, ["a", "b", "c"], 1.0)
     assert result.n_covered == 3
     assert pct(result.c) == "100.00"
 
@@ -60,8 +60,8 @@ def test_coverage_superset_is_100():
 def test_coverage_three_keyword_fixture():
     model = make_model("m", ["sozial", "ungleichheit", "macht"], np.eye(3))
     labels = ["soziale Ungleichheit", "Macht", "Armut"]
-    at_1 = coverage(model, labels, 1.0)
-    at_09 = coverage(model, labels, 0.9)
+    at_1 = coverage_at(model, labels, 1.0)
+    at_09 = coverage_at(model, labels, 0.9)
     assert (at_1.n_covered, at_1.n_keywords) == (1, 3)
     assert (at_09.n_covered, at_09.n_keywords) == (2, 3)
     assert pct(at_1.c) == "33.33"
@@ -70,7 +70,7 @@ def test_coverage_three_keyword_fixture():
 
 def test_coverage_hit_records():
     model = make_model("m", ["sozial", "macht"], np.eye(2))
-    result = coverage(model, ["Macht", "soziale"], 0.9)
+    result = coverage_at(model, ["Macht", "soziale"], 0.9)
     assert {h.keyword for h in result.hits} == {"Macht", "soziale"}
     by_kw = {h.keyword: h for h in result.hits}
     assert by_kw["Macht"].min_ratio == 1.0
@@ -87,7 +87,7 @@ def test_coverage_monotone_in_s():
         labels = [w + suffix for w in words for suffix in ("", "e")][: int(rng.integers(3, 12))]
         previous = None
         for s in (0.85, 0.9, 0.95, 1.0):
-            c = coverage(model, labels, s).c
+            c = coverage_at(model, labels, s).c
             if previous is not None:
                 assert c <= previous + 1e-12
             previous = c
@@ -99,7 +99,7 @@ def test_coverage_matches_naive_enumeration():
     model = make_model("m", vocab, rng.standard_normal((5, 3)))
     labels = ["Macht", "mächte", "soziale Ungleichheit", "Armut", "staaten", "xyz"]
     for s in (0.8, 0.9, 0.95, 1.0):
-        assert coverage(model, labels, s).n_covered == naive_coverage_count(
+        assert coverage_at(model, labels, s).n_covered == naive_coverage_count(
             vocab, labels, s
         )
 
@@ -205,7 +205,7 @@ def test_diversity_planted_fixture():
     assert set(top_k(model_a, "b", 2).tokens()) == {"p", "q"}
     assert set(top_k(model_b, "b", 2).tokens()) == {"r", "t"}
 
-    result = diversity(model_a, model_b, ["a", "b"], 2)
+    result = diversity_at(model_a, model_b, ["a", "b"], 2)
     assert result.n_evaluated == 2
     assert result.n_disjoint == 1
     assert pct(result.d) == "50.00"
@@ -214,15 +214,15 @@ def test_diversity_planted_fixture():
 def test_diversity_self_is_zero():
     rng = np.random.default_rng(23)
     model = random_model(rng, "m", 30, 4)
-    result = diversity(model, model, list(model.vocab[:10]), 5)
+    result = diversity_at(model, model, list(model.vocab[:10]), 5)
     assert result.n_disjoint == 0
     assert pct(result.d) == "0.00"
 
 
 def test_diversity_is_symmetric():
     model_a, model_b = _diversity_plant()
-    ab = diversity(model_a, model_b, ["a", "b"], 2)
-    ba = diversity(model_b, model_a, ["a", "b"], 2)
+    ab = diversity_at(model_a, model_b, ["a", "b"], 2)
+    ba = diversity_at(model_b, model_a, ["a", "b"], 2)
     assert ab.d == ba.d
     assert ab.n_evaluated == ba.n_evaluated
 
@@ -230,7 +230,7 @@ def test_diversity_is_symmetric():
 def test_diversity_skips_multiword_and_oov():
     model_a, model_b = _diversity_plant()
     labels = ["a", "b", "soziale Ungleichheit", "missing"]
-    result = diversity(model_a, model_b, labels, 2)
+    result = diversity_at(model_a, model_b, labels, 2)
     assert result.n_total == 4
     assert result.n_evaluated == 2
     assert result.n_skipped_multiword == 1
@@ -240,12 +240,12 @@ def test_diversity_skips_multiword_and_oov():
 def test_diversity_denominator_policies():
     model_a, model_b = _diversity_plant()
     labels = ["a", "b", "missing"]
-    evaluated = diversity(model_a, model_b, labels, 2, denominator="evaluated")
-    total = diversity(model_a, model_b, labels, 2, denominator="total")
+    evaluated = diversity_at(model_a, model_b, labels, 2, denominator="evaluated")
+    total = diversity_at(model_a, model_b, labels, 2, denominator="total")
     assert pct(evaluated.d) == "50.00"
     assert pct(total.d) == "33.33"
-    assert evaluated.d_total == total.d
-    assert total.d_evaluated == evaluated.d
+    assert dataclasses.replace(evaluated, denominator="total").d == total.d
+    assert dataclasses.replace(total, denominator="evaluated").d == evaluated.d
 
 
 def test_diversity_anti_monotone_in_k():
@@ -256,7 +256,7 @@ def test_diversity_anti_monotone_in_k():
         labels = list(model_a.vocab[:15])
         previous = None
         for k in (1, 5, 10, 50):
-            d = diversity(model_a, model_b, labels, k).d
+            d = diversity_at(model_a, model_b, labels, k).d
             if previous is not None:
                 assert d <= previous + 1e-12
             previous = d
@@ -268,7 +268,7 @@ def test_diversity_matches_naive_enumeration():
     model_b = random_model(rng, "B", 30, 4)
     labels = list(model_a.vocab[:12]) + ["nicht da", "fehlt"]
     for k in (1, 3, 7):
-        result = diversity(model_a, model_b, labels, k)
+        result = diversity_at(model_a, model_b, labels, k)
         n_eval, n_disj = naive_diversity(model_a, model_b, labels, k)
         assert (result.n_evaluated, result.n_disjoint) == (n_eval, n_disj)
 
@@ -277,7 +277,8 @@ def test_diversity_matrix_symmetry_and_diagonal_convention():
     rng = np.random.default_rng(26)
     models = [random_model(rng, f"m{i}", 25, 4) for i in range(3)]
     labels = list(models[0].vocab[:10])
-    matrix = diversity_matrix(models, labels, 5)
+    maps = {m.name: neighbor_map(m, keyword_queries(labels), 5) for m in models}
+    matrix = diversity_matrix(models, labels, 5, maps)
     assert len(matrix) == 6  # 3 unordered pairs, mirrored
     for a in models:
         for b in models:
@@ -287,7 +288,7 @@ def test_diversity_matrix_symmetry_and_diagonal_convention():
 
 def test_diversity_from_cache_equals_fresh(tmp_path):
     model_a, model_b = _diversity_plant()
-    fresh = diversity(model_a, model_b, ["a", "b"], 2)
+    fresh = diversity_at(model_a, model_b, ["a", "b"], 2)
     maps = {}
     for model in (model_a, model_b):
         path = tmp_path / f"{model.name}.tsv"
@@ -306,7 +307,8 @@ def test_diversity_matrix_from_cache_equals_fresh(tmp_path):
     rng = np.random.default_rng(30)
     models = [random_model(rng, f"m{i}", 30, 4) for i in range(3)]
     labels = list(models[0].vocab[:12])
-    fresh = diversity_matrix(models, labels, 4)
+    fresh = diversity_matrix(models, labels, 4, {m.name: neighbor_map(m, labels, 4)
+                                                 for m in models})
 
     maps = {}
     for model in models:
@@ -324,7 +326,7 @@ def test_diversity_matrix_from_cache_equals_fresh(tmp_path):
 
 def test_coverage_empty_keyword_list():
     model = make_model("m", ["a"], [[1.0, 0.0]])
-    result = coverage(model, [], 1.0)
+    result = coverage_at(model, [], 1.0)
     assert result.n_keywords == 0
     assert result.c == 0.0
 
@@ -341,8 +343,8 @@ def _relation_plant():
 
 def test_relational_planted_rank_flip():
     model, pairs = _relation_plant()
-    low = relational_coverage(model, pairs, 2)["related"]
-    high = relational_coverage(model, pairs, 10)["related"]
+    low = relational_at(model, pairs, 2)["related"]
+    high = relational_at(model, pairs, 10)["related"]
     assert low.n_found == 0
     assert high.n_found == 1
     assert pct(low.r) == "0.00"
@@ -355,10 +357,10 @@ def test_relational_oov_policies():
         DescriptorPair("Macht", "Herrschaft", "related", "de"),
         DescriptorPair("Unbekannt", "Staat", "related", "de"),
     ]
-    miss = relational_coverage(model, pairs, 10, oov_policy="miss")["related"]
+    miss = relational_at(model, pairs, 10, oov_policy="miss")["related"]
     assert (miss.n_pairs, miss.n_found, miss.n_oov_descriptors) == (2, 1, 1)
     assert pct(miss.r) == "50.00"
-    skip = relational_coverage(model, pairs, 10, oov_policy="skip")["related"]
+    skip = relational_at(model, pairs, 10, oov_policy="skip")["related"]
     assert pct(skip.r) == "100.00"
 
 
@@ -372,10 +374,51 @@ def test_relational_monotone_in_k():
         ]
         previous = None
         for k in (1, 3, 10, 29):
-            r = relational_coverage(model, pairs, k)["broader"].r
+            r = relational_at(model, pairs, k)["broader"].r
             if previous is not None:
                 assert r >= previous - 1e-12
             previous = r
+
+
+def test_relational_reads_labels_as_keyword_tokens():
+    # a general-language model may hold the token "sozial-politik"; the
+    # label "Sozial-Politik" is two tokens, as the cleaned corpus writes it
+    model = make_model("m", ["sozial-politik", "armut", "macht"],
+                       [[1, 0], anchored(0.99, 0), [0, 1]])
+    expected = {
+        ("Sozial-Politik", "Armut"): (0, 1),  # a two-token descriptor is OOV
+        (" Macht ", "Sozial-Politik"): (0, 0),  # a two-token concept is never found
+        ("Armut", " Macht "): (1, 0),  # padding is not part of a label
+    }
+    for (descriptor, concept), (n_found, n_oov) in expected.items():
+        pair = DescriptorPair(descriptor, concept, "related", "de")
+        res = relational_at(model, [pair], 2)["related"]
+        assert (res.n_found, res.n_oov_descriptors) == (n_found, n_oov), pair
+    assert descriptor_queries([DescriptorPair(d, c, "related", "de") for d, c in expected]) == [
+        "macht", "armut",
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(label=st.text(alphabet="aBä -" + HYPHEN_CHARS + DASH_CHARS, max_size=8),
+       lowercase=st.booleans())
+def test_every_metric_reads_a_label_as_one_token_alike(label, lowercase):
+    tokens = keyword_tokens(label, lowercase)
+    vocab = set(tokens) | {"zz"}
+    verbatim = (label.lower() if lowercase else label).strip()
+    if verbatim and " " not in verbatim:
+        vocab.add(verbatim)  # the label as a token, as in general-language models
+    vocab = sorted(vocab)
+    model = make_model("m", vocab, np.eye(len(vocab)) + 0.1)
+    single = diversity_at(model, model, [label], 1, lowercase).n_skipped_multiword == 0
+    assert single == (len(tokens) == 1)
+    pair = DescriptorPair(label, "zz", "related", "de")
+    assert single == (relational_at(model, [pair], 1, lowercase)["related"].n_oov_descriptors == 0)
+    th = Thesaurus()
+    th.add_triple("c1", "prefLabel", label, "de")
+    th.add_triple("c2", "prefLabel", "zz", "de")
+    th.add_triple("c1", "related", "c2")
+    assert single == bool(descriptor_pairs(th, "related", "de", single_word_only=True).pairs)
 
 
 def test_relational_groups_by_relation_type():
@@ -384,7 +427,7 @@ def test_relational_groups_by_relation_type():
         DescriptorPair("Macht", "Herrschaft", "related", "de"),
         DescriptorPair("Macht", "Staat", "narrower", "de"),
     ]
-    results = relational_coverage(model, pairs, 10)
+    results = relational_at(model, pairs, 10)
     assert set(results) == {"related", "narrower"}
     assert results["related"].n_pairs == 1
     assert results["narrower"].n_pairs == 1
@@ -397,9 +440,9 @@ def test_results_independent_of_keyword_order():
     labels = list(model_a.vocab[:10]) + ["zwei wörter", "fehlt"]
     shuffled = list(reversed(labels))
     for s in (0.9, 1.0):
-        assert coverage(model_a, labels, s).n_covered == coverage(model_a, shuffled, s).n_covered
-    d1 = diversity(model_a, model_b, labels, 4)
-    d2 = diversity(model_a, model_b, shuffled, 4)
+        assert coverage_at(model_a, labels, s).n_covered == coverage_at(model_a, shuffled, s).n_covered
+    d1 = diversity_at(model_a, model_b, labels, 4)
+    d2 = diversity_at(model_a, model_b, shuffled, 4)
     assert (d1.n_evaluated, d1.n_disjoint) == (d2.n_evaluated, d2.n_disjoint)
 
 
@@ -411,7 +454,7 @@ def test_relational_matches_naive_enumeration():
         for i in range(12)
     ] + [DescriptorPair("fehlt", model.vocab[0], "broader", "de")]
     for k in (1, 5, 10):
-        result = relational_coverage(model, pairs, k)["broader"]
+        result = relational_at(model, pairs, k)["broader"]
         n_pairs, n_found, n_oov = naive_relational(model, pairs, k)["broader"]
         assert (result.n_pairs, result.n_found, result.n_oov_descriptors) == (
             n_pairs, n_found, n_oov,
@@ -431,11 +474,11 @@ def test_metrics_read_prefixes_of_a_larger_capacity():
     maps_b = neighbor_map(model_b, keyword_queries(labels), 29)
     rel_map = neighbor_map(model_a, descriptor_queries(pairs), 29)
     for k in (1, 4, 10, 29):
-        fresh = diversity(model_a, model_b, labels, k)
+        fresh = diversity_at(model_a, model_b, labels, k)
         served = diversity(model_a, model_b, labels, k, neighbors_a=maps_a, neighbors_b=maps_b)
         assert served == fresh
         assert relational_coverage(model_a, pairs, k, neighbors=rel_map) == (
-            relational_coverage(model_a, pairs, k)
+            relational_at(model_a, pairs, k)
         )
 
 

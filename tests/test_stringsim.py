@@ -9,9 +9,8 @@ from embeval.stringsim import (
     best_match,
     edit_distance_sub2,
     ratio,
-    scan_match,
 )
-from oracles import dp_edit_distance_sub2, ratio_oracle
+from oracles import dp_edit_distance_sub2, ratio_oracle, scan_match
 
 
 def test_distance_identity():

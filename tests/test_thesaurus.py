@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from embeval.errors import ThesaurusFormatError
 from embeval.thesaurus import (
     descriptor_pairs,
+    keyword_tokens,
     keywords,
     parse_ntriples_skos,
     parse_tsv,
@@ -40,14 +41,13 @@ def test_narrower_derives_broader():
 def test_mini_fixture_has_all_relation_types(thesaurus_mini_path):
     th = parse_ntriples_skos(thesaurus_mini_path)
     for relation in ("broader", "narrower", "related", "altLabel"):
-        assert th.relations(relation), relation
+        assert th.edges[relation], relation
     assert th.skipped_predicates == 1  # the inScheme triple
 
 
 def test_mini_fixture_keywords_de(thesaurus_mini_path):
     th = parse_ntriples_skos(thesaurus_mini_path)
-    labels = [kw.label for kw in keywords(th, "de")]
-    assert labels == [
+    assert keywords(th, "de") == [
         "Armut",
         "Bildungsungleichheit",
         "Chancengleichheit",
@@ -57,9 +57,8 @@ def test_mini_fixture_keywords_de(thesaurus_mini_path):
         "Verarmung",
         "soziale Ungleichheit",
     ]
-    by_label = {kw.label: kw.tokens for kw in keywords(th, "de")}
-    assert by_label["soziale Ungleichheit"] == ("soziale", "Ungleichheit")
-    assert [kw.label for kw in keywords(th, "en")] == ["social inequality"]
+    assert keyword_tokens("soziale Ungleichheit", lowercase=False) == ("soziale", "Ungleichheit")
+    assert keywords(th, "en") == ["social inequality"]
 
 
 def test_keywords_deduplicate_across_concepts():
@@ -70,7 +69,7 @@ def test_keywords_deduplicate_across_concepts():
             f'<http://ex/b> <{SKOS}prefLabel> "Herrschaft"@de .',
         )
     )
-    assert [kw.label for kw in keywords(th, "de")] == ["Herrschaft", "Macht"]
+    assert keywords(th, "de") == ["Herrschaft", "Macht"]
 
 
 def test_unrecognized_predicates_are_counted():
@@ -130,7 +129,7 @@ def test_tsv_equivalent_to_ntriples():
         c.id: (c.pref_labels, c.alt_labels) for c in b.concepts.values()
     }
     assert a.edges == b.edges
-    assert [kw.label for kw in keywords(a, "de")] == [kw.label for kw in keywords(b, "de")]
+    assert keywords(a, "de") == keywords(b, "de")
 
 
 def test_tsv_unknown_predicate_names_row():
@@ -223,22 +222,26 @@ def test_mini_fixture_single_word_pairs(thesaurus_mini_path):
     }
 
 
-def test_hyphenated_label_counts_as_single_word():
+def test_hyphenated_label_counts_as_several_words():
+    # the corpus cleaning splits "Nord-Süd-Konflikt" into three tokens
     th = parse_ntriples_skos(
         nt(
             f'<http://ex/d> <{SKOS}prefLabel> "Nord-Süd-Konflikt"@de .',
-            f'<http://ex/x> <{SKOS}prefLabel> "Konflikt"@de .',
+            f'<http://ex/x> <{SKOS}prefLabel> " Konflikt "@de .',
+            f'<http://ex/y> <{SKOS}prefLabel> "Konflikt"@de .',
             f"<http://ex/d> <{SKOS}broader> <http://ex/x> .",
+            f"<http://ex/y> <{SKOS}broader> <http://ex/x> .",
         )
     )
     sel = descriptor_pairs(th, "broader", "de", single_word_only=True)
-    assert len(sel.pairs) == 1
+    assert [(p.descriptor_label, p.concept_label) for p in sel.pairs] == [("Konflikt", " Konflikt ")]
+    assert sel.skipped_multiword == 1
 
 
 def test_reparse_is_stable(thesaurus_mini_path):
     a = parse_ntriples_skos(thesaurus_mini_path)
     b = parse_ntriples_skos(thesaurus_mini_path)
-    assert [kw.label for kw in keywords(a, "de")] == [kw.label for kw in keywords(b, "de")]
+    assert keywords(a, "de") == keywords(b, "de")
     assert a.edges == b.edges
 
 
