@@ -8,11 +8,13 @@ reproduces the tables byte for byte (the manifest differs only in its
 duration field).
 
 The vector commands (coverage, diversity, relations) share one skeleton,
-``_vector_command``: it loads the models and the thesaurus, records them
-in the manifest and writes the tables.  Each command adds its argument
-checks, its manifest parameters and a ``tables`` function, which builds
-the match or neighbor maps and reads the metrics off them; this module is
-the one place that builds maps.
+``_vector_command``: it parses the thesaurus, then loads one model at a
+time, records it in the manifest, builds its match or neighbor map and
+drops it before the next model loads, so a run holds at most one model.
+The tables are read off the maps alone.  Each command adds its argument
+checks, its manifest parameters, what it reads of the thesaurus, how it
+maps one model and how it builds the tables; this module is the one place
+that builds maps.
 """
 
 import argparse
@@ -23,14 +25,14 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .corpus import PipelineConfig, recount_stats, run_pipeline
 from .errors import EmbevalError, InputParseError, UnknownTokenError, UsageError
 from .report import ManifestTimer, RunManifest, markdown_table, pct, write_csv
 
 # The vector commands import metrics, neighbors, stringsim, thesaurus and
-# vectors when they run, so clean and stats never load numpy.  The parser's
-# choices are therefore spelled here; test_cli checks them against
-# metrics.DENOMINATOR_POLICIES and metrics.OOV_POLICIES.
+# vectors when they run, and clean and stats import corpus, so clean and
+# stats never load numpy and the vector commands never load the cleaning
+# cascade.  The parser's choices are therefore spelled here; test_cli
+# checks them against metrics.DENOMINATOR_POLICIES and metrics.OOV_POLICIES.
 DENOMINATOR_CHOICES = ("evaluated", "total")
 OOV_CHOICES = ("miss", "skip")
 
@@ -112,21 +114,6 @@ def _model_name(path: str) -> str:
     return name[: -len(".vec")] if name.endswith(".vec") else Path(path).stem
 
 
-def _load_models(paths: list[str], manifest: RunManifest):
-    """Load each model and record it as a manifest input with the digest of
-    the bytes it was parsed from, so each model file is read once."""
-    from .vectors import load_vec
-
-    models = []
-    for path in paths:
-        models.append(load_vec(path, _model_name(path)))
-        manifest.add_input(path, models[-1].source_digest)
-    names = [m.name for m in models]
-    if len(set(names)) != len(names):
-        raise UsageError(f"model names are not unique: {names}")
-    return models
-
-
 def _load_thesaurus(path: str):
     from .thesaurus import parse_ntriples_skos, parse_tsv
 
@@ -154,6 +141,8 @@ def _write_stats(path: Path, stats) -> None:
 
 
 def cmd_clean(args) -> int:
+    from .corpus import PipelineConfig, run_pipeline
+
     input_dir = Path(args.input)
     if not input_dir.is_dir():
         raise UsageError(f"no such input directory: {args.input}")
@@ -190,6 +179,8 @@ def cmd_clean(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from .corpus import recount_stats
+
     _require_files(*args.corpus_files)
     out = _out_dir(args)
     manifest = _manifest("stats", list(args.corpus_files), {})
@@ -200,21 +191,39 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _vector_command(args, parameters: dict, tables) -> int:
-    """Load the models and the thesaurus, then write ``tables(models, thesaurus)``.
+def _vector_command(args, parameters: dict, prepare, build_map, tables) -> int:
+    """Parse the thesaurus, map one model at a time, then write the tables.
 
-    ``tables`` returns the CSV header, the CSV rows and the Markdown text,
-    written to ``<command>.csv`` and ``<command>.md`` next to the manifest.
+    ``prepare(thesaurus)`` returns what the command reads of the thesaurus.
+    ``build_map(model, prepared)`` returns the match or neighbor map of one
+    model; each model is loaded, recorded and mapped, then dropped before
+    the next one loads.  ``tables(prepared, maps)`` gets ``(name,
+    vocabulary size, map)`` per model in argv order and returns the CSV
+    header, the CSV rows and the Markdown text, written to
+    ``<command>.csv`` and ``<command>.md`` next to the manifest.
     """
+    from .vectors import load_vec
+
+    names = [_model_name(path) for path in args.model]
+    if len(set(names)) != len(names):
+        raise UsageError(f"model names are not unique: {names}")
     _require_files(*args.model, args.thesaurus)
     out = _out_dir(args)
     parameters = {**parameters, "lang": args.lang, "lowercase": not args.no_lowercase}
     manifest = _manifest(args.command, [], parameters)
+    zero_vectors = manifest.parameters["zero_vectors"] = {}
     with ManifestTimer(manifest):
-        models = _load_models(args.model, manifest)
+        prepared = prepare(_load_thesaurus(args.thesaurus))
+        maps = []
+        for path, name in zip(args.model, names):
+            # the digest is that of the bytes parsed, so each file is read once
+            model = load_vec(path, name)
+            manifest.add_input(path, model.source_digest)
+            zero_vectors[name] = len(model.zero_rows)
+            maps.append((name, len(model.vocab), build_map(model, prepared)))
+            del model
         manifest.add_input(args.thesaurus)
-        manifest.parameters["zero_vectors"] = {m.name: len(m.zero_rows) for m in models}
-        header, rows, md = tables(models, _load_thesaurus(args.thesaurus))
+        header, rows, md = tables(prepared, maps)
         csv_path, md_path = out / f"{args.command}.csv", out / f"{args.command}.md"
         write_csv(csv_path, header, rows)
         md_path.write_text(md, encoding="utf-8")
@@ -231,24 +240,28 @@ def cmd_coverage(args) -> int:
     s_values = _check_s_values(args.s or [0.9, 0.95, 1.0])
     lowercase = not args.no_lowercase
 
-    def tables(models, th):
-        labels = keywords(th, args.lang)
+    def prepare(th):
+        return keywords(th, args.lang)
+
+    def build_map(model, labels):
+        return match_map(VocabIndex(model.vocab), labels, min(s_values), lowercase)
+
+    def tables(labels, maps):
         rows = []
-        for model in models:
-            matches = match_map(VocabIndex(model.vocab), labels, min(s_values), lowercase)
+        for name, vocab_size, matches in maps:
             for s in s_values:
-                result = coverage(model, labels, s, matches, lowercase)
-                rows.append([model.name, len(model.vocab), str(s), result.n_keywords,
+                result = coverage(name, labels, s, matches, lowercase)
+                rows.append([name, vocab_size, str(s), result.n_keywords,
                              result.n_covered, pct(result.c)])
         # rows run model by model, so rows[j::len(s_values)] is the j-th threshold of each model
-        md_rows = [["Vocab size"] + [str(len(m.vocab)) for m in models]]
+        md_rows = [["Vocab size"] + [str(vocab_size) for _, vocab_size, _ in maps]]
         md_rows += [[f"s={s}"] + [row[-1] for row in rows[j :: len(s_values)]]
                     for j, s in enumerate(s_values)]
         md = f"# Keyword coverage (n={len(labels)} keywords, lang={args.lang})\n\n"
-        md += markdown_table([""] + [m.name for m in models], md_rows)
+        md += markdown_table([""] + [name for name, _, _ in maps], md_rows)
         return ["model", "vocab_size", "s", "n_keywords", "n_covered", "c"], rows, md
 
-    return _vector_command(args, {"s": s_values}, tables)
+    return _vector_command(args, {"s": s_values}, prepare, build_map, tables)
 
 
 def cmd_diversity(args) -> int:
@@ -262,23 +275,30 @@ def cmd_diversity(args) -> int:
     lowercase = not args.no_lowercase
     cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV) or None
 
-    def tables(models, th):
+    def prepare(th):
         labels = keywords(th, args.lang)
-        queries = keyword_queries(labels, lowercase)
-        maps = {m.name: neighbor_map(m, queries, max(k_values), cache_dir, args.refresh)
-                for m in models}
+        return labels, keyword_queries(labels, lowercase)
+
+    def build_map(model, prepared):
+        _, queries = prepared
+        return neighbor_map(model, queries, max(k_values), cache_dir, args.refresh)
+
+    def tables(prepared, maps):
+        labels, _ = prepared
+        neighbor_maps = {name: neighbors for name, _, neighbors in maps}
+        names = list(neighbor_maps)
         rows = []
         md_parts = [f"# Neighborhood diversity (n={len(labels)} keywords, lang={args.lang})\n"]
         for k in k_values:
-            matrix = diversity_matrix(models, labels, k, maps, lowercase, args.denominator)
-            for a, b in itertools.combinations(models, 2):
-                res = matrix[(a.name, b.name)]
-                rows.append([k, a.name, b.name, res.n_total, res.n_evaluated,
+            matrix = diversity_matrix(neighbor_maps, labels, k, lowercase, args.denominator)
+            for a, b in itertools.combinations(names, 2):
+                res = matrix[(a, b)]
+                rows.append([k, a, b, res.n_total, res.n_evaluated,
                              res.n_disjoint, res.n_skipped_multiword, res.n_skipped_oov,
                              res.n_skipped_empty, pct(res.d), res.denominator])
-            md_rows = [[a.name] + ["-" if a.name == b.name else pct(matrix[(a.name, b.name)].d)
-                                   for b in models] for a in models]
-            md_parts.append(markdown_table([f"top-{k}"] + [m.name for m in models], md_rows))
+            md_rows = [[a] + ["-" if a == b else pct(matrix[(a, b)].d) for b in names]
+                       for a in names]
+            md_parts.append(markdown_table([f"top-{k}"] + names, md_rows))
         md_parts.append(
             "Neighborhoods exclude the query token itself; zero-vector and "
             "out-of-vocabulary keywords are skipped and counted in the CSV.\n"
@@ -289,7 +309,7 @@ def cmd_diversity(args) -> int:
 
     parameters = {"k": k_values, "denominator": args.denominator, "cache_dir": cache_dir,
                   "refresh": args.refresh}
-    return _vector_command(args, parameters, tables)
+    return _vector_command(args, parameters, prepare, build_map, tables)
 
 
 def cmd_relations(args) -> int:
@@ -300,29 +320,35 @@ def cmd_relations(args) -> int:
     k_values = _check_k_values(args.k or [10, 50, 200])
     lowercase = not args.no_lowercase
 
-    def tables(models, th):
+    def prepare(th):
         selections = {
             rel: descriptor_pairs(th, rel, args.lang, single_word_only=args.single_word_only)
             for rel in RELATION_TYPES
         }
         pairs = [p for rel in RELATION_TYPES for p in selections[rel].pairs]
-        queries = descriptor_queries(pairs, lowercase)
-        maps = {m.name: neighbor_map(m, queries, max(k_values)) for m in models}
+        return selections, pairs, descriptor_queries(pairs, lowercase)
+
+    def build_map(model, prepared):
+        *_, queries = prepared
+        return neighbor_map(model, queries, max(k_values))
+
+    def tables(prepared, maps):
+        selections, pairs, _ = prepared
         rows = []
         md_parts = [f"# Relational coverage (lang={args.lang}, oov={args.oov_policy})\n"]
         for k in k_values:
             md_rows = []
-            for model in models:
-                results = relational_coverage(model, pairs, k, maps[model.name], lowercase,
+            for name, _, neighbors in maps:
+                results = relational_coverage(name, pairs, k, neighbors, lowercase,
                                               args.oov_policy)
-                md_row = [model.name]
+                md_row = [name]
                 for rel, short in RELATION_COLUMNS:
                     res = results.get(rel)
                     if res is None:
-                        rows.append([k, model.name, short, 0, 0, 0, args.oov_policy, pct(0.0)])
+                        rows.append([k, name, short, 0, 0, 0, args.oov_policy, pct(0.0)])
                         md_row.append("0.00 (n=0)")
                     else:
-                        rows.append([k, model.name, short, res.n_pairs, res.n_found,
+                        rows.append([k, name, short, res.n_pairs, res.n_found,
                                      res.n_oov_descriptors, res.oov_policy, pct(res.r)])
                         md_row.append(pct(res.r))
                 md_rows.append(md_row)
@@ -341,11 +367,12 @@ def cmd_relations(args) -> int:
 
     parameters = {"k": k_values, "single_word_only": args.single_word_only,
                   "oov_policy": args.oov_policy}
-    return _vector_command(args, parameters, tables)
+    return _vector_command(args, parameters, prepare, build_map, tables)
 
 
 def cmd_neighbors(args) -> int:
     from .neighbors import top_k
+    from .vectors import load_vec
 
     if args.k < 0:
         raise UsageError(f"k must be >= 0, got {args.k}")
@@ -353,7 +380,8 @@ def cmd_neighbors(args) -> int:
     out = _out_dir(args)
     manifest = _manifest("neighbors", [], {"word": args.word, "k": args.k})
     with ManifestTimer(manifest):
-        [model] = _load_models([args.model], manifest)
+        model = load_vec(args.model, _model_name(args.model))
+        manifest.add_input(args.model, model.source_digest)
         try:
             ns = top_k(model, args.word, args.k)
         except (UnknownTokenError, EmbevalError) as exc:

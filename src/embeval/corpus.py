@@ -41,15 +41,12 @@ from typing import Iterable, Union
 from .errors import InputParseError, WorkerError
 from .langid import UNKNOWN, TrigramClassifier, classify_line_language, default_classifier
 from .numwords import MAX_NUMBER, number_to_words
+from .thesaurus import DASH_CHARS, HYPHEN_CHARS
 
 logger = logging.getLogger(__name__)
 
-# Word-joining hyphens (incl. soft hyphen) and dashes; all end up as spaces
-# except when a hyphen sits directly before a line break, which joins the
-# split word instead.
-HYPHEN_CHARS = "-­‐‑"
-DASH_CHARS = "‒–—"
-
+# Hyphens and dashes all end up as spaces, except when a hyphen sits
+# directly before a line break, which joins the split word instead.
 _HYPHEN_BREAK_RE = re.compile(f"[{HYPHEN_CHARS}][ \t]*\n[ \t]*")
 _HYPHEN_RE = re.compile(f"[{HYPHEN_CHARS}{DASH_CHARS}]")
 

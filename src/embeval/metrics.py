@@ -9,25 +9,28 @@
   concept label appears among the descriptor's top-k neighbors, per
   relation type.  It reads them from the model's ``neighbor_map``.
 
-No metric searches a vocabulary itself: the caller builds each map once
-per model, and every threshold or k reads it.  Every metric splits a label
-with ``thesaurus.keyword_tokens`` (lowercased by default, hyphens mapped
-to spaces), mirroring what the corpus cleaning does to the training text;
-otherwise case and hyphenation would spuriously zero the scores.  A label
-of more than one token is skipped by diversity and counts as an
-out-of-vocabulary descriptor, or as a concept not found, in relational
-coverage.  All percentages are exact counts scaled by 100; rendering to
-two decimals happens in the report layer.
+No metric searches a vocabulary or reads a model: the caller builds each
+map once per model, and every threshold or k reads it, so a model can be
+dropped once its map is built and the metrics take model names.  A
+neighbor map holds exactly the queries that have a neighborhood, so a
+query is in the vocabulary with a nonzero vector exactly when it is in
+the map.  Every metric splits a label with ``thesaurus.keyword_tokens``
+(lowercased by default, hyphens mapped to spaces), mirroring what the
+corpus cleaning does to the training text; otherwise case and
+hyphenation would spuriously zero the scores.  A label of more than one
+token is skipped by diversity and counts as an out-of-vocabulary
+descriptor, or as a concept not found, in relational coverage.  All
+percentages are exact counts scaled by 100; rendering to two decimals
+happens in the report layer.
 """
 
 import logging
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .neighbors import NeighborMap, queryable
+from .neighbors import NeighborMap
 from .stringsim import RatioMatch, VocabIndex, best_match
 from .thesaurus import DescriptorPair, keyword_tokens
-from .vectors import EmbeddingModel
 
 logger = logging.getLogger(__name__)
 
@@ -151,20 +154,20 @@ def match_map(
 
 
 def coverage(
-    model: EmbeddingModel,
+    name: str,
     keywords: Sequence[str],
     s: float,
     matches: dict[str, RatioMatch | None],
     lowercase: bool = True,
 ) -> CoverageResult:
-    """Coverage of the keyword list in the model vocabulary at threshold s.
+    """Coverage of the keyword list in the vocabulary of model ``name`` at threshold s.
 
     Token matches are read from ``matches``, a ``match_map`` of these
-    keywords built at a threshold <= s.
+    keywords in that vocabulary built at a threshold <= s.
     """
     if not 0.0 < s <= 1.0:
         raise ValueError(f"threshold s must be in (0, 1], got {s}")
-    result = CoverageResult(model.name, s, n_keywords=len(keywords), n_covered=0)
+    result = CoverageResult(name, s, n_keywords=len(keywords), n_covered=0)
     for label in keywords:
         records = _match_records(keyword_tokens(label, lowercase=lowercase), matches, s)
         if records is not None:
@@ -189,19 +192,18 @@ def descriptor_queries(pairs: Sequence[DescriptorPair], lowercase: bool = True) 
     return keyword_queries([pair.descriptor_label for pair in pairs], lowercase)
 
 
-def _neighbor_tokens(neighbors: NeighborMap, query: str, k: int,
-                     lowercase: bool) -> frozenset[str]:
-    """The top-k tokens of ``query``: the first k of its tokens in the map."""
-    tokens = neighbors.tokens.get(query)
-    if tokens is None or neighbors.k < k:
-        raise ValueError(f"neighbor map lacks the top-{k} of {query!r}")
-    tokens = tokens[:k]
-    return frozenset(t.lower() for t in tokens) if lowercase else frozenset(tokens)
+def _top_sets(neighbors: NeighborMap, k: int, lowercase: bool) -> dict[str, frozenset[str]]:
+    """The set of top-k tokens of every query in the map, each built once."""
+    if neighbors.k < k:
+        raise ValueError(f"a neighbor map of capacity {neighbors.k} lacks the top-{k}")
+    if lowercase:
+        return {q: frozenset(map(str.lower, t[:k])) for q, t in neighbors.tokens.items()}
+    return {q: frozenset(t[:k]) for q, t in neighbors.tokens.items()}
 
 
 def diversity(
-    model_a: EmbeddingModel,
-    model_b: EmbeddingModel,
+    name_a: str,
+    name_b: str,
     keywords: Sequence[str],
     k: int,
     neighbors_a: NeighborMap,
@@ -211,104 +213,122 @@ def diversity(
 ) -> DiversityResult:
     """Share of keywords whose top-k neighborhoods in the two models are disjoint.
 
-    Multi-token keywords and keywords missing from either vocabulary are
-    skipped and counted.  Neighborhoods are read from the two neighbor
-    maps of the ``keyword_queries``, which must hold capacity >= k.
-    Keywords whose neighborhoods are empty in both models are skipped so
-    that comparing a model with itself always yields zero.
+    Neighborhoods are read from the two neighbor maps of the
+    ``keyword_queries``, which must hold capacity >= k; a keyword token
+    not in a map is out of that model's vocabulary or has a zero vector.
+    Multi-token keywords and keywords out of either vocabulary are skipped
+    and counted.  Keywords whose neighborhoods are empty in both models
+    are skipped so that comparing a model with itself always yields zero.
     """
+    tokens = [_single_token(label, lowercase) for label in keywords]
+    return _diversity(name_a, name_b, tokens, k, _top_sets(neighbors_a, k, lowercase),
+                      _top_sets(neighbors_b, k, lowercase), denominator)
+
+
+def _diversity(
+    name_a: str,
+    name_b: str,
+    tokens: list[str | None],
+    k: int,
+    sets_a: dict[str, frozenset[str]],
+    sets_b: dict[str, frozenset[str]],
+    denominator: str,
+) -> DiversityResult:
+    """``diversity`` over each keyword's single token (None for several) and
+    the ``_top_sets`` of the two maps."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if denominator not in DENOMINATOR_POLICIES:
         raise ValueError(f"unknown denominator policy {denominator!r}")
     result = DiversityResult(
-        model_a.name, model_b.name, k,
-        n_total=len(keywords), n_evaluated=0, n_disjoint=0,
+        name_a, name_b, k,
+        n_total=len(tokens), n_evaluated=0, n_disjoint=0,
         denominator=denominator,
     )
-    for label in keywords:
-        token = _single_token(label, lowercase)
+    for token in tokens:
         if token is None:
             result.n_skipped_multiword += 1
             continue
-        if not queryable(model_a, token) or not queryable(model_b, token):
+        set_a = sets_a.get(token)
+        set_b = sets_b.get(token)
+        if set_a is None or set_b is None:
             result.n_skipped_oov += 1
             continue
-        set_a = _neighbor_tokens(neighbors_a, token, k, lowercase)
-        set_b = _neighbor_tokens(neighbors_b, token, k, lowercase)
         if not set_a and not set_b:
             result.n_skipped_empty += 1
             continue
         result.n_evaluated += 1
-        if not set_a & set_b:
+        if set_a.isdisjoint(set_b):
             result.n_disjoint += 1
     return result
 
 
 def diversity_matrix(
-    models: Sequence[EmbeddingModel],
+    neighbor_maps: dict[str, NeighborMap],
     keywords: Sequence[str],
     k: int,
-    neighbor_maps: dict[str, NeighborMap],
     lowercase: bool = True,
     denominator: str = "evaluated",
 ) -> dict[tuple[str, str], DiversityResult]:
     """All unordered model pairs, computed once and mirrored; zero diagonal.
 
-    ``neighbor_maps`` holds one neighbor map per model name.
+    ``neighbor_maps`` holds one neighbor map per model name; pairs follow
+    its key order.
     """
-    if len(models) < 2:
+    if len(neighbor_maps) < 2:
         raise ValueError("diversity needs at least two models")
+    tokens = [_single_token(label, lowercase) for label in keywords]
+    sets = {name: _top_sets(neighbors, k, lowercase) for name, neighbors in neighbor_maps.items()}
+    names = list(neighbor_maps)
     out: dict[tuple[str, str], DiversityResult] = {}
-    for i, a in enumerate(models):
-        for b in models[i + 1 :]:
-            res = diversity(
-                a, b, keywords, k, neighbor_maps[a.name], neighbor_maps[b.name],
-                lowercase=lowercase, denominator=denominator,
-            )
-            out[(a.name, b.name)] = res
-            out[(b.name, a.name)] = res
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            res = _diversity(a, b, tokens, k, sets[a], sets[b], denominator)
+            out[(a, b)] = res
+            out[(b, a)] = res
     return out
 
 
 def relational_coverage(
-    model: EmbeddingModel,
+    name: str,
     pairs: Sequence[DescriptorPair],
     k: int,
     neighbors: NeighborMap,
     lowercase: bool = True,
     oov_policy: str = "miss",
 ) -> dict[str, RelationalResult]:
-    """Relational coverage per relation type present in ``pairs``.
+    """Relational coverage of model ``name`` per relation type present in ``pairs``.
 
     A pair counts as found when the concept label's token is among the
     descriptor's top-k neighbor tokens (compared as exact lowercase
     strings by default), read from ``neighbors``, the neighbor map of the
     ``descriptor_queries`` (capacity >= k).  A descriptor of more than one
-    token, or missing from the vocabulary, is out of vocabulary; such
-    descriptors count as misses under the default policy, keeping n at the
-    full pair count, and the ``skip`` policy removes them from the
-    denominator instead.  A concept of more than one token is never found.
+    token, or not in the map (missing from the vocabulary or a zero
+    vector), is out of vocabulary; such descriptors count as misses under
+    the default policy, keeping n at the full pair count, and the ``skip``
+    policy removes them from the denominator instead.  A concept of more
+    than one token is never found.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if oov_policy not in OOV_POLICIES:
         raise ValueError(f"unknown oov policy {oov_policy!r}")
+    sets = _top_sets(neighbors, k, lowercase)
     results: dict[str, RelationalResult] = {}
     for pair in pairs:
         res = results.get(pair.relation_type)
         if res is None:
             res = results[pair.relation_type] = RelationalResult(
-                model.name, pair.relation_type, k,
+                name, pair.relation_type, k,
                 n_pairs=0, n_found=0, n_oov_descriptors=0, oov_policy=oov_policy,
             )
         res.n_pairs += 1
-        descriptor = _single_token(pair.descriptor_label, lowercase)
-        if descriptor is None or not queryable(model, descriptor):
+        # None, a multi-token descriptor, is in no map
+        top = sets.get(_single_token(pair.descriptor_label, lowercase))
+        if top is None:
             res.n_oov_descriptors += 1
             continue
         # None, a multi-token concept, is in no neighbor set
-        concept = _single_token(pair.concept_label, lowercase)
-        if concept in _neighbor_tokens(neighbors, descriptor, k, lowercase):
+        if _single_token(pair.concept_label, lowercase) in top:
             res.n_found += 1
     return results

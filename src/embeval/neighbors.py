@@ -243,15 +243,17 @@ def top_k_batch(model: EmbeddingModel, queries: list[str], k: int) -> BatchResul
 
 def neighbor_map(model: EmbeddingModel, queries: list[str], k: int, cache_dir=None,
                  refresh: bool = False) -> NeighborMap:
-    """Neighbor tokens at capacity >= k for every queryable query, each searched once.
+    """Neighbor tokens at capacity >= k for exactly the queryable queries, each searched once.
 
-    Any k' <= k is served by the first k' tokens.  With ``cache_dir`` the
-    map goes through the model's cache file: a file of capacity >= k serves
-    the call, one of smaller capacity is rebuilt at k, and one built for
-    other vectors, written in another format or lacking a needed query
-    raises StaleCacheError unless ``refresh`` asks for a rebuild.  A search
-    logs at debug level how many queries it certified and how many fell
-    back to GEMV.
+    The map holds no other query, so a query is queryable exactly when it
+    is in the map.  Any k' <= k is served by the first k' tokens.  With
+    ``cache_dir`` the map goes through the model's cache file: a file of
+    capacity >= k serves the call, restricted to the wanted queries; one
+    of smaller capacity is rebuilt at k; and one built for other vectors,
+    written in another format or lacking a needed query raises
+    StaleCacheError unless ``refresh`` asks for a rebuild.  A search logs
+    at debug level how many queries it certified and how many fell back
+    to GEMV.
     """
     wanted = sorted(q for q in set(queries) if queryable(model, q))
     path = None if cache_dir is None else cache_path(cache_dir, model.name)
@@ -264,7 +266,7 @@ def neighbor_map(model: EmbeddingModel, queries: list[str], k: int, cache_dir=No
                     f"cache {path} lacks {len(missing)} needed queries "
                     f"(e.g. {missing[0]!r}); rerun with --refresh"
                 )
-            return cached
+            return NeighborMap(cached.k, {q: cached.tokens[q] for q in wanted})
     batch = top_k_batch(model, wanted, k)
     searched = len(batch.neighbor_sets)
     logger.debug(

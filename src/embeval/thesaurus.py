@@ -15,7 +15,6 @@ import re
 from dataclasses import dataclass, field
 from typing import BinaryIO, Union
 
-from .corpus import DASH_CHARS, HYPHEN_CHARS
 from .errors import ThesaurusFormatError
 
 SKOS_NS = "http://www.w3.org/2004/02/skos/core#"
@@ -35,6 +34,12 @@ _INVERSE = {"broader": "narrower", "narrower": "broader"}
 _TRIPLE_RE = re.compile(r"^<([^<>\s]*)>\s+<([^<>\s]*)>\s+(.+?)\s*\.\s*$")
 _LITERAL_RE = re.compile(r'^"((?:[^"\\]|\\.)*)"(?:@([A-Za-z][A-Za-z0-9-]*))?$')
 _IRI_RE = re.compile(r"^<([^<>\s]*)>$")
+
+# Word-joining hyphens (incl. soft hyphen) and dashes.  The corpus cascade
+# turns them into spaces, and a label is split at them, so both read a
+# hyphenated word alike.
+HYPHEN_CHARS = "\u002d\u00ad\u2010\u2011"
+DASH_CHARS = "\u2012\u2013\u2014"
 
 _HYPHEN_TO_SPACE = re.compile(f"[{HYPHEN_CHARS}{DASH_CHARS}]")
 

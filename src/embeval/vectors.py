@@ -4,8 +4,13 @@ The format is the plain-text one used by common embedding trainers: a header
 line ``<count> <dim>`` followed by one line per word holding the token and
 ``dim`` space-separated decimal numbers.  Models are immutable once loaded;
 concurrent readers are safe.
+
+``load_vec`` streams the file in fixed-size blocks, so loading holds the
+matrix and the vocabulary plus about one block, never the file's bytes,
+text or list of lines.
 """
 
+import codecs
 import hashlib
 import io
 import itertools
@@ -13,7 +18,7 @@ import logging
 import os
 import warnings
 from dataclasses import dataclass, field
-from typing import BinaryIO, Union
+from typing import BinaryIO, Iterator, Union
 
 import numpy as np
 
@@ -54,15 +59,19 @@ class EmbeddingModel:
                 f"matrix shape {self.matrix.shape} does not match "
                 f"{len(self.vocab)} tokens of dim {self.dim}"
             )
-        if not np.all(np.isfinite(self.matrix)):
+        # min and max are nan or infinite exactly when some component is,
+        # and reduce without a temporary array the size of the matrix
+        if self.matrix.size and not np.isfinite([self.matrix.min(), self.matrix.max()]).all():
             raise ValueError("matrix contains non-finite components")
-        self.index = {}
-        for i, tok in enumerate(self.vocab):
-            if not tok or tok.split() != [tok]:
-                raise ValueError(f"token {tok!r} is empty or contains whitespace")
-            if tok in self.index:
-                raise ValueError(f"duplicate token {tok!r}")
-            self.index[tok] = i
+        self.index = dict(zip(self.vocab, range(len(self.vocab))))
+        if len(self.index) != len(self.vocab) or not _plain_tokens(self.vocab):
+            seen = set()
+            for tok in self.vocab:
+                if not tok or tok.split() != [tok]:
+                    raise ValueError(f"token {tok!r} is empty or contains whitespace")
+                if tok in seen:
+                    raise ValueError(f"duplicate token {tok!r}")
+                seen.add(tok)
         if len(self.vocab):
             # zero rows are a property of the matrix; never trust the caller
             # to have flagged them all
@@ -93,6 +102,16 @@ class EmbeddingModel:
         return hashlib.sha256(buf.getvalue()).hexdigest()
 
 
+def _plain_tokens(tokens: list[str]) -> bool:
+    """Whether no token is empty or holds whitespace, that is, whether a
+    join and a whitespace split give the tokens back.  Testing slices of
+    ``_CHUNK`` tokens keeps the copies small."""
+    return all(
+        " ".join(part).split() == part
+        for part in (list(tokens[i : i + _CHUNK]) for i in range(0, len(tokens), _CHUNK))
+    )
+
+
 def contains(model: EmbeddingModel, token: str) -> bool:
     """Exact, case-sensitive vocabulary membership."""
     return token in model.index
@@ -107,20 +126,15 @@ def vector(model: EmbeddingModel, token: str) -> np.ndarray:
     return model.matrix[row]
 
 
-def _read_bytes(source: Source) -> bytes:
-    if isinstance(source, bytes):
-        return source
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as fh:
-            return fh.read()
-    return source.read()
-
-
+# Bytes read, hashed and decoded at a time.  The loader holds one block,
+# its text and its lines next to the vocabulary and the matrix.
+_BLOCK = 1 << 20
 # Kept body lines whose components one np.loadtxt call parses.  8192 was no
 # faster and raised a two-model diversity run's peak RSS by about 10 MB.
 _CHUNK = 1024
 # ASCII separators that numpy strips around a number as whitespace but
-# float() rejects; a file holding one is parsed by float() alone.
+# float() rejects; the lines of a block holding one are parsed by float()
+# alone.
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
@@ -131,106 +145,249 @@ def load_vec(source: Source, name: str, keep_first: bool = False) -> EmbeddingMo
     keeping the first occurrence; the duplicate row is dropped so the header
     count is then allowed to exceed the stored row count.
 
-    A component is accepted when ``float()`` accepts it and the result is
-    finite.  The line structure is checked line by line; the numbers of up
-    to ``_CHUNK`` kept lines are parsed by one ``np.loadtxt`` call, and the
-    first failing line of the file names the error.
+    The file is read, hashed and decoded ``_BLOCK`` bytes at a time, so it
+    is never held whole: memory peaks at the matrix and the vocabulary plus
+    about one block.  A component is accepted when ``float()`` accepts it
+    and the result is finite.  The numbers of up to ``_CHUNK`` complete
+    lines of a block are parsed by one ``np.loadtxt`` call, after C-level
+    checks of the chunk's structure; a chunk failing them is checked line
+    by line, and the first failing line of the file names the error.
+
+    Errors take this precedence: invalid UTF-8 anywhere in the file, then
+    a BOM, an empty file or a malformed header, then a row count that is
+    not the header's, then the first failing body line.  After an error
+    the rest of the file is only decoded and its lines counted.
     """
-    raw = _read_bytes(source)
-    digest = hashlib.sha256(raw).hexdigest()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise VecFormatError(f"not valid UTF-8: {exc}") from None
-    del raw
-    if text.startswith("\ufeff"):
-        raise VecFormatError("file starts with a BOM", line_no=1)
-    use_loadtxt = not any(c in text for c in _LOADTXT_ONLY_SPACE)
-
-    lines = text.split("\n")
-    del text
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise VecFormatError("empty file", line_no=1)
-
-    header = lines[0].split(" ")
-    if len(header) != 2 or not header[0].isdecimal() or not header[1].isdecimal():
-        raise VecFormatError(f"malformed header {lines[0]!r}", line_no=1)
-    count, dim = int(header[0]), int(header[1])
-    if dim <= 0:
-        raise VecFormatError(f"dimension must be positive, got {dim}", line_no=1)
-
-    if len(lines) - 1 != count:
-        raise VecFormatError(
-            f"header declares {count} rows but file has {len(lines) - 1}"
-        )
-
-    vocab: list[str] = []
-    seen: set[str] = set()
-    # allocated once the first chunk has parsed, so a header's dimension is
-    # backed by a body line before it sizes an array
-    rows: np.ndarray | None = None
-    rests: list[str] = []
-    line_nos: list[int] = []
-
-    def flush() -> None:
-        nonlocal rows
-        if not rests:
-            return
-        block = _parse_components(rests, line_nos, dim, use_loadtxt)
-        if rows is None:
-            rows = np.empty((count, dim), dtype=np.float64)
-        stored = len(vocab) - len(rests)
-        rows[stored : len(vocab)] = block
-        rests.clear()
-        line_nos.clear()
-
-    for line_no, line in enumerate(itertools.islice(lines, 1, None), start=2):
-        token, _, rest = line.partition(" ")
-        error = None
-        if line.count(" ") != dim:
-            error = f"expected token plus {dim} components, found {line.count(' ')}"
-        elif not token:
-            error = "empty token"
-        elif token.split() != [token]:
-            error = f"token {token!r} contains whitespace"
-        elif token in seen:
-            if not keep_first:
-                error = f"duplicate token {token!r}"
-            else:
-                logger.warning(
-                    "%s: duplicate token %r on line %d; keeping first occurrence",
-                    name, token, line_no,
-                )
-                continue
+    digest = hashlib.sha256()
+    body: _Body | None = None
+    error: VecFormatError | None = None
+    carry: list[str] = []  # the text of the line still open, in pieces
+    newlines = 0
+    open_tail = False  # the text read so far does not end in a newline
+    for text in _texts(source, digest):
+        if not text:
+            continue
+        n = text.count("\n")
+        newlines += n
+        open_tail = not text.endswith("\n")
         if error is not None:
-            flush()  # an error on an earlier line of the chunk wins
-            raise VecFormatError(error, line_no=line_no)
-        seen.add(token)
-        vocab.append(token)
-        rests.append(rest)
-        line_nos.append(line_no)
-        if len(rests) == _CHUNK:
-            flush()
-    flush()
-    del lines, seen
-
-    if rows is None:
+            continue
+        if not n:
+            carry.append(text)
+            continue
+        lines = text.split("\n")
+        lines[0] = "".join(carry) + lines[0]
+        carry = [lines.pop()]
+        use_loadtxt = _loadtxt_safe(text) and _loadtxt_safe(lines[0])
+        del text
         try:
-            rows = np.empty((0, dim), dtype=np.float64)
-        except ValueError:
-            raise VecFormatError(f"dimension {dim} is too large", line_no=1) from None
-    model = EmbeddingModel(
-        name=name,
-        dim=dim,
-        vocab=vocab,
-        matrix=rows[: len(vocab)],
-        source_digest=digest,
-    )
+            if body is None:
+                body = _Body(name, *_header(lines[0]), keep_first)
+                del lines[0]
+            body.feed(lines, use_loadtxt)
+        except VecFormatError as exc:
+            error = exc
+            carry = []
+        del lines
+    last = "".join(carry)
+    if last:  # the file does not end in a newline, and no error stopped parsing
+        try:
+            if body is None:
+                body = _Body(name, *_header(last), keep_first)
+            else:
+                body.feed([last], _loadtxt_safe(last))
+        except VecFormatError as exc:
+            error = exc
+    if body is None:
+        raise error or VecFormatError("empty file", line_no=1)
+    rows = newlines + open_tail - 1
+    if rows != body.count:
+        raise VecFormatError(f"header declares {body.count} rows but file has {rows}")
+    if error is not None:
+        raise error
+    model = body.model(digest.hexdigest())
     if model.zero_rows:
         logger.warning("%s: %d zero vector(s) in input", name, len(model.zero_rows))
     return model
+
+
+def _blocks(source: Source) -> Iterator[bytes]:
+    """The bytes of ``source``, ``_BLOCK`` at a time."""
+    if isinstance(source, bytes):
+        for start in range(0, len(source), _BLOCK):
+            yield source[start : start + _BLOCK]
+    elif isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as fh:
+            yield from iter(lambda: fh.read(_BLOCK), b"")
+    else:
+        yield from iter(lambda: source.read(_BLOCK), b"")
+
+
+def _texts(source: Source, digest) -> Iterator[str]:
+    """The decoded text of each block of ``source``, whose bytes go to ``digest``.
+
+    A multi-byte character split between blocks is decoded with the later
+    one.  Invalid UTF-8 is a VecFormatError worded as ``bytes.decode`` of
+    the whole file words it, with the byte position in the file.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    position = 0  # bytes passed to the decoder
+    for block in _blocks(source):
+        digest.update(block)
+        yield _decode(decoder, block, position)
+        position += len(block)
+    yield _decode(decoder, b"", position, final=True)
+
+
+def _decode(decoder, data: bytes, position: int, final: bool = False) -> str:
+    # the decoder still holds the bytes of a character begun before ``data``
+    offset = position - len(decoder.getstate()[0])
+    try:
+        return decoder.decode(data, final)
+    except UnicodeDecodeError as exc:
+        start, end = offset + exc.start, offset + exc.end
+        if exc.end - exc.start == 1:
+            what = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+        else:
+            what = f"bytes in position {start}-{end - 1}"
+        raise VecFormatError(
+            f"not valid UTF-8: 'utf-8' codec can't decode {what}: {exc.reason}"
+        ) from None
+
+
+def _loadtxt_safe(text: str) -> bool:
+    return not any(c in text for c in _LOADTXT_ONLY_SPACE)
+
+
+def _header(line: str) -> tuple[int, int]:
+    """The row count and dimension of the header line."""
+    if line.startswith("\ufeff"):
+        raise VecFormatError("file starts with a BOM", line_no=1)
+    fields = line.split(" ")
+    if len(fields) != 2 or not fields[0].isdecimal() or not fields[1].isdecimal():
+        raise VecFormatError(f"malformed header {line!r}", line_no=1)
+    try:
+        count, dim = int(fields[0]), int(fields[1])
+    except ValueError:  # more digits than int() converts
+        raise VecFormatError(f"malformed header {line!r}", line_no=1) from None
+    if dim <= 0:
+        raise VecFormatError(f"dimension must be positive, got {dim}", line_no=1)
+    return count, dim
+
+
+class _Body:
+    """The vocabulary and rows of a file's body lines, fed a block at a time."""
+
+    def __init__(self, name: str, count: int, dim: int, keep_first: bool):
+        self.name = name
+        self.count = count
+        self.dim = dim
+        self.keep_first = keep_first
+        self.vocab: list[str] = []
+        self.seen: set[str] = set()
+        # allocated once the first chunk has parsed, so a header's
+        # dimension is backed by a body line before it sizes an array
+        self.rows: np.ndarray | None = None
+        self.lines = 0  # body lines fed
+
+    def feed(self, lines: list[str], use_loadtxt: bool) -> None:
+        """Parse body lines in chunks; raises VecFormatError at the first failing one."""
+        for start in range(0, len(lines), _CHUNK):
+            chunk = lines[start : start + _CHUNK]
+            first = self.lines + 2  # file line of chunk[0]
+            self.lines += len(chunk)
+            if self.lines > self.count:
+                # stops parsing; load_vec reports the row count at EOF
+                raise VecFormatError(f"header declares {self.count} rows but file has more")
+            rests, line_nos, error = self._check(chunk, first)
+            # an error on an earlier line of the chunk wins
+            self._store(rests, line_nos, use_loadtxt)
+            if error is not None:
+                raise error
+
+    def _check(self, chunk: list[str], first: int):
+        """Append the chunk's tokens up to its first failing line; return their
+        component strings, their line numbers and that line's error, if any.
+
+        C-level calls check the whole chunk: every line holds ``dim``
+        spaces, the tokens survive a join and whitespace split (none is
+        empty or holds whitespace), and none repeats.  Only a chunk that
+        fails is checked line by line.
+        """
+        if set(map(str.count, chunk, itertools.repeat(" "))) == {self.dim}:
+            tokens, _, rests = zip(*map(str.partition, chunk, itertools.repeat(" ")))
+            distinct = set(tokens)
+            if (
+                len(distinct) == len(tokens)
+                and self.seen.isdisjoint(distinct)
+                and tuple(" ".join(tokens).split()) == tokens
+            ):
+                self.seen |= distinct
+                self.vocab += tokens
+                return rests, range(first, first + len(chunk)), None
+        return self._check_lines(chunk, first)
+
+    def _check_lines(self, chunk: list[str], first: int):
+        rests: list[str] = []
+        line_nos: list[int] = []
+        for line_no, line in enumerate(chunk, start=first):
+            token, _, rest = line.partition(" ")
+            error = None
+            if line.count(" ") != self.dim:
+                error = f"expected token plus {self.dim} components, found {line.count(' ')}"
+            elif not token:
+                error = "empty token"
+            elif token.split() != [token]:
+                error = f"token {token!r} contains whitespace"
+            elif token in self.seen:
+                if not self.keep_first:
+                    error = f"duplicate token {token!r}"
+                else:
+                    logger.warning(
+                        "%s: duplicate token %r on line %d; keeping first occurrence",
+                        self.name, token, line_no,
+                    )
+                    continue
+            if error is not None:
+                return rests, line_nos, VecFormatError(error, line_no=line_no)
+            self.seen.add(token)
+            self.vocab.append(token)
+            rests.append(rest)
+            line_nos.append(line_no)
+        return rests, line_nos, None
+
+    def _store(self, rests, line_nos, use_loadtxt: bool) -> None:
+        """Parse the components of the last ``len(rests)`` tokens into their rows."""
+        if not rests:
+            return
+        block = _parse_components(rests, line_nos, self.dim, use_loadtxt)
+        if self.rows is None:
+            try:
+                self.rows = np.empty((self.count, self.dim), dtype=np.float64)
+            except (ValueError, MemoryError):
+                # reported only if the file does hold ``count`` rows
+                raise VecFormatError(
+                    f"{self.count} rows of dimension {self.dim} do not fit in memory",
+                    line_no=1,
+                ) from None
+        end = len(self.vocab)
+        self.rows[end - len(rests) : end] = block
+
+    def model(self, digest: str) -> EmbeddingModel:
+        self.seen.clear()
+        rows = self.rows
+        if rows is None:
+            try:
+                rows = np.empty((0, self.dim), dtype=np.float64)
+            except ValueError:
+                raise VecFormatError(f"dimension {self.dim} is too large", line_no=1) from None
+        return EmbeddingModel(
+            name=self.name,
+            dim=self.dim,
+            vocab=self.vocab,
+            matrix=rows[: len(self.vocab)],
+            source_digest=digest,
+        )
 
 
 def _parse_components(

@@ -53,20 +53,20 @@ def anchored(c: float, axis: int, dim: int = 2) -> list[float]:
 # The metrics read prebuilt maps; these build the smallest map each call needs.
 def coverage_at(model, labels, s: float, lowercase: bool = True):
     matches = match_map(VocabIndex(model.vocab), labels, s, lowercase)
-    return coverage(model, labels, s, matches=matches, lowercase=lowercase)
+    return coverage(model.name, labels, s, matches=matches, lowercase=lowercase)
 
 
 def diversity_at(model_a, model_b, labels, k: int, lowercase: bool = True,
                  denominator: str = "evaluated"):
     queries = keyword_queries(labels, lowercase)
-    return diversity(model_a, model_b, labels, k, neighbors_a=neighbor_map(model_a, queries, k),
+    return diversity(model_a.name, model_b.name, labels, k, neighbors_a=neighbor_map(model_a, queries, k),
                      neighbors_b=neighbor_map(model_b, queries, k), lowercase=lowercase,
                      denominator=denominator)
 
 
 def relational_at(model, pairs, k: int, lowercase: bool = True, oov_policy: str = "miss"):
     neighbors = neighbor_map(model, descriptor_queries(pairs, lowercase), k)
-    return relational_coverage(model, pairs, k, neighbors=neighbors, lowercase=lowercase,
+    return relational_coverage(model.name, pairs, k, neighbors=neighbors, lowercase=lowercase,
                                oov_policy=oov_policy)
 
 

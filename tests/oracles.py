@@ -8,6 +8,7 @@ logic with the code under test.
 import hashlib
 import logging
 import math
+import os
 import re
 from typing import Iterable, Optional, Sequence
 
@@ -20,7 +21,7 @@ from embeval.metrics import CoverageResult, KeywordHit
 from embeval.numwords import MAX_NUMBER, number_to_words
 from embeval.stringsim import RatioMatch, VocabIndex, best_match, ratio
 from embeval.thesaurus import keyword_tokens
-from embeval.vectors import EmbeddingModel, Source, _read_bytes
+from embeval.vectors import EmbeddingModel, Source
 
 logger = logging.getLogger(__name__)
 
@@ -152,8 +153,18 @@ def naive_relational(model, pairs, k: int, lowercase=True):
     return {rel: tuple(v) for rel, v in out.items()}
 
 
-# The word-vector loader as it was before components were parsed a chunk at
-# a time: one float() per component, checks in file order.
+def _read_bytes(source: Source) -> bytes:
+    if isinstance(source, bytes):
+        return source
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as fh:
+            return fh.read()
+    return source.read()
+
+
+# The word-vector loader as it was before the file was streamed and
+# components were parsed a chunk at a time: the whole file decoded at once,
+# one float() per component, checks in file order.
 def load_vec_oracle(source: Source, name: str, keep_first: bool = False) -> EmbeddingModel:
     """Parse a word-vector text file into an EmbeddingModel.
 

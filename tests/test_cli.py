@@ -730,3 +730,104 @@ def test_relations_split_hyphenated_labels_as_the_corpus_does(tmp_path):
     assert rel_row("--single-word-only")[3:6] == ["0", "0", "0"]
     md = (tmp_path / "rel---single-word-only" / "relations.md").read_text(encoding="utf-8")
     assert "dropped (multiword): bro=0, nar=0, rel=1, alt=0" in md
+
+
+def _refuse_loads(monkeypatch) -> list:
+    import embeval.vectors as vectors_module
+
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("load_vec was called")
+
+    monkeypatch.setattr(vectors_module, "load_vec", refuse)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["coverage", "diversity", "relations"])
+def test_model_names_are_checked_before_any_load(tmp_path, thesaurus_path, monkeypatch, capsys,
+                                                 command):
+    paths = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        paths += ["--model", str(tmp_path / sub / "m.vec")]
+        write_fixture_model(tmp_path / sub / "m.vec")
+    calls = _refuse_loads(monkeypatch)
+    rc = main([command, *paths, "--thesaurus", str(thesaurus_path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "model names are not unique: ['m', 'm']" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_thesaurus_is_parsed_before_any_model(tmp_path, monkeypatch, capsys):
+    bad_model = tmp_path / "bad.vec"
+    bad_model.write_text("not a header\n", encoding="utf-8")
+    bad_thesaurus = tmp_path / "bad.nt"
+    bad_thesaurus.write_text("this is no triple\n", encoding="utf-8")
+    calls = _refuse_loads(monkeypatch)
+    rc = main(["coverage", "--model", str(bad_model), "--thesaurus", str(bad_thesaurus),
+               "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "line 1: malformed triple" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["coverage", "diversity", "relations"])
+def test_vector_commands_hold_one_model_at_a_time(tmp_path, model_path, thesaurus_path,
+                                                  monkeypatch, command):
+    import weakref
+
+    import embeval.vectors as vectors_module
+
+    loaded = []
+    real = vectors_module.load_vec
+
+    def tracking(*args, **kwargs):
+        # every model loaded before this call has been dropped
+        assert [ref() for ref in loaded] == [None] * len(loaded)
+        model = real(*args, **kwargs)
+        loaded.append(weakref.ref(model))
+        return model
+
+    monkeypatch.setattr(vectors_module, "load_vec", tracking)
+    flipped = tmp_path / "flipped.vec"
+    write_fixture_model(flipped, "flipped", flip=True)
+    assert main([
+        command, "--model", str(model_path), "--model", str(flipped),
+        "--thesaurus", str(thesaurus_path), "--out", str(tmp_path / "o"),
+    ]) == 0
+    assert len(loaded) == 2
+
+
+def test_stale_cache_of_a_model_is_reported_before_a_later_model_is_read(
+        tmp_path, model_path, thesaurus_path, capsys):
+    flipped = tmp_path / "flipped.vec"
+    write_fixture_model(flipped, "flipped", flip=True)
+    cache = tmp_path / "cache"
+    args = ["diversity", "--model", str(model_path), "--model", str(flipped),
+            "--thesaurus", str(thesaurus_path), "--cache-dir", str(cache)]
+    assert main([*args, "--out", str(tmp_path / "o1")]) == 0
+    # new vectors for the first model make its cache stale; the second
+    # model is no longer a word-vector file
+    write_fixture_model(model_path, flip=True)
+    flipped.write_text("not a header\n", encoding="utf-8")
+    assert main([*args, "--out", str(tmp_path / "o2")]) == 3
+    assert "--refresh" in capsys.readouterr().err
+
+
+def test_vector_commands_import_no_cleaning_cascade(tmp_path, model_path, thesaurus_path):
+    script = (
+        "import sys\n"
+        "from embeval.cli import main\n"
+        f"assert main(['coverage', '--model', {str(model_path)!r}, '--thesaurus', "
+        f"{str(thesaurus_path)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m in "
+        "('embeval.corpus', 'embeval.langid', 'embeval.numwords')))\n"
+    )
+    import embeval
+
+    env = {**os.environ, "PYTHONPATH": str(Path(embeval.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"

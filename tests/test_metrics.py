@@ -148,7 +148,7 @@ def test_coverage_over_one_map_equals_per_threshold_oracle(case, lowercase):
     model = make_model("m", distinct, np.eye(len(distinct)))
     matches = match_map(index, labels, min(s_values), lowercase=lowercase)
     for s in s_values:
-        got = coverage(model, labels, s, lowercase=lowercase, matches=matches)
+        got = coverage(model.name, labels, s, lowercase=lowercase, matches=matches)
         want = coverage_oracle(model, labels, s, lowercase=lowercase, index=index)
         assert (got.n_keywords, got.n_covered) == (want.n_keywords, want.n_covered)
         assert got.hits == want.hits
@@ -168,7 +168,7 @@ def test_match_map_matches_each_reachable_token_once(monkeypatch):
     # "sozial" and "yyy" only follow a miss
     assert calls == ["macht", "staat", "qqq", "xxx", "soziale"]
     assert set(matches) == set(calls)
-    covered = {s: coverage(model, labels, s, matches=matches).n_covered for s in (1.0, 0.95, 0.9)}
+    covered = {s: coverage(model.name, labels, s, matches=matches).n_covered for s in (1.0, 0.95, 0.9)}
     assert covered == {1.0: 2, 0.95: 2, 0.9: 3}
     assert len(calls) == 5
 
@@ -176,7 +176,7 @@ def test_match_map_matches_each_reachable_token_once(monkeypatch):
 def test_coverage_rejects_a_map_lacking_a_token():
     model = make_model("m", ["macht"], [[1.0]])
     with pytest.raises(ValueError, match="lacks the keyword token 'macht'"):
-        coverage(model, ["Macht"], 0.9, matches={})
+        coverage(model.name, ["Macht"], 0.9, matches={})
 
 
 def _diversity_plant():
@@ -278,7 +278,7 @@ def test_diversity_matrix_symmetry_and_diagonal_convention():
     models = [random_model(rng, f"m{i}", 25, 4) for i in range(3)]
     labels = list(models[0].vocab[:10])
     maps = {m.name: neighbor_map(m, keyword_queries(labels), 5) for m in models}
-    matrix = diversity_matrix(models, labels, 5, maps)
+    matrix = diversity_matrix(maps, labels, 5)
     assert len(matrix) == 6  # 3 unordered pairs, mirrored
     for a in models:
         for b in models:
@@ -295,7 +295,7 @@ def test_diversity_from_cache_equals_fresh(tmp_path):
         cache_store(path, model, neighbor_map(model, ["a", "b"], 2))
         maps[model.name] = cache_load(path, model, 2)
     cached = diversity(
-        model_a, model_b, ["a", "b"], 2,
+        model_a.name, model_b.name, ["a", "b"], 2,
         neighbors_a=maps["A"], neighbors_b=maps["B"],
     )
     assert (cached.n_evaluated, cached.n_disjoint, cached.d) == (
@@ -307,15 +307,14 @@ def test_diversity_matrix_from_cache_equals_fresh(tmp_path):
     rng = np.random.default_rng(30)
     models = [random_model(rng, f"m{i}", 30, 4) for i in range(3)]
     labels = list(models[0].vocab[:12])
-    fresh = diversity_matrix(models, labels, 4, {m.name: neighbor_map(m, labels, 4)
-                                                 for m in models})
+    fresh = diversity_matrix({m.name: neighbor_map(m, labels, 4) for m in models}, labels, 4)
 
     maps = {}
     for model in models:
         path = tmp_path / f"{model.name}.tsv"
         cache_store(path, model, neighbor_map(model, labels, 4))
         maps[model.name] = cache_load(path, model, 4)
-    cached = diversity_matrix(models, labels, 4, neighbor_maps=maps)
+    cached = diversity_matrix(maps, labels, 4)
 
     assert set(cached) == set(fresh)
     for key in fresh:
@@ -475,9 +474,10 @@ def test_metrics_read_prefixes_of_a_larger_capacity():
     rel_map = neighbor_map(model_a, descriptor_queries(pairs), 29)
     for k in (1, 4, 10, 29):
         fresh = diversity_at(model_a, model_b, labels, k)
-        served = diversity(model_a, model_b, labels, k, neighbors_a=maps_a, neighbors_b=maps_b)
+        served = diversity(model_a.name, model_b.name, labels, k, neighbors_a=maps_a,
+                           neighbors_b=maps_b)
         assert served == fresh
-        assert relational_coverage(model_a, pairs, k, neighbors=rel_map) == (
+        assert relational_coverage(model_a.name, pairs, k, neighbors=rel_map) == (
             relational_at(model_a, pairs, k)
         )
 
@@ -487,8 +487,9 @@ def test_metrics_reject_a_map_below_capacity():
     small_a = neighbor_map(model_a, ["a", "b"], 1)
     small_b = neighbor_map(model_b, ["a", "b"], 1)
     with pytest.raises(ValueError):
-        diversity(model_a, model_b, ["a", "b"], 2, neighbors_a=small_a, neighbors_b=small_b)
+        diversity(model_a.name, model_b.name, ["a", "b"], 2, neighbors_a=small_a,
+                  neighbors_b=small_b)
     model, pairs = _relation_plant()
     small = neighbor_map(model, descriptor_queries(pairs), 2)
     with pytest.raises(ValueError):
-        relational_coverage(model, pairs, 3, neighbors=small)
+        relational_coverage(model.name, pairs, 3, neighbors=small)

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,11 @@ def test_load_absurd_dimension_is_format_error():
         load_vec(b"1 4611686018427387904\na 1\n", "x")
     with pytest.raises(VecFormatError, match="line 1: dimension 4611686018427387904 is too large"):
         load_vec(b"0 4611686018427387904\n", "x")
+    # nor does its row count: only the rows the file holds are reported
+    with pytest.raises(VecFormatError, match="^header declares 99999999999999999999 rows but file has 1$"):
+        load_vec(b"99999999999999999999 1\na 1\n", "x")
+    with pytest.raises(VecFormatError, match="line 1: malformed header"):
+        load_vec(b"1" * 5000 + b" 1\n", "x")
 
 
 def test_load_non_decimal_header_digits_are_format_error():
@@ -291,10 +297,13 @@ def test_load_errors_across_chunk_boundaries(monkeypatch):
     assert model.matrix[:, 0].tolist() == [1.0, 2.0, 4.0, 5.0]
 
 
-_TOKENS = st.sampled_from(["a", "b", "c", "ä", "wort"])
+_TOKENS = st.sampled_from(["a", "b", "c", "ä", "wort", "日本", "𝔘x"])
 _GOOD = ["0", "-0", "1", "-1.5e-2", ".5", "+3", "1_0", "١", "2.", "1e-400",
          "0.30000000000000004", "12345678901234567890", "7e30"]
 _BAD = ["nan", "inf", "1e400", "x", "", "1__0", "0x1", "1\x1c", "\r", "1\r2"]
+# a stray continuation byte, a lone lead byte, a truncated character, an
+# overlong form and an encoded surrogate
+_BAD_UTF8 = [b"\x80", b"\xff", "日".encode()[:2], b"\xc0\xaf", b"\xed\xa0\x80"]
 
 
 @st.composite
@@ -312,12 +321,24 @@ def _vec_files(draw):
         token = "" if kind == "empty" else draw(_TOKENS)
         body.append(" ".join([token] + comps))
     count = len(body) + draw(st.sampled_from([0] * 8 + [-1, 1]))
-    return _vec_bytes(f"{max(count, 0)} {dim}", *body)
+    data = _vec_bytes(f"{max(count, 0)} {dim}", *body)
+    damage = draw(st.sampled_from(["none"] * 6 + ["insert", "tail", "cut"]))
+    if damage == "insert":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(_BAD_UTF8)) + data[at:]
+    elif damage == "tail":
+        data += draw(st.sampled_from(["日".encode()[:1], "日".encode()[:2], "𝔘".encode()[:3]]))
+    elif damage == "cut":
+        # may end the file inside a multi-byte character or a line
+        data = data[: draw(st.integers(0, len(data)))]
+    return data
 
 
-@settings(max_examples=400, deadline=None)
-@given(data=_vec_files(), chunk=st.integers(1, 3), keep_first=st.booleans())
-def test_load_matches_per_component_oracle(data, chunk, keep_first):
+@settings(max_examples=600, deadline=None)
+@given(data=_vec_files(), chunk=st.integers(1, 3), block=st.integers(1, 64),
+       keep_first=st.booleans())
+def test_load_matches_per_component_oracle(data, chunk, block, keep_first):
+    # blocks of 1-64 bytes end inside lines and inside multi-byte characters
     def run(loader):
         try:
             return loader(data, "p", keep_first=keep_first)
@@ -326,6 +347,7 @@ def test_load_matches_per_component_oracle(data, chunk, keep_first):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(vectors, "_CHUNK", chunk)
+        mp.setattr(vectors, "_BLOCK", block)
         got = run(load_vec)
     want = run(load_vec_oracle)
     if isinstance(want, str):
@@ -336,3 +358,33 @@ def test_load_matches_per_component_oracle(data, chunk, keep_first):
     assert np.array_equal(got.matrix.view(np.uint64), want.matrix.view(np.uint64))
     assert got.zero_rows == want.zero_rows
     assert got.source_digest == want.source_digest
+
+
+def test_utf8_error_names_its_position_in_the_file(monkeypatch):
+    # the bad byte sits in the fourth 4-byte block, after a character split
+    # between blocks
+    monkeypatch.setattr(vectors, "_BLOCK", 4)
+    data = _vec_bytes("1 1", "日 1") + b"\xff\n"
+    with pytest.raises(VecFormatError) as excinfo:
+        load_vec(data, "x")
+    assert str(excinfo.value) == (
+        "not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"
+    )
+
+
+def test_load_peaks_at_the_model_plus_a_few_blocks(tmp_path):
+    rng = np.random.default_rng(3)
+    n, dim = 50_000, 10
+    path = tmp_path / "m.vec"
+    save_vec(make_model("m", [f"w{i:05d}" for i in range(n)], rng.standard_normal((n, dim))), path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model = load_vec(path, "m")
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.matrix.shape == (n, dim)
+    # ``held`` is what the model keeps: the matrix, the vocabulary and its
+    # index; reading the file whole would add its bytes, text and lines
+    assert peak - held < 3 * vectors._BLOCK
