@@ -29,6 +29,7 @@ _EXPORTS = {
     "EmbeddingModel": "vectors",
     "contains": "vectors",
     "load_vec": "vectors",
+    "load_vocab": "vectors",
     "save_vec": "vectors",
     "vector": "vectors",
 }
@@ -50,6 +51,7 @@ __all__ = [
     "edit_distance_sub2",
     "keywords",
     "load_vec",
+    "load_vocab",
     "parse_ntriples_skos",
     "parse_tsv",
     "ratio",

@@ -13,8 +13,11 @@ time, records it in the manifest, builds its match or neighbor map and
 drops it before the next model loads, so a run holds at most one model.
 The tables are read off the maps alone.  Each command adds its argument
 checks, its manifest parameters, what it reads of the thesaurus, how it
-maps one model and how it builds the tables; this module is the one place
-that builds maps.
+loads and maps one model and how it builds the tables; this module is the
+one place that builds maps.  coverage loads each model with
+``vectors.load_vocab``, which validates every vector but keeps only the
+vocabulary, so it never holds a vector matrix; diversity and relations
+search neighbors and load the whole model with ``vectors.load_vec``.
 """
 
 import argparse
@@ -191,10 +194,13 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _vector_command(args, parameters: dict, prepare, build_map, tables) -> int:
+def _vector_command(args, parameters: dict, prepare, load, build_map, tables) -> int:
     """Parse the thesaurus, map one model at a time, then write the tables.
 
     ``prepare(thesaurus)`` returns what the command reads of the thesaurus.
+    ``load(path, name)`` reads one model file: ``vectors.load_vec`` or,
+    when the vocabulary is all the command reads, ``vectors.load_vocab``;
+    either result has ``vocab``, ``zero_rows`` and ``source_digest``.
     ``build_map(model, prepared)`` returns the match or neighbor map of one
     model; each model is loaded, recorded and mapped, then dropped before
     the next one loads.  ``tables(prepared, maps)`` gets ``(name,
@@ -202,8 +208,6 @@ def _vector_command(args, parameters: dict, prepare, build_map, tables) -> int:
     header, the CSV rows and the Markdown text, written to
     ``<command>.csv`` and ``<command>.md`` next to the manifest.
     """
-    from .vectors import load_vec
-
     names = [_model_name(path) for path in args.model]
     if len(set(names)) != len(names):
         raise UsageError(f"model names are not unique: {names}")
@@ -217,7 +221,7 @@ def _vector_command(args, parameters: dict, prepare, build_map, tables) -> int:
         maps = []
         for path, name in zip(args.model, names):
             # the digest is that of the bytes parsed, so each file is read once
-            model = load_vec(path, name)
+            model = load(path, name)
             manifest.add_input(path, model.source_digest)
             zero_vectors[name] = len(model.zero_rows)
             maps.append((name, len(model.vocab), build_map(model, prepared)))
@@ -236,6 +240,7 @@ def cmd_coverage(args) -> int:
     from .metrics import coverage, match_map
     from .stringsim import VocabIndex
     from .thesaurus import keywords
+    from .vectors import load_vocab
 
     s_values = _check_s_values(args.s or [0.9, 0.95, 1.0])
     lowercase = not args.no_lowercase
@@ -243,8 +248,8 @@ def cmd_coverage(args) -> int:
     def prepare(th):
         return keywords(th, args.lang)
 
-    def build_map(model, labels):
-        return match_map(VocabIndex(model.vocab), labels, min(s_values), lowercase)
+    def build_map(vocab, labels):
+        return match_map(VocabIndex(vocab.vocab), labels, min(s_values), lowercase)
 
     def tables(labels, maps):
         rows = []
@@ -261,13 +266,14 @@ def cmd_coverage(args) -> int:
         md += markdown_table([""] + [name for name, _, _ in maps], md_rows)
         return ["model", "vocab_size", "s", "n_keywords", "n_covered", "c"], rows, md
 
-    return _vector_command(args, {"s": s_values}, prepare, build_map, tables)
+    return _vector_command(args, {"s": s_values}, prepare, load_vocab, build_map, tables)
 
 
 def cmd_diversity(args) -> int:
     from .metrics import diversity_matrix, keyword_queries
     from .neighbors import neighbor_map
     from .thesaurus import keywords
+    from .vectors import load_vec
 
     if len(args.model) < 2:
         raise UsageError("diversity needs at least two --model files")
@@ -309,13 +315,14 @@ def cmd_diversity(args) -> int:
 
     parameters = {"k": k_values, "denominator": args.denominator, "cache_dir": cache_dir,
                   "refresh": args.refresh}
-    return _vector_command(args, parameters, prepare, build_map, tables)
+    return _vector_command(args, parameters, prepare, load_vec, build_map, tables)
 
 
 def cmd_relations(args) -> int:
     from .metrics import descriptor_queries, relational_coverage
     from .neighbors import neighbor_map
     from .thesaurus import RELATION_TYPES, descriptor_pairs
+    from .vectors import load_vec
 
     k_values = _check_k_values(args.k or [10, 50, 200])
     lowercase = not args.no_lowercase
@@ -367,7 +374,7 @@ def cmd_relations(args) -> int:
 
     parameters = {"k": k_values, "single_word_only": args.single_word_only,
                   "oov_policy": args.oov_policy}
-    return _vector_command(args, parameters, prepare, build_map, tables)
+    return _vector_command(args, parameters, prepare, load_vec, build_map, tables)
 
 
 def cmd_neighbors(args) -> int:

@@ -193,12 +193,15 @@ def descriptor_queries(pairs: Sequence[DescriptorPair], lowercase: bool = True) 
 
 
 def _top_sets(neighbors: NeighborMap, k: int, lowercase: bool) -> dict[str, frozenset[str]]:
-    """The set of top-k tokens of every query in the map, each built once."""
+    """The set of top-k tokens of every query in the map, each built once.
+
+    Lowercased tokens come from ``neighbors.lowered``, lowercased once per
+    map, so each k reuses those strings and their hashes.
+    """
     if neighbors.k < k:
         raise ValueError(f"a neighbor map of capacity {neighbors.k} lacks the top-{k}")
-    if lowercase:
-        return {q: frozenset(map(str.lower, t[:k])) for q, t in neighbors.tokens.items()}
-    return {q: frozenset(t[:k]) for q, t in neighbors.tokens.items()}
+    tokens = neighbors.lowered if lowercase else neighbors.tokens
+    return {q: frozenset(t[:k]) for q, t in tokens.items()}
 
 
 def diversity(

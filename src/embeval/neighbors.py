@@ -22,6 +22,7 @@ import logging
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +75,18 @@ class NeighborMap:
 
     k: int
     tokens: dict[str, tuple[str, ...]]
+
+    @cached_property
+    def lowered(self) -> dict[str, tuple[str, ...]]:
+        """``tokens`` with every neighbor lowercased, built on first use, so
+        every k a run reads shares one lowercased string per neighbor.  A
+        query whose neighbors are all lowercase keeps its own tuple, so
+        lowercase tokens are not copied."""
+        lowered = {}
+        for query, tokens in self.tokens.items():
+            lower = tuple(map(str.lower, tokens))
+            lowered[query] = tokens if lower == tokens else lower
+        return lowered
 
 
 def cosine(u, v) -> float:

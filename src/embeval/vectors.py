@@ -7,7 +7,9 @@ concurrent readers are safe.
 
 ``load_vec`` streams the file in fixed-size blocks, so loading holds the
 matrix and the vocabulary plus about one block, never the file's bytes,
-text or list of lines.
+text or list of lines.  ``load_vocab`` runs the same reader with the same
+checks but drops each chunk's rows once their zero rows are counted, for
+a command that reads only the vocabulary: it holds no matrix at all.
 """
 
 import codecs
@@ -126,8 +128,9 @@ def vector(model: EmbeddingModel, token: str) -> np.ndarray:
     return model.matrix[row]
 
 
-# Bytes read, hashed and decoded at a time.  The loader holds one block,
-# its text and its lines next to the vocabulary and the matrix.
+# Bytes read, hashed and decoded at a time.  The loader holds one block's
+# text and its lines next to the vocabulary and the matrix; the bytes are
+# dropped once decoded.
 _BLOCK = 1 << 20
 # Kept body lines whose components one np.loadtxt call parses.  8192 was no
 # faster and raised a two-model diversity run's peak RSS by about 10 MB.
@@ -158,6 +161,46 @@ def load_vec(source: Source, name: str, keep_first: bool = False) -> EmbeddingMo
     not the header's, then the first failing body line.  After an error
     the rest of the file is only decoded and its lines counted.
     """
+    body, digest = _read(source, name, keep_first, keep_rows=True)
+    return body.model(digest)
+
+
+@dataclass(frozen=True)
+class Vocabulary:
+    """What ``load_vocab`` keeps of a model: its tokens, not its vectors.
+
+    ``zero_rows`` and ``source_digest`` are those ``load_vec`` gives the
+    model of the same file.
+    """
+
+    name: str
+    dim: int
+    vocab: list[str]
+    zero_rows: frozenset[int]
+    source_digest: str
+
+
+def load_vocab(source: Source, name: str, keep_first: bool = False) -> Vocabulary:
+    """The vocabulary of a word-vector text file, validated as ``load_vec`` does.
+
+    Every component is parsed and checked as ``load_vec`` checks it, so
+    ``load_vocab`` raises exactly what ``load_vec`` raises for a malformed
+    file, but each chunk's rows are dropped once their zero rows are
+    counted: memory holds the vocabulary, the set of its tokens that finds
+    duplicates and about one block, never the matrix.  Allocating no matrix, it never reports that the header's rows
+    do not fit in memory or that its dimension is too large.
+    """
+    body, digest = _read(source, name, keep_first, keep_rows=False)
+    return Vocabulary(name, body.dim, body.vocab, frozenset(body.zero_rows), digest)
+
+
+def _read(source: Source, name: str, keep_first: bool, keep_rows: bool) -> tuple["_Body", str]:
+    """Read and check the whole file; return its parsed body and sha256.
+
+    ``keep_rows`` says whether the body keeps the parsed rows or only
+    counts their zero rows.  The checks, their messages and their
+    precedence do not depend on it.
+    """
     digest = hashlib.sha256()
     body: _Body | None = None
     error: VecFormatError | None = None
@@ -182,7 +225,7 @@ def load_vec(source: Source, name: str, keep_first: bool = False) -> EmbeddingMo
         del text
         try:
             if body is None:
-                body = _Body(name, *_header(lines[0]), keep_first)
+                body = _Body(name, *_header(lines[0]), keep_first, keep_rows)
                 del lines[0]
             body.feed(lines, use_loadtxt)
         except VecFormatError as exc:
@@ -193,7 +236,7 @@ def load_vec(source: Source, name: str, keep_first: bool = False) -> EmbeddingMo
     if last:  # the file does not end in a newline, and no error stopped parsing
         try:
             if body is None:
-                body = _Body(name, *_header(last), keep_first)
+                body = _Body(name, *_header(last), keep_first, keep_rows)
             else:
                 body.feed([last], _loadtxt_safe(last))
         except VecFormatError as exc:
@@ -205,10 +248,9 @@ def load_vec(source: Source, name: str, keep_first: bool = False) -> EmbeddingMo
         raise VecFormatError(f"header declares {body.count} rows but file has {rows}")
     if error is not None:
         raise error
-    model = body.model(digest.hexdigest())
-    if model.zero_rows:
-        logger.warning("%s: %d zero vector(s) in input", name, len(model.zero_rows))
-    return model
+    if body.zero_rows:
+        logger.warning("%s: %d zero vector(s) in input", name, len(body.zero_rows))
+    return body, digest.hexdigest()
 
 
 def _blocks(source: Source) -> Iterator[bytes]:
@@ -232,10 +274,16 @@ def _texts(source: Source, digest) -> Iterator[str]:
     """
     decoder = codecs.getincrementaldecoder("utf-8")()
     position = 0  # bytes passed to the decoder
-    for block in _blocks(source):
+
+    def decode(block: bytes) -> str:
+        nonlocal position
         digest.update(block)
-        yield _decode(decoder, block, position)
+        text = _decode(decoder, block, position)
         position += len(block)
+        return text
+
+    # no frame here holds a block or its text while the caller splits it
+    yield from map(decode, _blocks(source))
     yield _decode(decoder, b"", position, final=True)
 
 
@@ -276,15 +324,18 @@ def _header(line: str) -> tuple[int, int]:
 
 
 class _Body:
-    """The vocabulary and rows of a file's body lines, fed a block at a time."""
+    """The vocabulary, zero rows and, if kept, rows of a file's body lines,
+    fed a block at a time."""
 
-    def __init__(self, name: str, count: int, dim: int, keep_first: bool):
+    def __init__(self, name: str, count: int, dim: int, keep_first: bool, keep_rows: bool):
         self.name = name
         self.count = count
         self.dim = dim
         self.keep_first = keep_first
+        self.keep_rows = keep_rows
         self.vocab: list[str] = []
         self.seen: set[str] = set()
+        self.zero_rows: list[int] = []
         # allocated once the first chunk has parsed, so a header's
         # dimension is backed by a body line before it sizes an array
         self.rows: np.ndarray | None = None
@@ -357,10 +408,15 @@ class _Body:
         return rests, line_nos, None
 
     def _store(self, rests, line_nos, use_loadtxt: bool) -> None:
-        """Parse the components of the last ``len(rests)`` tokens into their rows."""
+        """Parse the components of the last ``len(rests)`` tokens, note their
+        zero rows and, if rows are kept, store them."""
         if not rests:
             return
         block = _parse_components(rests, line_nos, self.dim, use_loadtxt)
+        start = len(self.vocab) - len(rests)
+        self.zero_rows += (np.flatnonzero(~block.any(axis=1)) + start).tolist()
+        if not self.keep_rows:
+            return
         if self.rows is None:
             try:
                 self.rows = np.empty((self.count, self.dim), dtype=np.float64)
@@ -370,8 +426,7 @@ class _Body:
                     f"{self.count} rows of dimension {self.dim} do not fit in memory",
                     line_no=1,
                 ) from None
-        end = len(self.vocab)
-        self.rows[end - len(rests) : end] = block
+        self.rows[start : start + len(rests)] = block
 
     def model(self, digest: str) -> EmbeddingModel:
         self.seen.clear()

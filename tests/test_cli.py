@@ -703,6 +703,18 @@ def test_vector_command_tables_are_pinned(tmp_path, model_path, thesaurus_path, 
     assert got == digests
 
 
+def test_coverage_builds_no_vector_matrix(tmp_path, model_path, thesaurus_path, monkeypatch):
+    # coverage reads only the vocabularies, so it writes the pinned tables
+    # with load_vec unusable
+    import embeval.vectors as vectors_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("coverage called load_vec")
+
+    monkeypatch.setattr(vectors_module, "load_vec", refuse)
+    test_vector_command_tables_are_pinned(tmp_path, model_path, thesaurus_path, "coverage")
+
+
 def test_relations_split_hyphenated_labels_as_the_corpus_does(tmp_path):
     # "sozial-politik" sits next to "armut" in the model, but the label
     # "Sozial-Politik" is two tokens, as in coverage and diversity
@@ -732,16 +744,22 @@ def test_relations_split_hyphenated_labels_as_the_corpus_does(tmp_path):
     assert "dropped (multiword): bro=0, nar=0, rel=1, alt=0" in md
 
 
+_LOADERS = ("load_vec", "load_vocab")
+
+
 def _refuse_loads(monkeypatch) -> list:
     import embeval.vectors as vectors_module
 
     calls = []
 
-    def refuse(*args, **kwargs):
-        calls.append(args)
-        raise AssertionError("load_vec was called")
+    def refusing(loader):
+        def refuse(*args, **kwargs):
+            calls.append((loader, args))
+            raise AssertionError(f"{loader} was called")
+        return refuse
 
-    monkeypatch.setattr(vectors_module, "load_vec", refuse)
+    for loader in _LOADERS:
+        monkeypatch.setattr(vectors_module, loader, refusing(loader))
     return calls
 
 
@@ -781,16 +799,18 @@ def test_vector_commands_hold_one_model_at_a_time(tmp_path, model_path, thesauru
     import embeval.vectors as vectors_module
 
     loaded = []
-    real = vectors_module.load_vec
 
-    def tracking(*args, **kwargs):
-        # every model loaded before this call has been dropped
-        assert [ref() for ref in loaded] == [None] * len(loaded)
-        model = real(*args, **kwargs)
-        loaded.append(weakref.ref(model))
-        return model
+    def tracking(real):
+        def load(*args, **kwargs):
+            # every model loaded before this call, by either loader, has been dropped
+            assert [ref() for ref in loaded] == [None] * len(loaded)
+            model = real(*args, **kwargs)
+            loaded.append(weakref.ref(model))
+            return model
+        return load
 
-    monkeypatch.setattr(vectors_module, "load_vec", tracking)
+    for loader in _LOADERS:
+        monkeypatch.setattr(vectors_module, loader, tracking(getattr(vectors_module, loader)))
     flipped = tmp_path / "flipped.vec"
     write_fixture_model(flipped, "flipped", flip=True)
     assert main([

@@ -15,7 +15,7 @@ from embeval.metrics import (
     relational_coverage,
 )
 from embeval.corpus import DASH_CHARS, HYPHEN_CHARS
-from embeval.neighbors import cache_load, cache_store, neighbor_map
+from embeval.neighbors import NeighborMap, cache_load, cache_store, neighbor_map
 from embeval.report import pct
 from embeval.stringsim import VocabIndex, best_match
 from embeval.thesaurus import DescriptorPair, Thesaurus, descriptor_pairs, keyword_tokens
@@ -284,6 +284,20 @@ def test_diversity_matrix_symmetry_and_diagonal_convention():
         for b in models:
             if a.name != b.name:
                 assert matrix[(a.name, b.name)].d == matrix[(b.name, a.name)].d
+
+
+def test_neighbor_tokens_are_lowercased_once_for_every_k():
+    neighbors = NeighborMap(3, {"a": ("x", "y", "z"), "b": ("X", "y", "Ä")})
+    # a query whose neighbors are lowercase already keeps its tuple
+    assert neighbors.lowered["a"] is neighbors.tokens["a"]
+    assert neighbors.lowered["b"] == ("x", "y", "ä")
+    small = metrics_module._top_sets(neighbors, 1, True)
+    large = metrics_module._top_sets(neighbors, 3, True)
+    assert small == {"a": {"x"}, "b": {"x"}}
+    assert large == {"a": {"x", "y", "z"}, "b": {"x", "y", "ä"}}
+    # every k reads the same lowercased strings
+    assert next(iter(small["b"])) is neighbors.lowered["b"][0]
+    assert metrics_module._top_sets(neighbors, 3, False)["b"] == {"X", "y", "Ä"}
 
 
 def test_diversity_from_cache_equals_fresh(tmp_path):

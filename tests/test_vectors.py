@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from embeval import vectors
 from embeval.errors import UnknownTokenError, VecFormatError
 from embeval.neighbors import top_k
-from embeval.vectors import contains, load_vec, save_vec, vector
+from embeval.vectors import contains, load_vec, load_vocab, save_vec, vector
 from conftest import make_model
 from oracles import load_vec_oracle
 
@@ -338,7 +338,8 @@ def _vec_files(draw):
 @given(data=_vec_files(), chunk=st.integers(1, 3), block=st.integers(1, 64),
        keep_first=st.booleans())
 def test_load_matches_per_component_oracle(data, chunk, block, keep_first):
-    # blocks of 1-64 bytes end inside lines and inside multi-byte characters
+    # blocks of 1-64 bytes end inside lines and inside multi-byte characters;
+    # load_vocab runs the same checks as load_vec but keeps no rows
     def run(loader):
         try:
             return loader(data, "p", keep_first=keep_first)
@@ -349,15 +350,19 @@ def test_load_matches_per_component_oracle(data, chunk, block, keep_first):
         mp.setattr(vectors, "_CHUNK", chunk)
         mp.setattr(vectors, "_BLOCK", block)
         got = run(load_vec)
+        vocab = run(load_vocab)
     want = run(load_vec_oracle)
     if isinstance(want, str):
         assert got == want
+        assert vocab == want
         return
     assert not isinstance(got, str), got
-    assert got.vocab == want.vocab
+    assert not isinstance(vocab, str), vocab
+    assert got.vocab == vocab.vocab == want.vocab
     assert np.array_equal(got.matrix.view(np.uint64), want.matrix.view(np.uint64))
-    assert got.zero_rows == want.zero_rows
-    assert got.source_digest == want.source_digest
+    assert got.zero_rows == vocab.zero_rows == want.zero_rows
+    assert got.source_digest == vocab.source_digest == want.source_digest
+    assert got.dim == vocab.dim == want.dim
 
 
 def test_utf8_error_names_its_position_in_the_file(monkeypatch):
@@ -377,14 +382,31 @@ def test_load_peaks_at_the_model_plus_a_few_blocks(tmp_path):
     n, dim = 50_000, 10
     path = tmp_path / "m.vec"
     save_vec(make_model("m", [f"w{i:05d}" for i in range(n)], rng.standard_normal((n, dim))), path)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        model = load_vec(path, "m")
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+
+    def traced(loader):
+        """The result, the memory it keeps and the peak above what was held before."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = loader(path, "m")
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, held - before, peak - before
+
+    model, held, peak = traced(load_vec)
     assert model.matrix.shape == (n, dim)
     # ``held`` is what the model keeps: the matrix, the vocabulary and its
     # index; reading the file whole would add its bytes, text and lines
     assert peak - held < 3 * vectors._BLOCK
+
+    vocab, vocab_held, vocab_peak = traced(load_vocab)
+    assert vocab.vocab == model.vocab
+    # the vocabulary alone is less than the matrix (4 MB) ...
+    assert vocab_held < model.matrix.nbytes
+    # ... and reading it costs at most what the model keeps besides its
+    # matrix, plus three blocks.  The bound is not ``vocab_held`` plus three
+    # blocks: the token set that finds duplicates lives while the file is
+    # read and is about as large as the model's index, which load_vocab does
+    # not keep.  Holding the matrix even briefly would break the bound.
+    assert vocab_peak < held - model.matrix.nbytes + 3 * vectors._BLOCK
