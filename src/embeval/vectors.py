@@ -162,7 +162,10 @@ def load_vec(source: Source, name: str, keep_first: bool = False) -> EmbeddingMo
     the rest of the file is only decoded and its lines counted.
     """
     body, digest = _read(source, name, keep_first, keep_rows=True)
-    return body.model(digest)
+    model = body.model(digest)
+    if model.zero_rows:
+        logger.warning("%s: %d zero vector(s) in input", name, len(model.zero_rows))
+    return model
 
 
 @dataclass(frozen=True)
@@ -180,17 +183,20 @@ class Vocabulary:
     source_digest: str
 
 
-def load_vocab(source: Source, name: str, keep_first: bool = False) -> Vocabulary:
+def load_vocab(source: Source, name: str) -> Vocabulary:
     """The vocabulary of a word-vector text file, validated as ``load_vec`` does.
 
-    Every component is parsed and checked as ``load_vec`` checks it, so
-    ``load_vocab`` raises exactly what ``load_vec`` raises for a malformed
-    file, but each chunk's rows are dropped once their zero rows are
-    counted: memory holds the vocabulary, the set of its tokens that finds
-    duplicates and about one block, never the matrix.  Allocating no matrix, it never reports that the header's rows
-    do not fit in memory or that its dimension is too large.
+    Every component is parsed and checked as ``load_vec`` checks it, but
+    each chunk's rows are dropped once their zero rows are counted: memory
+    holds the vocabulary, the set of its tokens that finds duplicates and
+    about one block, never the matrix.  So ``load_vocab`` raises what
+    ``load_vec`` raises for a malformed file, except the two errors of
+    sizing the matrix: that the header's rows do not fit in memory, and
+    that the dimension of a file without rows is too large.
     """
-    body, digest = _read(source, name, keep_first, keep_rows=False)
+    body, digest = _read(source, name, keep_first=False, keep_rows=False)
+    if body.zero_rows:
+        logger.warning("%s: %d zero vector(s) in input", name, len(body.zero_rows))
     return Vocabulary(name, body.dim, body.vocab, frozenset(body.zero_rows), digest)
 
 
@@ -248,8 +254,6 @@ def _read(source: Source, name: str, keep_first: bool, keep_rows: bool) -> tuple
         raise VecFormatError(f"header declares {body.count} rows but file has {rows}")
     if error is not None:
         raise error
-    if body.zero_rows:
-        logger.warning("%s: %d zero vector(s) in input", name, len(body.zero_rows))
     return body, digest.hexdigest()
 
 
@@ -324,8 +328,8 @@ def _header(line: str) -> tuple[int, int]:
 
 
 class _Body:
-    """The vocabulary, zero rows and, if kept, rows of a file's body lines,
-    fed a block at a time."""
+    """The vocabulary and either the rows or the zero rows of a file's body
+    lines, fed a block at a time."""
 
     def __init__(self, name: str, count: int, dim: int, keep_first: bool, keep_rows: bool):
         self.name = name
@@ -335,7 +339,7 @@ class _Body:
         self.keep_rows = keep_rows
         self.vocab: list[str] = []
         self.seen: set[str] = set()
-        self.zero_rows: list[int] = []
+        self.zero_rows: list[int] = []  # counted only if rows are not kept
         # allocated once the first chunk has parsed, so a header's
         # dimension is backed by a body line before it sizes an array
         self.rows: np.ndarray | None = None
@@ -408,14 +412,14 @@ class _Body:
         return rests, line_nos, None
 
     def _store(self, rests, line_nos, use_loadtxt: bool) -> None:
-        """Parse the components of the last ``len(rests)`` tokens, note their
-        zero rows and, if rows are kept, store them."""
+        """Parse the components of the last ``len(rests)`` tokens and store
+        them, or, if rows are not kept, note their zero rows."""
         if not rests:
             return
         block = _parse_components(rests, line_nos, self.dim, use_loadtxt)
         start = len(self.vocab) - len(rests)
-        self.zero_rows += (np.flatnonzero(~block.any(axis=1)) + start).tolist()
         if not self.keep_rows:
+            self.zero_rows += (np.flatnonzero(~block.any(axis=1)) + start).tolist()
             return
         if self.rows is None:
             try:

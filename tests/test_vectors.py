@@ -95,10 +95,12 @@ def test_load_accepts_scientific_and_negative_literals():
 
 
 def test_zero_vectors_flagged(caplog):
-    with caplog.at_level("WARNING"):
-        model = load_vec(_vec_bytes("2 2", "a 0 0", "b 1 0"), "zeros")
-    assert model.zero_rows == {0}
-    assert "zero vector" in caplog.text
+    for loader in (load_vec, load_vocab):
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            model = loader(_vec_bytes("2 2", "a 0 0", "b 1 0"), "zeros")
+        assert model.zero_rows == {0}
+        assert caplog.text.count("zeros: 1 zero vector(s) in input") == 1
 
 
 @pytest.mark.parametrize("space", ["\t", "\r", "\x1c", "\xa0"])
@@ -255,6 +257,17 @@ def test_load_absurd_dimension_is_format_error():
         load_vec(b"99999999999999999999 1\na 1\n", "x")
     with pytest.raises(VecFormatError, match="line 1: malformed header"):
         load_vec(b"1" * 5000 + b" 1\n", "x")
+    # load_vocab sizes no array, so only the dimension of a file without
+    # rows is too large for load_vec alone; the other errors are the same
+    assert load_vocab(b"0 4611686018427387904\n", "x").vocab == []
+    for data in (
+        b"1 4611686018427387904\na 1\n", b"99999999999999999999 1\na 1\n", b"1" * 5000 + b" 1\n"
+    ):
+        with pytest.raises(VecFormatError) as vec_error:
+            load_vec(data, "x")
+        with pytest.raises(VecFormatError) as vocab_error:
+            load_vocab(data, "x")
+        assert str(vocab_error.value) == str(vec_error.value)
 
 
 def test_load_non_decimal_header_digits_are_format_error():
@@ -339,30 +352,37 @@ def _vec_files(draw):
        keep_first=st.booleans())
 def test_load_matches_per_component_oracle(data, chunk, block, keep_first):
     # blocks of 1-64 bytes end inside lines and inside multi-byte characters;
-    # load_vocab runs the same checks as load_vec but keeps no rows
-    def run(loader):
+    # load_vocab runs the same checks as load_vec, duplicates always an
+    # error, but keeps no rows
+    def run(loader, **kwargs):
         try:
-            return loader(data, "p", keep_first=keep_first)
+            return loader(data, "p", **kwargs)
         except VecFormatError as exc:
             return str(exc)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(vectors, "_CHUNK", chunk)
         mp.setattr(vectors, "_BLOCK", block)
-        got = run(load_vec)
+        got = run(load_vec, keep_first=keep_first)
         vocab = run(load_vocab)
-    want = run(load_vec_oracle)
+    want = run(load_vec_oracle, keep_first=keep_first)
+    strict = run(load_vec_oracle) if keep_first else want
+    if isinstance(strict, str):
+        assert vocab == strict
+    else:
+        assert not isinstance(vocab, str), vocab
+        assert (vocab.vocab, vocab.zero_rows, vocab.source_digest, vocab.dim) == (
+            strict.vocab, strict.zero_rows, strict.source_digest, strict.dim
+        )
     if isinstance(want, str):
         assert got == want
-        assert vocab == want
         return
     assert not isinstance(got, str), got
-    assert not isinstance(vocab, str), vocab
-    assert got.vocab == vocab.vocab == want.vocab
+    assert got.vocab == want.vocab
     assert np.array_equal(got.matrix.view(np.uint64), want.matrix.view(np.uint64))
-    assert got.zero_rows == vocab.zero_rows == want.zero_rows
-    assert got.source_digest == vocab.source_digest == want.source_digest
-    assert got.dim == vocab.dim == want.dim
+    assert got.zero_rows == want.zero_rows
+    assert got.source_digest == want.source_digest
+    assert got.dim == want.dim
 
 
 def test_utf8_error_names_its_position_in_the_file(monkeypatch):
