@@ -27,7 +27,6 @@ _EXPORTS = {
     "parse_ntriples_skos": "thesaurus",
     "parse_tsv": "thesaurus",
     "EmbeddingModel": "vectors",
-    "contains": "vectors",
     "load_vec": "vectors",
     "load_vocab": "vectors",
     "save_vec": "vectors",
@@ -42,7 +41,6 @@ __all__ = [
     "VocabIndex",
     "__version__",
     "best_match",
-    "contains",
     "cosine",
     "coverage",
     "descriptor_pairs",

@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import EmbevalError, InputParseError, UnknownTokenError, UsageError
+from .errors import EmbevalError, InputParseError, UsageError
 from .report import ManifestTimer, RunManifest, markdown_table, pct, write_csv
 
 # The vector commands import metrics, neighbors, stringsim, thesaurus and
@@ -391,7 +391,7 @@ def cmd_neighbors(args) -> int:
         manifest.add_input(args.model, model.source_digest)
         try:
             ns = top_k(model, args.word, args.k)
-        except (UnknownTokenError, EmbevalError) as exc:
+        except EmbevalError as exc:
             raise UsageError(str(exc)) from exc
         rows = [[rank, token, f"{score:.6f}"] for rank, (token, score) in enumerate(ns.entries, 1)]
         table = markdown_table(["rank", "token", "score"], rows)

@@ -241,12 +241,14 @@ def tokenize(text: str) -> list[str]:
     return out
 
 
-def numbers_to_words(text: str, lang: str, hyphenate: bool = True) -> str:
+def numbers_to_words(text: str, lang: str) -> str:
     """Replace integer tokens 0..999,999 with their numeral words.
 
     A digit run counts as an integer token when tokenization would detach it
     whole, i.e. it may be wrapped in detachable punctuation ("(1999)") but
     not glued to letters or to internal punctuation ("2.1", "01.02.2020").
+    English words are joined by spaces, not hyphens ("forty two"), as the
+    earlier cleaning stage has mapped every hyphen to a space.
     """
     if lang not in ("de", "en"):
         raise ValueError(f"unsupported language {lang!r}")
@@ -265,7 +267,7 @@ def numbers_to_words(text: str, lang: str, hyphenate: bool = True) -> str:
         value = int(core)
         if value > MAX_NUMBER:
             return chunk
-        words = number_to_words(value, lang, hyphenate=hyphenate)
+        words = number_to_words(value, lang).replace("-", " ")
         return chunk[:start] + words + chunk[end:]
 
     return _CHUNK_RE.sub(lambda m: convert_chunk(m.group()), text)
@@ -312,7 +314,7 @@ def clean_document(
             continue
         routed = route(line)
         if routed is not None and config.convert_numbers:
-            converted = numbers_to_words(line, routed[0], hyphenate=False)
+            converted = numbers_to_words(line, routed[0])
             if converted != line:
                 line = " ".join(tokenize(normalize_ws_lower(converted)))
                 routed = route(line)

@@ -11,37 +11,26 @@ class EmbevalError(Exception):
 
 
 class InputParseError(EmbevalError):
-    """A user-supplied input file could not be parsed."""
+    """A user-supplied input file could not be parsed; ``line_no``, when
+    known, is the failing line and prefixes the message."""
+
+    def __init__(self, message: str, line_no: int | None = None):
+        if line_no is not None:
+            message = f"line {line_no}: {message}"
+        super().__init__(message)
+        self.line_no = line_no
 
 
 class VecFormatError(InputParseError):
     """Malformed word-vector text file."""
 
-    def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
-
 
 class ThesaurusFormatError(InputParseError):
     """Malformed N-Triples or TSV thesaurus file."""
 
-    def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
-
 
 class CacheFormatError(InputParseError):
     """Malformed neighbor cache file."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
 
 
 class StaleCacheError(InputParseError):

@@ -1,9 +1,7 @@
 """Spell out base-10 integers (0 to 999,999) as German or English words.
 
 German numerals are single compound words ("zweiundvierzig"); English ones
-hyphenate tens-units pairs ("forty-two") unless ``hyphenate=False``, which
-the corpus pipeline uses because its earlier cleaning stage has already
-mapped every hyphen to a space.
+hyphenate tens-units pairs ("forty-two").
 """
 
 MAX_NUMBER = 999_999
@@ -87,13 +85,12 @@ def _german(n: int) -> str:
     return out
 
 
-def number_to_words(n: int, lang: str, hyphenate: bool = True) -> str:
+def number_to_words(n: int, lang: str) -> str:
     """Words for integer ``n`` in the given language ('de' or 'en')."""
     if not 0 <= n <= MAX_NUMBER:
         raise ValueError(f"number {n} outside supported range 0..{MAX_NUMBER}")
     if lang == "en":
-        word = _english(n)
-        return word if hyphenate else word.replace("-", " ")
+        return _english(n)
     if lang == "de":
         return _german(n)
     raise ValueError(f"unsupported language {lang!r}")

@@ -20,7 +20,7 @@ import logging
 import os
 import warnings
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterator, Union
+from typing import BinaryIO, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -36,8 +36,8 @@ class EmbeddingModel:
     """A vocabulary plus its dense vector matrix.
 
     ``matrix`` has one row per vocabulary token, in order.  ``zero_rows``
-    flags tokens whose vector is all zeros (derived from the matrix at
-    construction): they are legal in input files but cosine similarity is
+    flags tokens whose vector is all zeros, derived from the matrix at
+    construction: they are legal in input files but cosine similarity is
     undefined for them, so neighbor queries skip them.  ``source_digest``
     is the SHA-256 of the bytes the model was loaded from and keys the
     on-disk neighbor cache.
@@ -47,7 +47,7 @@ class EmbeddingModel:
     dim: int
     vocab: list[str]
     matrix: np.ndarray
-    zero_rows: frozenset[int] = frozenset()
+    zero_rows: frozenset[int] = field(init=False)
     source_digest: str | None = None
     index: dict[str, int] = field(init=False, repr=False)
     _unit_matrix: np.ndarray | None = field(default=None, init=False, repr=False)
@@ -66,20 +66,17 @@ class EmbeddingModel:
         if self.matrix.size and not np.isfinite([self.matrix.min(), self.matrix.max()]).all():
             raise ValueError("matrix contains non-finite components")
         self.index = dict(zip(self.vocab, range(len(self.vocab))))
-        if len(self.index) != len(self.vocab) or not _plain_tokens(self.vocab):
-            seen = set()
-            for tok in self.vocab:
-                if not tok or tok.split() != [tok]:
-                    raise ValueError(f"token {tok!r} is empty or contains whitespace")
-                if tok in seen:
-                    raise ValueError(f"duplicate token {tok!r}")
-                seen.add(tok)
-        if len(self.vocab):
-            # zero rows are a property of the matrix; never trust the caller
-            # to have flagged them all
-            self.zero_rows = frozenset(self.zero_rows) | frozenset(
-                int(i) for i in np.flatnonzero(~self.matrix.any(axis=1))
-            )
+        # slices of _CHUNK tokens keep the copies small
+        if len(self.index) != len(self.vocab) or not all(
+            _plain(self.vocab[i : i + _CHUNK]) for i in range(0, len(self.vocab), _CHUNK)
+        ):
+            seen: set[str] = set()
+            for token in self.vocab:
+                error = _token_error(token, seen)
+                if error is not None:
+                    raise ValueError(error)
+                seen.add(token)
+        self.zero_rows = frozenset(np.flatnonzero(~self.matrix.any(axis=1)).tolist())
         self.matrix.flags.writeable = False
 
     def __contains__(self, token: str) -> bool:
@@ -104,19 +101,24 @@ class EmbeddingModel:
         return hashlib.sha256(buf.getvalue()).hexdigest()
 
 
-def _plain_tokens(tokens: list[str]) -> bool:
-    """Whether no token is empty or holds whitespace, that is, whether a
-    join and a whitespace split give the tokens back.  Testing slices of
-    ``_CHUNK`` tokens keeps the copies small."""
-    return all(
-        " ".join(part).split() == part
-        for part in (list(tokens[i : i + _CHUNK]) for i in range(0, len(tokens), _CHUNK))
-    )
+# The token rules, stated once for the loaders and the model: a token is
+# not empty, holds no whitespace ``str.split()`` splits on, and does not
+# repeat.  ``_plain`` tests the first two for a batch of tokens at C speed;
+# ``_token_error`` tests one token and words what is wrong with it.
+def _plain(tokens: Sequence[str]) -> bool:
+    """Whether a join and a whitespace split give ``tokens`` back."""
+    return " ".join(tokens).split() == list(tokens)
 
 
-def contains(model: EmbeddingModel, token: str) -> bool:
-    """Exact, case-sensitive vocabulary membership."""
-    return token in model.index
+def _token_error(token: str, seen: set[str]) -> str | None:
+    """What is wrong with ``token`` after the tokens ``seen``, or None."""
+    if not token:
+        return "empty token"
+    if token.split() != [token]:
+        return f"token {token!r} contains whitespace"
+    if token in seen:
+        return f"duplicate token {token!r}"
+    return None
 
 
 def vector(model: EmbeddingModel, token: str) -> np.ndarray:
@@ -141,12 +143,8 @@ _CHUNK = 1024
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
-def load_vec(source: Source, name: str, keep_first: bool = False) -> EmbeddingModel:
+def load_vec(source: Source, name: str) -> EmbeddingModel:
     """Parse a word-vector text file into an EmbeddingModel.
-
-    ``keep_first`` downgrades duplicate tokens from an error to a warning,
-    keeping the first occurrence; the duplicate row is dropped so the header
-    count is then allowed to exceed the stored row count.
 
     The file is read, hashed and decoded ``_BLOCK`` bytes at a time, so it
     is never held whole: memory peaks at the matrix and the vocabulary plus
@@ -161,7 +159,7 @@ def load_vec(source: Source, name: str, keep_first: bool = False) -> EmbeddingMo
     not the header's, then the first failing body line.  After an error
     the rest of the file is only decoded and its lines counted.
     """
-    body, digest = _read(source, name, keep_first, keep_rows=True)
+    body, digest = _read(source, name, keep_rows=True)
     model = body.model(digest)
     if model.zero_rows:
         logger.warning("%s: %d zero vector(s) in input", name, len(model.zero_rows))
@@ -194,13 +192,13 @@ def load_vocab(source: Source, name: str) -> Vocabulary:
     sizing the matrix: that the header's rows do not fit in memory, and
     that the dimension of a file without rows is too large.
     """
-    body, digest = _read(source, name, keep_first=False, keep_rows=False)
+    body, digest = _read(source, name, keep_rows=False)
     if body.zero_rows:
         logger.warning("%s: %d zero vector(s) in input", name, len(body.zero_rows))
     return Vocabulary(name, body.dim, body.vocab, frozenset(body.zero_rows), digest)
 
 
-def _read(source: Source, name: str, keep_first: bool, keep_rows: bool) -> tuple["_Body", str]:
+def _read(source: Source, name: str, keep_rows: bool) -> tuple["_Body", str]:
     """Read and check the whole file; return its parsed body and sha256.
 
     ``keep_rows`` says whether the body keeps the parsed rows or only
@@ -231,7 +229,7 @@ def _read(source: Source, name: str, keep_first: bool, keep_rows: bool) -> tuple
         del text
         try:
             if body is None:
-                body = _Body(name, *_header(lines[0]), keep_first, keep_rows)
+                body = _Body(name, *_header(lines[0]), keep_rows)
                 del lines[0]
             body.feed(lines, use_loadtxt)
         except VecFormatError as exc:
@@ -242,7 +240,7 @@ def _read(source: Source, name: str, keep_first: bool, keep_rows: bool) -> tuple
     if last:  # the file does not end in a newline, and no error stopped parsing
         try:
             if body is None:
-                body = _Body(name, *_header(last), keep_first, keep_rows)
+                body = _Body(name, *_header(last), keep_rows)
             else:
                 body.feed([last], _loadtxt_safe(last))
         except VecFormatError as exc:
@@ -331,11 +329,10 @@ class _Body:
     """The vocabulary and either the rows or the zero rows of a file's body
     lines, fed a block at a time."""
 
-    def __init__(self, name: str, count: int, dim: int, keep_first: bool, keep_rows: bool):
+    def __init__(self, name: str, count: int, dim: int, keep_rows: bool):
         self.name = name
         self.count = count
         self.dim = dim
-        self.keep_first = keep_first
         self.keep_rows = keep_rows
         self.vocab: list[str] = []
         self.seen: set[str] = set()
@@ -372,11 +369,7 @@ class _Body:
         if set(map(str.count, chunk, itertools.repeat(" "))) == {self.dim}:
             tokens, _, rests = zip(*map(str.partition, chunk, itertools.repeat(" ")))
             distinct = set(tokens)
-            if (
-                len(distinct) == len(tokens)
-                and self.seen.isdisjoint(distinct)
-                and tuple(" ".join(tokens).split()) == tokens
-            ):
+            if len(distinct) == len(tokens) and self.seen.isdisjoint(distinct) and _plain(tokens):
                 self.seen |= distinct
                 self.vocab += tokens
                 return rests, range(first, first + len(chunk)), None
@@ -387,22 +380,10 @@ class _Body:
         line_nos: list[int] = []
         for line_no, line in enumerate(chunk, start=first):
             token, _, rest = line.partition(" ")
-            error = None
             if line.count(" ") != self.dim:
                 error = f"expected token plus {self.dim} components, found {line.count(' ')}"
-            elif not token:
-                error = "empty token"
-            elif token.split() != [token]:
-                error = f"token {token!r} contains whitespace"
-            elif token in self.seen:
-                if not self.keep_first:
-                    error = f"duplicate token {token!r}"
-                else:
-                    logger.warning(
-                        "%s: duplicate token %r on line %d; keeping first occurrence",
-                        self.name, token, line_no,
-                    )
-                    continue
+            else:
+                error = _token_error(token, self.seen)
             if error is not None:
                 return rests, line_nos, VecFormatError(error, line_no=line_no)
             self.seen.add(token)

@@ -165,13 +165,8 @@ def _read_bytes(source: Source) -> bytes:
 # The word-vector loader as it was before the file was streamed and
 # components were parsed a chunk at a time: the whole file decoded at once,
 # one float() per component, checks in file order.
-def load_vec_oracle(source: Source, name: str, keep_first: bool = False) -> EmbeddingModel:
-    """Parse a word-vector text file into an EmbeddingModel.
-
-    ``keep_first`` downgrades duplicate tokens from an error to a warning,
-    keeping the first occurrence; the duplicate row is dropped so the header
-    count is then allowed to exceed the stored row count.
-    """
+def load_vec_oracle(source: Source, name: str) -> EmbeddingModel:
+    """Parse a word-vector text file into an EmbeddingModel."""
     raw = _read_bytes(source)
     digest = hashlib.sha256(raw).hexdigest()
     try:
@@ -202,7 +197,6 @@ def load_vec_oracle(source: Source, name: str, keep_first: bool = False) -> Embe
     vocab: list[str] = []
     seen: dict[str, int] = {}
     rows = np.empty((count, dim), dtype=np.float64)
-    dropped = 0
     for line_no, line in enumerate(lines[1:], start=2):
         parts = line.split(" ")
         if len(parts) != dim + 1:
@@ -214,14 +208,7 @@ def load_vec_oracle(source: Source, name: str, keep_first: bool = False) -> Embe
         if not token:
             raise VecFormatError("empty token", line_no=line_no)
         if token in seen:
-            if not keep_first:
-                raise VecFormatError(f"duplicate token {token!r}", line_no=line_no)
-            logger.warning(
-                "%s: duplicate token %r on line %d; keeping first occurrence",
-                name, token, line_no,
-            )
-            dropped += 1
-            continue
+            raise VecFormatError(f"duplicate token {token!r}", line_no=line_no)
         try:
             values = [float(p) for p in parts[1:]]
         except ValueError:
@@ -232,22 +219,11 @@ def load_vec_oracle(source: Source, name: str, keep_first: bool = False) -> Embe
         rows[len(vocab)] = values
         vocab.append(token)
 
-    if dropped:
-        rows = rows[: len(vocab)]
-
-    matrix = rows
-    norms = np.linalg.norm(matrix, axis=1)
-    zero_rows = frozenset(int(i) for i in np.flatnonzero(norms == 0.0))
-    if zero_rows:
-        logger.warning("%s: %d zero vector(s) in input", name, len(zero_rows))
-    return EmbeddingModel(
-        name=name,
-        dim=dim,
-        vocab=vocab,
-        matrix=matrix,
-        zero_rows=zero_rows,
-        source_digest=digest,
-    )
+    # the model derives its zero rows from the matrix
+    model = EmbeddingModel(name=name, dim=dim, vocab=vocab, matrix=rows, source_digest=digest)
+    if model.zero_rows:
+        logger.warning("%s: %d zero vector(s) in input", name, len(model.zero_rows))
+    return model
 
 
 # Coverage as it was before token matches were shared across thresholds:
@@ -352,7 +328,7 @@ def tokenize_oracle(text: str) -> list[str]:
     return out
 
 
-def numbers_to_words_oracle(text: str, lang: str, hyphenate: bool = True) -> str:
+def numbers_to_words_oracle(text: str, lang: str) -> str:
     """Replace integer tokens 0..999,999 with their numeral words.
 
     A digit run counts as an integer token when tokenization would detach it
@@ -374,7 +350,7 @@ def numbers_to_words_oracle(text: str, lang: str, hyphenate: bool = True) -> str
         value = int(core)
         if value > MAX_NUMBER:
             return chunk
-        words = number_to_words(value, lang, hyphenate=hyphenate)
+        words = number_to_words(value, lang).replace("-", " ")
         return chunk[:start] + words + chunk[end:]
 
     lines = text.split("\n")

@@ -26,11 +26,6 @@ def test_english(n, expected):
     assert number_to_words(n, "en") == expected
 
 
-def test_english_unhyphenated():
-    assert number_to_words(42, "en", hyphenate=False) == "forty two"
-    assert number_to_words(100, "en", hyphenate=False) == "one hundred"
-
-
 @pytest.mark.parametrize(
     "n,expected",
     [

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from embeval import vectors
 from embeval.errors import UnknownTokenError, VecFormatError
 from embeval.neighbors import top_k
-from embeval.vectors import contains, load_vec, load_vocab, save_vec, vector
+from embeval.vectors import EmbeddingModel, load_vec, load_vocab, save_vec, vector
 from conftest import make_model
 from oracles import load_vec_oracle
 
@@ -36,15 +36,6 @@ def test_load_duplicate_token_names_line_3():
     with pytest.raises(VecFormatError, match="line 3") as excinfo:
         load_vec(data, "dup")
     assert "haus" in str(excinfo.value)
-
-
-def test_load_duplicate_keep_first_downgrades(caplog):
-    data = _vec_bytes("2 3", "haus 0.1 0.2 0.3", "haus 0.0 0.0 1.0")
-    with caplog.at_level("WARNING"):
-        model = load_vec(data, "dup", keep_first=True)
-    assert model.vocab == ["haus"]
-    assert model.matrix[0][0] == pytest.approx(0.1)
-    assert "duplicate token" in caplog.text
 
 
 def test_load_malformed_header():
@@ -163,9 +154,9 @@ def test_unit_rows_keep_the_direct_formula_where_it_is_defined(rows):
 
 def test_contains_is_case_sensitive():
     model = load_vec(_vec_bytes("1 2", "macht 1 0"), "case")
-    assert contains(model, "macht")
-    assert not contains(model, "Macht")
-    assert not contains(model, "herrschaft")
+    assert "macht" in model
+    assert "Macht" not in model
+    assert "herrschaft" not in model
 
 
 def test_vector_returns_stored_row():
@@ -218,12 +209,36 @@ def test_write_load_rewrite_round_trip():
 
 
 def test_zero_rows_derived_even_when_unflagged():
-    from embeval.vectors import EmbeddingModel
-
-    model = EmbeddingModel(
-        name="m", dim=2, vocab=["a", "z"], matrix=np.array([[1.0, 0.0], [0.0, 0.0]])
-    )
+    matrix = np.array([[1.0, 0.0], [0.0, 0.0]])
+    model = EmbeddingModel(name="m", dim=2, vocab=["a", "z"], matrix=matrix)
     assert model.zero_rows == {1}
+    # the matrix alone decides; a caller cannot flag rows
+    with pytest.raises(TypeError):
+        EmbeddingModel(name="m", dim=2, vocab=["a", "z"], matrix=matrix, zero_rows=frozenset({0}))
+
+
+# ``line`` is the line a loader names for the same tokens, if the rule is
+# one of the token rules the loaders share
+@pytest.mark.parametrize("vocab, rows, dim, message, line", [
+    pytest.param(["a", ""], [[1.0], [2.0]], 1, "empty token", 3, id="empty"),
+    pytest.param(["a", "b\xa0c"], [[1.0], [2.0]], 1, "token 'b\\xa0c' contains whitespace", 3,
+                 id="nbsp"),
+    pytest.param(["a", "b", "a"], [[1.0], [2.0], [3.0]], 1, "duplicate token 'a'", 4, id="repeat"),
+    pytest.param(["a", "b"], [[1.0], [np.nan]], 1, "matrix contains non-finite components", None,
+                 id="nan"),
+    pytest.param(["a", "b", "c"], [[1.0, 0.0], [2.0, 0.0]], 2,
+                 "matrix shape (2, 2) does not match 3 tokens of dim 2", None, id="shape"),
+    pytest.param([], np.empty((0, 0)), 0, "dim must be positive, got 0", None, id="dim0"),
+])
+def test_model_rejects_what_the_loaders_reject(vocab, rows, dim, message, line):
+    with pytest.raises(ValueError) as excinfo:
+        EmbeddingModel(name="m", dim=dim, vocab=vocab, matrix=np.array(rows))
+    assert str(excinfo.value) == message
+    if line is not None:
+        body = [f"{token} {' '.join(map(str, row))}" for token, row in zip(vocab, rows)]
+        with pytest.raises(VecFormatError) as loaded:
+            load_vec(_vec_bytes(f"{len(vocab)} {dim}", *body), "m")
+        assert str(loaded.value) == f"line {line}: {message}"
 
 
 def test_empty_model_loads():
@@ -305,14 +320,14 @@ def test_load_errors_across_chunk_boundaries(monkeypatch):
     with pytest.raises(VecFormatError) as excinfo:
         load_vec(data, "chunks")
     assert str(excinfo.value) == "line 5: non-finite vector component"
-    model = load_vec(_vec_bytes("5 1", "a 1", "b 2", "a 3", "c 4", "d 5"), "chunks", keep_first=True)
-    assert model.vocab == ["a", "b", "c", "d"]
-    assert model.matrix[:, 0].tolist() == [1.0, 2.0, 4.0, 5.0]
+    with pytest.raises(VecFormatError) as excinfo:
+        load_vec(_vec_bytes("5 1", "a 1", "b 2", "a 3", "c 4", "d 5"), "chunks")
+    assert str(excinfo.value) == "line 4: duplicate token 'a'"
 
 
 _TOKENS = st.sampled_from(["a", "b", "c", "ä", "wort", "日本", "𝔘x"])
 _GOOD = ["0", "-0", "1", "-1.5e-2", ".5", "+3", "1_0", "١", "2.", "1e-400",
-         "0.30000000000000004", "12345678901234567890", "7e30"]
+         "0.30000000000000004", "12345678901234567890", "7e30", "5e-324"]
 _BAD = ["nan", "inf", "1e400", "x", "", "1__0", "0x1", "1\x1c", "\r", "1\r2"]
 # a stray continuation byte, a lone lead byte, a truncated character, an
 # overlong form and an encoded surrogate
@@ -348,35 +363,30 @@ def _vec_files(draw):
 
 
 @settings(max_examples=600, deadline=None)
-@given(data=_vec_files(), chunk=st.integers(1, 3), block=st.integers(1, 64),
-       keep_first=st.booleans())
-def test_load_matches_per_component_oracle(data, chunk, block, keep_first):
+@given(data=_vec_files(), chunk=st.integers(1, 3), block=st.integers(1, 64))
+def test_load_matches_per_component_oracle(data, chunk, block):
     # blocks of 1-64 bytes end inside lines and inside multi-byte characters;
-    # load_vocab runs the same checks as load_vec, duplicates always an
-    # error, but keeps no rows
-    def run(loader, **kwargs):
+    # load_vocab runs the same checks as load_vec but keeps no rows
+    def run(loader):
         try:
-            return loader(data, "p", **kwargs)
+            return loader(data, "p")
         except VecFormatError as exc:
             return str(exc)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(vectors, "_CHUNK", chunk)
         mp.setattr(vectors, "_BLOCK", block)
-        got = run(load_vec, keep_first=keep_first)
+        got = run(load_vec)
         vocab = run(load_vocab)
-    want = run(load_vec_oracle, keep_first=keep_first)
-    strict = run(load_vec_oracle) if keep_first else want
-    if isinstance(strict, str):
-        assert vocab == strict
-    else:
-        assert not isinstance(vocab, str), vocab
-        assert (vocab.vocab, vocab.zero_rows, vocab.source_digest, vocab.dim) == (
-            strict.vocab, strict.zero_rows, strict.source_digest, strict.dim
-        )
+    want = run(load_vec_oracle)
     if isinstance(want, str):
         assert got == want
+        assert vocab == want
         return
+    assert not isinstance(vocab, str), vocab
+    assert (vocab.vocab, vocab.zero_rows, vocab.source_digest, vocab.dim) == (
+        want.vocab, want.zero_rows, want.source_digest, want.dim
+    )
     assert not isinstance(got, str), got
     assert got.vocab == want.vocab
     assert np.array_equal(got.matrix.view(np.uint64), want.matrix.view(np.uint64))
