@@ -13,7 +13,6 @@ _EXPORTS = {
     "diversity_matrix": "metrics",
     "relational_coverage": "metrics",
     "NeighborSet": "neighbors",
-    "cosine": "neighbors",
     "top_k": "neighbors",
     "top_k_batch": "neighbors",
     "RatioMatch": "stringsim",
@@ -29,36 +28,9 @@ _EXPORTS = {
     "EmbeddingModel": "vectors",
     "load_vec": "vectors",
     "load_vocab": "vectors",
-    "save_vec": "vectors",
-    "vector": "vectors",
 }
 
-__all__ = [
-    "EmbeddingModel",
-    "NeighborSet",
-    "RatioMatch",
-    "Thesaurus",
-    "VocabIndex",
-    "__version__",
-    "best_match",
-    "cosine",
-    "coverage",
-    "descriptor_pairs",
-    "diversity",
-    "diversity_matrix",
-    "edit_distance_sub2",
-    "keywords",
-    "load_vec",
-    "load_vocab",
-    "parse_ntriples_skos",
-    "parse_tsv",
-    "ratio",
-    "relational_coverage",
-    "save_vec",
-    "top_k",
-    "top_k_batch",
-    "vector",
-]
+__all__ = ["__version__", *_EXPORTS]
 
 
 def __getattr__(name: str):

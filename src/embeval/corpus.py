@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Iterable, Union
 
 from .errors import InputParseError, WorkerError
-from .langid import UNKNOWN, TrigramClassifier, classify_line_language, default_classifier
+from .langid import UNKNOWN, classify_line_language, default_classifier
 from .numwords import MAX_NUMBER, number_to_words
 from .thesaurus import DASH_CHARS, HYPHEN_CHARS
 
@@ -280,12 +280,7 @@ def dedup_sentences(lines: Iterable[str]) -> tuple[list[str], DedupReport]:
     return kept, DedupReport(kept=len(kept), dropped=len(lines) - len(kept))
 
 
-def clean_document(
-    doc_id: str,
-    text: str,
-    config: PipelineConfig,
-    classifier: TrigramClassifier | None = None,
-) -> CorpusDocument:
+def clean_document(doc_id: str, text: str, config: PipelineConfig) -> CorpusDocument:
     """Run the per-document stages (everything before corpus-wide dedup).
 
     Each line is routed by its final, written text, so cleaning the output
@@ -295,9 +290,7 @@ def clean_document(
     """
 
     def route(line: str) -> tuple[str, float] | None:
-        lang, confidence = classify_line_language(
-            line, threshold=config.confidence_threshold, classifier=classifier
-        )
+        lang, confidence = classify_line_language(line, threshold=config.confidence_threshold)
         if lang == UNKNOWN or lang not in config.languages:
             return None
         return lang, confidence
@@ -340,7 +333,7 @@ def _doc_id(item) -> str:
     return str(item) if isinstance(item, Path) else item[0]
 
 
-def _clean_item(item, config: PipelineConfig, classifier) -> tuple:
+def _clean_item(item, config: PipelineConfig) -> tuple:
     """One input as the record run_pipeline aggregates: (skipped, unknown_lines, lines).
 
     ``item`` is a file path, read here, or a ``(doc_id, text)`` pair; lines
@@ -354,7 +347,7 @@ def _clean_item(item, config: PipelineConfig, classifier) -> tuple:
             return True, 0, []
     else:
         text = item[1]
-    doc = clean_document(_doc_id(item), text, config, classifier)
+    doc = clean_document(_doc_id(item), text, config)
     return False, doc.unknown_lines, [(line.text, line.lang) for line in doc.lines]
 
 
@@ -371,7 +364,7 @@ class _LogCapture(logging.Handler):
         )
 
 
-def _work(items: list, config: PipelineConfig, classifier, fd: int) -> None:
+def _work(items: list, config: PipelineConfig, fd: int) -> None:
     """Body of a worker process: one marshal record per item, written to ``fd``.
 
     A record is ``(skipped, unknown_lines, lines, failure, logs)``:
@@ -390,7 +383,7 @@ def _work(items: list, config: PipelineConfig, classifier, fd: int) -> None:
         for item in items:
             failure = None
             try:
-                record = _clean_item(item, config, classifier)
+                record = _clean_item(item, config)
             except Exception:
                 failure = traceback.format_exc()
                 record = (False, 0, [])
@@ -400,7 +393,7 @@ def _work(items: list, config: PipelineConfig, classifier, fd: int) -> None:
                 return
 
 
-def _forked_records(items: list, workers: int, config: PipelineConfig, classifier):
+def _forked_records(items: list, workers: int, config: PipelineConfig):
     """The records of ``_clean_item`` for every item, in order, made by forked workers.
 
     Item i goes to worker i mod ``workers``, so reading the workers' pipes
@@ -420,7 +413,7 @@ def _forked_records(items: list, workers: int, config: PipelineConfig, classifie
                     os.close(rfd)
                     for _, reader in procs:
                         reader.close()
-                    _work(items[w::workers], config, classifier, wfd)
+                    _work(items[w::workers], config, wfd)
                     status = 0
                 finally:
                     os._exit(status)
@@ -451,7 +444,6 @@ def run_pipeline(
     config: PipelineConfig,
     out_dir,
     corpus_name: str = "corpus",
-    classifier: TrigramClassifier | None = None,
 ) -> tuple[list[CorpusStats], PipelineReport, dict[str, Path]]:
     """Clean all documents and write one deduplicated corpus file per language.
 
@@ -468,8 +460,8 @@ def run_pipeline(
     report = PipelineReport()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if classifier is None:
-        classifier = default_classifier()
+    # built before any fork, so workers inherit the trigram tables
+    default_classifier()
     if isinstance(documents, (str, os.PathLike)):
         items: list = sorted(Path(documents).glob("*.txt"))
     else:
@@ -480,9 +472,9 @@ def run_pipeline(
     contributors: dict[str, set[str]] = {lang: set() for lang in config.languages}
 
     if workers > 1 and hasattr(os, "fork"):
-        records = _forked_records(items, workers, config, classifier)
+        records = _forked_records(items, workers, config)
     else:
-        records = (_clean_item(item, config, classifier) for item in items)
+        records = (_clean_item(item, config) for item in items)
     with contextlib.closing(records):
         for item, (skipped, unknown_lines, lines) in zip(items, records):
             doc_id = _doc_id(item)

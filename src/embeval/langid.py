@@ -3,9 +3,7 @@
 A small seed corpus per language is compiled into smoothed trigram
 log-probabilities at import time; a line is scored by summing the log
 probability of each of its trigrams under every profile and converting the
-scores into a posterior over the configured languages.  The classifier is a
-pluggable default: anything with a ``classify(line) -> (lang, confidence)``
-method can replace it in the pipeline config.
+scores into a posterior over the configured languages.
 
 Profiles are built over the seed text and its lowercased copy, so lines
 keep working after the pipeline's lowercasing stage while capitalization
@@ -128,14 +126,10 @@ def default_classifier() -> TrigramClassifier:
     return _default
 
 
-def classify_line_language(
-    line: str,
-    threshold: float = 0.7,
-    classifier: TrigramClassifier | None = None,
-) -> tuple[str, float]:
-    """Language tag and confidence for one line; UNKNOWN below the threshold."""
-    clf = classifier or default_classifier()
-    lang, confidence = clf.classify(line)
+def classify_line_language(line: str, threshold: float = 0.7) -> tuple[str, float]:
+    """Language tag and confidence for one line by the default classifier;
+    UNKNOWN below the threshold."""
+    lang, confidence = default_classifier().classify(line)
     if lang != UNKNOWN and confidence < threshold:
         return UNKNOWN, confidence
     return lang, confidence

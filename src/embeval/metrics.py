@@ -25,7 +25,7 @@ happens in the report layer.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .neighbors import NeighborMap
@@ -39,24 +39,11 @@ OOV_POLICIES = ("miss", "skip")
 
 
 @dataclass
-class KeywordHit:
-    """How one covered keyword matched: per token the vocab word and its ratio."""
-
-    keyword: str
-    matches: list[tuple[str, str, float]]
-
-    @property
-    def min_ratio(self) -> float:
-        return min(r for _, _, r in self.matches)
-
-
-@dataclass
 class CoverageResult:
     model_name: str
     s: float
     n_keywords: int
     n_covered: int
-    hits: list[KeywordHit] = field(default_factory=list)
 
     @property
     def c(self) -> float:
@@ -109,25 +96,21 @@ class RelationalResult:
         return 100.0 * self.n_found / n
 
 
-def _match_records(
-    tokens: Sequence[str], matches: dict[str, RatioMatch | None], s: float
-) -> list[tuple[str, str, float]] | None:
-    """Match records of the tokens if every one reaches ratio >= s in ``matches``.
+def _covered(tokens: Sequence[str], matches: dict[str, RatioMatch | None], s: float) -> bool:
+    """Whether every one of the tokens reaches ratio >= s in ``matches``.
 
     An empty token list never counts as covered.
     """
     if not tokens:
         logger.warning("keyword reduced to no tokens; counted as not covered")
-        return None
-    records: list[tuple[str, str, float]] = []
+        return False
     for token in tokens:
         if token not in matches:
             raise ValueError(f"match map lacks the keyword token {token!r}")
         m = matches[token]
         if m is None or m.ratio < s:
-            return None
-        records.append((token, m.matched_vocab_token, m.ratio))
-    return records
+            return False
+    return True
 
 
 def match_map(
@@ -169,10 +152,8 @@ def coverage(
         raise ValueError(f"threshold s must be in (0, 1], got {s}")
     result = CoverageResult(name, s, n_keywords=len(keywords), n_covered=0)
     for label in keywords:
-        records = _match_records(keyword_tokens(label, lowercase=lowercase), matches, s)
-        if records is not None:
+        if _covered(keyword_tokens(label, lowercase=lowercase), matches, s):
             result.n_covered += 1
-            result.hits.append(KeywordHit(label, records))
     return result
 
 

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CacheFormatError, StaleCacheError, UnknownTokenError, ZeroVectorError
-from .vectors import _MIN_DIRECT_NORM, EmbeddingModel
+from .vectors import EmbeddingModel
 
 logger = logging.getLogger(__name__)
 
@@ -58,11 +58,10 @@ class NeighborSet:
 
 @dataclass
 class BatchResult:
-    """The ``(query, tokens)`` of each queryable query in input order, the
-    skipped queries, and how many queries fell back to the GEMV search."""
+    """The ``(query, tokens)`` of each queryable query in input order, and
+    how many queries fell back to the GEMV search."""
 
     neighbor_sets: list[tuple[str, tuple[str, ...]]]
-    skipped: list[str]
     fallbacks: int
 
 
@@ -87,32 +86,6 @@ class NeighborMap:
             lower = tuple(map(str.lower, tokens))
             lowered[query] = tokens if lower == tokens else lower
         return lowered
-
-
-def cosine(u, v) -> float:
-    """Cosine similarity of two equal-length, nonzero vectors, clamped to [-1, 1].
-
-    When a norm is subnormal-prone or overflows, or the dot product or the
-    product of the norms overflows, each vector is first divided by its
-    largest absolute component, as ``unit_matrix`` does for such rows.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValueError(f"vector shapes differ: {u.shape} vs {v.shape}")
-    if not u.any() or not v.any():
-        raise ZeroVectorError("cosine is undefined for all-zero vectors")
-    with np.errstate(over="ignore"):
-        nu = float(np.linalg.norm(u))
-        nv = float(np.linalg.norm(v))
-        dot = float(np.dot(u, v))
-    if not (min(nu, nv) >= _MIN_DIRECT_NORM and np.isfinite([nu * nv, dot]).all()):
-        u = u / np.abs(u).max()
-        v = v / np.abs(v).max()
-        nu = float(np.linalg.norm(u))
-        nv = float(np.linalg.norm(v))
-        dot = float(np.dot(u, v))
-    return min(1.0, max(-1.0, dot / (nu * nv)))
 
 
 def _select_top(scores: np.ndarray, k: int) -> np.ndarray:
@@ -220,12 +193,11 @@ def top_k_batch(model: EmbeddingModel, queries: list[str], k: int) -> BatchResul
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     wanted = [q for q in queries if queryable(model, q)]
-    skipped = [q for q in queries if not queryable(model, q)]
     n = len(model)
     n_candidates = n - 1 - len(model.zero_rows)
     kk = min(k, n_candidates)
     if kk <= 0:
-        return BatchResult([(q, ()) for q in wanted], skipped, fallbacks=0)
+        return BatchResult([(q, ()) for q in wanted], fallbacks=0)
     m = min(k + 1, n_candidates)
     unit = model.unit_matrix()
     zero = np.fromiter(model.zero_rows, dtype=np.intp, count=len(model.zero_rows))
@@ -251,7 +223,7 @@ def top_k_batch(model: EmbeddingModel, queries: list[str], k: int) -> BatchResul
             else:
                 fallbacks += 1
                 neighbor_sets.append((query, tuple(_search(model, query, k).tokens())))
-    return BatchResult(neighbor_sets, skipped, fallbacks)
+    return BatchResult(neighbor_sets, fallbacks)
 
 
 def neighbor_map(model: EmbeddingModel, queries: list[str], k: int, cache_dir=None,

@@ -73,9 +73,6 @@ class Concept:
         if (text, lang) not in target:
             target.append((text, lang))
 
-    def labels(self, lang: str) -> list[str]:
-        return [t for t, l in self.pref_labels + self.alt_labels if l == lang]
-
 
 @dataclass(frozen=True)
 class DescriptorPair:
@@ -133,48 +130,34 @@ class Thesaurus:
             return
         raise ValueError(f"unsupported predicate {predicate!r}")
 
-    def n_concepts(self) -> int:
-        return len(self.concepts)
+
+# The named escapes of an N-Triples literal.  _ESCAPE_RE's group is what
+# follows a backslash: u and up to four characters, one character, or
+# nothing at the end of the literal.
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+_ESCAPE_RE = re.compile(r"\\(u.{0,4}|.|$)", re.DOTALL)
 
 
 def _unescape_literal(raw: str, line_no: int) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= len(raw):
+    def unescape(m: re.Match) -> str:
+        esc = m.group(1)
+        if not esc:
             raise ThesaurusFormatError("dangling escape in literal", line_no=line_no)
-        esc = raw[i + 1]
-        if esc == "n":
-            out.append("\n")
-        elif esc == "t":
-            out.append("\t")
-        elif esc == "r":
-            out.append("\r")
-        elif esc == '"':
-            out.append('"')
-        elif esc == "\\":
-            out.append("\\")
-        elif esc == "u":
-            code = raw[i + 2 : i + 6]
+        if esc[0] == "u":
+            code = esc[1:]
             if len(code) != 4:
                 raise ThesaurusFormatError("truncated \\u escape", line_no=line_no)
             try:
-                out.append(chr(int(code, 16)))
+                return chr(int(code, 16))
             except ValueError:
                 raise ThesaurusFormatError(
                     f"bad \\u escape {code!r}", line_no=line_no
                 ) from None
-            i += 6
-            continue
-        else:
+        if esc not in _ESCAPES:
             raise ThesaurusFormatError(f"unknown escape \\{esc}", line_no=line_no)
-        i += 2
-    return "".join(out)
+        return _ESCAPES[esc]
+
+    return _ESCAPE_RE.sub(unescape, raw)
 
 
 def _decode(source: Source) -> str:

@@ -1,4 +1,4 @@
-"""Loading, writing and querying word-embedding models in word-vector text format.
+"""Loading and querying word-embedding models in word-vector text format.
 
 The format is the plain-text one used by common embedding trainers: a header
 line ``<count> <dim>`` followed by one line per word holding the token and
@@ -14,7 +14,6 @@ a command that reads only the vocabulary: it holds no matrix at all.
 
 import codecs
 import hashlib
-import io
 import itertools
 import logging
 import os
@@ -24,7 +23,7 @@ from typing import BinaryIO, Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import UnknownTokenError, VecFormatError
+from .errors import VecFormatError
 
 logger = logging.getLogger(__name__)
 
@@ -93,12 +92,13 @@ class EmbeddingModel:
         return self._unit_matrix
 
     def content_digest(self) -> str:
-        """Digest identifying the model content; falls back to the serialized form."""
+        """Digest identifying the model content: ``source_digest``, or for a
+        model built in memory the SHA-256 of its tokens and exact matrix bytes."""
         if self.source_digest is not None:
             return self.source_digest
-        buf = io.BytesIO()
-        save_vec(self, buf)
-        return hashlib.sha256(buf.getvalue()).hexdigest()
+        digest = hashlib.sha256("\n".join(self.vocab).encode("utf-8"))
+        digest.update(self.matrix)
+        return digest.hexdigest()
 
 
 # The token rules, stated once for the loaders and the model: a token is
@@ -119,15 +119,6 @@ def _token_error(token: str, seen: set[str]) -> str | None:
     if token in seen:
         return f"duplicate token {token!r}"
     return None
-
-
-def vector(model: EmbeddingModel, token: str) -> np.ndarray:
-    """The stored row for ``token``; raises UnknownTokenError if absent."""
-    try:
-        row = model.index[token]
-    except KeyError:
-        raise UnknownTokenError(f"token {token!r} not in model {model.name!r}") from None
-    return model.matrix[row]
 
 
 # Bytes read, hashed and decoded at a time.  The loader holds one block's
@@ -471,25 +462,6 @@ def _check_finite(block: np.ndarray, line_nos: list[int]) -> None:
     bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
     if bad.size:
         raise VecFormatError("non-finite vector component", line_no=line_nos[bad[0]])
-
-
-def save_vec(model: EmbeddingModel, dest: Union[str, os.PathLike, BinaryIO]) -> None:
-    """Write a model in word-vector text format.
-
-    Numbers are rendered with 6 significant digits; writing a loaded model
-    again reproduces the body lines byte for byte once the file has been
-    through one write/load cycle.
-    """
-    own = isinstance(dest, (str, os.PathLike))
-    fh: BinaryIO = open(dest, "wb") if own else dest
-    try:
-        fh.write(f"{len(model.vocab)} {model.dim}\n".encode("utf-8"))
-        for i, token in enumerate(model.vocab):
-            comps = " ".join("%.6g" % v for v in model.matrix[i])
-            fh.write(f"{token} {comps}\n".encode("utf-8"))
-    finally:
-        if own:
-            fh.close()
 
 
 # Below this norm the sum of squares np.linalg.norm takes is subnormal or 0

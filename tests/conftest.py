@@ -1,5 +1,7 @@
 import math
+import os
 from pathlib import Path
+from typing import BinaryIO, Union
 
 import numpy as np
 import pytest
@@ -25,6 +27,20 @@ def make_model(name: str, vocab: list[str], rows, dim: int | None = None) -> Emb
         dim = matrix.shape[1]
     # zero_rows are derived by the model itself
     return EmbeddingModel(name=name, dim=dim, vocab=list(vocab), matrix=matrix)
+
+
+def save_vec(model: EmbeddingModel, dest: Union[str, os.PathLike, BinaryIO]) -> None:
+    """Write a model in word-vector text format, numbers in 6 significant digits."""
+    own = isinstance(dest, (str, os.PathLike))
+    fh: BinaryIO = open(dest, "wb") if own else dest
+    try:
+        fh.write(f"{len(model.vocab)} {model.dim}\n".encode("utf-8"))
+        for i, token in enumerate(model.vocab):
+            comps = " ".join("%.6g" % v for v in model.matrix[i])
+            fh.write(f"{token} {comps}\n".encode("utf-8"))
+    finally:
+        if own:
+            fh.close()
 
 
 def random_model(rng: np.random.Generator, name: str, n_vocab: int, dim: int,

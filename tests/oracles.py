@@ -15,9 +15,9 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from embeval.corpus import DedupReport
-from embeval.errors import VecFormatError
+from embeval.errors import ThesaurusFormatError, VecFormatError
 from embeval.langid import UNKNOWN
-from embeval.metrics import CoverageResult, KeywordHit
+from embeval.metrics import CoverageResult
 from embeval.numwords import MAX_NUMBER, number_to_words
 from embeval.stringsim import RatioMatch, VocabIndex, best_match, ratio
 from embeval.thesaurus import keyword_tokens
@@ -263,20 +263,64 @@ def coverage_oracle(
     s: float,
     lowercase: bool = True,
     index: VocabIndex | None = None,
-) -> CoverageResult:
-    """Coverage of the keyword list in the model vocabulary at threshold s."""
+) -> tuple[CoverageResult, dict[str, list[tuple[str, str, float]]]]:
+    """Coverage of the keyword list in the model vocabulary at threshold s,
+    and the match records of each covered keyword."""
     if not 0.0 < s <= 1.0:
         raise ValueError(f"threshold s must be in (0, 1], got {s}")
     if index is None:
         index = VocabIndex(model.vocab)
     result = CoverageResult(model.name, s, n_keywords=len(keywords), n_covered=0)
+    hits: dict[str, list[tuple[str, str, float]]] = {}
     for label in keywords:
         tokens = keyword_tokens(label, lowercase=lowercase)
         matches = keyword_covered_oracle(tokens, model, s, index=index, lowercase=lowercase)
         if matches is not None:
             result.n_covered += 1
-            result.hits.append(KeywordHit(label, matches))
-    return result
+            hits[label] = matches
+    return result, hits
+
+
+# N-Triples literal unescaping as it was before it became one re.sub: a
+# character loop.
+def unescape_literal_oracle(raw: str, line_no: int) -> str:
+    out: list[str] = []
+    i = 0
+    while i < len(raw):
+        ch = raw[i]
+        if ch != "\\":
+            out.append(ch)
+            i += 1
+            continue
+        if i + 1 >= len(raw):
+            raise ThesaurusFormatError("dangling escape in literal", line_no=line_no)
+        esc = raw[i + 1]
+        if esc == "n":
+            out.append("\n")
+        elif esc == "t":
+            out.append("\t")
+        elif esc == "r":
+            out.append("\r")
+        elif esc == '"':
+            out.append('"')
+        elif esc == "\\":
+            out.append("\\")
+        elif esc == "u":
+            code = raw[i + 2 : i + 6]
+            if len(code) != 4:
+                raise ThesaurusFormatError("truncated \\u escape", line_no=line_no)
+            try:
+                out.append(chr(int(code, 16)))
+            except ValueError:
+                raise ThesaurusFormatError(
+                    f"bad \\u escape {code!r}", line_no=line_no
+                ) from None
+            i += 6
+            continue
+        else:
+            raise ThesaurusFormatError(f"unknown escape \\{esc}", line_no=line_no)
+        i += 2
+    return "".join(out)
 
 
 # The per-line stages of the cleaning cascade as they were before they were

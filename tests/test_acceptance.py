@@ -17,7 +17,6 @@ from embeval.neighbors import top_k
 from embeval.report import pct
 from embeval.stringsim import VocabIndex, best_match, edit_distance_sub2, ratio
 from embeval.thesaurus import DescriptorPair
-from embeval.vectors import save_vec
 from conftest import (
     DATA_DIR,
     anchored,
@@ -26,6 +25,7 @@ from conftest import (
     make_model,
     random_model,
     relational_at,
+    save_vec,
 )
 from oracles import (
     dp_edit_distance_sub2,

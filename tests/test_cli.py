@@ -11,8 +11,8 @@ import pytest
 
 from embeval.cli import main
 from embeval.corpus import recount_stats
-from embeval.vectors import load_vec, save_vec
-from conftest import DATA_DIR, coverage_at, make_model
+from embeval.vectors import load_vec
+from conftest import DATA_DIR, coverage_at, make_model, save_vec
 
 
 def _f(c: float) -> float:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import embeval.corpus as corpus
+import embeval.langid as langid
 from embeval.cli import main
 from embeval.errors import InputParseError, WorkerError
 from embeval.corpus import (
@@ -506,9 +507,8 @@ def test_run_pipeline_equals_oracle_cascade(texts):
             mp.setattr(corpus, "numbers_to_words", numbers_to_words_oracle)
             mp.setattr(corpus, "tokenize", tokenize_oracle)
             mp.setattr(corpus, "dedup_sentences", dedup_sentences_oracle)
-            oracle_stats, oracle_report, _ = run_pipeline(
-                docs, config, oracle_out, classifier=_OracleClassifier()
-            )
+            mp.setattr(langid, "_default", _OracleClassifier())
+            oracle_stats, oracle_report, _ = run_pipeline(docs, config, oracle_out)
         for lang in config.languages:
             name = f"corpus.{lang}.txt"
             assert (out / name).read_bytes() == (oracle_out / name).read_bytes()

@@ -38,9 +38,10 @@ def test_keyword_covered_exact():
 def test_keyword_covered_compound_threshold():
     model = make_model("m", ["sozial", "ungleichheit"], [[1, 0], [0, 1]])
     assert coverage_at(model, ["soziale ungleichheit"], 1.0).n_covered == 0
-    [hit] = coverage_at(model, ["soziale ungleichheit"], 0.9).hits
-    assert hit.matches[0][1] == "sozial"
-    assert hit.matches[0][2] == pytest.approx(12 / 13)
+    assert coverage_at(model, ["soziale ungleichheit"], 0.9).n_covered == 1
+    match = match_map(VocabIndex(model.vocab), ["soziale ungleichheit"], 0.9)["soziale"]
+    assert match.matched_vocab_token == "sozial"
+    assert match.ratio == pytest.approx(12 / 13)
 
 
 def test_keyword_covered_empty_warns(caplog):
@@ -70,11 +71,10 @@ def test_coverage_three_keyword_fixture():
 
 def test_coverage_hit_records():
     model = make_model("m", ["sozial", "macht"], np.eye(2))
-    result = coverage_at(model, ["Macht", "soziale"], 0.9)
-    assert {h.keyword for h in result.hits} == {"Macht", "soziale"}
-    by_kw = {h.keyword: h for h in result.hits}
-    assert by_kw["Macht"].min_ratio == 1.0
-    assert by_kw["soziale"].min_ratio == pytest.approx(12 / 13)
+    assert coverage_at(model, ["Macht", "soziale"], 0.9).n_covered == 2
+    matches = match_map(VocabIndex(model.vocab), ["Macht", "soziale"], 0.9)
+    assert matches["macht"].ratio == 1.0
+    assert matches["soziale"].ratio == pytest.approx(12 / 13)
 
 
 def test_coverage_monotone_in_s():
@@ -149,9 +149,12 @@ def test_coverage_over_one_map_equals_per_threshold_oracle(case, lowercase):
     matches = match_map(index, labels, min(s_values), lowercase=lowercase)
     for s in s_values:
         got = coverage(model.name, labels, s, lowercase=lowercase, matches=matches)
-        want = coverage_oracle(model, labels, s, lowercase=lowercase, index=index)
+        want, hits = coverage_oracle(model, labels, s, lowercase=lowercase, index=index)
         assert (got.n_keywords, got.n_covered) == (want.n_keywords, want.n_covered)
-        assert got.hits == want.hits
+        for records in hits.values():
+            for token, vocab_token, r in records:
+                m = matches[token]
+                assert (m.keyword_token, m.matched_vocab_token, m.ratio) == (token, vocab_token, r)
 
 
 def test_match_map_matches_each_reachable_token_once(monkeypatch):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from embeval.errors import ThesaurusFormatError
 from embeval.thesaurus import (
@@ -8,7 +8,9 @@ from embeval.thesaurus import (
     keywords,
     parse_ntriples_skos,
     parse_tsv,
+    _unescape_literal,
 )
+from oracles import unescape_literal_oracle
 
 SKOS = "http://www.w3.org/2004/02/skos/core#"
 
@@ -21,7 +23,7 @@ def test_single_preflabel_triple():
     th = parse_ntriples_skos(
         nt(f'<http://ex/c1> <{SKOS}prefLabel> "soziale Ungleichheit"@de .')
     )
-    assert th.n_concepts() == 1
+    assert len(th.concepts) == 1
     concept = th.concepts["http://ex/c1"]
     assert concept.pref_labels == [("soziale Ungleichheit", "de")]
     assert concept.is_descriptor
@@ -100,6 +102,24 @@ def test_literal_escapes():
     assert th.concepts["http://ex/a"].pref_labels == [('a"b\\c\nd\teé', "de")]
 
 
+# Backslashes, the escape letters, hex digits, a letter that is no hex digit
+# and a non-ASCII one: every kind of escape, valid or not, can be drawn.
+@settings(max_examples=1000, deadline=None)
+@given(st.text(alphabet='\\untr"0123456789abcdefgé', max_size=12))
+@example("\\u12")
+@example("\\u12g4")
+@example("a\\")
+def test_unescape_literal_equals_oracle(raw):
+    try:
+        want = unescape_literal_oracle(raw, 7)
+    except ThesaurusFormatError as exc:
+        with pytest.raises(ThesaurusFormatError) as excinfo:
+            _unescape_literal(raw, 7)
+        assert (str(excinfo.value), excinfo.value.line_no) == (str(exc), exc.line_no)
+    else:
+        assert _unescape_literal(raw, 7) == want
+
+
 def test_crlf_lines_accepted():
     data = f'<http://ex/a> <{SKOS}prefLabel> "Macht"@de .\r\n'.encode("utf-8")
     th = parse_ntriples_skos(data)
@@ -146,7 +166,7 @@ def test_tsv_wrong_column_count():
 
 def test_tsv_empty_after_header():
     th = parse_tsv((TSV_HEADER + "\n").encode())
-    assert th.n_concepts() == 0
+    assert len(th.concepts) == 0
     assert keywords(th, "de") == []
 
 

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from embeval import vectors
-from embeval.errors import UnknownTokenError, VecFormatError
+from embeval.errors import VecFormatError
 from embeval.neighbors import top_k
-from embeval.vectors import EmbeddingModel, load_vec, load_vocab, save_vec, vector
-from conftest import make_model
+from embeval.vectors import EmbeddingModel, load_vec, load_vocab
+from conftest import make_model, save_vec
 from oracles import load_vec_oracle
 
 
@@ -161,15 +161,9 @@ def test_contains_is_case_sensitive():
 
 def test_vector_returns_stored_row():
     model = load_vec(_vec_bytes("2 2", "a 1 2", "b 3 4"), "rows")
-    assert vector(model, "b").tolist() == [3.0, 4.0]
+    assert model.matrix[model.index["b"]].tolist() == [3.0, 4.0]
     for i, token in enumerate(model.vocab):
-        assert np.array_equal(vector(model, token), model.matrix[i])
-
-
-def test_vector_unknown_token():
-    model = load_vec(_vec_bytes("1 2", "a 1 2"), "toy")
-    with pytest.raises(UnknownTokenError):
-        vector(model, "zzz")
+        assert np.array_equal(model.matrix[model.index[token]], model.matrix[i])
 
 
 def test_unit_matrix_rows_have_unit_norm():
