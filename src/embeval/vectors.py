@@ -5,11 +5,13 @@ line ``<count> <dim>`` followed by one line per word holding the token and
 ``dim`` space-separated decimal numbers.  Models are immutable once loaded;
 concurrent readers are safe.
 
-``load_vec`` streams the file in fixed-size blocks, so loading holds the
-matrix and the vocabulary plus about one block, never the file's bytes,
-text or list of lines.  ``load_vocab`` runs the same reader with the same
-checks but drops each chunk's rows once their zero rows are counted, for
-a command that reads only the vocabulary: it holds no matrix at all.
+``load_vec`` streams the file in fixed-size blocks and scales each parsed
+chunk's rows to unit length as it stores them, so loading holds one
+matrix, the model's unit rows, and the vocabulary plus about one block,
+never the file's bytes, text or list of lines, nor its raw components.
+``load_vocab`` runs the same reader with the same checks but drops each
+chunk's rows once their zero rows are counted, for a command that reads
+only the vocabulary: it holds no matrix at all.
 """
 
 import codecs
@@ -18,7 +20,7 @@ import itertools
 import logging
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import BinaryIO, Iterator, Sequence, Union
 
 import numpy as np
@@ -32,11 +34,16 @@ Source = Union[str, os.PathLike, bytes, BinaryIO]
 
 @dataclass
 class EmbeddingModel:
-    """A vocabulary plus its dense vector matrix.
+    """A vocabulary plus the unit rows of its vectors, one array per model.
 
-    ``matrix`` has one row per vocabulary token, in order.  ``zero_rows``
-    flags tokens whose vector is all zeros, derived from the matrix at
-    construction: they are legal in input files but cosine similarity is
+    Built from a raw ``matrix`` (one row per vocabulary token, in order),
+    the model checks its shape, its finiteness and the loaders' token rules,
+    then keeps only a new array of the rows scaled to unit length: the
+    caller's array is neither kept nor changed.  ``load_vec`` builds its
+    model from rows it has already checked and normalized a chunk at a
+    time, and keeps them as they are.  ``zero_rows`` flags tokens whose
+    vector is all zeros, derived from the unit rows (a nonzero row stays
+    nonzero): they are legal in input files but cosine similarity is
     undefined for them, so neighbor queries skip them.  ``source_digest``
     is the SHA-256 of the bytes the model was loaded from and keys the
     on-disk neighbor cache.
@@ -45,28 +52,27 @@ class EmbeddingModel:
     name: str
     dim: int
     vocab: list[str]
-    matrix: np.ndarray
-    zero_rows: frozenset[int] = field(init=False)
+    matrix: InitVar[np.ndarray]
     source_digest: str | None = None
+    zero_rows: frozenset[int] = field(init=False)
     index: dict[str, int] = field(init=False, repr=False)
-    _unit_matrix: np.ndarray | None = field(default=None, init=False, repr=False)
+    _unit: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, matrix: np.ndarray):
         if self.dim <= 0:
             raise ValueError(f"dim must be positive, got {self.dim}")
-        self.matrix = np.ascontiguousarray(self.matrix, dtype=np.float64)
-        if self.matrix.shape != (len(self.vocab), self.dim):
+        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+        if matrix.shape != (len(self.vocab), self.dim):
             raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match "
+                f"matrix shape {matrix.shape} does not match "
                 f"{len(self.vocab)} tokens of dim {self.dim}"
             )
         # min and max are nan or infinite exactly when some component is,
         # and reduce without a temporary array the size of the matrix
-        if self.matrix.size and not np.isfinite([self.matrix.min(), self.matrix.max()]).all():
+        if matrix.size and not np.isfinite([matrix.min(), matrix.max()]).all():
             raise ValueError("matrix contains non-finite components")
-        self.index = dict(zip(self.vocab, range(len(self.vocab))))
         # slices of _CHUNK tokens keep the copies small
-        if len(self.index) != len(self.vocab) or not all(
+        if len(set(self.vocab)) != len(self.vocab) or not all(
             _plain(self.vocab[i : i + _CHUNK]) for i in range(0, len(self.vocab), _CHUNK)
         ):
             seen: set[str] = set()
@@ -75,8 +81,22 @@ class EmbeddingModel:
                 if error is not None:
                     raise ValueError(error)
                 seen.add(token)
-        self.zero_rows = frozenset(np.flatnonzero(~self.matrix.any(axis=1)).tolist())
-        self.matrix.flags.writeable = False
+        self._keep(_normalize_matrix(matrix))
+
+    @classmethod
+    def _of_unit_rows(cls, name: str, dim: int, vocab: list[str], unit: np.ndarray,
+                      source_digest: str) -> "EmbeddingModel":
+        """The model of unit rows the loader has checked, kept as they are."""
+        model = cls.__new__(cls)
+        model.name, model.dim, model.vocab, model.source_digest = name, dim, vocab, source_digest
+        model._keep(unit)
+        return model
+
+    def _keep(self, unit: np.ndarray) -> None:
+        self.index = dict(zip(self.vocab, range(len(self.vocab))))
+        self.zero_rows = frozenset(np.flatnonzero(~unit.any(axis=1)).tolist())
+        unit.flags.writeable = False
+        self._unit = unit
 
     def __contains__(self, token: str) -> bool:
         return token in self.index
@@ -85,19 +105,17 @@ class EmbeddingModel:
         return len(self.vocab)
 
     def unit_matrix(self) -> np.ndarray:
-        """Row-normalized matrix (zero rows stay zero), computed once and cached."""
-        if self._unit_matrix is None:
-            self._unit_matrix = _normalize_matrix(self.matrix)
-            self._unit_matrix.flags.writeable = False
-        return self._unit_matrix
+        """The model's read-only unit rows (zero rows stay zero), as stored."""
+        return self._unit
 
     def content_digest(self) -> str:
         """Digest identifying the model content: ``source_digest``, or for a
-        model built in memory the SHA-256 of its tokens and exact matrix bytes."""
+        model built in memory the SHA-256 of its tokens and unit-row bytes,
+        which are all a neighbor search reads."""
         if self.source_digest is not None:
             return self.source_digest
         digest = hashlib.sha256("\n".join(self.vocab).encode("utf-8"))
-        digest.update(self.matrix)
+        digest.update(self._unit)
         return digest.hexdigest()
 
 
@@ -122,8 +140,8 @@ def _token_error(token: str, seen: set[str]) -> str | None:
 
 
 # Bytes read, hashed and decoded at a time.  The loader holds one block's
-# text and its lines next to the vocabulary and the matrix; the bytes are
-# dropped once decoded.
+# text and its lines next to the vocabulary and the unit rows; the bytes
+# are dropped once decoded.
 _BLOCK = 1 << 20
 # Kept body lines whose components one np.loadtxt call parses.  8192 was no
 # faster and raised a two-model diversity run's peak RSS by about 10 MB.
@@ -138,12 +156,14 @@ def load_vec(source: Source, name: str) -> EmbeddingModel:
     """Parse a word-vector text file into an EmbeddingModel.
 
     The file is read, hashed and decoded ``_BLOCK`` bytes at a time, so it
-    is never held whole: memory peaks at the matrix and the vocabulary plus
-    about one block.  A component is accepted when ``float()`` accepts it
-    and the result is finite.  The numbers of up to ``_CHUNK`` complete
+    is never held whole: memory peaks at the unit rows and the vocabulary
+    plus about one block.  A component is accepted when ``float()`` accepts
+    it and the result is finite.  The numbers of up to ``_CHUNK`` complete
     lines of a block are parsed by one ``np.loadtxt`` call, after C-level
     checks of the chunk's structure; a chunk failing them is checked line
-    by line, and the first failing line of the file names the error.
+    by line, and the first failing line of the file names the error.  Each
+    parsed chunk is normalized into the model's rows, bit for bit as
+    normalizing the whole raw matrix would, and the model keeps no raw row.
 
     Errors take this precedence: invalid UTF-8 anywhere in the file, then
     a BOM, an empty file or a malformed header, then a row count that is
@@ -317,8 +337,8 @@ def _header(line: str) -> tuple[int, int]:
 
 
 class _Body:
-    """The vocabulary and either the rows or the zero rows of a file's body
-    lines, fed a block at a time."""
+    """The vocabulary and either the unit rows or the zero rows of a file's
+    body lines, fed a block at a time."""
 
     def __init__(self, name: str, count: int, dim: int, keep_rows: bool):
         self.name = name
@@ -385,7 +405,7 @@ class _Body:
 
     def _store(self, rests, line_nos, use_loadtxt: bool) -> None:
         """Parse the components of the last ``len(rests)`` tokens and store
-        them, or, if rows are not kept, note their zero rows."""
+        them as unit rows, or, if rows are not kept, note their zero rows."""
         if not rests:
             return
         block = _parse_components(rests, line_nos, self.dim, use_loadtxt)
@@ -402,7 +422,7 @@ class _Body:
                     f"{self.count} rows of dimension {self.dim} do not fit in memory",
                     line_no=1,
                 ) from None
-        self.rows[start : start + len(rests)] = block
+        _normalize_matrix(block, out=self.rows[start : start + len(rests)])
 
     def model(self, digest: str) -> EmbeddingModel:
         self.seen.clear()
@@ -412,12 +432,8 @@ class _Body:
                 rows = np.empty((0, self.dim), dtype=np.float64)
             except ValueError:
                 raise VecFormatError(f"dimension {self.dim} is too large", line_no=1) from None
-        return EmbeddingModel(
-            name=self.name,
-            dim=self.dim,
-            vocab=self.vocab,
-            matrix=rows[: len(self.vocab)],
-            source_digest=digest,
+        return EmbeddingModel._of_unit_rows(
+            self.name, self.dim, self.vocab, rows[: len(self.vocab)], digest
         )
 
 
@@ -470,16 +486,17 @@ def _check_finite(block: np.ndarray, line_nos: list[int]) -> None:
 _MIN_DIRECT_NORM = np.sqrt(np.finfo(np.float64).tiny)
 
 
-def _normalize_matrix(matrix: np.ndarray) -> np.ndarray:
-    """The matrix with unit rows; zero rows stay zero.
+def _normalize_matrix(matrix: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The matrix with unit rows, written to ``out`` if given; zero rows stay zero.
 
     A nonzero row whose squared norm is subnormal or overflows is divided by
     its largest absolute component first; every other row is divided by
-    its norm as computed directly.
+    its norm as computed directly.  Each row is computed on its own, so
+    normalizing a matrix in slices of rows gives the same bits.
     """
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(matrix, axis=1)
-    unit = matrix / np.where(norms == 0.0, 1.0, norms)[:, None]
+    unit = np.divide(matrix, np.where(norms == 0.0, 1.0, norms)[:, None], out=out)
     suspect = np.flatnonzero((norms < _MIN_DIRECT_NORM) | np.isinf(norms))
     rescale = suspect[matrix[suspect].any(axis=1)]
     if rescale.size:

@@ -29,23 +29,25 @@ def make_model(name: str, vocab: list[str], rows, dim: int | None = None) -> Emb
     return EmbeddingModel(name=name, dim=dim, vocab=list(vocab), matrix=matrix)
 
 
-def save_vec(model: EmbeddingModel, dest: Union[str, os.PathLike, BinaryIO]) -> None:
-    """Write a model in word-vector text format, numbers in 6 significant digits."""
+def save_vec(vocab: list[str], rows, dest: Union[str, os.PathLike, BinaryIO]) -> None:
+    """Write tokens and their raw rows in word-vector text format, numbers in
+    6 significant digits."""
+    matrix = np.asarray(rows, dtype=np.float64)
     own = isinstance(dest, (str, os.PathLike))
     fh: BinaryIO = open(dest, "wb") if own else dest
     try:
-        fh.write(f"{len(model.vocab)} {model.dim}\n".encode("utf-8"))
-        for i, token in enumerate(model.vocab):
-            comps = " ".join("%.6g" % v for v in model.matrix[i])
+        fh.write(f"{len(vocab)} {matrix.shape[1]}\n".encode("utf-8"))
+        for token, row in zip(vocab, matrix):
+            comps = " ".join("%.6g" % v for v in row)
             fh.write(f"{token} {comps}\n".encode("utf-8"))
     finally:
         if own:
             fh.close()
 
 
-def random_model(rng: np.random.Generator, name: str, n_vocab: int, dim: int,
-                 n_duplicate_rows: int = 0, n_zero_rows: int = 0) -> EmbeddingModel:
-    """Random model; can plant exact duplicate rows (ties) and zero rows."""
+def random_rows(rng: np.random.Generator, n_vocab: int, dim: int,
+                n_duplicate_rows: int = 0, n_zero_rows: int = 0) -> np.ndarray:
+    """Random raw rows; can plant exact duplicate rows (ties) and zero rows."""
     matrix = rng.standard_normal((n_vocab, dim))
     for _ in range(n_duplicate_rows):
         if n_vocab >= 2:
@@ -53,8 +55,14 @@ def random_model(rng: np.random.Generator, name: str, n_vocab: int, dim: int,
             matrix[dst] = matrix[src]
     for _ in range(n_zero_rows):
         matrix[rng.integers(0, n_vocab)] = 0.0
-    vocab = [f"w{i:04d}" for i in range(n_vocab)]
-    return make_model(name, vocab, matrix, dim)
+    return matrix
+
+
+def random_model(rng: np.random.Generator, name: str, n_vocab: int, dim: int,
+                 n_duplicate_rows: int = 0, n_zero_rows: int = 0) -> EmbeddingModel:
+    """The model of ``random_rows``, tokens ``w0000``, ``w0001``, ..."""
+    matrix = random_rows(rng, n_vocab, dim, n_duplicate_rows, n_zero_rows)
+    return make_model(name, [f"w{i:04d}" for i in range(n_vocab)], matrix, dim)
 
 
 def anchored(c: float, axis: int, dim: int = 2) -> list[float]:

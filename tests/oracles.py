@@ -165,8 +165,9 @@ def _read_bytes(source: Source) -> bytes:
 # The word-vector loader as it was before the file was streamed and
 # components were parsed a chunk at a time: the whole file decoded at once,
 # one float() per component, checks in file order.
-def load_vec_oracle(source: Source, name: str) -> EmbeddingModel:
-    """Parse a word-vector text file into an EmbeddingModel."""
+def load_vec_oracle(source: Source, name: str) -> tuple[EmbeddingModel, np.ndarray]:
+    """Parse a word-vector text file into an EmbeddingModel and the raw rows
+    it was built from."""
     raw = _read_bytes(source)
     digest = hashlib.sha256(raw).hexdigest()
     try:
@@ -219,11 +220,11 @@ def load_vec_oracle(source: Source, name: str) -> EmbeddingModel:
         rows[len(vocab)] = values
         vocab.append(token)
 
-    # the model derives its zero rows from the matrix
+    # the model normalizes the whole matrix at once and derives its zero rows
     model = EmbeddingModel(name=name, dim=dim, vocab=vocab, matrix=rows, source_digest=digest)
     if model.zero_rows:
         logger.warning("%s: %d zero vector(s) in input", name, len(model.zero_rows))
-    return model
+    return model, rows
 
 
 # Coverage as it was before token matches were shared across thresholds:

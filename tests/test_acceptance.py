@@ -24,6 +24,7 @@ from conftest import (
     diversity_at,
     make_model,
     random_model,
+    random_rows,
     relational_at,
     save_vec,
 )
@@ -80,11 +81,12 @@ def test_criterion_02_knn_oracle():
         for trial in range(1_000):
             n = int(rng.integers(2, 201))
             dim = int(rng.integers(1, 17))
-            model = random_model(
-                rng, f"m{trial}", n, dim,
+            rows = random_rows(
+                rng, n, dim,
                 n_duplicate_rows=int(rng.integers(0, 5)),
                 n_zero_rows=int(rng.integers(0, 2)),
             )
+            model = make_model(f"m{trial}", [f"w{i:04d}" for i in range(n)], rows)
             qi = int(rng.integers(0, n))
             if qi in model.zero_rows:
                 continue
@@ -96,8 +98,8 @@ def test_criterion_02_knn_oracle():
             assert [s for _, s in got.entries] == [s for _, s in expected]
             if trial % 100 == 0 and got.entries:
                 token, score = got.entries[0]
-                u = model.matrix[model.index[query]]
-                v = model.matrix[model.index[token]]
+                u = rows[model.index[query]]
+                v = rows[model.index[token]]
                 assert abs(score - raw_cosine(u, v)) <= 1e-12
         assert time.perf_counter() - start < 60.0
 
@@ -301,8 +303,7 @@ def _build_vec_from_corpus(corpus_path: Path, vec_path: Path, seed: int) -> None
                 seen.add(token)
                 vocab.append(token)
     rng = np.random.default_rng(seed)
-    model = make_model(vec_path.stem, vocab, rng.standard_normal((len(vocab), 16)))
-    save_vec(model, vec_path)
+    save_vec(vocab, rng.standard_normal((len(vocab), 16)), vec_path)
 
 
 def test_criterion_10_end_to_end(tmp_path):

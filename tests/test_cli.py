@@ -12,7 +12,7 @@ import pytest
 from embeval.cli import main
 from embeval.corpus import recount_stats
 from embeval.vectors import load_vec
-from conftest import DATA_DIR, coverage_at, make_model, save_vec
+from conftest import DATA_DIR, coverage_at, save_vec
 
 
 def _f(c: float) -> float:
@@ -38,7 +38,7 @@ FIXTURE_ROWS = [
 
 def write_fixture_model(path: Path, name: str = "fixture", flip: bool = False) -> None:
     rows = [list(reversed(r)) for r in FIXTURE_ROWS] if flip else FIXTURE_ROWS
-    save_vec(make_model(name, FIXTURE_VOCAB, rows), path)
+    save_vec(FIXTURE_VOCAB, rows, path)
 
 
 @pytest.fixture
@@ -194,8 +194,7 @@ def _diversity_tables(out: Path) -> tuple[bytes, bytes]:
 def test_diversity_cache_records_empty_neighborhoods(tmp_path, thesaurus_path):
     # "armut" is the only real word: its neighborhood is empty in both models
     for name in ("alpha", "beta"):
-        save_vec(make_model(name, ["armut", "null", "nichts"], [[1, 0], [0, 0], [0, 0]]),
-                 tmp_path / f"{name}.vec")
+        save_vec(["armut", "null", "nichts"], [[1, 0], [0, 0], [0, 0]], tmp_path / f"{name}.vec")
     args = [
         "diversity", "--model", str(tmp_path / "alpha.vec"), "--model", str(tmp_path / "beta.vec"),
         "--thesaurus", str(thesaurus_path), "--k", "5", "--cache-dir", str(tmp_path / "cache"),
@@ -245,8 +244,7 @@ def test_diversity_cache_capacity_serves_smaller_k(tmp_path, thesaurus_path):
     rng = np.random.default_rng(5)
     vocab = FIXTURE_VOCAB + [f"wort{i}" for i in range(30)]
     for name in ("alpha", "beta"):
-        save_vec(make_model(name, vocab, rng.standard_normal((len(vocab), 4))),
-                 tmp_path / f"{name}.vec")
+        save_vec(vocab, rng.standard_normal((len(vocab), 4)), tmp_path / f"{name}.vec")
     cache = tmp_path / "cache"
 
     def run(k: str, out: str, cache_dir: Path) -> int:
@@ -518,7 +516,7 @@ def test_relations_oov_skip_flag(tmp_path, model_path, thesaurus_path):
 def test_coverage_no_lowercase_flag(tmp_path, thesaurus_path):
     # model with capitalized vocabulary: only the case-preserving run matches
     path = tmp_path / "cased.vec"
-    save_vec(make_model("cased", ["Armut", "Gesellschaft"], [[1, 0], [0, 1]]), path)
+    save_vec(["Armut", "Gesellschaft"], [[1, 0], [0, 1]], path)
     out1 = tmp_path / "c1"
     out2 = tmp_path / "c2"
     assert main([
@@ -719,8 +717,7 @@ def test_relations_split_hyphenated_labels_as_the_corpus_does(tmp_path):
     # "sozial-politik" sits next to "armut" in the model, but the label
     # "Sozial-Politik" is two tokens, as in coverage and diversity
     model = tmp_path / "general.vec"
-    save_vec(make_model("general", ["sozial-politik", "armut", "macht"],
-                        [[1, 0], [0.99, _f(0.99)], [0, 1]]), model)
+    save_vec(["sozial-politik", "armut", "macht"], [[1, 0], [0.99, _f(0.99)], [0, 1]], model)
     tsv = tmp_path / "thesaurus.tsv"
     tsv.write_text(
         "subject\tpredicate\tobject\tlang\n"

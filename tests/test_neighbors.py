@@ -21,14 +21,15 @@ from embeval.neighbors import (
     top_k,
     top_k_batch,
 )
-from conftest import make_model, random_model
+from conftest import make_model, random_model, random_rows
 from oracles import knn_oracle, raw_cosine
 
 
 def test_unit_matrix_unit_rows_unchanged():
-    model = make_model("m", ["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
+    rows = [[1.0, 0.0], [0.0, 1.0]]
+    model = make_model("m", ["a", "b"], rows)
     unit = model.unit_matrix()
-    assert np.allclose(unit, model.matrix, atol=1e-9)
+    assert np.allclose(unit, rows, atol=1e-9)
     again = make_model("m", ["a", "b"], unit).unit_matrix()
     assert np.array_equal(again, unit)
 
@@ -99,11 +100,12 @@ def test_top_k_matches_oracle_on_random_models():
 
 def test_top_k_scores_match_raw_cosine():
     rng = np.random.default_rng(3)
-    model = random_model(rng, "m", 40, 6)
+    rows = random_rows(rng, 40, 6)
+    model = make_model("m", [f"w{i:04d}" for i in range(40)], rows)
     ns = top_k(model, model.vocab[0], 10)
     for token, score in ns.entries:
-        u = model.matrix[model.index[model.vocab[0]]]
-        v = model.matrix[model.index[token]]
+        u = rows[model.index[model.vocab[0]]]
+        v = rows[model.index[token]]
         assert score == pytest.approx(raw_cosine(u, v), abs=1e-12)
 
 
@@ -359,6 +361,25 @@ def test_cache_of_a_model_built_in_memory_is_keyed_by_its_exact_rows(tmp_path):
     with pytest.raises(StaleCacheError):
         neighbor_map(m2, ["q"], 1, tmp_path)
     assert neighbor_map(m2, ["q"], 1, tmp_path, refresh=True).tokens == {"q": ("y",)}
+
+
+def test_cache_of_a_model_built_in_memory_serves_the_next_call(tmp_path, monkeypatch):
+    rows = random_rows(np.random.default_rng(21), 30, 4)
+    vocab = [f"w{i:04d}" for i in range(30)]
+    first = make_model("m", vocab, rows)
+    stored = neighbor_map(first, vocab[:6], 5, tmp_path)
+    # an equal model built again has the same digest, so the file serves it
+    again = make_model("m", vocab, rows.copy())
+    assert again.content_digest() == first.content_digest()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cache was not used")
+
+    monkeypatch.setattr("embeval.neighbors.top_k_batch", refuse)
+    assert neighbor_map(again, vocab[:6], 5, tmp_path) == stored
+    # the digest keys the unit rows a search reads: doubling every row
+    # changes no bit of them
+    assert make_model("m", vocab, rows * 2).content_digest() == first.content_digest()
 
 
 @st.composite

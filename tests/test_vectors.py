@@ -8,13 +8,35 @@ from hypothesis import given, settings, strategies as st
 from embeval import vectors
 from embeval.errors import VecFormatError
 from embeval.neighbors import top_k
-from embeval.vectors import EmbeddingModel, load_vec, load_vocab
+from embeval.vectors import EmbeddingModel, _normalize_matrix, load_vec, load_vocab
 from conftest import make_model, save_vec
 from oracles import load_vec_oracle
 
 
 def _vec_bytes(*lines: str) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _load_raw(data, name: str = "m") -> tuple[EmbeddingModel, np.ndarray]:
+    """``load_vec``'s model and the raw rows its parse layer handed to the
+    store, in file order; the model keeps only their unit rows."""
+    blocks = []
+    parse = vectors._parse_components
+
+    def spy(*args):
+        block = parse(*args)
+        blocks.append(block.copy())
+        return block
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vectors, "_parse_components", spy)
+        model = load_vec(data, name)
+    return model, np.concatenate(blocks) if blocks else np.empty((0, model.dim))
+
+
+def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_load_header_echo():
@@ -24,11 +46,12 @@ def test_load_header_echo():
         "macht 1 2 3 4",
         "staat -1 0 0.5 2e-3",
     )
-    model = load_vec(data, "toy")
+    model, raw = _load_raw(data, "toy")
     assert len(model.vocab) == 3
     assert model.dim == 4
     assert model.vocab == ["haus", "macht", "staat"]
-    assert model.matrix[2][3] == pytest.approx(0.002)
+    assert raw[2][3] == pytest.approx(0.002)
+    _assert_same_bits(model.unit_matrix(), _normalize_matrix(raw))
 
 
 def test_load_duplicate_token_names_line_3():
@@ -81,8 +104,9 @@ def test_load_rejects_bom():
 
 
 def test_load_accepts_scientific_and_negative_literals():
-    model = load_vec(_vec_bytes("1 3", "a -1.5e-2 +3 .5"), "sci")
-    assert model.matrix[0].tolist() == pytest.approx([-0.015, 3.0, 0.5])
+    model, raw = _load_raw(_vec_bytes("1 3", "a -1.5e-2 +3 .5"), "sci")
+    assert raw[0].tolist() == pytest.approx([-0.015, 3.0, 0.5])
+    _assert_same_bits(model.unit_matrix(), _normalize_matrix(raw))
 
 
 def test_zero_vectors_flagged(caplog):
@@ -160,10 +184,13 @@ def test_contains_is_case_sensitive():
 
 
 def test_vector_returns_stored_row():
-    model = load_vec(_vec_bytes("2 2", "a 1 2", "b 3 4"), "rows")
-    assert model.matrix[model.index["b"]].tolist() == [3.0, 4.0]
+    model, raw = _load_raw(_vec_bytes("2 2", "a 1 2", "b 3 4"), "rows")
+    assert raw[model.index["b"]].tolist() == [3.0, 4.0]
+    unit = model.unit_matrix()
+    assert unit[model.index["b"]].tolist() == [0.6, 0.8]
+    _assert_same_bits(unit, _normalize_matrix(raw))
     for i, token in enumerate(model.vocab):
-        assert np.array_equal(model.matrix[model.index[token]], model.matrix[i])
+        assert np.array_equal(unit[model.index[token]], unit[i])
 
 
 def test_unit_matrix_rows_have_unit_norm():
@@ -176,14 +203,13 @@ def test_unit_matrix_rows_have_unit_norm():
 
 def test_load_is_deterministic():
     rng = np.random.default_rng(11)
-    model = make_model("w", [f"w{i}" for i in range(30)], rng.standard_normal((30, 5)))
     buf = io.BytesIO()
-    save_vec(model, buf)
+    save_vec([f"w{i}" for i in range(30)], rng.standard_normal((30, 5)), buf)
     data = buf.getvalue()
     m1 = load_vec(data, "w")
     m2 = load_vec(data, "w")
     assert m1.vocab == m2.vocab
-    assert np.array_equal(m1.matrix, m2.matrix)
+    assert np.array_equal(m1.unit_matrix(), m2.unit_matrix())
     assert m1.source_digest == m2.source_digest
 
 
@@ -192,14 +218,14 @@ def test_write_load_rewrite_round_trip():
     # numbers, after which load/write is the identity on the body lines.
     rng = np.random.default_rng(42)
     vocab = [f"wort{i:03d}" for i in range(100)]
-    model = make_model("rt", vocab, rng.standard_normal((100, 50)) * 10)
 
     first = io.BytesIO()
-    save_vec(model, first)
-    loaded = load_vec(first.getvalue(), "rt")
+    save_vec(vocab, rng.standard_normal((100, 50)) * 10, first)
+    loaded, raw = _load_raw(first.getvalue(), "rt")
     second = io.BytesIO()
-    save_vec(loaded, second)
+    save_vec(loaded.vocab, raw, second)
     assert first.getvalue() == second.getvalue()
+    _assert_same_bits(loaded.unit_matrix(), _normalize_matrix(raw))
 
 
 def test_zero_rows_derived_even_when_unflagged():
@@ -209,6 +235,27 @@ def test_zero_rows_derived_even_when_unflagged():
     # the matrix alone decides; a caller cannot flag rows
     with pytest.raises(TypeError):
         EmbeddingModel(name="m", dim=2, vocab=["a", "z"], matrix=matrix, zero_rows=frozenset({0}))
+
+
+def test_model_keeps_no_reference_to_the_callers_array():
+    rows = np.array([[3.0, 4.0], [1.0, 0.0]])
+    model = EmbeddingModel(name="m", dim=2, vocab=["a", "b"], matrix=rows)
+    assert rows.flags.writeable
+    rows[0] = [0.0, 1.0]
+    assert model.unit_matrix().tolist() == [[0.6, 0.8], [1.0, 0.0]]
+    assert not model.unit_matrix().flags.writeable
+
+
+def test_load_builds_its_model_without_checking_the_rows_again(monkeypatch):
+    # the loader has checked every token and component a chunk at a time
+    def refuse(self, matrix):
+        raise AssertionError("the loaded model was checked again")
+
+    monkeypatch.setattr(EmbeddingModel, "__post_init__", refuse)
+    model = load_vec(_vec_bytes("2 2", "a 3 4", "z 0 0"), "m")
+    assert model.unit_matrix().tolist() == [[0.6, 0.8], [0.0, 0.0]]
+    assert model.zero_rows == {1}
+    assert model.index == {"a": 0, "z": 1}
 
 
 # ``line`` is the line a loader names for the same tokens, if the rule is
@@ -238,13 +285,12 @@ def test_model_rejects_what_the_loaders_reject(vocab, rows, dim, message, line):
 def test_empty_model_loads():
     model = load_vec(b"0 3\n", "empty")
     assert len(model.vocab) == 0
-    assert model.matrix.shape == (0, 3)
+    assert model.unit_matrix().shape == (0, 3)
 
 
 def test_writer_format_is_strict(tmp_path):
-    model = make_model("fmt", ["a", "b"], [[0.5, 1.25], [-3.0, 2e-7]])
     path = tmp_path / "m.vec"
-    save_vec(model, path)
+    save_vec(["a", "b"], [[0.5, 1.25], [-3.0, 2e-7]], path)
     text = path.read_text(encoding="utf-8")
     lines = text.split("\n")
     assert lines[0] == "2 2"
@@ -288,8 +334,9 @@ def test_load_non_decimal_header_digits_are_format_error():
 def test_load_accepts_float_literals_loadtxt_rejects():
     # the rule is float()'s: underscores, non-ASCII digits, surrounding
     # whitespace such as a trailing CR
-    model = load_vec(_vec_bytes("2 2", "a 1_0 ١", "b 2.5\r 3\r"), "odd")
-    assert model.matrix.tolist() == [[10.0, 1.0], [2.5, 3.0]]
+    model, raw = _load_raw(_vec_bytes("2 2", "a 1_0 ١", "b 2.5\r 3\r"), "odd")
+    assert raw.tolist() == [[10.0, 1.0], [2.5, 3.0]]
+    _assert_same_bits(model.unit_matrix(), _normalize_matrix(raw))
 
 
 def test_load_rejects_separators_float_rejects():
@@ -320,8 +367,11 @@ def test_load_errors_across_chunk_boundaries(monkeypatch):
 
 
 _TOKENS = st.sampled_from(["a", "b", "c", "ä", "wort", "日本", "𝔘x"])
+# 5e-324, 1e-170, 1e200 and -1e300 give rows whose squared norm is
+# subnormal or overflows, which are normalized by the rescale path
 _GOOD = ["0", "-0", "1", "-1.5e-2", ".5", "+3", "1_0", "١", "2.", "1e-400",
-         "0.30000000000000004", "12345678901234567890", "7e30", "5e-324"]
+         "0.30000000000000004", "12345678901234567890", "7e30", "5e-324",
+         "1e-170", "1e200", "-1e300"]
 _BAD = ["nan", "inf", "1e400", "x", "", "1__0", "0x1", "1\x1c", "\r", "1\r2"]
 # a stray continuation byte, a lone lead byte, a truncated character, an
 # overlong form and an encoded surrogate
@@ -370,23 +420,47 @@ def test_load_matches_per_component_oracle(data, chunk, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(vectors, "_CHUNK", chunk)
         mp.setattr(vectors, "_BLOCK", block)
-        got = run(load_vec)
+        got = run(_load_raw)
         vocab = run(load_vocab)
     want = run(load_vec_oracle)
     if isinstance(want, str):
         assert got == want
         assert vocab == want
         return
+    want, want_raw = want
     assert not isinstance(vocab, str), vocab
     assert (vocab.vocab, vocab.zero_rows, vocab.source_digest, vocab.dim) == (
         want.vocab, want.zero_rows, want.source_digest, want.dim
     )
     assert not isinstance(got, str), got
+    got, raw = got
     assert got.vocab == want.vocab
-    assert np.array_equal(got.matrix.view(np.uint64), want.matrix.view(np.uint64))
+    # the parsed components, then their unit rows normalized a chunk at a
+    # time against the whole raw matrix normalized at once
+    _assert_same_bits(raw, want_raw)
+    _assert_same_bits(got.unit_matrix(), _normalize_matrix(want_raw))
     assert got.zero_rows == want.zero_rows
     assert got.source_digest == want.source_digest
     assert got.dim == want.dim
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4])
+def test_rescaled_rows_on_both_sides_of_a_chunk_boundary(monkeypatch, chunk):
+    # rows whose squared norm is subnormal (first column) or overflows
+    # (second) alternate, so every chunk size puts both kinds next to a
+    # boundary; the loader normalizes each chunk as the whole matrix would be
+    tiny = ["1e-170 -3e-170", "5e-324 0", "1e-200 1e-160"]
+    huge = ["1e200 -1e300", "-1.7e308 1e308", "1e250 1"]
+    rows = [row for pair in zip(tiny, huge) for row in pair] + ["3 4", "0 0"]
+    data = _vec_bytes(f"{len(rows)} 2", *(f"w{i} {row}" for i, row in enumerate(rows)))
+    monkeypatch.setattr(vectors, "_CHUNK", chunk)
+    model, raw = _load_raw(data)
+    _, want_raw = load_vec_oracle(data, "m")
+    _assert_same_bits(raw, want_raw)
+    unit = model.unit_matrix()
+    _assert_same_bits(unit, _normalize_matrix(want_raw))
+    assert model.zero_rows == {len(rows) - 1}
+    assert np.linalg.norm(unit[:-1], axis=1) == pytest.approx(np.ones(len(rows) - 1))
 
 
 def test_utf8_error_names_its_position_in_the_file(monkeypatch):
@@ -405,7 +479,7 @@ def test_load_peaks_at_the_model_plus_a_few_blocks(tmp_path):
     rng = np.random.default_rng(3)
     n, dim = 50_000, 10
     path = tmp_path / "m.vec"
-    save_vec(make_model("m", [f"w{i:05d}" for i in range(n)], rng.standard_normal((n, dim))), path)
+    save_vec([f"w{i:05d}" for i in range(n)], rng.standard_normal((n, dim)), path)
 
     def traced(loader):
         """The result, the memory it keeps and the peak above what was held before."""
@@ -419,18 +493,22 @@ def test_load_peaks_at_the_model_plus_a_few_blocks(tmp_path):
         return result, held - before, peak - before
 
     model, held, peak = traced(load_vec)
-    assert model.matrix.shape == (n, dim)
-    # ``held`` is what the model keeps: the matrix, the vocabulary and its
-    # index; reading the file whole would add its bytes, text and lines
+    # ``held`` is what the model keeps: its unit rows, the vocabulary and
+    # its index; reading the file whole would add its bytes, text and
+    # lines, and normalizing it whole a second matrix
     assert peak - held < 3 * vectors._BLOCK
+    # the unit rows a search reads are the rows the model already holds
+    unit, grew, _ = traced(lambda path, name: model.unit_matrix())
+    assert unit.shape == (n, dim)
+    assert grew < unit.nbytes
 
     vocab, vocab_held, vocab_peak = traced(load_vocab)
     assert vocab.vocab == model.vocab
     # the vocabulary alone is less than the matrix (4 MB) ...
-    assert vocab_held < model.matrix.nbytes
+    assert vocab_held < unit.nbytes
     # ... and reading it costs at most what the model keeps besides its
     # matrix, plus three blocks.  The bound is not ``vocab_held`` plus three
     # blocks: the token set that finds duplicates lives while the file is
     # read and is about as large as the model's index, which load_vocab does
     # not keep.  Holding the matrix even briefly would break the bound.
-    assert vocab_peak < held - model.matrix.nbytes + 3 * vectors._BLOCK
+    assert vocab_peak < held - unit.nbytes + 3 * vectors._BLOCK
