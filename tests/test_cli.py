@@ -701,6 +701,96 @@ def test_vector_command_tables_are_pinned(tmp_path, model_path, thesaurus_path, 
     assert got == digests
 
 
+# A mixed-case fixture: "Armut" and "armut" have different rows, and the
+# swapped model trades the rows of tokens that differ only in case, so
+# neighbors in the two models can differ only in case.
+CASED_VOCAB = ["Armut", "armut", "Staat", "staat", "Macht", "macht", "Bildung", "verarmung",
+               "Gesellschaft"]
+CASED_ROWS = [
+    [1, 0, 0, 0],
+    [0, 1, 0, 0],
+    [0.9, 0.1, 0.3, 0],
+    [0.1, 0.9, 0, 0.3],
+    [0.2, 0.8, 0.5, 0.1],
+    [0.8, 0.2, 0.1, 0.5],
+    [0, 0, 1, 0],
+    [0.5, 0.5, 0, 0.2],
+    [0, 0.3, 0.2, 1],
+]
+_CASE_SWAP = {"Staat": "staat", "staat": "Staat", "Macht": "macht", "macht": "Macht",
+              "Bildung": "Gesellschaft", "Gesellschaft": "Bildung"}
+CASED_THESAURUS = (
+    "subject\tpredicate\tobject\tlang\n"
+    "c1\tprefLabel\tArmut\tde\n"
+    "c1\taltLabel\tVerarmung\tde\n"
+    "c2\tprefLabel\tStaat\tde\n"
+    "c3\tprefLabel\tMacht\tde\n"
+    "c4\tprefLabel\tBildung\tde\n"
+    "c5\tprefLabel\tGesellschaft\tde\n"
+    "c1\trelated\tc2\t\n"
+    "c3\tbroader\tc2\t\n"
+    "c4\trelated\tc5\t\n"
+)
+
+# sha256 of the tables the vector commands write for the mixed-case
+# fixture, by default and with --no-lowercase, recorded before the metrics
+# took token tuples.
+CASED_TABLES = {
+    "coverage": (["--s", "0.8", "--s", "1.0"], {
+        (): {
+            "csv": "29e9d6064523a4a426114bc72da9916b4057131eedcb9c33c8be653498925d3b",
+            "md": "7cfda69687d82f898a03bc20655bc32eff41cc7ca8fcef0a0de484a6ebc7f3b6",
+        },
+        ("--no-lowercase",): {
+            "csv": "3ff850f726624d2f14510b3bfbc5b26aa1d4e374e6fc9c9f55727f46e63e0540",
+            "md": "431da5c447e68b8b6029587399e52f5277de31e21dae0d4218afae039d73da0d",
+        },
+    }),
+    "diversity": (["--k", "1", "--k", "3"], {
+        (): {
+            "csv": "acece69208a1caac254ba58b5bd7c0ca262520d5b6dba0b398ba897034998558",
+            "md": "6c71c122b4fa8ce73f21de70e9a85c8df1537a72a5879e62e36c0ffdbc77780f",
+        },
+        ("--no-lowercase",): {
+            "csv": "d291f385e97767733b92af0bcf2264c2de7ca289e93e18393b0ab37278bf43fa",
+            "md": "e37e08c7c6d3dc46c660ade20a839d4aed5222d02ac24be240e8fcd1df37d3f0",
+        },
+    }),
+    "relations": (["--k", "1", "--k", "3"], {
+        (): {
+            "csv": "1f4c2ca2c3efaa6bac3e6c8b109dbd88afdc2c669df0b8a3ec78229491860a81",
+            "md": "2639de273d5ad06a5798a5940bcbbadb2b5d8dc654dc47f99fde65d378b2db64",
+        },
+        ("--no-lowercase",): {
+            "csv": "9463dca5ee985ae5aeb2dcb776e326a60cca25435cecd97248cd001a4eaa5c7e",
+            "md": "e4b0c8527f8b50e4311dc42a7d73c2661c88fa0defc6f95c222ae15273855521",
+        },
+    }),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CASED_TABLES))
+def test_mixed_case_tables_are_pinned(tmp_path, command):
+    cased, swapped = tmp_path / "cased.vec", tmp_path / "swapped.vec"
+    save_vec(CASED_VOCAB, CASED_ROWS, cased)
+    save_vec([_CASE_SWAP.get(t, t) for t in CASED_VOCAB], CASED_ROWS, swapped)
+    thesaurus = tmp_path / "cased.tsv"
+    thesaurus.write_text(CASED_THESAURUS, encoding="utf-8")
+    extra, digests = CASED_TABLES[command]
+
+    def tables(*flags: str) -> dict[str, str]:
+        out = tmp_path / "-".join(("o",) + flags)
+        assert main([command, "--model", str(cased), "--model", str(swapped),
+                     "--thesaurus", str(thesaurus), *extra, *flags, "--out", str(out)]) == 0
+        return {ext: hashlib.sha256((out / f"{command}.{ext}").read_bytes()).hexdigest()
+                for ext in ("csv", "md")}
+
+    assert {flags: tables(*flags) for flags in digests} == digests
+    # each table depends on the case setting
+    lowered, preserved = digests[()], digests[("--no-lowercase",)]
+    assert all(lowered[ext] != preserved[ext] for ext in lowered)
+
+
 def test_coverage_builds_no_vector_matrix(tmp_path, model_path, thesaurus_path, monkeypatch):
     # coverage reads only the vocabularies, so it writes the pinned tables
     # with load_vec unusable
