@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 # vectors such as ``clean``, does not import numpy.
 _EXPORTS = {
     "coverage": "metrics",
-    "diversity": "metrics",
     "diversity_matrix": "metrics",
     "relational_coverage": "metrics",
     "NeighborSet": "neighbors",

@@ -18,6 +18,13 @@ one place that builds maps.  coverage loads each model with
 ``vectors.load_vocab``, which validates every vector but keeps only the
 vocabulary, so it never holds a vector matrix; diversity and relations
 search neighbors and load the whole model with ``vectors.load_vec``.
+
+The metrics read tokens, not labels, and this module alone decides how a
+label is read.  Each command's ``prepare`` splits every thesaurus label it
+passes to a metric once with ``thesaurus.keyword_tokens``, lowercased
+unless --no-lowercase, and ``build_map`` lowercases each neighbor map under
+the same flag right after the search, so labels and neighbors are read
+alike; the neighbor cache keeps the model's own tokens.
 """
 
 import argparse
@@ -239,30 +246,30 @@ def _vector_command(args, parameters: dict, prepare, load, build_map, tables) ->
 def cmd_coverage(args) -> int:
     from .metrics import coverage, match_map
     from .stringsim import VocabIndex
-    from .thesaurus import keywords
+    from .thesaurus import keyword_tokens, keywords
     from .vectors import load_vocab
 
     s_values = _check_s_values(args.s or [0.9, 0.95, 1.0])
     lowercase = not args.no_lowercase
 
     def prepare(th):
-        return keywords(th, args.lang)
+        return [keyword_tokens(label, lowercase) for label in keywords(th, args.lang)]
 
-    def build_map(vocab, labels):
-        return match_map(VocabIndex(vocab.vocab), labels, min(s_values), lowercase)
+    def build_map(vocab, tokenized):
+        return match_map(VocabIndex(vocab.vocab), tokenized, min(s_values))
 
-    def tables(labels, maps):
+    def tables(tokenized, maps):
         rows = []
         for name, vocab_size, matches in maps:
             for s in s_values:
-                result = coverage(name, labels, s, matches, lowercase)
+                result = coverage(name, tokenized, s, matches)
                 rows.append([name, vocab_size, str(s), result.n_keywords,
                              result.n_covered, pct(result.c)])
         # rows run model by model, so rows[j::len(s_values)] is the j-th threshold of each model
         md_rows = [["Vocab size"] + [str(vocab_size) for _, vocab_size, _ in maps]]
         md_rows += [[f"s={s}"] + [row[-1] for row in rows[j :: len(s_values)]]
                     for j, s in enumerate(s_values)]
-        md = f"# Keyword coverage (n={len(labels)} keywords, lang={args.lang})\n\n"
+        md = f"# Keyword coverage (n={len(tokenized)} keywords, lang={args.lang})\n\n"
         md += markdown_table([""] + [name for name, _, _ in maps], md_rows)
         return ["model", "vocab_size", "s", "n_keywords", "n_covered", "c"], rows, md
 
@@ -272,7 +279,7 @@ def cmd_coverage(args) -> int:
 def cmd_diversity(args) -> int:
     from .metrics import diversity_matrix, keyword_queries
     from .neighbors import neighbor_map
-    from .thesaurus import keywords
+    from .thesaurus import keyword_tokens, keywords
     from .vectors import load_vec
 
     if len(args.model) < 2:
@@ -282,21 +289,22 @@ def cmd_diversity(args) -> int:
     cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV) or None
 
     def prepare(th):
-        labels = keywords(th, args.lang)
-        return labels, keyword_queries(labels, lowercase)
+        tokenized = [keyword_tokens(label, lowercase) for label in keywords(th, args.lang)]
+        return tokenized, keyword_queries(tokenized)
 
     def build_map(model, prepared):
         _, queries = prepared
-        return neighbor_map(model, queries, max(k_values), cache_dir, args.refresh)
+        neighbors = neighbor_map(model, queries, max(k_values), cache_dir, args.refresh)
+        return neighbors.lowered() if lowercase else neighbors
 
     def tables(prepared, maps):
-        labels, _ = prepared
+        tokenized, _ = prepared
         neighbor_maps = {name: neighbors for name, _, neighbors in maps}
         names = list(neighbor_maps)
         rows = []
-        md_parts = [f"# Neighborhood diversity (n={len(labels)} keywords, lang={args.lang})\n"]
+        md_parts = [f"# Neighborhood diversity (n={len(tokenized)} keywords, lang={args.lang})\n"]
         for k in k_values:
-            matrix = diversity_matrix(neighbor_maps, labels, k, lowercase, args.denominator)
+            matrix = diversity_matrix(neighbor_maps, tokenized, k, args.denominator)
             for a, b in itertools.combinations(names, 2):
                 res = matrix[(a, b)]
                 rows.append([k, a, b, res.n_total, res.n_evaluated,
@@ -319,9 +327,9 @@ def cmd_diversity(args) -> int:
 
 
 def cmd_relations(args) -> int:
-    from .metrics import descriptor_queries, relational_coverage
+    from .metrics import keyword_queries, relational_coverage
     from .neighbors import neighbor_map
-    from .thesaurus import RELATION_TYPES, descriptor_pairs
+    from .thesaurus import RELATION_TYPES, descriptor_pairs, keyword_tokens
     from .vectors import load_vec
 
     k_values = _check_k_values(args.k or [10, 50, 200])
@@ -332,12 +340,15 @@ def cmd_relations(args) -> int:
             rel: descriptor_pairs(th, rel, args.lang, single_word_only=args.single_word_only)
             for rel in RELATION_TYPES
         }
-        pairs = [p for rel in RELATION_TYPES for p in selections[rel].pairs]
-        return selections, pairs, descriptor_queries(pairs, lowercase)
+        pairs = [(p.relation_type, keyword_tokens(p.descriptor_label, lowercase),
+                  keyword_tokens(p.concept_label, lowercase))
+                 for rel in RELATION_TYPES for p in selections[rel].pairs]
+        return selections, pairs, keyword_queries([descriptor for _, descriptor, _ in pairs])
 
     def build_map(model, prepared):
         *_, queries = prepared
-        return neighbor_map(model, queries, max(k_values))
+        neighbors = neighbor_map(model, queries, max(k_values))
+        return neighbors.lowered() if lowercase else neighbors
 
     def tables(prepared, maps):
         selections, pairs, _ = prepared
@@ -346,8 +357,7 @@ def cmd_relations(args) -> int:
         for k in k_values:
             md_rows = []
             for name, _, neighbors in maps:
-                results = relational_coverage(name, pairs, k, neighbors, lowercase,
-                                              args.oov_policy)
+                results = relational_coverage(name, pairs, k, neighbors, args.oov_policy)
                 md_row = [name]
                 for rel, short in RELATION_COLUMNS:
                     res = results.get(rel)

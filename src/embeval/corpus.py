@@ -132,7 +132,6 @@ class PipelineConfig:
 class CleanedLine:
     text: str
     lang: str
-    confidence: float
 
 
 @dataclass
@@ -289,11 +288,11 @@ def clean_document(doc_id: str, text: str, config: PipelineConfig) -> CorpusDocu
     it is routed again.
     """
 
-    def route(line: str) -> tuple[str, float] | None:
-        lang, confidence = classify_line_language(line, threshold=config.confidence_threshold)
+    def route(line: str) -> str | None:
+        lang, _ = classify_line_language(line, threshold=config.confidence_threshold)
         if lang == UNKNOWN or lang not in config.languages:
             return None
-        return lang, confidence
+        return lang
 
     doc = CorpusDocument(doc_id=doc_id)
     text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -307,14 +306,14 @@ def clean_document(doc_id: str, text: str, config: PipelineConfig) -> CorpusDocu
             continue
         routed = route(line)
         if routed is not None and config.convert_numbers:
-            converted = numbers_to_words(line, routed[0])
+            converted = numbers_to_words(line, routed)
             if converted != line:
                 line = " ".join(tokenize(normalize_ws_lower(converted)))
                 routed = route(line)
         if routed is None:
             doc.unknown_lines += 1
             continue
-        doc.lines.append(CleanedLine(line, *routed))
+        doc.lines.append(CleanedLine(line, routed))
     return doc
 
 

@@ -22,7 +22,6 @@ import logging
 import os
 import tempfile
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -75,17 +74,15 @@ class NeighborMap:
     k: int
     tokens: dict[str, tuple[str, ...]]
 
-    @cached_property
-    def lowered(self) -> dict[str, tuple[str, ...]]:
-        """``tokens`` with every neighbor lowercased, built on first use, so
-        every k a run reads shares one lowercased string per neighbor.  A
-        query whose neighbors are all lowercase keeps its own tuple, so
-        lowercase tokens are not copied."""
+    def lowered(self) -> "NeighborMap":
+        """This map with every neighbor token lowercased, at the same
+        capacity.  A query whose neighbors are all lowercase keeps its own
+        tuple, so lowercase tokens are not copied."""
         lowered = {}
         for query, tokens in self.tokens.items():
             lower = tuple(map(str.lower, tokens))
             lowered[query] = tokens if lower == tokens else lower
-        return lowered
+        return NeighborMap(self.k, lowered)
 
 
 def _select_top(scores: np.ndarray, k: int) -> np.ndarray:

@@ -251,7 +251,11 @@ def parse_tsv(source: Source) -> Thesaurus:
 
 
 def keywords(th: Thesaurus, lang: str) -> list[str]:
-    """All pref and alt labels in ``lang``, deduplicated, in sorted order."""
+    """All pref and alt labels in ``lang``, deduplicated, in sorted order.
+
+    ``lang`` is compared in lowercase, as both parsers store tags.
+    """
+    lang = lang.lower()
     seen: set[str] = set()
     for concept in th.concepts.values():
         for text, tag in concept.pref_labels + concept.alt_labels:
@@ -268,13 +272,15 @@ def descriptor_pairs(
 ) -> PairSelection:
     """(descriptor label, concept label) pairs for one relation type.
 
-    Pairs whose endpoints lack a label in ``lang`` are dropped and counted;
-    with ``single_word_only`` any pair with a label of more than one
+    Pairs whose endpoints lack a label in ``lang`` (compared in lowercase,
+    as both parsers store tags) are dropped and counted; with
+    ``single_word_only`` any pair with a label of more than one
     ``keyword_tokens`` token on either side is dropped and counted, so a
     hyphenated label counts as several words.
     """
     if relation not in RELATION_TYPES:
         raise ValueError(f"unknown relation type {relation!r}")
+    lang = lang.lower()
     selection = PairSelection(pairs=[])
     for source, target in th.edges[relation]:
         src = th.concepts.get(source)

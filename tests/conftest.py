@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 from pathlib import Path
@@ -8,14 +9,14 @@ import pytest
 
 from embeval.metrics import (
     coverage,
-    descriptor_queries,
-    diversity,
+    diversity_matrix,
     keyword_queries,
     match_map,
     relational_coverage,
 )
 from embeval.neighbors import neighbor_map
 from embeval.stringsim import VocabIndex
+from embeval.thesaurus import keyword_tokens
 from embeval.vectors import EmbeddingModel
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -74,23 +75,43 @@ def anchored(c: float, axis: int, dim: int = 2) -> list[float]:
     return vec
 
 
-# The metrics read prebuilt maps; these build the smallest map each call needs.
+# The metrics read tokens and prebuilt maps.  These read labels as the CLI
+# does: each label is split once with keyword_tokens, and each neighbor map
+# is lowercased under the same flag; each builds the smallest map a call needs.
+def read_neighbors(model, queries, k: int, lowercase: bool = True):
+    neighbors = neighbor_map(model, queries, k)
+    return neighbors.lowered() if lowercase else neighbors
+
+
 def coverage_at(model, labels, s: float, lowercase: bool = True):
-    matches = match_map(VocabIndex(model.vocab), labels, s, lowercase)
-    return coverage(model.name, labels, s, matches=matches, lowercase=lowercase)
+    keywords = [keyword_tokens(label, lowercase) for label in labels]
+    matches = match_map(VocabIndex(model.vocab), keywords, s)
+    return coverage(model.name, keywords, s, matches=matches)
 
 
 def diversity_at(model_a, model_b, labels, k: int, lowercase: bool = True,
                  denominator: str = "evaluated"):
-    queries = keyword_queries(labels, lowercase)
-    return diversity(model_a.name, model_b.name, labels, k, neighbors_a=neighbor_map(model_a, queries, k),
-                     neighbors_b=neighbor_map(model_b, queries, k), lowercase=lowercase,
-                     denominator=denominator)
+    keywords = [keyword_tokens(label, lowercase) for label in labels]
+    queries = keyword_queries(keywords)
+    # keyed by side, so a model can be compared with itself
+    maps = {"a": read_neighbors(model_a, queries, k, lowercase),
+            "b": read_neighbors(model_b, queries, k, lowercase)}
+    result = diversity_matrix(maps, keywords, k, denominator=denominator)[("a", "b")]
+    return dataclasses.replace(result, model_a=model_a.name, model_b=model_b.name)
+
+
+def pair_tokens(pairs, lowercase: bool = True):
+    """Each DescriptorPair as the (relation, descriptor tokens, concept tokens)
+    the relational metric reads."""
+    return [(p.relation_type, keyword_tokens(p.descriptor_label, lowercase),
+             keyword_tokens(p.concept_label, lowercase)) for p in pairs]
 
 
 def relational_at(model, pairs, k: int, lowercase: bool = True, oov_policy: str = "miss"):
-    neighbors = neighbor_map(model, descriptor_queries(pairs, lowercase), k)
-    return relational_coverage(model.name, pairs, k, neighbors=neighbors, lowercase=lowercase,
+    tokenized = pair_tokens(pairs, lowercase)
+    queries = keyword_queries([descriptor for _, descriptor, _ in tokenized])
+    neighbors = read_neighbors(model, queries, k, lowercase)
+    return relational_coverage(model.name, tokenized, k, neighbors=neighbors,
                                oov_policy=oov_policy)
 
 

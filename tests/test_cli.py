@@ -791,6 +791,24 @@ def test_mixed_case_tables_are_pinned(tmp_path, command):
     assert all(lowered[ext] != preserved[ext] for ext in lowered)
 
 
+@pytest.mark.parametrize("command", ["coverage", "diversity", "relations"])
+def test_lang_is_compared_in_lowercase(tmp_path, model_path, thesaurus_path, command):
+    # both parsers lowercase the stored tags, so "DE" names the "@de" labels
+    flipped = tmp_path / "flipped.vec"
+    write_fixture_model(flipped, "flipped", flip=True)
+
+    def csv_lines(lang: str) -> list[str]:
+        out = tmp_path / lang
+        assert main([command, "--model", str(model_path), "--model", str(flipped),
+                     "--thesaurus", str(thesaurus_path), "--lang", lang, "--out", str(out)]) == 0
+        return (out / f"{command}.csv").read_text(encoding="utf-8").splitlines()
+
+    lines = csv_lines("DE")
+    assert lines == csv_lines("de")
+    # n_keywords, n_total or n_pairs
+    assert any(int(line.split(",")[3]) > 0 for line in lines[1:])
+
+
 def test_coverage_builds_no_vector_matrix(tmp_path, model_path, thesaurus_path, monkeypatch):
     # coverage reads only the vocabularies, so it writes the pinned tables
     # with load_vec unusable

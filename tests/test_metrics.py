@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 import embeval.metrics as metrics_module
 from embeval.metrics import (
     coverage,
-    descriptor_queries,
-    diversity,
     diversity_matrix,
     keyword_queries,
     match_map,
@@ -19,7 +17,16 @@ from embeval.neighbors import NeighborMap, cache_load, cache_store, neighbor_map
 from embeval.report import pct
 from embeval.stringsim import VocabIndex, best_match
 from embeval.thesaurus import DescriptorPair, Thesaurus, descriptor_pairs, keyword_tokens
-from conftest import anchored, coverage_at, diversity_at, make_model, random_model, relational_at
+from conftest import (
+    anchored,
+    coverage_at,
+    diversity_at,
+    make_model,
+    pair_tokens,
+    random_model,
+    read_neighbors,
+    relational_at,
+)
 from oracles import coverage_oracle, naive_coverage_count, naive_diversity, naive_relational
 
 
@@ -39,7 +46,7 @@ def test_keyword_covered_compound_threshold():
     model = make_model("m", ["sozial", "ungleichheit"], [[1, 0], [0, 1]])
     assert coverage_at(model, ["soziale ungleichheit"], 1.0).n_covered == 0
     assert coverage_at(model, ["soziale ungleichheit"], 0.9).n_covered == 1
-    match = match_map(VocabIndex(model.vocab), ["soziale ungleichheit"], 0.9)["soziale"]
+    match = match_map(VocabIndex(model.vocab), [("soziale", "ungleichheit")], 0.9)["soziale"]
     assert match.matched_vocab_token == "sozial"
     assert match.ratio == pytest.approx(12 / 13)
 
@@ -72,7 +79,7 @@ def test_coverage_three_keyword_fixture():
 def test_coverage_hit_records():
     model = make_model("m", ["sozial", "macht"], np.eye(2))
     assert coverage_at(model, ["Macht", "soziale"], 0.9).n_covered == 2
-    matches = match_map(VocabIndex(model.vocab), ["Macht", "soziale"], 0.9)
+    matches = match_map(VocabIndex(model.vocab), [("macht",), ("soziale",)], 0.9)
     assert matches["macht"].ratio == 1.0
     assert matches["soziale"].ratio == pytest.approx(12 / 13)
 
@@ -95,16 +102,18 @@ def test_coverage_monotone_in_s():
 
 def test_coverage_matches_naive_enumeration():
     rng = np.random.default_rng(22)
-    vocab = ["macht", "herrschaft", "staat", "sozial", "armut"]
-    model = make_model("m", vocab, rng.standard_normal((5, 3)))
-    labels = ["Macht", "mächte", "soziale Ungleichheit", "Armut", "staaten", "xyz"]
-    for s in (0.8, 0.9, 0.95, 1.0):
-        assert coverage_at(model, labels, s).n_covered == naive_coverage_count(
-            vocab, labels, s
-        )
+    vocab = ["macht", "Macht", "herrschaft", "Staat", "sozial", "armut"]
+    model = make_model("m", vocab, rng.standard_normal((6, 3)))
+    labels = ["Macht", "mächte", "soziale Ungleichheit", "Armut", "staaten", "Staat", "xyz"]
+    for lowercase in (True, False):
+        for s in (0.8, 0.9, 0.95, 1.0):
+            assert coverage_at(model, labels, s, lowercase).n_covered == naive_coverage_count(
+                vocab, labels, s, lowercase
+            )
 
 
-_WORD = st.text(alphabet="abcäßé", min_size=1, max_size=7)
+# upper case letters too, so the vocabulary holds words that differ only in case
+_WORD = st.text(alphabet="abcäßéBÄ", min_size=1, max_size=7)
 
 
 @st.composite
@@ -146,9 +155,10 @@ def test_coverage_over_one_map_equals_per_threshold_oracle(case, lowercase):
     index = VocabIndex(vocab)
     distinct = sorted(set(vocab))
     model = make_model("m", distinct, np.eye(len(distinct)))
-    matches = match_map(index, labels, min(s_values), lowercase=lowercase)
+    keywords = [keyword_tokens(label, lowercase) for label in labels]
+    matches = match_map(index, keywords, min(s_values))
     for s in s_values:
-        got = coverage(model.name, labels, s, lowercase=lowercase, matches=matches)
+        got = coverage(model.name, keywords, s, matches=matches)
         want, hits = coverage_oracle(model, labels, s, lowercase=lowercase, index=index)
         assert (got.n_keywords, got.n_covered) == (want.n_keywords, want.n_covered)
         for records in hits.values():
@@ -167,11 +177,13 @@ def test_match_map_matches_each_reachable_token_once(monkeypatch):
     monkeypatch.setattr(metrics_module, "best_match", counting)
     model = make_model("m", ["macht", "staat", "sozial"], np.eye(3))
     labels = ["Macht", "Staat-Macht", "qqq Macht", "qqq Sozial", "xxx-yyy", "Soziale Macht"]
-    matches = match_map(VocabIndex(model.vocab), labels, 0.9)
+    keywords = [keyword_tokens(label) for label in labels]
+    matches = match_map(VocabIndex(model.vocab), keywords, 0.9)
     # "sozial" and "yyy" only follow a miss
     assert calls == ["macht", "staat", "qqq", "xxx", "soziale"]
     assert set(matches) == set(calls)
-    covered = {s: coverage(model.name, labels, s, matches=matches).n_covered for s in (1.0, 0.95, 0.9)}
+    covered = {s: coverage(model.name, keywords, s, matches=matches).n_covered
+               for s in (1.0, 0.95, 0.9)}
     assert covered == {1.0: 2, 0.95: 2, 0.9: 3}
     assert len(calls) == 5
 
@@ -179,7 +191,7 @@ def test_match_map_matches_each_reachable_token_once(monkeypatch):
 def test_coverage_rejects_a_map_lacking_a_token():
     model = make_model("m", ["macht"], [[1.0]])
     with pytest.raises(ValueError, match="lacks the keyword token 'macht'"):
-        coverage(model.name, ["Macht"], 0.9, matches={})
+        coverage(model.name, [("macht",)], 0.9, matches={})
 
 
 def _diversity_plant():
@@ -265,23 +277,38 @@ def test_diversity_anti_monotone_in_k():
             previous = d
 
 
-def test_diversity_matches_naive_enumeration():
-    rng = np.random.default_rng(25)
-    model_a = random_model(rng, "A", 30, 4)
-    model_b = random_model(rng, "B", 30, 4)
-    labels = list(model_a.vocab[:12]) + ["nicht da", "fehlt"]
+def _mixed_case_models(seed: int, names: str, n_stems: int = 15, dim: int = 4):
+    """Models over one vocabulary in which some tokens differ only in case
+    ("w03" and "W03"), and labels naming each stem in either case."""
+    rng = np.random.default_rng(seed)
+    vocab, labels = [], []
+    for i in range(n_stems):
+        stem = f"w{i:02d}"
+        # the lower case form, the upper case form or both
+        forms = [[stem], [stem.upper()], [stem, stem.upper()]][rng.integers(3)]
+        vocab += forms
+        labels.append(stem.upper() if rng.integers(2) else stem)
+    models = [make_model(name, vocab, rng.standard_normal((len(vocab), dim))) for name in names]
+    return models, labels
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lowercase=st.booleans())
+def test_diversity_matches_naive_enumeration(seed, lowercase):
+    (model_a, model_b), labels = _mixed_case_models(seed, "AB")
+    labels += ["nicht da", "fehlt"]
     for k in (1, 3, 7):
-        result = diversity_at(model_a, model_b, labels, k)
-        n_eval, n_disj = naive_diversity(model_a, model_b, labels, k)
+        result = diversity_at(model_a, model_b, labels, k, lowercase)
+        n_eval, n_disj = naive_diversity(model_a, model_b, labels, k, lowercase)
         assert (result.n_evaluated, result.n_disjoint) == (n_eval, n_disj)
 
 
 def test_diversity_matrix_symmetry_and_diagonal_convention():
     rng = np.random.default_rng(26)
     models = [random_model(rng, f"m{i}", 25, 4) for i in range(3)]
-    labels = list(models[0].vocab[:10])
-    maps = {m.name: neighbor_map(m, keyword_queries(labels), 5) for m in models}
-    matrix = diversity_matrix(maps, labels, 5)
+    keywords = [keyword_tokens(label) for label in models[0].vocab[:10]]
+    maps = {m.name: read_neighbors(m, keyword_queries(keywords), 5) for m in models}
+    matrix = diversity_matrix(maps, keywords, 5)
     assert len(matrix) == 6  # 3 unordered pairs, mirrored
     for a in models:
         for b in models:
@@ -291,16 +318,18 @@ def test_diversity_matrix_symmetry_and_diagonal_convention():
 
 def test_neighbor_tokens_are_lowercased_once_for_every_k():
     neighbors = NeighborMap(3, {"a": ("x", "y", "z"), "b": ("X", "y", "Ä")})
+    lowered = neighbors.lowered()
+    assert lowered.k == neighbors.k
     # a query whose neighbors are lowercase already keeps its tuple
-    assert neighbors.lowered["a"] is neighbors.tokens["a"]
-    assert neighbors.lowered["b"] == ("x", "y", "ä")
-    small = metrics_module._top_sets(neighbors, 1, True)
-    large = metrics_module._top_sets(neighbors, 3, True)
+    assert lowered.tokens["a"] is neighbors.tokens["a"]
+    assert lowered.tokens["b"] == ("x", "y", "ä")
+    small = metrics_module._top_sets(lowered, 1)
+    large = metrics_module._top_sets(lowered, 3)
     assert small == {"a": {"x"}, "b": {"x"}}
     assert large == {"a": {"x", "y", "z"}, "b": {"x", "y", "ä"}}
     # every k reads the same lowercased strings
-    assert next(iter(small["b"])) is neighbors.lowered["b"][0]
-    assert metrics_module._top_sets(neighbors, 3, False)["b"] == {"X", "y", "Ä"}
+    assert next(iter(small["b"])) is lowered.tokens["b"][0]
+    assert metrics_module._top_sets(neighbors, 3)["b"] == {"X", "y", "Ä"}
 
 
 def test_diversity_from_cache_equals_fresh(tmp_path):
@@ -310,11 +339,8 @@ def test_diversity_from_cache_equals_fresh(tmp_path):
     for model in (model_a, model_b):
         path = tmp_path / f"{model.name}.tsv"
         cache_store(path, model, neighbor_map(model, ["a", "b"], 2))
-        maps[model.name] = cache_load(path, model, 2)
-    cached = diversity(
-        model_a.name, model_b.name, ["a", "b"], 2,
-        neighbors_a=maps["A"], neighbors_b=maps["B"],
-    )
+        maps[model.name] = cache_load(path, model, 2).lowered()
+    cached = diversity_matrix(maps, [("a",), ("b",)], 2)[("A", "B")]
     assert (cached.n_evaluated, cached.n_disjoint, cached.d) == (
         fresh.n_evaluated, fresh.n_disjoint, fresh.d,
     )
@@ -324,14 +350,15 @@ def test_diversity_matrix_from_cache_equals_fresh(tmp_path):
     rng = np.random.default_rng(30)
     models = [random_model(rng, f"m{i}", 30, 4) for i in range(3)]
     labels = list(models[0].vocab[:12])
-    fresh = diversity_matrix({m.name: neighbor_map(m, labels, 4) for m in models}, labels, 4)
+    keywords = [keyword_tokens(label) for label in labels]
+    fresh = diversity_matrix({m.name: neighbor_map(m, labels, 4) for m in models}, keywords, 4)
 
     maps = {}
     for model in models:
         path = tmp_path / f"{model.name}.tsv"
         cache_store(path, model, neighbor_map(model, labels, 4))
         maps[model.name] = cache_load(path, model, 4)
-    cached = diversity_matrix(maps, labels, 4)
+    cached = diversity_matrix(maps, keywords, 4)
 
     assert set(cached) == set(fresh)
     for key in fresh:
@@ -410,9 +437,8 @@ def test_relational_reads_labels_as_keyword_tokens():
         pair = DescriptorPair(descriptor, concept, "related", "de")
         res = relational_at(model, [pair], 2)["related"]
         assert (res.n_found, res.n_oov_descriptors) == (n_found, n_oov), pair
-    assert descriptor_queries([DescriptorPair(d, c, "related", "de") for d, c in expected]) == [
-        "macht", "armut",
-    ]
+    pairs = pair_tokens([DescriptorPair(d, c, "related", "de") for d, c in expected])
+    assert keyword_queries([descriptor for _, descriptor, _ in pairs]) == ["macht", "armut"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -462,16 +488,17 @@ def test_results_independent_of_keyword_order():
     assert (d1.n_evaluated, d1.n_disjoint) == (d2.n_evaluated, d2.n_disjoint)
 
 
-def test_relational_matches_naive_enumeration():
-    rng = np.random.default_rng(28)
-    model = random_model(rng, "m", 25, 4)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lowercase=st.booleans())
+def test_relational_matches_naive_enumeration(seed, lowercase):
+    (model,), labels = _mixed_case_models(seed, "m")
+    n = len(labels)
     pairs = [
-        DescriptorPair(model.vocab[i], model.vocab[(i * 3 + 1) % 25], "broader", "de")
-        for i in range(12)
-    ] + [DescriptorPair("fehlt", model.vocab[0], "broader", "de")]
+        DescriptorPair(labels[i], labels[(i * 3 + 1) % n], "broader", "de") for i in range(n)
+    ] + [DescriptorPair("fehlt", labels[0], "broader", "de")]
     for k in (1, 5, 10):
-        result = relational_at(model, pairs, k)["broader"]
-        n_pairs, n_found, n_oov = naive_relational(model, pairs, k)["broader"]
+        result = relational_at(model, pairs, k, lowercase)["broader"]
+        n_pairs, n_found, n_oov = naive_relational(model, pairs, k, lowercase)["broader"]
         assert (result.n_pairs, result.n_found, result.n_oov_descriptors) == (
             n_pairs, n_found, n_oov,
         )
@@ -486,15 +513,15 @@ def test_metrics_read_prefixes_of_a_larger_capacity():
         DescriptorPair(model_a.vocab[i], model_a.vocab[(i * 7 + 3) % 30], "related", "de")
         for i in range(12)
     ]
-    maps_a = neighbor_map(model_a, keyword_queries(labels), 29)
-    maps_b = neighbor_map(model_b, keyword_queries(labels), 29)
-    rel_map = neighbor_map(model_a, descriptor_queries(pairs), 29)
+    keywords = [keyword_tokens(label) for label in labels]
+    maps = {model.name: read_neighbors(model, keyword_queries(keywords), 29)
+            for model in (model_a, model_b)}
+    tokenized = pair_tokens(pairs)
+    rel_map = read_neighbors(model_a, keyword_queries([d for _, d, _ in tokenized]), 29)
     for k in (1, 4, 10, 29):
         fresh = diversity_at(model_a, model_b, labels, k)
-        served = diversity(model_a.name, model_b.name, labels, k, neighbors_a=maps_a,
-                           neighbors_b=maps_b)
-        assert served == fresh
-        assert relational_coverage(model_a.name, pairs, k, neighbors=rel_map) == (
+        assert diversity_matrix(maps, keywords, k)[("A", "B")] == fresh
+        assert relational_coverage(model_a.name, tokenized, k, neighbors=rel_map) == (
             relational_at(model_a, pairs, k)
         )
 
@@ -504,9 +531,9 @@ def test_metrics_reject_a_map_below_capacity():
     small_a = neighbor_map(model_a, ["a", "b"], 1)
     small_b = neighbor_map(model_b, ["a", "b"], 1)
     with pytest.raises(ValueError):
-        diversity(model_a.name, model_b.name, ["a", "b"], 2, neighbors_a=small_a,
-                  neighbors_b=small_b)
+        diversity_matrix({"A": small_a, "B": small_b}, [("a",), ("b",)], 2)
     model, pairs = _relation_plant()
-    small = neighbor_map(model, descriptor_queries(pairs), 2)
+    tokenized = pair_tokens(pairs)
+    small = neighbor_map(model, keyword_queries([d for _, d, _ in tokenized]), 2)
     with pytest.raises(ValueError):
-        relational_coverage(model.name, pairs, 3, neighbors=small)
+        relational_coverage(model.name, tokenized, 3, neighbors=small)
