@@ -791,6 +791,83 @@ def test_mixed_case_tables_are_pinned(tmp_path, command):
     assert all(lowered[ext] != preserved[ext] for ext in lowered)
 
 
+# A relations fixture with what the mini thesaurus lacks: no altLabel pair
+# at all, a related pair dropped because "poverty gap" has no @de label,
+# multi-token and hyphenated labels on both sides of a pair, and the
+# descriptor "Fehlt", which no model holds.
+RELATION_VOCAB = ["armut", "Armut", "gesellschaft", "Gesellschaft", "soziale", "frage",
+                  "macht", "Macht", "staat", "Staat", "nord", "süd"]
+RELATION_ROWS = [
+    [1, 0, 0, 0],
+    [0.2, 1, 0, 0],
+    [0.9, 0.1, 0.2, 0],
+    [0.1, 0.9, 0, 0.3],
+    [0.7, 0, 0.6, 0],
+    [0.6, 0, 0.7, 0.1],
+    [0, 0.2, 1, 0],
+    [0, 0.3, 0.9, 0.2],
+    [0.1, 0, 0.95, 0],
+    [0, 0.1, 0.3, 0.9],
+    [0, 0, 0.2, 1],
+    [0.3, 0, 0, 0.9],
+]
+RELATION_THESAURUS = (
+    "subject\tpredicate\tobject\tlang\n"
+    "c1\tprefLabel\tArmut\tde\n"
+    "c2\tprefLabel\tGesellschaft\tde\n"
+    "c3\tprefLabel\tsoziale Frage\tde\n"
+    "c4\tprefLabel\tMacht\tde\n"
+    "c5\tprefLabel\tStaat\tde\n"
+    "c6\tprefLabel\tpoverty gap\ten\n"
+    "c7\tprefLabel\tFehlt\tde\n"
+    "c8\tprefLabel\tNord-Süd\tde\n"
+    "c1\tbroader\tc2\t\n"
+    "c3\tbroader\tc2\t\n"
+    "c4\tbroader\tc5\t\n"
+    "c7\tbroader\tc5\t\n"
+    "c1\trelated\tc6\t\n"
+    "c1\trelated\tc3\t\n"
+    "c8\trelated\tc4\t\n"
+    "c1\trelated\tc2\t\n"
+    "c7\trelated\tc4\t\n"
+)
+
+# sha256 of the relations tables for that fixture under three flag sets,
+# recorded while the thesaurus still filtered multi-word pairs.
+RELATION_TABLES = {
+    (): {
+        "csv": "7b66b6c5fc4e68abc07216813abc7ec433b696b0d2de79a022c9494e1a35b460",
+        "md": "274373fdaba311e414beb069879df9f23deea8caf13e1ad8d9d0c5aadfe03056",
+    },
+    ("--single-word-only",): {
+        "csv": "527493dd9b887e9788db305ded920595b1ed6e5908ff93df33133e24c525ede3",
+        "md": "76a5d85912cc29a7ba79e9a16cc4f56f311c5c1096f50fd5a28c2cd5618cf04c",
+    },
+    ("--single-word-only", "--oov-policy", "skip", "--no-lowercase"): {
+        "csv": "5cabc16b3467b3d8cd4a269a542d6152a45e495b53e8edb6c5413d5041b51375",
+        "md": "f95d7f1f8996ab543edb25c2b540a9cbf5c4cbae18297524aa6c18d02f31b847",
+    },
+}
+
+
+def test_relations_tables_are_pinned(tmp_path):
+    model, swapped = tmp_path / "rel.vec", tmp_path / "swapped.vec"
+    save_vec(RELATION_VOCAB, RELATION_ROWS, model)
+    save_vec(RELATION_VOCAB, RELATION_ROWS[::-1], swapped)
+    thesaurus = tmp_path / "rel.tsv"
+    thesaurus.write_text(RELATION_THESAURUS, encoding="utf-8")
+
+    def tables(*flags: str) -> dict[str, str]:
+        out = tmp_path / "-".join(("o",) + flags)
+        assert main(["relations", "--model", str(model), "--model", str(swapped),
+                     "--thesaurus", str(thesaurus), "--k", "1", "--k", "3", *flags,
+                     "--out", str(out)]) == 0
+        return {ext: hashlib.sha256((out / f"relations.{ext}").read_bytes()).hexdigest()
+                for ext in ("csv", "md")}
+
+    assert {flags: tables(*flags) for flags in RELATION_TABLES} == RELATION_TABLES
+
+
 @pytest.mark.parametrize("command", ["coverage", "diversity", "relations"])
 def test_lang_is_compared_in_lowercase(tmp_path, model_path, thesaurus_path, command):
     # both parsers lowercase the stored tags, so "DE" names the "@de" labels
