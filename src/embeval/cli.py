@@ -24,7 +24,8 @@ label is read.  Each command's ``prepare`` splits every thesaurus label it
 passes to a metric once with ``thesaurus.keyword_tokens``, lowercased
 unless --no-lowercase, and ``build_map`` lowercases each neighbor map under
 the same flag right after the search, so labels and neighbors are read
-alike; the neighbor cache keeps the model's own tokens.
+alike; the neighbor cache keeps the model's own tokens.  For relations,
+that step is ``relation_pairs``, which also applies --single-word-only.
 """
 
 import argparse
@@ -326,24 +327,36 @@ def cmd_diversity(args) -> int:
     return _vector_command(args, parameters, prepare, load_vec, build_map, tables)
 
 
+def relation_pairs(th, lang: str, lowercase: bool, single_word_only: bool):
+    """Each relation type's pairs as (descriptor tokens, concept tokens), in
+    ``descriptor_pairs`` order, and per relation type the count of edges
+    dropped for lacking a label in ``lang`` and of pairs dropped, under
+    ``single_word_only``, for a side of more than one token."""
+    from .thesaurus import RELATION_TYPES, descriptor_pairs, keyword_tokens
+
+    pairs, no_lang, multiword = {}, {}, {}
+    for rel in RELATION_TYPES:
+        selection = descriptor_pairs(th, rel, lang)
+        tokenized = [(keyword_tokens(p.descriptor_label, lowercase),
+                      keyword_tokens(p.concept_label, lowercase)) for p in selection.pairs]
+        pairs[rel] = [(d, c) for d, c in tokenized
+                      if not single_word_only or len(d) == len(c) == 1]
+        no_lang[rel], multiword[rel] = selection.skipped_no_lang, len(tokenized) - len(pairs[rel])
+    return pairs, no_lang, multiword
+
+
 def cmd_relations(args) -> int:
     from .metrics import keyword_queries, relational_coverage
     from .neighbors import neighbor_map
-    from .thesaurus import RELATION_TYPES, descriptor_pairs, keyword_tokens
     from .vectors import load_vec
 
     k_values = _check_k_values(args.k or [10, 50, 200])
     lowercase = not args.no_lowercase
 
     def prepare(th):
-        selections = {
-            rel: descriptor_pairs(th, rel, args.lang, single_word_only=args.single_word_only)
-            for rel in RELATION_TYPES
-        }
-        pairs = [(p.relation_type, keyword_tokens(p.descriptor_label, lowercase),
-                  keyword_tokens(p.concept_label, lowercase))
-                 for rel in RELATION_TYPES for p in selections[rel].pairs]
-        return selections, pairs, keyword_queries([descriptor for _, descriptor, _ in pairs])
+        pairs, no_lang, multiword = relation_pairs(th, args.lang, lowercase, args.single_word_only)
+        queries = keyword_queries([d for rel_pairs in pairs.values() for d, _ in rel_pairs])
+        return pairs, no_lang, multiword, queries
 
     def build_map(model, prepared):
         *_, queries = prepared
@@ -351,7 +364,7 @@ def cmd_relations(args) -> int:
         return neighbors.lowered() if lowercase else neighbors
 
     def tables(prepared, maps):
-        selections, pairs, _ = prepared
+        pairs, no_lang, multiword, _ = prepared
         rows = []
         md_parts = [f"# Relational coverage (lang={args.lang}, oov={args.oov_policy})\n"]
         for k in k_values:
@@ -360,24 +373,21 @@ def cmd_relations(args) -> int:
                 results = relational_coverage(name, pairs, k, neighbors, args.oov_policy)
                 md_row = [name]
                 for rel, short in RELATION_COLUMNS:
-                    res = results.get(rel)
-                    if res is None:
-                        rows.append([k, name, short, 0, 0, 0, args.oov_policy, pct(0.0)])
-                        md_row.append("0.00 (n=0)")
-                    else:
-                        rows.append([k, name, short, res.n_pairs, res.n_found,
-                                     res.n_oov_descriptors, res.oov_policy, pct(res.r)])
-                        md_row.append(pct(res.r))
+                    res = results[rel]
+                    rows.append([k, name, short, res.n_pairs, res.n_found,
+                                 res.n_oov_descriptors, res.oov_policy, pct(res.r)])
+                    md_row.append(pct(res.r) if res.n_pairs else "0.00 (n=0)")
                 md_rows.append(md_row)
             md_parts.append(markdown_table([f"top-{k}"] + [short for _, short in RELATION_COLUMNS], md_rows))
 
-        def per_relation(count) -> str:
-            return ", ".join(f"{short}={count(selections[rel])}" for rel, short in RELATION_COLUMNS)
+        def per_relation(counts) -> str:
+            return ", ".join(f"{short}={counts[rel]}" for rel, short in RELATION_COLUMNS)
 
+        n_pairs = {rel: len(rel_pairs) for rel, rel_pairs in pairs.items()}
         md_parts.append(
-            f"Pairs per relation: {per_relation(lambda sel: len(sel.pairs))}"
-            f"; dropped (no label in lang): {per_relation(lambda sel: sel.skipped_no_lang)}"
-            f"; dropped (multiword): {per_relation(lambda sel: sel.skipped_multiword)}\n"
+            f"Pairs per relation: {per_relation(n_pairs)}"
+            f"; dropped (no label in lang): {per_relation(no_lang)}"
+            f"; dropped (multiword): {per_relation(multiword)}\n"
         )
         header = ["k", "model", "relation", "n_pairs", "n_found", "n_oov_descriptors", "oov_policy", "r"]
         return header, rows, "\n".join(md_parts)

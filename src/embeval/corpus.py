@@ -96,7 +96,13 @@ class PipelineConfig:
                 key = key.strip()
                 value = value.strip()
                 if key == "languages":
-                    values[key] = tuple(v.strip() for v in value.split(",") if v.strip())
+                    languages = tuple(v.strip() for v in value.split(",") if v.strip())
+                    # the classifier routes lines to its languages alone
+                    known = default_classifier().languages
+                    if len(set(languages)) < len(languages) or not set(languages) <= set(known):
+                        raise InputParseError(f"{path}: line {line_no}: languages must be distinct "
+                                              f"and among {', '.join(known)}, got {value!r}")
+                    values[key] = languages
                 elif key == "confidence_threshold":
                     try:
                         threshold = float(value)

@@ -7,7 +7,8 @@
   disjoint.  It reads them from one ``neighbors.neighbor_map`` per model.
 * relational coverage: share of (descriptor, concept) pairs where the
   concept label appears among the descriptor's top-k neighbors, per
-  relation type.  It reads them from the model's ``neighbor_map``.
+  relation type, over pairs the caller groups by relation type.  It reads
+  the neighbors from the model's ``neighbor_map``.
 
 No metric searches a vocabulary or reads a model: the caller builds each
 map once per model, and every threshold or k reads it, so a model can be
@@ -26,7 +27,7 @@ happens in the report layer.
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .neighbors import NeighborMap
 from .stringsim import RatioMatch, VocabIndex, best_match
@@ -239,15 +240,16 @@ def diversity_matrix(
 
 def relational_coverage(
     name: str,
-    pairs: Sequence[tuple[str, Sequence[str], Sequence[str]]],
+    pairs: Mapping[str, Sequence[tuple[Sequence[str], Sequence[str]]]],
     k: int,
     neighbors: NeighborMap,
     oov_policy: str = "miss",
 ) -> dict[str, RelationalResult]:
-    """Relational coverage of model ``name`` per relation type present in ``pairs``.
+    """Relational coverage of model ``name``, one result per relation type in ``pairs``.
 
-    Each pair is its relation type, the descriptor's tokens and the
-    concept's tokens.  A pair counts as found when the concept's token is
+    ``pairs`` maps each relation type to its pairs, each the descriptor's
+    tokens and the concept's tokens; a relation with no pairs gets a result
+    with ``n_pairs`` 0.  A pair counts as found when the concept's token is
     among the descriptor's top-k neighbor tokens, read from ``neighbors``,
     the neighbor map of the descriptors' ``keyword_queries`` (capacity
     >= k).  A descriptor of more than one token, or not in the map (missing
@@ -262,18 +264,15 @@ def relational_coverage(
         raise ValueError(f"unknown oov policy {oov_policy!r}")
     sets = _top_sets(neighbors, k)
     results: dict[str, RelationalResult] = {}
-    for relation, descriptor, concept in pairs:
-        res = results.get(relation)
-        if res is None:
-            res = results[relation] = RelationalResult(
-                name, relation, k,
-                n_pairs=0, n_found=0, n_oov_descriptors=0, oov_policy=oov_policy,
-            )
-        res.n_pairs += 1
-        top = sets.get(descriptor[0]) if len(descriptor) == 1 else None
-        if top is None:
-            res.n_oov_descriptors += 1
-            continue
-        if len(concept) == 1 and concept[0] in top:
-            res.n_found += 1
+    for relation, rel_pairs in pairs.items():
+        res = results[relation] = RelationalResult(
+            name, relation, k,
+            n_pairs=len(rel_pairs), n_found=0, n_oov_descriptors=0, oov_policy=oov_policy,
+        )
+        for descriptor, concept in rel_pairs:
+            top = sets.get(descriptor[0]) if len(descriptor) == 1 else None
+            if top is None:
+                res.n_oov_descriptors += 1
+            elif len(concept) == 1 and concept[0] in top:
+                res.n_found += 1
     return results

@@ -31,7 +31,10 @@ _PRED_BY_IRI = {
 
 _INVERSE = {"broader": "narrower", "narrower": "broader"}
 
-_TRIPLE_RE = re.compile(r"^<([^<>\s]*)>\s+<([^<>\s]*)>\s+(.+?)\s*\.\s*$")
+_TRIPLE_RE = re.compile(r"^\s*<([^<>\s]*)>\s+<([^<>\s]*)>\s+(.+?)\s*\.\s*$")
+# A line's text up to and including a '#' that starts a comment: one
+# outside every IRI and literal.
+_COMMENT_RE = re.compile(r'(?:"(?:[^"\\]|\\.)*"|<[^<>]*>|[^"<#])*#')
 _LITERAL_RE = re.compile(r'^"((?:[^"\\]|\\.)*)"(?:@([A-Za-z][A-Za-z0-9-]*))?$')
 _IRI_RE = re.compile(r"^<([^<>\s]*)>$")
 
@@ -64,10 +67,6 @@ class Concept:
     pref_labels: list[tuple[str, str]] = field(default_factory=list)
     alt_labels: list[tuple[str, str]] = field(default_factory=list)
 
-    @property
-    def is_descriptor(self) -> bool:
-        return bool(self.pref_labels)
-
     def add_label(self, kind: str, text: str, lang: str) -> None:
         target = self.pref_labels if kind == "prefLabel" else self.alt_labels
         if (text, lang) not in target:
@@ -81,16 +80,15 @@ class DescriptorPair:
     descriptor_label: str
     concept_label: str
     relation_type: str
-    lang: str
 
 
 @dataclass
 class PairSelection:
-    """Descriptor pairs for one relation plus counts of what was filtered out."""
+    """Descriptor pairs for one relation plus the count of edges dropped for
+    lacking a label in the language."""
 
     pairs: list[DescriptorPair]
     skipped_no_lang: int = 0
-    skipped_multiword: int = 0
 
 
 class Thesaurus:
@@ -178,20 +176,24 @@ def parse_ntriples_skos(source: Source) -> Thesaurus:
     """Parse the SKOS subset of an N-Triples stream.
 
     Only prefLabel, altLabel, broader, narrower and related predicates are
-    interpreted; other predicates are counted and skipped.  Malformed lines
-    raise with their 1-based line number.
+    interpreted; other predicates are counted and skipped.  White space may
+    surround the terms, and a '#' outside an IRI or a literal starts a
+    comment that runs to the end of the line.  Malformed lines raise with
+    their 1-based line number.
     """
     text = _decode(source)
     th = Thesaurus()
     saw_any = False
     for line_no, line in enumerate(text.split("\n"), start=1):
-        stripped = line.strip().rstrip("\r")
-        if not stripped or stripped.startswith("#"):
+        comment = _COMMENT_RE.match(line)
+        if comment:
+            line = line[: comment.end() - 1]
+        if not line.strip():
             continue
         saw_any = True
-        m = _TRIPLE_RE.match(line.rstrip("\r"))
+        m = _TRIPLE_RE.match(line)
         if not m:
-            raise ThesaurusFormatError(f"malformed triple: {stripped!r}", line_no=line_no)
+            raise ThesaurusFormatError(f"malformed triple: {line.strip()!r}", line_no=line_no)
         subject, pred_iri, obj_raw = m.group(1), m.group(2), m.group(3)
         pred = _PRED_BY_IRI.get(pred_iri)
         if pred is None:
@@ -264,52 +266,33 @@ def keywords(th: Thesaurus, lang: str) -> list[str]:
     return sorted(seen)
 
 
-def descriptor_pairs(
-    th: Thesaurus,
-    relation: str,
-    lang: str,
-    single_word_only: bool = False,
-) -> PairSelection:
-    """(descriptor label, concept label) pairs for one relation type.
+def descriptor_pairs(th: Thesaurus, relation: str, lang: str) -> PairSelection:
+    """(descriptor label, concept label) pairs for one relation type, sorted.
 
-    Pairs whose endpoints lack a label in ``lang`` (compared in lowercase,
-    as both parsers store tags) are dropped and counted; with
-    ``single_word_only`` any pair with a label of more than one
-    ``keyword_tokens`` token on either side is dropped and counted, so a
-    hyphenated label counts as several words.
+    An edge pairs every prefLabel in ``lang`` of its source with every
+    prefLabel in ``lang`` of its target, or, for altLabel, with the alt
+    label it names if that label is in ``lang``.  An edge with no label in
+    ``lang`` on either side is dropped and counted.  ``lang`` is compared
+    in lowercase, as both parsers store tags.  The labels are returned as
+    written; how they split into tokens is the caller's to decide.
     """
     if relation not in RELATION_TYPES:
         raise ValueError(f"unknown relation type {relation!r}")
     lang = lang.lower()
     selection = PairSelection(pairs=[])
     for source, target in th.edges[relation]:
-        src = th.concepts.get(source)
-        if src is None or not src.is_descriptor:
-            selection.skipped_no_lang += 1
-            continue
+        # add_triple creates a concept at both ends of every edge
+        src = th.concepts[source]
         src_labels = [t for t, l in src.pref_labels if l == lang]
-        if not src_labels:
-            selection.skipped_no_lang += 1
-            continue
         if relation == "altLabel":
             # target is the literal itself; language filtering goes through
             # the concept's stored alt label tags
             tgt_labels = [t for t, l in src.alt_labels if l == lang and t == target]
         else:
-            tgt = th.concepts.get(target)
-            tgt_labels = [t for t, l in tgt.pref_labels if l == lang] if tgt else []
-        if not tgt_labels:
+            tgt_labels = [t for t, l in th.concepts[target].pref_labels if l == lang]
+        if not src_labels or not tgt_labels:
             selection.skipped_no_lang += 1
             continue
-        for d_label in src_labels:
-            for c_label in tgt_labels:
-                if single_word_only and not (
-                    len(keyword_tokens(d_label)) == len(keyword_tokens(c_label)) == 1
-                ):
-                    selection.skipped_multiword += 1
-                    continue
-                selection.pairs.append(
-                    DescriptorPair(d_label, c_label, relation, lang)
-                )
+        selection.pairs += [DescriptorPair(d, c, relation) for d in src_labels for c in tgt_labels]
     selection.pairs.sort(key=lambda p: (p.descriptor_label, p.concept_label))
     return selection

@@ -101,16 +101,23 @@ def diversity_at(model_a, model_b, labels, k: int, lowercase: bool = True,
 
 
 def pair_tokens(pairs, lowercase: bool = True):
-    """Each DescriptorPair as the (relation, descriptor tokens, concept tokens)
-    the relational metric reads."""
-    return [(p.relation_type, keyword_tokens(p.descriptor_label, lowercase),
-             keyword_tokens(p.concept_label, lowercase)) for p in pairs]
+    """The DescriptorPairs grouped by relation type, in order, each as the
+    (descriptor tokens, concept tokens) the relational metric reads."""
+    grouped: dict[str, list] = {}
+    for p in pairs:
+        grouped.setdefault(p.relation_type, []).append(
+            (keyword_tokens(p.descriptor_label, lowercase), keyword_tokens(p.concept_label, lowercase)))
+    return grouped
+
+
+def descriptor_queries(grouped) -> list[str]:
+    """The neighbor queries of grouped pairs, as the CLI builds them."""
+    return keyword_queries([d for rel_pairs in grouped.values() for d, _ in rel_pairs])
 
 
 def relational_at(model, pairs, k: int, lowercase: bool = True, oov_policy: str = "miss"):
     tokenized = pair_tokens(pairs, lowercase)
-    queries = keyword_queries([descriptor for _, descriptor, _ in tokenized])
-    neighbors = read_neighbors(model, queries, k, lowercase)
+    neighbors = read_neighbors(model, descriptor_queries(tokenized), k, lowercase)
     return relational_coverage(model.name, tokenized, k, neighbors=neighbors,
                                oov_policy=oov_policy)
 

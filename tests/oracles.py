@@ -20,7 +20,7 @@ from embeval.langid import UNKNOWN
 from embeval.metrics import CoverageResult
 from embeval.numwords import MAX_NUMBER, number_to_words
 from embeval.stringsim import RatioMatch, VocabIndex, best_match, ratio
-from embeval.thesaurus import keyword_tokens
+from embeval.thesaurus import RELATION_TYPES, keyword_tokens
 from embeval.vectors import EmbeddingModel, Source
 
 logger = logging.getLogger(__name__)
@@ -151,6 +151,47 @@ def naive_relational(model, pairs, k: int, lowercase=True):
         if len(concept) == 1 and concept[0] in naive_neighbor_tokens(model, descriptor[0], k, lowercase):
             acc[1] += 1
     return {rel: tuple(v) for rel, v in out.items()}
+
+
+# thesaurus.descriptor_pairs as it was while it also dropped multi-word pairs:
+# one pass selects each relation's labels by language and, with
+# single_word_only, splits every label at the default case setting.  It
+# returns the sorted (descriptor label, concept label) pairs, the edges
+# dropped for language and the pairs dropped as multi-word.
+def descriptor_pairs_oracle(th, relation: str, lang: str, single_word_only: bool = False):
+    if relation not in RELATION_TYPES:
+        raise ValueError(f"unknown relation type {relation!r}")
+    lang = lang.lower()
+    pairs, skipped_no_lang, skipped_multiword = [], 0, 0
+    for source, target in th.edges[relation]:
+        src = th.concepts.get(source)
+        if src is None or not src.pref_labels:
+            skipped_no_lang += 1
+            continue
+        src_labels = [t for t, l in src.pref_labels if l == lang]
+        if not src_labels:
+            skipped_no_lang += 1
+            continue
+        if relation == "altLabel":
+            # target is the literal itself; language filtering goes through
+            # the concept's stored alt label tags
+            tgt_labels = [t for t, l in src.alt_labels if l == lang and t == target]
+        else:
+            tgt = th.concepts.get(target)
+            tgt_labels = [t for t, l in tgt.pref_labels if l == lang] if tgt else []
+        if not tgt_labels:
+            skipped_no_lang += 1
+            continue
+        for d_label in src_labels:
+            for c_label in tgt_labels:
+                if single_word_only and not (
+                    len(keyword_tokens(d_label)) == len(keyword_tokens(c_label)) == 1
+                ):
+                    skipped_multiword += 1
+                    continue
+                pairs.append((d_label, c_label))
+    pairs.sort()
+    return pairs, skipped_no_lang, skipped_multiword
 
 
 def _read_bytes(source: Source) -> bytes:

@@ -164,7 +164,7 @@ def test_criterion_06_relational_monotone_and_planted_flip():
             [1, 0],
             anchored(0.99, 0), anchored(0.98, 0), anchored(0.97, 0), anchored(0.2, 0),
         ])
-        pairs = [DescriptorPair("Macht", "Herrschaft", "related", "de")]
+        pairs = [DescriptorPair("Macht", "Herrschaft", "related")]
         assert relational_at(model, pairs, 2)["related"].n_found == 0
         assert relational_at(model, pairs, 10)["related"].n_found == 1
 
@@ -173,7 +173,7 @@ def test_criterion_06_relational_monotone_and_planted_flip():
             n = int(rng.integers(15, 50))
             rmodel = random_model(rng, "m", n, 4)
             rpairs = [
-                DescriptorPair(rmodel.vocab[int(i)], rmodel.vocab[int(j)], "broader", "de")
+                DescriptorPair(rmodel.vocab[int(i)], rmodel.vocab[int(j)], "broader")
                 for i, j in zip(rng.integers(0, n, 8), rng.integers(0, n, 8))
                 if i != j
             ]
@@ -210,10 +210,10 @@ def test_criterion_07_brute_force_metric_equivalence():
                 )
 
             pairs = [
-                DescriptorPair(vocab[int(i)], vocab[int(j)], "related", "de")
+                DescriptorPair(vocab[int(i)], vocab[int(j)], "related")
                 for i, j in zip(rng.integers(0, n, 6), rng.integers(0, n, 6))
                 if i != j
-            ] + [DescriptorPair("fehlt", vocab[0], "related", "de")]
+            ] + [DescriptorPair("fehlt", vocab[0], "related")]
             for k in (1, 4):
                 res = relational_at(model_a, pairs, k)["related"]
                 naive = naive_relational(model_a, pairs, k)["related"]

@@ -568,6 +568,25 @@ def test_invalid_cover_delimiter_is_parse_error(tmp_path, capsys):
     assert "line 2: cover_delimiter is not a valid regular expression" in capsys.readouterr().err
 
 
+# the classifier routes lines to de and en only; a repeated language wrote
+# two rows for it, and an unknown one silently received no line
+@pytest.mark.parametrize("languages, message", [
+    ("de,de", "line 2: languages must be distinct and among de, en, got 'de,de'"),
+    ("en, fr", "line 2: languages must be distinct and among de, en, got 'en, fr'"),
+], ids=["repeated", "unknown"])
+def test_config_languages_must_be_distinct_and_known(tmp_path, capsys, languages, message):
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "a.txt").write_text("Die Gesellschaft wandelt sich.", encoding="utf-8")
+    config = tmp_path / "bad.conf"
+    config.write_text(f"# languages\nlanguages = {languages}\n", encoding="utf-8")
+    rc = main(["clean", "--input", str(docs), "--out", str(tmp_path / "o"),
+               "--config", str(config)])
+    assert rc == 3
+    assert f"{config}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "corpus_stats.csv").exists()
+
+
 @pytest.mark.parametrize("command, metric", [
     ("coverage", "coverage"),
     ("diversity", "diversity_matrix"),

@@ -16,10 +16,12 @@ from embeval.corpus import DASH_CHARS, HYPHEN_CHARS
 from embeval.neighbors import NeighborMap, cache_load, cache_store, neighbor_map
 from embeval.report import pct
 from embeval.stringsim import VocabIndex, best_match
-from embeval.thesaurus import DescriptorPair, Thesaurus, descriptor_pairs, keyword_tokens
+from embeval.cli import relation_pairs
+from embeval.thesaurus import DescriptorPair, Thesaurus, keyword_tokens
 from conftest import (
     anchored,
     coverage_at,
+    descriptor_queries,
     diversity_at,
     make_model,
     pair_tokens,
@@ -380,7 +382,7 @@ def _relation_plant():
         [1, 0],
         anchored(0.99, 0), anchored(0.98, 0), anchored(0.97, 0), anchored(0.20, 0),
     ])
-    pairs = [DescriptorPair("Macht", "Herrschaft", "related", "de")]
+    pairs = [DescriptorPair("Macht", "Herrschaft", "related")]
     return model, pairs
 
 
@@ -397,8 +399,8 @@ def test_relational_planted_rank_flip():
 def test_relational_oov_policies():
     model, _ = _relation_plant()
     pairs = [
-        DescriptorPair("Macht", "Herrschaft", "related", "de"),
-        DescriptorPair("Unbekannt", "Staat", "related", "de"),
+        DescriptorPair("Macht", "Herrschaft", "related"),
+        DescriptorPair("Unbekannt", "Staat", "related"),
     ]
     miss = relational_at(model, pairs, 10, oov_policy="miss")["related"]
     assert (miss.n_pairs, miss.n_found, miss.n_oov_descriptors) == (2, 1, 1)
@@ -412,7 +414,7 @@ def test_relational_monotone_in_k():
     for trial in range(10):
         model = random_model(rng, "m", 30, 4)
         pairs = [
-            DescriptorPair(model.vocab[i], model.vocab[j], "broader", "de")
+            DescriptorPair(model.vocab[i], model.vocab[j], "broader")
             for i, j in zip(range(0, 10), range(10, 20))
         ]
         previous = None
@@ -434,11 +436,11 @@ def test_relational_reads_labels_as_keyword_tokens():
         ("Armut", " Macht "): (1, 0),  # padding is not part of a label
     }
     for (descriptor, concept), (n_found, n_oov) in expected.items():
-        pair = DescriptorPair(descriptor, concept, "related", "de")
+        pair = DescriptorPair(descriptor, concept, "related")
         res = relational_at(model, [pair], 2)["related"]
         assert (res.n_found, res.n_oov_descriptors) == (n_found, n_oov), pair
-    pairs = pair_tokens([DescriptorPair(d, c, "related", "de") for d, c in expected])
-    assert keyword_queries([descriptor for _, descriptor, _ in pairs]) == ["macht", "armut"]
+    pairs = pair_tokens([DescriptorPair(d, c, "related") for d, c in expected])
+    assert descriptor_queries(pairs) == ["macht", "armut"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -454,20 +456,21 @@ def test_every_metric_reads_a_label_as_one_token_alike(label, lowercase):
     model = make_model("m", vocab, np.eye(len(vocab)) + 0.1)
     single = diversity_at(model, model, [label], 1, lowercase).n_skipped_multiword == 0
     assert single == (len(tokens) == 1)
-    pair = DescriptorPair(label, "zz", "related", "de")
+    pair = DescriptorPair(label, "zz", "related")
     assert single == (relational_at(model, [pair], 1, lowercase)["related"].n_oov_descriptors == 0)
     th = Thesaurus()
     th.add_triple("c1", "prefLabel", label, "de")
     th.add_triple("c2", "prefLabel", "zz", "de")
     th.add_triple("c1", "related", "c2")
-    assert single == bool(descriptor_pairs(th, "related", "de", single_word_only=True).pairs)
+    pairs, _, _ = relation_pairs(th, "de", lowercase, single_word_only=True)
+    assert single == bool(pairs["related"])
 
 
 def test_relational_groups_by_relation_type():
     model, _ = _relation_plant()
     pairs = [
-        DescriptorPair("Macht", "Herrschaft", "related", "de"),
-        DescriptorPair("Macht", "Staat", "narrower", "de"),
+        DescriptorPair("Macht", "Herrschaft", "related"),
+        DescriptorPair("Macht", "Staat", "narrower"),
     ]
     results = relational_at(model, pairs, 10)
     assert set(results) == {"related", "narrower"}
@@ -494,8 +497,8 @@ def test_relational_matches_naive_enumeration(seed, lowercase):
     (model,), labels = _mixed_case_models(seed, "m")
     n = len(labels)
     pairs = [
-        DescriptorPair(labels[i], labels[(i * 3 + 1) % n], "broader", "de") for i in range(n)
-    ] + [DescriptorPair("fehlt", labels[0], "broader", "de")]
+        DescriptorPair(labels[i], labels[(i * 3 + 1) % n], "broader") for i in range(n)
+    ] + [DescriptorPair("fehlt", labels[0], "broader")]
     for k in (1, 5, 10):
         result = relational_at(model, pairs, k, lowercase)["broader"]
         n_pairs, n_found, n_oov = naive_relational(model, pairs, k, lowercase)["broader"]
@@ -510,14 +513,14 @@ def test_metrics_read_prefixes_of_a_larger_capacity():
     model_b = random_model(rng, "B", 30, 4, n_duplicate_rows=3, n_zero_rows=2)
     labels = list(model_a.vocab[:12]) + ["zwei wörter", "fehlt"]
     pairs = [
-        DescriptorPair(model_a.vocab[i], model_a.vocab[(i * 7 + 3) % 30], "related", "de")
+        DescriptorPair(model_a.vocab[i], model_a.vocab[(i * 7 + 3) % 30], "related")
         for i in range(12)
     ]
     keywords = [keyword_tokens(label) for label in labels]
     maps = {model.name: read_neighbors(model, keyword_queries(keywords), 29)
             for model in (model_a, model_b)}
     tokenized = pair_tokens(pairs)
-    rel_map = read_neighbors(model_a, keyword_queries([d for _, d, _ in tokenized]), 29)
+    rel_map = read_neighbors(model_a, descriptor_queries(tokenized), 29)
     for k in (1, 4, 10, 29):
         fresh = diversity_at(model_a, model_b, labels, k)
         assert diversity_matrix(maps, keywords, k)[("A", "B")] == fresh
@@ -534,6 +537,6 @@ def test_metrics_reject_a_map_below_capacity():
         diversity_matrix({"A": small_a, "B": small_b}, [("a",), ("b",)], 2)
     model, pairs = _relation_plant()
     tokenized = pair_tokens(pairs)
-    small = neighbor_map(model, keyword_queries([d for _, d, _ in tokenized]), 2)
+    small = neighbor_map(model, descriptor_queries(tokenized), 2)
     with pytest.raises(ValueError):
         relational_coverage(model.name, tokenized, 3, neighbors=small)

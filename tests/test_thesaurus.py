@@ -1,8 +1,11 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from embeval.cli import relation_pairs
 from embeval.errors import ThesaurusFormatError
 from embeval.thesaurus import (
+    RELATION_TYPES,
+    Thesaurus,
     descriptor_pairs,
     keyword_tokens,
     keywords,
@@ -10,7 +13,7 @@ from embeval.thesaurus import (
     parse_tsv,
     _unescape_literal,
 )
-from oracles import unescape_literal_oracle
+from oracles import descriptor_pairs_oracle, unescape_literal_oracle
 
 SKOS = "http://www.w3.org/2004/02/skos/core#"
 
@@ -26,7 +29,6 @@ def test_single_preflabel_triple():
     assert len(th.concepts) == 1
     concept = th.concepts["http://ex/c1"]
     assert concept.pref_labels == [("soziale Ungleichheit", "de")]
-    assert concept.is_descriptor
 
 
 def test_broader_derives_narrower():
@@ -126,6 +128,32 @@ def test_crlf_lines_accepted():
     assert th.concepts["http://ex/a"].pref_labels == [("Macht", "de")]
 
 
+# N-Triples allows white space around terms and a comment after a '#'
+# outside an IRI or literal; a '#' inside either is text.
+@pytest.mark.parametrize("line, label", [
+    (f'  <http://ex/a> <{SKOS}prefLabel> "Macht"@de .', "Macht"),
+    (f'\t<http://ex/a>\t<{SKOS}prefLabel>\t"Macht"@de\t.\t', "Macht"),
+    (f'<http://ex/a> <{SKOS}prefLabel> "Macht"@de . # c', "Macht"),
+    (f'<http://ex/a> <{SKOS}prefLabel> "Macht"@de .# c "d" .', "Macht"),
+    (f'<http://ex/a> <{SKOS}prefLabel> "a . # b"@de .', "a . # b"),
+    (f'<http://ex/a> <{SKOS}prefLabel> "a . # b"@de . # c', "a . # b"),
+    (f'<http://ex/a> <{SKOS}prefLabel> "a\\" . # b"@de .', 'a" . # b'),
+])
+def test_white_space_and_comments_around_terms(line, label):
+    th = parse_ntriples_skos(nt("  # a comment line", line))
+    assert th.concepts["http://ex/a"].pref_labels == [(label, "de")]
+
+
+def test_comment_after_an_iri_holding_a_hash():
+    th = parse_ntriples_skos(nt(f"<http://ex/a#1> <{SKOS}broader> <http://ex/b#2> . # c"))
+    assert th.edges["broader"] == [("http://ex/a#1", "http://ex/b#2")]
+
+
+def test_a_comment_cannot_hide_the_closing_dot():
+    with pytest.raises(ThesaurusFormatError, match="line 1: malformed triple"):
+        parse_ntriples_skos(nt(f'<http://ex/a> <{SKOS}prefLabel> "Macht"@de # .'))
+
+
 TSV_HEADER = "subject\tpredicate\tobject\tlang"
 
 
@@ -180,10 +208,10 @@ def test_descriptor_pairs_two_narrower():
             f"<http://ex/d> <{SKOS}narrower> <http://ex/n2> .",
         )
     )
-    sel = descriptor_pairs(th, "narrower", "de", single_word_only=True)
-    assert [(p.descriptor_label, p.concept_label) for p in sel.pairs] == [
-        ("Macht", "Amtsgewalt"),
-        ("Macht", "Staatsgewalt"),
+    pairs, _, _ = relation_pairs(th, "de", lowercase=False, single_word_only=True)
+    assert pairs["narrower"] == [
+        (("Macht",), ("Amtsgewalt",)),
+        (("Macht",), ("Staatsgewalt",)),
     ]
 
 
@@ -197,9 +225,9 @@ def test_descriptor_pairs_multiword_filter():
     )
     unfiltered = descriptor_pairs(th, "related", "de")
     assert len(unfiltered.pairs) == 1
-    filtered = descriptor_pairs(th, "related", "de", single_word_only=True)
-    assert filtered.pairs == []
-    assert filtered.skipped_multiword == 1
+    pairs, _, multiword = relation_pairs(th, "de", lowercase=True, single_word_only=True)
+    assert pairs["related"] == []
+    assert multiword["related"] == 1
 
 
 def test_descriptor_pairs_language_filter_counts_skips():
@@ -222,23 +250,19 @@ def test_mini_fixture_pair_totals(thesaurus_mini_path):
     expect_single = {"broader": 1, "narrower": 1, "related": 1, "altLabel": 1}
     for relation, count in expect_all.items():
         assert len(descriptor_pairs(th, relation, "de").pairs) == count, relation
+    pairs, _, _ = relation_pairs(th, "de", lowercase=True, single_word_only=True)
     for relation, count in expect_single.items():
-        sel = descriptor_pairs(th, relation, "de", single_word_only=True)
-        assert len(sel.pairs) == count, relation
+        assert len(pairs[relation]) == count, relation
 
 
 def test_mini_fixture_single_word_pairs(thesaurus_mini_path):
     th = parse_ntriples_skos(thesaurus_mini_path)
-    got = {
-        rel: [(p.descriptor_label, p.concept_label) for p in
-              descriptor_pairs(th, rel, "de", single_word_only=True).pairs]
-        for rel in ("broader", "narrower", "related", "altLabel")
-    }
+    got, _, _ = relation_pairs(th, "de", lowercase=False, single_word_only=True)
     assert got == {
-        "broader": [("Sozialstruktur", "Gesellschaft")],
-        "narrower": [("Gesellschaft", "Sozialstruktur")],
-        "related": [("Armut", "Chancengleichheit")],
-        "altLabel": [("Armut", "Verarmung")],
+        "broader": [(("Sozialstruktur",), ("Gesellschaft",))],
+        "narrower": [(("Gesellschaft",), ("Sozialstruktur",))],
+        "related": [(("Armut",), ("Chancengleichheit",))],
+        "altLabel": [(("Armut",), ("Verarmung",))],
     }
 
 
@@ -253,9 +277,10 @@ def test_hyphenated_label_counts_as_several_words():
             f"<http://ex/y> <{SKOS}broader> <http://ex/x> .",
         )
     )
-    sel = descriptor_pairs(th, "broader", "de", single_word_only=True)
-    assert [(p.descriptor_label, p.concept_label) for p in sel.pairs] == [("Konflikt", " Konflikt ")]
-    assert sel.skipped_multiword == 1
+    pairs, _, multiword = relation_pairs(th, "de", lowercase=False, single_word_only=True)
+    # the pair of "Konflikt" and " Konflikt "
+    assert pairs["broader"] == [(("Konflikt",), ("Konflikt",))]
+    assert multiword["broader"] == 1
 
 
 def test_reparse_is_stable(thesaurus_mini_path):
@@ -374,3 +399,38 @@ def test_thesaurus_parsers_name_the_corrupted_line(triples, data):
     with pytest.raises(ThesaurusFormatError) as excinfo:
         parse_tsv(_encode(tsv_lines))
     assert excinfo.value.line_no == j + 1
+
+
+# Labels of one or more tokens: spaces, word-joining hyphens and dashes.
+_PAIR_LABELS = st.sampled_from(["Macht", "soziale Frage", "Nord-Süd", " Konflikt ", "a\u2013b", ""]) | st.text(
+    alphabet="aBä -\u00ad\u2013", max_size=6)
+
+
+@st.composite
+def _pair_thesauri(draw):
+    """A language and (subject, predicate, object, tag) rows, most labels
+    tagged with that language, so that relations often hold several pairs."""
+    lang = draw(_LANGS)
+    tags = st.sampled_from([lang, lang.upper()]) | _LANGS
+    triples = draw(st.lists(
+        st.tuples(_IRIS, st.sampled_from(["prefLabel", "prefLabel", "altLabel"]), _PAIR_LABELS, tags)
+        | st.tuples(_IRIS, st.sampled_from(["broader", "narrower", "related"]), _IRIS, st.just("")),
+        min_size=6, max_size=24,
+    ))
+    return lang, triples
+
+
+@settings(max_examples=300, deadline=None)
+@given(thesaurus=_pair_thesauri(), lowercase=st.booleans(), single_word_only=st.booleans())
+def test_relation_pairs_equal_the_descriptor_pairs_oracle(thesaurus, lowercase, single_word_only):
+    lang, triples = thesaurus
+    th = Thesaurus()
+    for s, p, o, tag in triples:
+        th.add_triple(s, p, o, tag.lower())  # tags stored as both parsers store them
+    pairs, no_lang, multiword = relation_pairs(th, lang, lowercase, single_word_only)
+    assert list(pairs) == list(RELATION_TYPES)
+    for rel in RELATION_TYPES:
+        want, want_no_lang, want_multiword = descriptor_pairs_oracle(th, rel, lang, single_word_only)
+        assert pairs[rel] == [(keyword_tokens(d, lowercase), keyword_tokens(c, lowercase))
+                              for d, c in want], rel
+        assert (no_lang[rel], multiword[rel]) == (want_no_lang, want_multiword), rel
