@@ -99,9 +99,10 @@ class PipelineConfig:
                     languages = tuple(v.strip() for v in value.split(",") if v.strip())
                     # the classifier routes lines to its languages alone
                     known = default_classifier().languages
-                    if len(set(languages)) < len(languages) or not set(languages) <= set(known):
-                        raise InputParseError(f"{path}: line {line_no}: languages must be distinct "
-                                              f"and among {', '.join(known)}, got {value!r}")
+                    distinct = len(set(languages)) == len(languages)
+                    if not (languages and distinct and set(languages) <= set(known)):
+                        raise InputParseError(f"{path}: line {line_no}: languages must be one or more "
+                                              f"distinct of {', '.join(known)}, got {value!r}")
                     values[key] = languages
                 elif key == "confidence_threshold":
                     try:

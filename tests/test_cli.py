@@ -569,12 +569,10 @@ def test_invalid_cover_delimiter_is_parse_error(tmp_path, capsys):
 
 
 # the classifier routes lines to de and en only; a repeated language wrote
-# two rows for it, and an unknown one silently received no line
-@pytest.mark.parametrize("languages, message", [
-    ("de,de", "line 2: languages must be distinct and among de, en, got 'de,de'"),
-    ("en, fr", "line 2: languages must be distinct and among de, en, got 'en, fr'"),
-], ids=["repeated", "unknown"])
-def test_config_languages_must_be_distinct_and_known(tmp_path, capsys, languages, message):
+# two rows for it, and an unknown one, or none at all, silently received
+# no line
+@pytest.mark.parametrize("languages", ["de,de", "en, fr", ""], ids=["repeated", "unknown", "none"])
+def test_config_languages_must_be_distinct_and_known(tmp_path, capsys, languages):
     docs = tmp_path / "docs"
     docs.mkdir()
     (docs / "a.txt").write_text("Die Gesellschaft wandelt sich.", encoding="utf-8")
@@ -583,6 +581,7 @@ def test_config_languages_must_be_distinct_and_known(tmp_path, capsys, languages
     rc = main(["clean", "--input", str(docs), "--out", str(tmp_path / "o"),
                "--config", str(config)])
     assert rc == 3
+    message = f"line 2: languages must be one or more distinct of de, en, got {languages!r}"
     assert f"{config}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "o" / "corpus_stats.csv").exists()
 
