@@ -336,12 +336,11 @@ def relation_pairs(th, lang: str, lowercase: bool, single_word_only: bool):
 
     pairs, no_lang, multiword = {}, {}, {}
     for rel in RELATION_TYPES:
-        selection = descriptor_pairs(th, rel, lang)
-        tokenized = [(keyword_tokens(p.descriptor_label, lowercase),
-                      keyword_tokens(p.concept_label, lowercase)) for p in selection.pairs]
+        labels, no_lang[rel] = descriptor_pairs(th, rel, lang)
+        tokenized = [(keyword_tokens(d, lowercase), keyword_tokens(c, lowercase)) for d, c in labels]
         pairs[rel] = [(d, c) for d, c in tokenized
                       if not single_word_only or len(d) == len(c) == 1]
-        no_lang[rel], multiword[rel] = selection.skipped_no_lang, len(tokenized) - len(pairs[rel])
+        multiword[rel] = len(tokenized) - len(pairs[rel])
     return pairs, no_lang, multiword
 
 

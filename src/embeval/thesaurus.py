@@ -1,7 +1,7 @@
 """Parse and index a SKOS-style thesaurus: concepts, labels, typed relations.
 
-Two input formats produce the same index: a subset of N-Triples restricted
-to the SKOS label and relation predicates, and a four-column TSV that is
+Two input formats produce the same index: RDF 1.1 N-Triples, of which the
+SKOS label and relation predicates are read, and a four-column TSV that is
 convenient for fixtures.  Relations between concepts are also materialized
 label-to-label, because the evaluation metrics test label membership in
 neighbor sets rather than IRI identity.
@@ -31,12 +31,33 @@ _PRED_BY_IRI = {
 
 _INVERSE = {"broader": "narrower", "narrower": "broader"}
 
-_TRIPLE_RE = re.compile(r"^\s*<([^<>\s]*)>\s+<([^<>\s]*)>\s+(.+?)\s*\.\s*$")
-# A line's text up to and including a '#' that starts a comment: one
-# outside every IRI and literal.
-_COMMENT_RE = re.compile(r'(?:"(?:[^"\\]|\\.)*"|<[^<>]*>|[^"<#])*#')
-_LITERAL_RE = re.compile(r'^"((?:[^"\\]|\\.)*)"(?:@([A-Za-z][A-Za-z0-9-]*))?$')
-_IRI_RE = re.compile(r"^<([^<>\s]*)>$")
+_XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
+
+# The terminals of RDF 1.1 N-Triples (W3C, 2014).  An IRI's group holds its
+# text without the brackets, a blank node's group its `_:label` spelling.
+# IRI and string bodies are runs of plain characters between escapes, so a
+# line is matched without trying each character against each alternative.
+_UCHAR = r"\\u[0-9A-Fa-f]{4}|\\U[0-9A-Fa-f]{8}"
+_IRI_CHARS = r'[^\x00-\x20<>"{}|^`\\]*'
+_IRIREF = rf"<({_IRI_CHARS}(?:(?:{_UCHAR}){_IRI_CHARS})*)>"
+_STRING_CHARS = r'[^"\\\n\r]*'
+# PN_CHARS: PN_CHARS_BASE, '_', ':', '-', digits and a few marks.  A blank
+# node label starts with one of them other than '-', U+00B7 and the marks,
+# and may hold dots but not end with one.  The class is written once per
+# term, since compiling it costs milliseconds.
+_PN_CHARS = (r"A-Za-z\u00c0-\u00d6\u00d8-\u00f6\u00f8-\u02ff\u0370-\u037d\u037f-\u1fff"
+             r"\u200c\u200d\u2070-\u218f\u2c00-\u2fef\u3001-\ud7ff\uf900-\ufdcf\ufdf0-\ufffd"
+             r"\U00010000-\U000effff_:\-0-9\u00b7\u0300-\u036f\u203f\u2040")
+_BLANK_NODE_LABEL = rf"(_:(?![-.\u00b7\u0300-\u036f\u203f\u2040])(?:\.*[{_PN_CHARS}])+)"
+_LITERAL = (rf'"({_STRING_CHARS}(?:(?:\\[tbnrf"\'\\]|{_UCHAR}){_STRING_CHARS})*)"'
+            r"(?:@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*)|\^\^" + _IRIREF + ")?")
+_NODE = f"(?:{_IRIREF}|{_BLANK_NODE_LABEL})"
+# One line: white space, a triple or nothing, an optional comment and the
+# '\r' of a CRLF line end.  Groups: subject (IRI, blank node), predicate,
+# object text, object (IRI, blank node, literal body, language, datatype).
+_LINE_RE = re.compile(
+    rf"[ \t]*(?:{_NODE}[ \t]*{_IRIREF}[ \t]*({_NODE}|{_LITERAL})[ \t]*\.[ \t]*)?(?:#.*)?\r?"
+)
 
 # Word-joining hyphens (incl. soft hyphen) and dashes.  The corpus cascade
 # turns them into spaces, and a label is split at them, so both read a
@@ -71,24 +92,6 @@ class Concept:
         target = self.pref_labels if kind == "prefLabel" else self.alt_labels
         if (text, lang) not in target:
             target.append((text, lang))
-
-
-@dataclass(frozen=True)
-class DescriptorPair:
-    """One (descriptor label, related-concept label) pair for the relation metrics."""
-
-    descriptor_label: str
-    concept_label: str
-    relation_type: str
-
-
-@dataclass
-class PairSelection:
-    """Descriptor pairs for one relation plus the count of edges dropped for
-    lacking a label in the language."""
-
-    pairs: list[DescriptorPair]
-    skipped_no_lang: int = 0
 
 
 class Thesaurus:
@@ -129,33 +132,16 @@ class Thesaurus:
         raise ValueError(f"unsupported predicate {predicate!r}")
 
 
-# The named escapes of an N-Triples literal.  _ESCAPE_RE's group is what
-# follows a backslash: u and up to four characters, one character, or
-# nothing at the end of the literal.
-_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
-_ESCAPE_RE = re.compile(r"\\(u.{0,4}|.|$)", re.DOTALL)
-
-
-def _unescape_literal(raw: str, line_no: int) -> str:
-    def unescape(m: re.Match) -> str:
-        esc = m.group(1)
-        if not esc:
-            raise ThesaurusFormatError("dangling escape in literal", line_no=line_no)
-        if esc[0] == "u":
-            code = esc[1:]
-            if len(code) != 4:
-                raise ThesaurusFormatError("truncated \\u escape", line_no=line_no)
-            try:
-                return chr(int(code, 16))
-            except ValueError:
-                raise ThesaurusFormatError(
-                    f"bad \\u escape {code!r}", line_no=line_no
-                ) from None
-        if esc not in _ESCAPES:
-            raise ThesaurusFormatError(f"unknown escape \\{esc}", line_no=line_no)
-        return _ESCAPES[esc]
-
-    return _ESCAPE_RE.sub(unescape, raw)
+def _unescape(text: str, line_no: int) -> str:
+    """``text`` with each UCHAR and ECHAR decoded.  _LINE_RE lets no other
+    backslash through, and each of those escapes means the same in Python."""
+    if "\\" not in text:
+        return text
+    try:
+        return text.encode("ascii", "backslashreplace").decode("unicode_escape")
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start:exc.end].decode("ascii")
+        raise ThesaurusFormatError(f"escape {bad} is beyond U+10FFFF", line_no=line_no) from None
 
 
 def _decode(source: Source) -> str:
@@ -173,48 +159,43 @@ def _decode(source: Source) -> str:
 
 
 def parse_ntriples_skos(source: Source) -> Thesaurus:
-    """Parse the SKOS subset of an N-Triples stream.
+    """Parse the SKOS subset of an RDF 1.1 N-Triples stream.
 
     Only prefLabel, altLabel, broader, narrower and related predicates are
-    interpreted; other predicates are counted and skipped.  White space may
-    surround the terms, and a '#' outside an IRI or a literal starts a
-    comment that runs to the end of the line.  Malformed lines raise with
-    their 1-based line number.
+    interpreted; other predicates are counted and skipped.  A blank node is
+    a concept like an IRI, keyed by its ``_:label`` spelling.  A label is a
+    literal, plain, language-tagged or typed ``xsd:string``.  Escapes are
+    decoded in IRIs and literals alike.  Malformed lines raise with their
+    1-based line number.
     """
     text = _decode(source)
     th = Thesaurus()
     saw_any = False
     for line_no, line in enumerate(text.split("\n"), start=1):
-        comment = _COMMENT_RE.match(line)
-        if comment:
-            line = line[: comment.end() - 1]
-        if not line.strip():
-            continue
+        m = _LINE_RE.fullmatch(line)
+        if m is None:
+            raise ThesaurusFormatError(f"malformed triple: {line!r}", line_no=line_no)
+        s_iri, s_blank, p_iri, obj, o_iri, o_blank, body, lang, datatype = m.groups()
+        if p_iri is None:
+            continue  # white space or a comment
         saw_any = True
-        m = _TRIPLE_RE.match(line)
-        if not m:
-            raise ThesaurusFormatError(f"malformed triple: {line.strip()!r}", line_no=line_no)
-        subject, pred_iri, obj_raw = m.group(1), m.group(2), m.group(3)
-        pred = _PRED_BY_IRI.get(pred_iri)
+        pred = _PRED_BY_IRI.get(_unescape(p_iri, line_no))
         if pred is None:
             th.skipped_predicates += 1
             continue
+        subject = s_blank or _unescape(s_iri, line_no)
         if pred in ("prefLabel", "altLabel"):
-            lm = _LITERAL_RE.match(obj_raw)
-            if not lm:
+            if body is None or (datatype is not None and _unescape(datatype, line_no) != _XSD_STRING):
                 raise ThesaurusFormatError(
-                    f"{pred} object must be a literal, got {obj_raw!r}", line_no=line_no
+                    f"{pred} object must be a string literal, got {obj!r}", line_no=line_no
                 )
-            text_value = _unescape_literal(lm.group(1), line_no)
-            lang = (lm.group(2) or "").lower()
-            th.add_triple(subject, pred, text_value, lang)
+            th.add_triple(subject, pred, _unescape(body, line_no), (lang or "").lower())
+        elif body is None:
+            th.add_triple(subject, pred, o_blank or _unescape(o_iri, line_no))
         else:
-            im = _IRI_RE.match(obj_raw)
-            if not im:
-                raise ThesaurusFormatError(
-                    f"{pred} object must be an IRI, got {obj_raw!r}", line_no=line_no
-                )
-            th.add_triple(subject, pred, im.group(1))
+            raise ThesaurusFormatError(
+                f"{pred} object must be an IRI or a blank node, got {obj!r}", line_no=line_no
+            )
     if not saw_any:
         raise ThesaurusFormatError("empty input: no triples found")
     return th
@@ -266,8 +247,9 @@ def keywords(th: Thesaurus, lang: str) -> list[str]:
     return sorted(seen)
 
 
-def descriptor_pairs(th: Thesaurus, relation: str, lang: str) -> PairSelection:
-    """(descriptor label, concept label) pairs for one relation type, sorted.
+def descriptor_pairs(th: Thesaurus, relation: str, lang: str) -> tuple[list[tuple[str, str]], int]:
+    """Sorted (descriptor label, concept label) pairs for one relation type,
+    and the count of edges dropped for lacking a label in ``lang``.
 
     An edge pairs every prefLabel in ``lang`` of its source with every
     prefLabel in ``lang`` of its target, or, for altLabel, with the alt
@@ -279,7 +261,8 @@ def descriptor_pairs(th: Thesaurus, relation: str, lang: str) -> PairSelection:
     if relation not in RELATION_TYPES:
         raise ValueError(f"unknown relation type {relation!r}")
     lang = lang.lower()
-    selection = PairSelection(pairs=[])
+    pairs: list[tuple[str, str]] = []
+    skipped_no_lang = 0
     for source, target in th.edges[relation]:
         # add_triple creates a concept at both ends of every edge
         src = th.concepts[source]
@@ -291,8 +274,8 @@ def descriptor_pairs(th: Thesaurus, relation: str, lang: str) -> PairSelection:
         else:
             tgt_labels = [t for t, l in th.concepts[target].pref_labels if l == lang]
         if not src_labels or not tgt_labels:
-            selection.skipped_no_lang += 1
+            skipped_no_lang += 1
             continue
-        selection.pairs += [DescriptorPair(d, c, relation) for d in src_labels for c in tgt_labels]
-    selection.pairs.sort(key=lambda p: (p.descriptor_label, p.concept_label))
-    return selection
+        pairs += [(d, c) for d in src_labels for c in tgt_labels]
+    pairs.sort()
+    return pairs, skipped_no_lang

@@ -101,13 +101,10 @@ def diversity_at(model_a, model_b, labels, k: int, lowercase: bool = True,
 
 
 def pair_tokens(pairs, lowercase: bool = True):
-    """The DescriptorPairs grouped by relation type, in order, each as the
-    (descriptor tokens, concept tokens) the relational metric reads."""
-    grouped: dict[str, list] = {}
-    for p in pairs:
-        grouped.setdefault(p.relation_type, []).append(
-            (keyword_tokens(p.descriptor_label, lowercase), keyword_tokens(p.concept_label, lowercase)))
-    return grouped
+    """Label pairs grouped by relation type, each as the (descriptor tokens,
+    concept tokens) the relational metric reads."""
+    return {rel: [(keyword_tokens(d, lowercase), keyword_tokens(c, lowercase)) for d, c in rel_pairs]
+            for rel, rel_pairs in pairs.items()}
 
 
 def descriptor_queries(grouped) -> list[str]:

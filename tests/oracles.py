@@ -138,19 +138,21 @@ def naive_diversity(model_a, model_b, labels, k: int, lowercase=True):
 
 
 def naive_relational(model, pairs, k: int, lowercase=True):
-    """Per relation type: (n_pairs, n_found, n_oov) by full enumeration."""
-    out: dict[str, list[int]] = {}
-    for pair in pairs:
-        acc = out.setdefault(pair.relation_type, [0, 0, 0])
-        acc[0] += 1
-        descriptor = keyword_tokens_oracle(pair.descriptor_label, lowercase)
-        concept = keyword_tokens_oracle(pair.concept_label, lowercase)
-        if len(descriptor) != 1 or not _queryable(model, descriptor[0]):
-            acc[2] += 1
-            continue
-        if len(concept) == 1 and concept[0] in naive_neighbor_tokens(model, descriptor[0], k, lowercase):
-            acc[1] += 1
-    return {rel: tuple(v) for rel, v in out.items()}
+    """Per relation type of label pairs grouped by relation: (n_pairs,
+    n_found, n_oov) by full enumeration."""
+    out: dict[str, tuple[int, int, int]] = {}
+    for rel, rel_pairs in pairs.items():
+        n_found = n_oov = 0
+        for descriptor_label, concept_label in rel_pairs:
+            descriptor = keyword_tokens_oracle(descriptor_label, lowercase)
+            concept = keyword_tokens_oracle(concept_label, lowercase)
+            if len(descriptor) != 1 or not _queryable(model, descriptor[0]):
+                n_oov += 1
+                continue
+            if len(concept) == 1 and concept[0] in naive_neighbor_tokens(model, descriptor[0], k, lowercase):
+                n_found += 1
+        out[rel] = (len(rel_pairs), n_found, n_oov)
+    return out
 
 
 # thesaurus.descriptor_pairs as it was while it also dropped multi-word pairs:
@@ -323,45 +325,40 @@ def coverage_oracle(
     return result, hits
 
 
-# N-Triples literal unescaping as it was before it became one re.sub: a
-# character loop.
+# The text of an RDF 1.1 N-Triples STRING_LITERAL_QUOTE body, read as a
+# character loop over the spec's productions: a character other than '"',
+# '\\', LF and CR stands for itself, and a backslash starts an ECHAR or a
+# UCHAR.  A UCHAR beyond U+10FFFF is an error too.
+_ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+_UCHAR_WIDTH = {"u": 4, "U": 8}
+
+
 def unescape_literal_oracle(raw: str, line_no: int) -> str:
     out: list[str] = []
     i = 0
     while i < len(raw):
         ch = raw[i]
+        if ch in '"\n\r':
+            raise ThesaurusFormatError(f"unescaped {ch!r} in literal", line_no=line_no)
         if ch != "\\":
             out.append(ch)
             i += 1
             continue
-        if i + 1 >= len(raw):
-            raise ThesaurusFormatError("dangling escape in literal", line_no=line_no)
-        esc = raw[i + 1]
-        if esc == "n":
-            out.append("\n")
-        elif esc == "t":
-            out.append("\t")
-        elif esc == "r":
-            out.append("\r")
-        elif esc == '"':
-            out.append('"')
-        elif esc == "\\":
-            out.append("\\")
-        elif esc == "u":
-            code = raw[i + 2 : i + 6]
-            if len(code) != 4:
-                raise ThesaurusFormatError("truncated \\u escape", line_no=line_no)
-            try:
-                out.append(chr(int(code, 16)))
-            except ValueError:
-                raise ThesaurusFormatError(
-                    f"bad \\u escape {code!r}", line_no=line_no
-                ) from None
-            i += 6
+        esc = raw[i + 1 : i + 2]
+        if esc in _ECHAR:
+            out.append(_ECHAR[esc])
+            i += 2
             continue
-        else:
+        if esc not in _UCHAR_WIDTH:
             raise ThesaurusFormatError(f"unknown escape \\{esc}", line_no=line_no)
-        i += 2
+        width = _UCHAR_WIDTH[esc]
+        code = raw[i + 2 : i + 2 + width]
+        if len(code) != width or any(c not in "0123456789abcdefABCDEF" for c in code):
+            raise ThesaurusFormatError(f"bad \\{esc} escape {code!r}", line_no=line_no)
+        if int(code, 16) > 0x10FFFF:
+            raise ThesaurusFormatError(f"\\{esc}{code} is beyond U+10FFFF", line_no=line_no)
+        out.append(chr(int(code, 16)))
+        i += 2 + width
     return "".join(out)
 
 

@@ -16,7 +16,6 @@ from embeval.corpus import PipelineConfig, run_pipeline
 from embeval.neighbors import top_k
 from embeval.report import pct
 from embeval.stringsim import VocabIndex, best_match, edit_distance_sub2, ratio
-from embeval.thesaurus import DescriptorPair
 from conftest import (
     DATA_DIR,
     anchored,
@@ -164,7 +163,7 @@ def test_criterion_06_relational_monotone_and_planted_flip():
             [1, 0],
             anchored(0.99, 0), anchored(0.98, 0), anchored(0.97, 0), anchored(0.2, 0),
         ])
-        pairs = [DescriptorPair("Macht", "Herrschaft", "related")]
+        pairs = {"related": [("Macht", "Herrschaft")]}
         assert relational_at(model, pairs, 2)["related"].n_found == 0
         assert relational_at(model, pairs, 10)["related"].n_found == 1
 
@@ -172,11 +171,11 @@ def test_criterion_06_relational_monotone_and_planted_flip():
         for trial in range(20):
             n = int(rng.integers(15, 50))
             rmodel = random_model(rng, "m", n, 4)
-            rpairs = [
-                DescriptorPair(rmodel.vocab[int(i)], rmodel.vocab[int(j)], "broader")
+            rpairs = {"broader": [
+                (rmodel.vocab[int(i)], rmodel.vocab[int(j)])
                 for i, j in zip(rng.integers(0, n, 8), rng.integers(0, n, 8))
                 if i != j
-            ]
+            ]}
             previous = None
             for k in (1, 3, 10, n - 1):
                 r = relational_at(rmodel, rpairs, k)["broader"].r
@@ -209,11 +208,11 @@ def test_criterion_07_brute_force_metric_equivalence():
                     model_a, model_b, labels, k
                 )
 
-            pairs = [
-                DescriptorPair(vocab[int(i)], vocab[int(j)], "related")
+            pairs = {"related": [
+                (vocab[int(i)], vocab[int(j)])
                 for i, j in zip(rng.integers(0, n, 6), rng.integers(0, n, 6))
                 if i != j
-            ] + [DescriptorPair("fehlt", vocab[0], "related")]
+            ] + [("fehlt", vocab[0])]}
             for k in (1, 4):
                 res = relational_at(model_a, pairs, k)["related"]
                 naive = naive_relational(model_a, pairs, k)["related"]

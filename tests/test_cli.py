@@ -991,6 +991,20 @@ def test_thesaurus_is_parsed_before_any_model(tmp_path, monkeypatch, capsys):
     assert calls == []
 
 
+def test_an_escape_beyond_unicode_is_an_input_error(tmp_path, model_path, capsys):
+    # chr() refuses the code point; that must not surface as an internal error
+    bad_thesaurus = tmp_path / "bad.nt"
+    bad_thesaurus.write_text(
+        "# a thesaurus\n"
+        '<http://ex/a> <http://www.w3.org/2004/02/skos/core#prefLabel> "x\\U00110000"@de .\n',
+        encoding="utf-8",
+    )
+    rc = main(["coverage", "--model", str(model_path), "--thesaurus", str(bad_thesaurus),
+               "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "line 2: escape \\U00110000 is beyond U+10FFFF" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["coverage", "diversity", "relations"])
 def test_vector_commands_hold_one_model_at_a_time(tmp_path, model_path, thesaurus_path,
                                                   monkeypatch, command):

@@ -17,7 +17,7 @@ from embeval.neighbors import NeighborMap, cache_load, cache_store, neighbor_map
 from embeval.report import pct
 from embeval.stringsim import VocabIndex, best_match
 from embeval.cli import relation_pairs
-from embeval.thesaurus import DescriptorPair, Thesaurus, keyword_tokens
+from embeval.thesaurus import Thesaurus, keyword_tokens
 from conftest import (
     anchored,
     coverage_at,
@@ -382,7 +382,7 @@ def _relation_plant():
         [1, 0],
         anchored(0.99, 0), anchored(0.98, 0), anchored(0.97, 0), anchored(0.20, 0),
     ])
-    pairs = [DescriptorPair("Macht", "Herrschaft", "related")]
+    pairs = {"related": [("Macht", "Herrschaft")]}
     return model, pairs
 
 
@@ -398,10 +398,7 @@ def test_relational_planted_rank_flip():
 
 def test_relational_oov_policies():
     model, _ = _relation_plant()
-    pairs = [
-        DescriptorPair("Macht", "Herrschaft", "related"),
-        DescriptorPair("Unbekannt", "Staat", "related"),
-    ]
+    pairs = {"related": [("Macht", "Herrschaft"), ("Unbekannt", "Staat")]}
     miss = relational_at(model, pairs, 10, oov_policy="miss")["related"]
     assert (miss.n_pairs, miss.n_found, miss.n_oov_descriptors) == (2, 1, 1)
     assert pct(miss.r) == "50.00"
@@ -413,10 +410,8 @@ def test_relational_monotone_in_k():
     rng = np.random.default_rng(27)
     for trial in range(10):
         model = random_model(rng, "m", 30, 4)
-        pairs = [
-            DescriptorPair(model.vocab[i], model.vocab[j], "broader")
-            for i, j in zip(range(0, 10), range(10, 20))
-        ]
+        pairs = {"broader": [(model.vocab[i], model.vocab[j])
+                             for i, j in zip(range(0, 10), range(10, 20))]}
         previous = None
         for k in (1, 3, 10, 29):
             r = relational_at(model, pairs, k)["broader"].r
@@ -436,10 +431,9 @@ def test_relational_reads_labels_as_keyword_tokens():
         ("Armut", " Macht "): (1, 0),  # padding is not part of a label
     }
     for (descriptor, concept), (n_found, n_oov) in expected.items():
-        pair = DescriptorPair(descriptor, concept, "related")
-        res = relational_at(model, [pair], 2)["related"]
-        assert (res.n_found, res.n_oov_descriptors) == (n_found, n_oov), pair
-    pairs = pair_tokens([DescriptorPair(d, c, "related") for d, c in expected])
+        res = relational_at(model, {"related": [(descriptor, concept)]}, 2)["related"]
+        assert (res.n_found, res.n_oov_descriptors) == (n_found, n_oov), (descriptor, concept)
+    pairs = pair_tokens({"related": list(expected)})
     assert descriptor_queries(pairs) == ["macht", "armut"]
 
 
@@ -456,8 +450,8 @@ def test_every_metric_reads_a_label_as_one_token_alike(label, lowercase):
     model = make_model("m", vocab, np.eye(len(vocab)) + 0.1)
     single = diversity_at(model, model, [label], 1, lowercase).n_skipped_multiword == 0
     assert single == (len(tokens) == 1)
-    pair = DescriptorPair(label, "zz", "related")
-    assert single == (relational_at(model, [pair], 1, lowercase)["related"].n_oov_descriptors == 0)
+    pairs = {"related": [(label, "zz")]}
+    assert single == (relational_at(model, pairs, 1, lowercase)["related"].n_oov_descriptors == 0)
     th = Thesaurus()
     th.add_triple("c1", "prefLabel", label, "de")
     th.add_triple("c2", "prefLabel", "zz", "de")
@@ -468,10 +462,7 @@ def test_every_metric_reads_a_label_as_one_token_alike(label, lowercase):
 
 def test_relational_groups_by_relation_type():
     model, _ = _relation_plant()
-    pairs = [
-        DescriptorPair("Macht", "Herrschaft", "related"),
-        DescriptorPair("Macht", "Staat", "narrower"),
-    ]
+    pairs = {"related": [("Macht", "Herrschaft")], "narrower": [("Macht", "Staat")]}
     results = relational_at(model, pairs, 10)
     assert set(results) == {"related", "narrower"}
     assert results["related"].n_pairs == 1
@@ -496,9 +487,8 @@ def test_results_independent_of_keyword_order():
 def test_relational_matches_naive_enumeration(seed, lowercase):
     (model,), labels = _mixed_case_models(seed, "m")
     n = len(labels)
-    pairs = [
-        DescriptorPair(labels[i], labels[(i * 3 + 1) % n], "broader") for i in range(n)
-    ] + [DescriptorPair("fehlt", labels[0], "broader")]
+    pairs = {"broader": [(labels[i], labels[(i * 3 + 1) % n]) for i in range(n)]
+             + [("fehlt", labels[0])]}
     for k in (1, 5, 10):
         result = relational_at(model, pairs, k, lowercase)["broader"]
         n_pairs, n_found, n_oov = naive_relational(model, pairs, k, lowercase)["broader"]
@@ -512,10 +502,7 @@ def test_metrics_read_prefixes_of_a_larger_capacity():
     model_a = random_model(rng, "A", 30, 4, n_duplicate_rows=3, n_zero_rows=2)
     model_b = random_model(rng, "B", 30, 4, n_duplicate_rows=3, n_zero_rows=2)
     labels = list(model_a.vocab[:12]) + ["zwei wörter", "fehlt"]
-    pairs = [
-        DescriptorPair(model_a.vocab[i], model_a.vocab[(i * 7 + 3) % 30], "related")
-        for i in range(12)
-    ]
+    pairs = {"related": [(model_a.vocab[i], model_a.vocab[(i * 7 + 3) % 30]) for i in range(12)]}
     keywords = [keyword_tokens(label) for label in labels]
     maps = {model.name: read_neighbors(model, keyword_queries(keywords), 29)
             for model in (model_a, model_b)}

@@ -11,7 +11,6 @@ from embeval.thesaurus import (
     keywords,
     parse_ntriples_skos,
     parse_tsv,
-    _unescape_literal,
 )
 from oracles import descriptor_pairs_oracle, unescape_literal_oracle
 
@@ -81,9 +80,11 @@ def test_unrecognized_predicates_are_counted():
         nt(
             f'<http://ex/a> <{SKOS}prefLabel> "Macht"@de .',
             "<http://ex/a> <http://purl.org/dc/terms/created> \"2010\" .",
+            '_:b1 <http://purl.org/dc/terms/creator> "x" .',
         )
     )
-    assert th.skipped_predicates == 1
+    assert th.skipped_predicates == 2
+    assert list(th.concepts) == ["http://ex/a"]
 
 
 def test_malformed_triple_reports_line():
@@ -99,27 +100,32 @@ def test_empty_ntriples_is_an_error():
 
 def test_literal_escapes():
     th = parse_ntriples_skos(
-        nt(f'<http://ex/a> <{SKOS}prefLabel> "a\\"b\\\\c\\nd\\te\\u00e9"@de .')
+        nt(f'<http://ex/a> <{SKOS}prefLabel> "a\\"b\\\\c\\nd\\te\\u00e9\\U0001F600\\b\\f\\\'"@de .')
     )
-    assert th.concepts["http://ex/a"].pref_labels == [('a"b\\c\nd\teé', "de")]
+    assert th.concepts["http://ex/a"].pref_labels == [('a"b\\c\nd\teé\U0001F600\b\f\'', "de")]
 
 
-# Backslashes, the escape letters, hex digits, a letter that is no hex digit
-# and a non-ASCII one: every kind of escape, valid or not, can be drawn.
+# Backslashes, the escape letters, quotes, hex digits, a letter that is no
+# hex digit and a non-ASCII one: every kind of escape, valid or not, can be
+# drawn.  The literal sits on line 7, so errors must name that line.
 @settings(max_examples=1000, deadline=None)
-@given(st.text(alphabet='\\untr"0123456789abcdefgé', max_size=12))
+@given(st.text(alphabet='\\untrbfU\'"0123456789abcdefgé', max_size=12))
 @example("\\u12")
 @example("\\u12g4")
 @example("a\\")
+@example("\\U0001F600")
+@example("\\U0001F60")
+@example("\\U00110000")
 def test_unescape_literal_equals_oracle(raw):
+    data = nt(*["# line"] * 6, f'<http://ex/a> <{SKOS}prefLabel> "{raw}"@de .')
     try:
         want = unescape_literal_oracle(raw, 7)
     except ThesaurusFormatError as exc:
         with pytest.raises(ThesaurusFormatError) as excinfo:
-            _unescape_literal(raw, 7)
-        assert (str(excinfo.value), excinfo.value.line_no) == (str(exc), exc.line_no)
+            parse_ntriples_skos(data)
+        assert excinfo.value.line_no == exc.line_no
     else:
-        assert _unescape_literal(raw, 7) == want
+        assert parse_ntriples_skos(data).concepts["http://ex/a"].pref_labels == [(want, "de")]
 
 
 def test_crlf_lines_accepted():
@@ -128,8 +134,8 @@ def test_crlf_lines_accepted():
     assert th.concepts["http://ex/a"].pref_labels == [("Macht", "de")]
 
 
-# N-Triples allows white space around terms and a comment after a '#'
-# outside an IRI or literal; a '#' inside either is text.
+# N-Triples allows white space around terms, or none, and a comment after
+# a '#' outside an IRI or literal; a '#' inside either is text.
 @pytest.mark.parametrize("line, label", [
     (f'  <http://ex/a> <{SKOS}prefLabel> "Macht"@de .', "Macht"),
     (f'\t<http://ex/a>\t<{SKOS}prefLabel>\t"Macht"@de\t.\t', "Macht"),
@@ -138,6 +144,7 @@ def test_crlf_lines_accepted():
     (f'<http://ex/a> <{SKOS}prefLabel> "a . # b"@de .', "a . # b"),
     (f'<http://ex/a> <{SKOS}prefLabel> "a . # b"@de . # c', "a . # b"),
     (f'<http://ex/a> <{SKOS}prefLabel> "a\\" . # b"@de .', 'a" . # b'),
+    (f'<http://ex/a><{SKOS}prefLabel>"Macht"@de.#c', "Macht"),
 ])
 def test_white_space_and_comments_around_terms(line, label):
     th = parse_ntriples_skos(nt("  # a comment line", line))
@@ -155,6 +162,34 @@ def test_a_comment_cannot_hide_the_closing_dot():
 
 
 TSV_HEADER = "subject\tpredicate\tobject\tlang"
+
+
+# Spellings that RDF 1.1 N-Triples allows, each read as the TSV row that
+# holds its triple verbatim.
+@pytest.mark.parametrize("line, row", [
+    (f'<http://ex/a> <{SKOS}prefLabel> "Macht"^^<http://www.w3.org/2001/XMLSchema#string> .',
+     "http://ex/a\tprefLabel\tMacht\t"),
+    (f"<http://ex/a> <{SKOS}broader> _:b2 .", "http://ex/a\tbroader\t_:b2\t"),
+    (f'_:b1 <{SKOS}altLabel> "Macht"@de .', "_:b1\taltLabel\tMacht\tde"),
+    (f"<http://ex/\\u00e4> <{SKOS}related> <http://ex/ä> .", "http://ex/ä\trelated\thttp://ex/ä\t"),
+    (f"<http://ex/a> <{SKOS[:-1]}\\U00000023narrower> <http://ex/b> .",
+     "http://ex/a\tnarrower\thttp://ex/b\t"),
+])
+def test_ntriples_spellings_read_as_their_tsv_row(line, row):
+    a = parse_ntriples_skos(nt(line))
+    b = parse_tsv(nt(TSV_HEADER, row))
+    assert _content(a) == _content(b)
+
+
+@pytest.mark.parametrize("obj", ['"1"^^<http://www.w3.org/2001/XMLSchema#integer>', "<http://ex/b>"])
+def test_a_label_must_be_a_string_literal(obj):
+    with pytest.raises(ThesaurusFormatError, match="line 2: prefLabel object must be a string literal"):
+        parse_ntriples_skos(nt("", f"<http://ex/a> <{SKOS}prefLabel> {obj} ."))
+
+
+def test_a_relation_object_must_not_be_a_literal():
+    with pytest.raises(ThesaurusFormatError, match="line 1: broader object must be an IRI or a blank"):
+        parse_ntriples_skos(nt(f'<http://ex/a> <{SKOS}broader> "b" .'))
 
 
 def test_tsv_equivalent_to_ntriples():
@@ -223,8 +258,8 @@ def test_descriptor_pairs_multiword_filter():
             f"<http://ex/d> <{SKOS}related> <http://ex/x> .",
         )
     )
-    unfiltered = descriptor_pairs(th, "related", "de")
-    assert len(unfiltered.pairs) == 1
+    unfiltered, _ = descriptor_pairs(th, "related", "de")
+    assert len(unfiltered) == 1
     pairs, _, multiword = relation_pairs(th, "de", lowercase=True, single_word_only=True)
     assert pairs["related"] == []
     assert multiword["related"] == 1
@@ -238,9 +273,7 @@ def test_descriptor_pairs_language_filter_counts_skips():
             f"<http://ex/d> <{SKOS}broader> <http://ex/x> .",
         )
     )
-    sel = descriptor_pairs(th, "broader", "de")
-    assert sel.pairs == []
-    assert sel.skipped_no_lang == 1
+    assert descriptor_pairs(th, "broader", "de") == ([], 1)
 
 
 def test_mini_fixture_pair_totals(thesaurus_mini_path):
@@ -249,7 +282,7 @@ def test_mini_fixture_pair_totals(thesaurus_mini_path):
     expect_all = {"broader": 3, "narrower": 3, "related": 3, "altLabel": 2}
     expect_single = {"broader": 1, "narrower": 1, "related": 1, "altLabel": 1}
     for relation, count in expect_all.items():
-        assert len(descriptor_pairs(th, relation, "de").pairs) == count, relation
+        assert len(descriptor_pairs(th, relation, "de")[0]) == count, relation
     pairs, _, _ = relation_pairs(th, "de", lowercase=True, single_word_only=True)
     for relation, count in expect_single.items():
         assert len(pairs[relation]) == count, relation
@@ -290,9 +323,21 @@ def test_reparse_is_stable(thesaurus_mini_path):
     assert a.edges == b.edges
 
 
-_IRIS = st.sampled_from(["http://ex/c1", "http://ex/c2", "http://ex/ä3", "urn:x:4"])
+_IRIS = st.sampled_from(["http://ex/c1", "http://ex/c2", "http://ex/ä3", "urn:x:4", "_:b5"])
 _LANGS = st.sampled_from(["", "de", "EN", "de-AT"])
-_NAMED_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_ECHARS = {"\t": "\\t", "\b": "\\b", "\n": "\\n", "\r": "\\r", "\f": "\\f",
+           '"': '\\"', "'": "\\'", "\\": "\\\\"}
+_XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
+_DCT = "http://purl.org/dc/terms/"
+# Lines that add no triple to a thesaurus: white space, comments, and
+# blank-node metadata under predicates the parser skips.
+_EXTRA_LINES = st.sampled_from([
+    "", " \t", "# c", '  #"a . # b"@de .',
+    f'_:b5 <{_DCT}creator> "x" .', f"<http://ex/c1><{_DCT}creator>_:m1.",
+    f'_:m1 <{_DCT}date> "2013"^^<http://www.w3.org/2001/XMLSchema#gYear> .',
+])
+_SEPARATORS = st.sampled_from(["", " ", "\t", "  "])
+_TAILS = st.sampled_from(["", " ", "\r", " # c", '#"d" . <e>', "\t# c\r"])
 
 
 def _triples(tsv_safe: bool):
@@ -300,7 +345,8 @@ def _triples(tsv_safe: bool):
     chars = st.characters(
         blacklist_categories=("Cs",), blacklist_characters="\t\n" if tsv_safe else ""
     )
-    special = st.sampled_from(['"', "\\", "ä", "ß", " ", " ", "."] + ([] if tsv_safe else ["\n", "\t"]))
+    special = st.sampled_from(['"', "\\", "'", "ä", "ß", "\U0001F600", " ", " ", "."]
+                              + ([] if tsv_safe else ["\n", "\t", "\r"]))
     label = st.text(chars | special, max_size=8)
     return st.lists(
         st.tuples(_IRIS, st.sampled_from(["prefLabel", "altLabel"]), label, _LANGS)
@@ -309,27 +355,53 @@ def _triples(tsv_safe: bool):
     )
 
 
-def _nt_literal(text: str, draw) -> str:
-    """``text`` as an N-Triples literal body, each character plain, named or \\u-escaped."""
+def _nt_escaped(draw, text: str, echars: dict[str, str]) -> str:
+    """``text`` as an IRI or literal body: each character plain where the
+    grammar lets it stand, as one of ``echars``, or \\u- or \\U-escaped.
+    Up to three characters that could stand plain are escaped."""
+    escaped = draw(st.sets(st.integers(0, len(text) - 1), max_size=3)) if text else set()
     out = []
-    for ch in text:
-        if ord(ch) < 0x10000 and draw(st.booleans()):
-            code = f"{ord(ch):04x}"
-            out.append("\\u" + (code.upper() if draw(st.booleans()) else code))
-        else:
-            out.append(_NAMED_ESCAPES.get(ch, ch))
+    for i, ch in enumerate(text):
+        if ch not in '"\\\n\r' and i not in escaped:
+            out.append(ch)
+            continue
+        spellings = [echars[ch]] if ch in echars else []
+        if ord(ch) < 0x10000:
+            spellings += [f"\\u{ord(ch):04x}", f"\\u{ord(ch):04X}"]
+        spellings.append(f"\\U{ord(ch):08x}")
+        out.append(draw(st.sampled_from(spellings)))
     return "".join(out)
 
 
-def _nt_lines(triples, draw) -> list[str]:
+def _nt_node(draw, node: str) -> str:
+    return node if node.startswith("_:") else f"<{_nt_escaped(draw, node, {})}>"
+
+
+@st.composite
+def _nt_terms(draw, triple) -> list[str]:
+    """The subject, predicate and object of ``triple`` in N-Triples spelling."""
+    s, p, o, lang = triple
+    if p in ("prefLabel", "altLabel"):
+        obj = f'"{_nt_escaped(draw, o, _ECHARS)}"'
+        if lang:
+            obj += f"@{lang}"
+        elif draw(st.booleans()):
+            obj += "^^" + _nt_node(draw, _XSD_STRING)
+    else:
+        obj = _nt_node(draw, o)
+    return [_nt_node(draw, s), _nt_node(draw, SKOS + p), obj]
+
+
+@st.composite
+def _nt_lines(draw, triples) -> list[str]:
+    """An N-Triples document of ``triples``, with or without white space
+    between the terms, comments and lines that add no triple."""
     lines = []
-    for s, p, o, lang in triples:
-        if p in ("prefLabel", "altLabel"):
-            obj = f'"{_nt_literal(o, draw)}"' + (f"@{lang}" if lang else "")
-        else:
-            obj = f"<{o}>"
-        lines.append(f"<{s}> <{SKOS}{p}> {obj} .")
-    return lines
+    for triple in triples:
+        lines += draw(st.lists(_EXTRA_LINES, max_size=2))
+        terms = draw(_nt_terms(triple)) + ["."]
+        lines.append("".join(draw(_SEPARATORS) + term for term in terms) + draw(_TAILS))
+    return lines + draw(st.lists(_EXTRA_LINES, max_size=2))
 
 
 def _tsv_lines(triples) -> list[str]:
@@ -351,7 +423,7 @@ def _encode(lines: list[str]) -> bytes:
 @settings(max_examples=150, deadline=None)
 @given(triples=_triples(tsv_safe=False), data=st.data())
 def test_ntriples_round_trip_of_escaped_labels(triples, data):
-    th = parse_ntriples_skos(_encode(_nt_lines(triples, data.draw)))
+    th = parse_ntriples_skos(_encode(data.draw(_nt_lines(triples))))
     labels = {
         (c.id, kind, text, lang)
         for c in th.concepts.values()
@@ -374,7 +446,7 @@ def test_ntriples_round_trip_of_escaped_labels(triples, data):
 @settings(max_examples=150, deadline=None)
 @given(triples=_triples(tsv_safe=True), data=st.data())
 def test_tsv_and_ntriples_parse_alike(triples, data):
-    a = parse_ntriples_skos(_encode(_nt_lines(triples, data.draw)))
+    a = parse_ntriples_skos(_encode(data.draw(_nt_lines(triples))))
     b = parse_tsv(_encode(_tsv_lines(triples)))
     assert _content(a) == _content(b)
 
@@ -382,7 +454,7 @@ def test_tsv_and_ntriples_parse_alike(triples, data):
 @settings(max_examples=100, deadline=None)
 @given(triples=_triples(tsv_safe=True), data=st.data())
 def test_thesaurus_parsers_name_the_corrupted_line(triples, data):
-    nt_lines = _nt_lines(triples, data.draw)
+    nt_lines = [" ".join(data.draw(_nt_terms(t))) + " ." for t in triples]
     i = data.draw(st.integers(0, len(nt_lines) - 1))
     if triples[i][1] in ("prefLabel", "altLabel") and data.draw(st.booleans()):
         nt_lines[i] = nt_lines[i].replace('> "', '> "\\q', 1)  # unknown escape
