@@ -2,10 +2,13 @@
 
 Exit codes: 0 ok, 2 argument error, 3 input parse error, 4 internal error.
 All argument validation happens before any file is parsed or any heavy
-computation starts.  Every command writes CSV and Markdown tables plus a
-run manifest into --out; rerunning with identical inputs and parameters
-reproduces the tables byte for byte (the manifest differs only in its
-duration field).
+computation starts.  Besides the values of each option, it rejects an
+--out or a neighbor cache directory (--cache-dir or $EMBEVAL_CACHE_DIR)
+that is, or lies under, an existing file, and a clean --name that is
+empty, ``.``, ``..`` or holds a path separator.  Every command writes CSV
+and Markdown tables plus a run manifest into --out; rerunning with
+identical inputs and parameters reproduces the tables byte for byte (the
+manifest differs only in its duration field).
 
 The vector commands (coverage, diversity, relations) share one skeleton,
 ``_vector_command``: it parses the thesaurus, then loads one model at a
@@ -106,6 +109,16 @@ def _require_files(*paths) -> None:
             raise UsageError(f"no such file: {path}")
 
 
+def _check_directory(path, option: str) -> None:
+    """Reject a ``path`` that cannot be a directory: the path itself, or
+    its nearest ancestor that exists, is something else."""
+    if not path:
+        return
+    existing = next(p for p in (Path(path), *Path(path).absolute().parents) if p.exists())
+    if not existing.is_dir():
+        raise UsageError(f"{option} is not a directory: {existing}")
+
+
 def _check_s_values(values: list[float]) -> list[float]:
     for s in values:
         if not 0.0 < s <= 1.0:
@@ -154,6 +167,8 @@ def _write_stats(path: Path, stats) -> None:
 def cmd_clean(args) -> int:
     from .corpus import PipelineConfig, run_pipeline
 
+    if args.name in ("", ".", "..") or any(sep and sep in args.name for sep in (os.sep, os.altsep)):
+        raise UsageError(f"--name must be a file name prefix, got {args.name!r}")
     input_dir = Path(args.input)
     if not input_dir.is_dir():
         raise UsageError(f"no such input directory: {args.input}")
@@ -288,6 +303,7 @@ def cmd_diversity(args) -> int:
     k_values = _check_k_values(args.k or [10, 50, 200])
     lowercase = not args.no_lowercase
     cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV) or None
+    _check_directory(cache_dir, "--cache-dir" if args.cache_dir else f"${CACHE_DIR_ENV}")
 
     def prepare(th):
         tokenized = [keyword_tokens(label, lowercase) for label in keywords(th, args.lang)]
@@ -438,6 +454,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_directory(args.out, "--out")
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

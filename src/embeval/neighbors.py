@@ -231,11 +231,11 @@ def neighbor_map(model: EmbeddingModel, queries: list[str], k: int, cache_dir=No
     is in the map.  Any k' <= k is served by the first k' tokens.  With
     ``cache_dir`` the map goes through the model's cache file: a file of
     capacity >= k serves the call, restricted to the wanted queries; one
-    of smaller capacity is rebuilt at k; and one built for other vectors,
-    written in another format or lacking a needed query raises
-    StaleCacheError unless ``refresh`` asks for a rebuild.  A search logs
-    at debug level how many queries it certified and how many fell back
-    to GEMV.
+    of smaller capacity is rebuilt at k; and one built from a model file
+    of another SHA-256, written in another format or lacking a needed
+    query raises StaleCacheError unless ``refresh`` asks for a rebuild.  A
+    search logs at debug level how many queries it certified and how many
+    fell back to GEMV.
     """
     wanted = sorted(q for q in set(queries) if queryable(model, q))
     path = None if cache_dir is None else cache_path(cache_dir, model.name)
@@ -267,12 +267,13 @@ def cache_path(cache_dir, model_name: str) -> str:
 
 def _cache_header(model: EmbeddingModel, k: int) -> dict:
     # "format" names the layout of the lines: the query, then its tokens
-    return {"digest": model.content_digest(), "dim": model.dim, "format": "tokens",
+    return {"digest": model.source_digest, "dim": model.dim, "format": "tokens",
             "k": k, "model": model.name}
 
 
 def cache_store(path, model: EmbeddingModel, neighbors: NeighborMap) -> None:
-    """Persist a neighbor map, keyed by model name, content digest and capacity.
+    """Persist a neighbor map, keyed by model name, the SHA-256 of the model's
+    file and capacity.
 
     Each query is one line: the query, then its tokens in order,
     tab-separated; a query with an empty neighborhood is the query alone.
@@ -303,9 +304,10 @@ def cache_store(path, model: EmbeddingModel, neighbors: NeighborMap) -> None:
 def cache_load(path, model: EmbeddingModel, k: int) -> NeighborMap | None:
     """The cached neighbor map at the file's capacity, or None when that is below k.
 
-    Raises StaleCacheError when the file was built for another model, other
-    vectors or in another format (such as the per-rank lines with scores
-    that earlier versions wrote), and CacheFormatError for a malformed line.
+    Raises StaleCacheError when the file was built for another model name,
+    a model file of another SHA-256 or in another format (such as the
+    per-rank lines with scores that earlier versions wrote), and
+    CacheFormatError for a malformed line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")

@@ -10,6 +10,7 @@ The broader/narrower closure is built at parse time: every stored broader
 edge is queryable as the inverse narrower edge and vice versa.
 """
 
+import functools
 import os
 import re
 from dataclasses import dataclass, field
@@ -55,9 +56,16 @@ _NODE = f"(?:{_IRIREF}|{_BLANK_NODE_LABEL})"
 # One line: white space, a triple or nothing, an optional comment and the
 # '\r' of a CRLF line end.  Groups: subject (IRI, blank node), predicate,
 # object text, object (IRI, blank node, literal body, language, datatype).
-_LINE_RE = re.compile(
-    rf"[ \t]*(?:{_NODE}[ \t]*{_IRIREF}[ \t]*({_NODE}|{_LITERAL})[ \t]*\.[ \t]*)?(?:#.*)?\r?"
-)
+_LINE = rf"[ \t]*(?:{_NODE}[ \t]*{_IRIREF}[ \t]*({_NODE}|{_LITERAL})[ \t]*\.[ \t]*)?(?:#.*)?\r?"
+
+
+@functools.cache
+def _line_re() -> re.Pattern:
+    """The compiled ``_LINE``, built on first use: compiling it takes about
+    10 ms, which a process that imports this module only for its hyphen
+    classes (the corpus cascade) never pays."""
+    return re.compile(_LINE)
+
 
 # Word-joining hyphens (incl. soft hyphen) and dashes.  The corpus cascade
 # turns them into spaces, and a label is split at them, so both read a
@@ -133,7 +141,7 @@ class Thesaurus:
 
 
 def _unescape(text: str, line_no: int) -> str:
-    """``text`` with each UCHAR and ECHAR decoded.  _LINE_RE lets no other
+    """``text`` with each UCHAR and ECHAR decoded.  ``_LINE`` lets no other
     backslash through, and each of those escapes means the same in Python."""
     if "\\" not in text:
         return text
@@ -169,10 +177,11 @@ def parse_ntriples_skos(source: Source) -> Thesaurus:
     1-based line number.
     """
     text = _decode(source)
+    line_re = _line_re()
     th = Thesaurus()
     saw_any = False
     for line_no, line in enumerate(text.split("\n"), start=1):
-        m = _LINE_RE.fullmatch(line)
+        m = line_re.fullmatch(line)
         if m is None:
             raise ThesaurusFormatError(f"malformed triple: {line!r}", line_no=line_no)
         s_iri, s_blank, p_iri, obj, o_iri, o_blank, body, lang, datatype = m.groups()

@@ -2,8 +2,9 @@
 
 The format is the plain-text one used by common embedding trainers: a header
 line ``<count> <dim>`` followed by one line per word holding the token and
-``dim`` space-separated decimal numbers.  Models are immutable once loaded;
-concurrent readers are safe.
+``dim`` space-separated decimal numbers.  ``load_vec`` is the only way a
+model is built.  Models are immutable once loaded; concurrent readers are
+safe.
 
 ``load_vec`` streams the file in fixed-size blocks and scales each parsed
 chunk's rows to unit length as it stores them, so loading holds one
@@ -20,7 +21,7 @@ import itertools
 import logging
 import os
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from typing import BinaryIO, Iterator, Sequence, Union
 
 import numpy as np
@@ -32,68 +33,23 @@ logger = logging.getLogger(__name__)
 Source = Union[str, os.PathLike, bytes, BinaryIO]
 
 
-@dataclass
 class EmbeddingModel:
     """A vocabulary plus the unit rows of its vectors, one array per model.
 
-    Built from a raw ``matrix`` (one row per vocabulary token, in order),
-    the model checks its shape, its finiteness and the loaders' token rules,
-    then keeps only a new array of the rows scaled to unit length: the
-    caller's array is neither kept nor changed.  ``load_vec`` builds its
-    model from rows it has already checked and normalized a chunk at a
-    time, and keeps them as they are.  ``zero_rows`` flags tokens whose
-    vector is all zeros, derived from the unit rows (a nonzero row stays
-    nonzero): they are legal in input files but cosine similarity is
-    undefined for them, so neighbor queries skip them.  ``source_digest``
+    ``load_vec`` builds every model: it checks the file's tokens and
+    components and scales each row to unit length a chunk at a time, and
+    the model keeps those rows as they are, read-only.  ``zero_rows`` flags
+    tokens whose vector is all zeros, derived from the unit rows (a nonzero
+    row stays nonzero): they are legal in input files but cosine similarity
+    is undefined for them, so neighbor queries skip them.  ``source_digest``
     is the SHA-256 of the bytes the model was loaded from and keys the
     on-disk neighbor cache.
     """
 
-    name: str
-    dim: int
-    vocab: list[str]
-    matrix: InitVar[np.ndarray]
-    source_digest: str | None = None
-    zero_rows: frozenset[int] = field(init=False)
-    index: dict[str, int] = field(init=False, repr=False)
-    _unit: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self, matrix: np.ndarray):
-        if self.dim <= 0:
-            raise ValueError(f"dim must be positive, got {self.dim}")
-        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-        if matrix.shape != (len(self.vocab), self.dim):
-            raise ValueError(
-                f"matrix shape {matrix.shape} does not match "
-                f"{len(self.vocab)} tokens of dim {self.dim}"
-            )
-        # min and max are nan or infinite exactly when some component is,
-        # and reduce without a temporary array the size of the matrix
-        if matrix.size and not np.isfinite([matrix.min(), matrix.max()]).all():
-            raise ValueError("matrix contains non-finite components")
-        # slices of _CHUNK tokens keep the copies small
-        if len(set(self.vocab)) != len(self.vocab) or not all(
-            _plain(self.vocab[i : i + _CHUNK]) for i in range(0, len(self.vocab), _CHUNK)
-        ):
-            seen: set[str] = set()
-            for token in self.vocab:
-                error = _token_error(token, seen)
-                if error is not None:
-                    raise ValueError(error)
-                seen.add(token)
-        self._keep(_normalize_matrix(matrix))
-
-    @classmethod
-    def _of_unit_rows(cls, name: str, dim: int, vocab: list[str], unit: np.ndarray,
-                      source_digest: str) -> "EmbeddingModel":
-        """The model of unit rows the loader has checked, kept as they are."""
-        model = cls.__new__(cls)
-        model.name, model.dim, model.vocab, model.source_digest = name, dim, vocab, source_digest
-        model._keep(unit)
-        return model
-
-    def _keep(self, unit: np.ndarray) -> None:
-        self.index = dict(zip(self.vocab, range(len(self.vocab))))
+    def __init__(self, name: str, dim: int, vocab: list[str], unit: np.ndarray,
+                 source_digest: str):
+        self.name, self.dim, self.vocab, self.source_digest = name, dim, vocab, source_digest
+        self.index = dict(zip(vocab, range(len(vocab))))
         self.zero_rows = frozenset(np.flatnonzero(~unit.any(axis=1)).tolist())
         unit.flags.writeable = False
         self._unit = unit
@@ -108,20 +64,10 @@ class EmbeddingModel:
         """The model's read-only unit rows (zero rows stay zero), as stored."""
         return self._unit
 
-    def content_digest(self) -> str:
-        """Digest identifying the model content: ``source_digest``, or for a
-        model built in memory the SHA-256 of its tokens and unit-row bytes,
-        which are all a neighbor search reads."""
-        if self.source_digest is not None:
-            return self.source_digest
-        digest = hashlib.sha256("\n".join(self.vocab).encode("utf-8"))
-        digest.update(self._unit)
-        return digest.hexdigest()
 
-
-# The token rules, stated once for the loaders and the model: a token is
-# not empty, holds no whitespace ``str.split()`` splits on, and does not
-# repeat.  ``_plain`` tests the first two for a batch of tokens at C speed;
+# The token rules, stated once for both loaders: a token is not empty,
+# holds no whitespace ``str.split()`` splits on, and does not repeat.
+# ``_plain`` tests the first two for a batch of tokens at C speed;
 # ``_token_error`` tests one token and words what is wrong with it.
 def _plain(tokens: Sequence[str]) -> bool:
     """Whether a join and a whitespace split give ``tokens`` back."""
@@ -432,9 +378,7 @@ class _Body:
                 rows = np.empty((0, self.dim), dtype=np.float64)
             except ValueError:
                 raise VecFormatError(f"dimension {self.dim} is too large", line_no=1) from None
-        return EmbeddingModel._of_unit_rows(
-            self.name, self.dim, self.vocab, rows[: len(self.vocab)], digest
-        )
+        return EmbeddingModel(self.name, self.dim, self.vocab, rows[: len(self.vocab)], digest)
 
 
 def _parse_components(

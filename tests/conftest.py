@@ -17,17 +17,20 @@ from embeval.metrics import (
 from embeval.neighbors import neighbor_map
 from embeval.stringsim import VocabIndex
 from embeval.thesaurus import keyword_tokens
-from embeval.vectors import EmbeddingModel
+from embeval.vectors import EmbeddingModel, load_vec
 
 DATA_DIR = Path(__file__).parent / "data"
 
 
 def make_model(name: str, vocab: list[str], rows, dim: int | None = None) -> EmbeddingModel:
+    """The model ``load_vec`` reads from a file of ``vocab`` and ``rows``,
+    each number written with ``repr``, which reads back bit for bit."""
     matrix = np.asarray(rows, dtype=np.float64)
     if dim is None:
         dim = matrix.shape[1]
-    # zero_rows are derived by the model itself
-    return EmbeddingModel(name=name, dim=dim, vocab=list(vocab), matrix=matrix)
+    lines = [f"{len(vocab)} {dim}"]
+    lines += [" ".join([token, *map(repr, row)]) for token, row in zip(vocab, matrix.tolist())]
+    return load_vec(("\n".join(lines) + "\n").encode("utf-8"), name)
 
 
 def save_vec(vocab: list[str], rows, dest: Union[str, os.PathLike, BinaryIO]) -> None:

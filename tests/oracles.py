@@ -21,7 +21,7 @@ from embeval.metrics import CoverageResult
 from embeval.numwords import MAX_NUMBER, number_to_words
 from embeval.stringsim import RatioMatch, VocabIndex, best_match, ratio
 from embeval.thesaurus import RELATION_TYPES, keyword_tokens
-from embeval.vectors import EmbeddingModel, Source
+from embeval.vectors import EmbeddingModel, Source, _normalize_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -263,8 +263,8 @@ def load_vec_oracle(source: Source, name: str) -> tuple[EmbeddingModel, np.ndarr
         rows[len(vocab)] = values
         vocab.append(token)
 
-    # the model normalizes the whole matrix at once and derives its zero rows
-    model = EmbeddingModel(name=name, dim=dim, vocab=vocab, matrix=rows, source_digest=digest)
+    # the whole matrix is normalized at once; the model derives its zero rows
+    model = EmbeddingModel(name, dim, vocab, _normalize_matrix(rows), digest)
     if model.zero_rows:
         logger.warning("%s: %d zero vector(s) in input", name, len(model.zero_rows))
     return model, rows

@@ -413,6 +413,9 @@ def test_clean_and_stats_load_no_numpy(tmp_path):
         "from embeval.cli import main\n"
         f"assert main(['clean', '--input', {str(docs)!r}, '--out', {str(out)!r}]) == 0\n"
         f"assert main(['stats', {str(out / 'corpus.de.txt')!r}, '--out', {str(tmp_path / 's')!r}]) == 0\n"
+        "from embeval.thesaurus import _line_re\n"
+        # the N-Triples line grammar is compiled by the first parse only
+        "print(_line_re.cache_info().currsize)\n"
         "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')))\n"
     )
     import embeval
@@ -420,7 +423,7 @@ def test_clean_and_stats_load_no_numpy(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(embeval.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[]"
+    assert result.stdout.splitlines()[-2:] == ["0", "[]"]
 
 
 def test_clean_imports_no_multiprocessing(tmp_path):
@@ -976,6 +979,52 @@ def test_model_names_are_checked_before_any_load(tmp_path, thesaurus_path, monke
     assert rc == 2
     assert "model names are not unique: ['m', 'm']" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_out_that_is_a_file_is_an_argument_error(tmp_path, model_path, thesaurus_path, monkeypatch,
+                                                 capsys, below):
+    file = tmp_path / "out"
+    file.write_text("a file\n", encoding="utf-8")
+    calls = _refuse_loads(monkeypatch)
+    rc = main(["coverage", "--model", str(model_path), "--thesaurus", str(thesaurus_path),
+               "--out", str(file / below)])
+    assert rc == 2
+    assert f"--out is not a directory: {file}" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("source", ["--cache-dir", "$EMBEVAL_CACHE_DIR"])
+def test_cache_dir_that_is_a_file_is_an_argument_error(tmp_path, thesaurus_path, monkeypatch, capsys,
+                                                       source):
+    paths = []
+    for name in ("a", "b"):
+        write_fixture_model(tmp_path / f"{name}.vec")
+        paths += ["--model", str(tmp_path / f"{name}.vec")]
+    cache = tmp_path / "cache"
+    cache.write_text("a file\n", encoding="utf-8")
+    args = ["diversity", *paths, "--thesaurus", str(thesaurus_path), "--out", str(tmp_path / "o")]
+    if source == "--cache-dir":
+        args += ["--cache-dir", str(cache)]
+    else:
+        monkeypatch.setenv("EMBEVAL_CACHE_DIR", str(cache))
+    calls = _refuse_loads(monkeypatch)
+    assert main(args) == 2
+    assert f"{source} is not a directory: {cache}" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "a/b"])
+def test_clean_name_must_be_a_file_name_prefix(tmp_path, capsys, name):
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "a.txt").write_text("Die Gesellschaft wandelt sich.\n", encoding="utf-8")
+    out = tmp_path / "cleaned"
+    rc = main(["clean", "--input", str(docs), "--out", str(out), "--name", name])
+    assert rc == 2
+    assert f"--name must be a file name prefix, got {name!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_thesaurus_is_parsed_before_any_model(tmp_path, monkeypatch, capsys):

@@ -187,6 +187,7 @@ def test_vector_returns_stored_row():
     model, raw = _load_raw(_vec_bytes("2 2", "a 1 2", "b 3 4"), "rows")
     assert raw[model.index["b"]].tolist() == [3.0, 4.0]
     unit = model.unit_matrix()
+    assert not unit.flags.writeable
     assert unit[model.index["b"]].tolist() == [0.6, 0.8]
     _assert_same_bits(unit, _normalize_matrix(raw))
     for i, token in enumerate(model.vocab):
@@ -228,58 +229,44 @@ def test_write_load_rewrite_round_trip():
     _assert_same_bits(loaded.unit_matrix(), _normalize_matrix(raw))
 
 
-def test_zero_rows_derived_even_when_unflagged():
-    matrix = np.array([[1.0, 0.0], [0.0, 0.0]])
-    model = EmbeddingModel(name="m", dim=2, vocab=["a", "z"], matrix=matrix)
-    assert model.zero_rows == {1}
-    # the matrix alone decides; a caller cannot flag rows
-    with pytest.raises(TypeError):
-        EmbeddingModel(name="m", dim=2, vocab=["a", "z"], matrix=matrix, zero_rows=frozenset({0}))
-
-
-def test_model_keeps_no_reference_to_the_callers_array():
-    rows = np.array([[3.0, 4.0], [1.0, 0.0]])
-    model = EmbeddingModel(name="m", dim=2, vocab=["a", "b"], matrix=rows)
-    assert rows.flags.writeable
-    rows[0] = [0.0, 1.0]
-    assert model.unit_matrix().tolist() == [[0.6, 0.8], [1.0, 0.0]]
-    assert not model.unit_matrix().flags.writeable
-
-
-def test_load_builds_its_model_without_checking_the_rows_again(monkeypatch):
-    # the loader has checked every token and component a chunk at a time
-    def refuse(self, matrix):
-        raise AssertionError("the loaded model was checked again")
-
-    monkeypatch.setattr(EmbeddingModel, "__post_init__", refuse)
-    model = load_vec(_vec_bytes("2 2", "a 3 4", "z 0 0"), "m")
-    assert model.unit_matrix().tolist() == [[0.6, 0.8], [0.0, 0.0]]
-    assert model.zero_rows == {1}
-    assert model.index == {"a": 0, "z": 1}
-
-
-# ``line`` is the line a loader names for the same tokens, if the rule is
-# one of the token rules the loaders share
-@pytest.mark.parametrize("vocab, rows, dim, message, line", [
-    pytest.param(["a", ""], [[1.0], [2.0]], 1, "empty token", 3, id="empty"),
-    pytest.param(["a", "b\xa0c"], [[1.0], [2.0]], 1, "token 'b\\xa0c' contains whitespace", 3,
+# the rules both loaders apply to tokens, components and the header
+@pytest.mark.parametrize("vocab, rows, dim, message", [
+    pytest.param(["a", ""], [[1.0], [2.0]], 1, "line 3: empty token", id="empty"),
+    pytest.param(["a", "b\xa0c"], [[1.0], [2.0]], 1, "line 3: token 'b\\xa0c' contains whitespace",
                  id="nbsp"),
-    pytest.param(["a", "b", "a"], [[1.0], [2.0], [3.0]], 1, "duplicate token 'a'", 4, id="repeat"),
-    pytest.param(["a", "b"], [[1.0], [np.nan]], 1, "matrix contains non-finite components", None,
+    pytest.param(["a", "b", "a"], [[1.0], [2.0], [3.0]], 1, "line 4: duplicate token 'a'",
+                 id="repeat"),
+    pytest.param(["a", "b"], [[1.0], [np.nan]], 1, "line 3: non-finite vector component",
                  id="nan"),
     pytest.param(["a", "b", "c"], [[1.0, 0.0], [2.0, 0.0]], 2,
-                 "matrix shape (2, 2) does not match 3 tokens of dim 2", None, id="shape"),
-    pytest.param([], np.empty((0, 0)), 0, "dim must be positive, got 0", None, id="dim0"),
+                 "header declares 3 rows but file has 2", id="shape"),
+    pytest.param([], [], 0, "line 1: dimension must be positive, got 0", id="dim0"),
 ])
-def test_model_rejects_what_the_loaders_reject(vocab, rows, dim, message, line):
-    with pytest.raises(ValueError) as excinfo:
-        EmbeddingModel(name="m", dim=dim, vocab=vocab, matrix=np.array(rows))
-    assert str(excinfo.value) == message
-    if line is not None:
-        body = [f"{token} {' '.join(map(str, row))}" for token, row in zip(vocab, rows)]
-        with pytest.raises(VecFormatError) as loaded:
-            load_vec(_vec_bytes(f"{len(vocab)} {dim}", *body), "m")
-        assert str(loaded.value) == f"line {line}: {message}"
+def test_model_rejects_what_the_loaders_reject(vocab, rows, dim, message):
+    body = [" ".join([token, *map(repr, row)]) for token, row in zip(vocab, rows)]
+    data = _vec_bytes(f"{len(vocab)} {dim}", *body)
+    for loader in (load_vec, load_vocab):
+        with pytest.raises(VecFormatError) as excinfo:
+            loader(data, "m")
+        assert str(excinfo.value) == message
+
+
+def test_make_model_reads_its_rows_back_bit_for_bit(monkeypatch):
+    # tests build their models through load_vec; a row written with fewer
+    # digits would round the unit rows a property test compares
+    rows = np.array([[-0.0, 5e-324], [1.7976931348623157e308, 0.1], [0.0, 0.0]])
+    parsed = []
+    parse = vectors._parse_components
+
+    def spy(*args):
+        parsed.append(parse(*args).copy())
+        return parsed[-1]
+
+    monkeypatch.setattr(vectors, "_parse_components", spy)
+    model = make_model("m", ["a", "b", "z"], rows)
+    _assert_same_bits(np.concatenate(parsed), rows)
+    _assert_same_bits(model.unit_matrix(), _normalize_matrix(rows))
+    assert model.zero_rows == {2}
 
 
 def test_empty_model_loads():
