@@ -11,7 +11,6 @@ _EXPORTS = {
     "coverage": "metrics",
     "diversity_matrix": "metrics",
     "relational_coverage": "metrics",
-    "NeighborSet": "neighbors",
     "top_k": "neighbors",
     "top_k_batch": "neighbors",
     "RatioMatch": "stringsim",

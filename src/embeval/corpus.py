@@ -16,14 +16,16 @@ duplicates.  The per-line stages do their character work in C-level
 builtins (``re`` substitutions, ``str`` methods, ``dict.fromkeys``) rather
 than in per-character Python loops.
 
-``clean_document`` is a pure function of one document, so ``run_pipeline``
-runs it in forked worker processes, one per CPU the process may run on and
-at most one per document.  Each worker reads its own files and sends one
-``marshal`` record per document back through a pipe; the parent reads them
-in document order and does the corpus-wide steps (routing, deduplication,
-stats) alone.  The corpora, stats and report are therefore identical for
-any number of workers.  With one CPU, or on a platform without
-``os.fork``, the documents are cleaned serially in the process itself.
+``clean_document`` is a pure function of one document's text that returns
+plain ``(text, lang)`` pairs, so ``run_pipeline`` runs it in forked worker
+processes, one per CPU the process may run on and at most one per
+document.  Each worker reads its own files and sends one ``marshal``
+record per document, holding those pairs as they are, back through a
+pipe; the parent reads them in document order and does the corpus-wide
+steps (routing, deduplication, stats) alone.  The corpora, stats and
+report are therefore identical for any number of workers.  With one CPU,
+or on a platform without ``os.fork``, the documents are cleaned serially
+in the process itself.
 """
 
 import contextlib
@@ -66,21 +68,12 @@ _CHUNK_RE = re.compile(r"(?<!\S)[^\s0-9]*[0-9]\S*")
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs of the cleaning cascade, loadable from a key=value file.
-
-    Frozen so that ``cover_pattern``, compiled once from ``cover_delimiter``
-    at construction, always matches it.
-    """
+    """Knobs of the cleaning cascade, loadable from a key=value file."""
 
     languages: tuple[str, ...] = ("de", "en")
     confidence_threshold: float = 0.7
     cover_delimiter: str | None = None
     convert_numbers: bool = True
-    cover_pattern: re.Pattern | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        pattern = re.compile(self.cover_delimiter) if self.cover_delimiter else None
-        object.__setattr__(self, "cover_pattern", pattern)
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
@@ -131,23 +124,7 @@ class PipelineConfig:
                     values[key] = value.lower() == "true"
                 else:
                     raise InputParseError(f"{path}: line {line_no}: unknown key {key!r}")
-        # re caches compiled patterns, so __post_init__ reuses the one compiled above.
         return cls(**values)
-
-
-@dataclass
-class CleanedLine:
-    text: str
-    lang: str
-
-
-@dataclass
-class CorpusDocument:
-    """One document after cleaning: routed, tokenized lines."""
-
-    doc_id: str
-    lines: list[CleanedLine] = field(default_factory=list)
-    unknown_lines: int = 0
 
 
 @dataclass
@@ -177,14 +154,17 @@ class PipelineReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def strip_cover(text: str, cover_delimiter: str | re.Pattern) -> str:
-    """Drop everything up to and including the first line matching the pattern."""
+def strip_cover(text: str, cover_delimiter: str) -> str:
+    """Drop everything up to and including the first line matching the pattern.
+
+    ``re`` caches compiled patterns, so each process compiles a delimiter once.
+    """
     pattern = re.compile(cover_delimiter)
     lines = text.split("\n")
     for i, line in enumerate(lines):
         if pattern.search(line):
             return "\n".join(lines[i + 1 :])
-    logger.warning("cover delimiter %r not found; text kept unchanged", pattern.pattern)
+    logger.warning("cover delimiter %r not found; text kept unchanged", cover_delimiter)
     return text
 
 
@@ -286,13 +266,14 @@ def dedup_sentences(lines: Iterable[str]) -> tuple[list[str], DedupReport]:
     return kept, DedupReport(kept=len(kept), dropped=len(lines) - len(kept))
 
 
-def clean_document(doc_id: str, text: str, config: PipelineConfig) -> CorpusDocument:
+def clean_document(text: str, config: PipelineConfig) -> tuple[list[tuple[str, str]], int]:
     """Run the per-document stages (everything before corpus-wide dedup).
 
-    Each line is routed by its final, written text, so cleaning the output
-    again routes every line the same way.  Numerals are spelled in the
-    language of the line before conversion; when the words change the line,
-    it is routed again.
+    Returns the document's routed, tokenized lines as ``(text, lang)`` pairs
+    and the count of lines routed to no kept language.  Each line is routed
+    by its final, written text, so cleaning the output again routes every
+    line the same way.  Numerals are spelled in the language of the line
+    before conversion; when the words change the line, it is routed again.
     """
 
     def route(line: str) -> str | None:
@@ -301,10 +282,11 @@ def clean_document(doc_id: str, text: str, config: PipelineConfig) -> CorpusDocu
             return None
         return lang
 
-    doc = CorpusDocument(doc_id=doc_id)
+    lines: list[tuple[str, str]] = []
+    unknown_lines = 0
     text = text.replace("\r\n", "\n").replace("\r", "\n")
-    if config.cover_pattern is not None:
-        text = strip_cover(text, config.cover_pattern)
+    if config.cover_delimiter:
+        text = strip_cover(text, config.cover_delimiter)
     text = dehyphenate(text)
     text = split_camel_case(text)
     for line in text.split("\n"):
@@ -318,10 +300,10 @@ def clean_document(doc_id: str, text: str, config: PipelineConfig) -> CorpusDocu
                 line = " ".join(tokenize(normalize_ws_lower(converted)))
                 routed = route(line)
         if routed is None:
-            doc.unknown_lines += 1
+            unknown_lines += 1
             continue
-        doc.lines.append(CleanedLine(line, routed))
-    return doc
+        lines.append((line, routed))
+    return lines, unknown_lines
 
 
 Documents = Union[str, os.PathLike, Iterable[tuple[str, str]]]
@@ -353,8 +335,8 @@ def _clean_item(item, config: PipelineConfig) -> tuple:
             return True, 0, []
     else:
         text = item[1]
-    doc = clean_document(_doc_id(item), text, config)
-    return False, doc.unknown_lines, [(line.text, line.lang) for line in doc.lines]
+    lines, unknown_lines = clean_document(text, config)
+    return False, unknown_lines, lines
 
 
 class _LogCapture(logging.Handler):

@@ -12,27 +12,26 @@
 
 No metric searches a vocabulary or reads a model: the caller builds each
 map once per model, and every threshold or k reads it, so a model can be
-dropped once its map is built and the metrics take model names.  A
+dropped once its map is built.  The metrics take no model name either:
+the caller labels each result with the model, s or k it passed.  A
 neighbor map holds exactly the queries that have a neighborhood, so a
 query is in the vocabulary with a nonzero vector exactly when it is in
 the map.  No metric reads a label either: a keyword is its tuple of
 tokens, split by the caller with ``thesaurus.keyword_tokens``, and tokens
 are compared as given, so the caller reads labels and neighbor tokens
-alike (``cli`` lowercases both unless told not to).  A keyword of more
-than one token is skipped by diversity and counts as an out-of-vocabulary
-descriptor, or as a concept not found, in relational coverage.  All
-percentages are exact counts scaled by 100; rendering to two decimals
-happens in the report layer.
+alike (``cli`` lowercases both unless told not to, and warns once about
+each label that has no tokens; coverage counts it as not covered).  A
+keyword of more than one token is skipped by diversity and counts as an
+out-of-vocabulary descriptor, or as a concept not found, in relational
+coverage.  All percentages are exact counts scaled by 100; rendering to
+two decimals happens in the report layer.
 """
 
-import logging
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .neighbors import NeighborMap
 from .stringsim import RatioMatch, VocabIndex, best_match
-
-logger = logging.getLogger(__name__)
 
 DENOMINATOR_POLICIES = ("evaluated", "total")
 OOV_POLICIES = ("miss", "skip")
@@ -40,8 +39,6 @@ OOV_POLICIES = ("miss", "skip")
 
 @dataclass
 class CoverageResult:
-    model_name: str
-    s: float
     n_keywords: int
     n_covered: int
 
@@ -55,9 +52,6 @@ class CoverageResult:
 
 @dataclass
 class DiversityResult:
-    model_a: str
-    model_b: str
-    k: int
     n_total: int
     n_evaluated: int
     n_disjoint: int
@@ -77,9 +71,6 @@ class DiversityResult:
 
 @dataclass
 class RelationalResult:
-    model_name: str
-    relation: str
-    k: int
     n_pairs: int
     n_found: int
     n_oov_descriptors: int
@@ -102,7 +93,6 @@ def _covered(tokens: Sequence[str], matches: dict[str, RatioMatch | None], s: fl
     An empty token list never counts as covered.
     """
     if not tokens:
-        logger.warning("keyword reduced to no tokens; counted as not covered")
         return False
     for token in tokens:
         if token not in matches:
@@ -136,12 +126,11 @@ def match_map(
 
 
 def coverage(
-    name: str,
     keywords: Sequence[Sequence[str]],
     s: float,
     matches: dict[str, RatioMatch | None],
 ) -> CoverageResult:
-    """Coverage of the keywords in the vocabulary of model ``name`` at threshold s.
+    """Coverage of the keywords in one model's vocabulary at threshold s.
 
     Each keyword is its tuple of tokens.  Token matches are read from
     ``matches``, a ``match_map`` of these keywords in that vocabulary built
@@ -149,7 +138,7 @@ def coverage(
     """
     if not 0.0 < s <= 1.0:
         raise ValueError(f"threshold s must be in (0, 1], got {s}")
-    result = CoverageResult(name, s, n_keywords=len(keywords), n_covered=0)
+    result = CoverageResult(n_keywords=len(keywords), n_covered=0)
     for tokens in keywords:
         if _covered(tokens, matches, s):
             result.n_covered += 1
@@ -170,10 +159,7 @@ def _top_sets(neighbors: NeighborMap, k: int) -> dict[str, frozenset[str]]:
 
 
 def _diversity(
-    name_a: str,
-    name_b: str,
     keywords: Sequence[Sequence[str]],
-    k: int,
     sets_a: dict[str, frozenset[str]],
     sets_b: dict[str, frozenset[str]],
     denominator: str,
@@ -187,9 +173,7 @@ def _diversity(
     model with itself always yields zero.
     """
     result = DiversityResult(
-        name_a, name_b, k,
-        n_total=len(keywords), n_evaluated=0, n_disjoint=0,
-        denominator=denominator,
+        n_total=len(keywords), n_evaluated=0, n_disjoint=0, denominator=denominator,
     )
     for tokens in keywords:
         if len(tokens) != 1:
@@ -232,20 +216,19 @@ def diversity_matrix(
     out: dict[tuple[str, str], DiversityResult] = {}
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
-            res = _diversity(a, b, keywords, k, sets[a], sets[b], denominator)
+            res = _diversity(keywords, sets[a], sets[b], denominator)
             out[(a, b)] = res
             out[(b, a)] = res
     return out
 
 
 def relational_coverage(
-    name: str,
     pairs: Mapping[str, Sequence[tuple[Sequence[str], Sequence[str]]]],
     k: int,
     neighbors: NeighborMap,
     oov_policy: str = "miss",
 ) -> dict[str, RelationalResult]:
-    """Relational coverage of model ``name``, one result per relation type in ``pairs``.
+    """Relational coverage of one model, one result per relation type in ``pairs``.
 
     ``pairs`` maps each relation type to its pairs, each the descriptor's
     tokens and the concept's tokens; a relation with no pairs gets a result
@@ -266,7 +249,6 @@ def relational_coverage(
     results: dict[str, RelationalResult] = {}
     for relation, rel_pairs in pairs.items():
         res = results[relation] = RelationalResult(
-            name, relation, k,
             n_pairs=len(rel_pairs), n_found=0, n_oov_descriptors=0, oov_policy=oov_policy,
         )
         for descriptor, concept in rel_pairs:

@@ -7,8 +7,8 @@ Under that order the top-k of a query is exactly the first k entries of its
 top-K for any k <= K, so ``neighbor_map`` searches each query once at the
 largest k a run needs and the metrics read prefixes.
 
-``top_k`` scores one query with a matrix-vector product (GEMV) and reports
-the scores.  ``top_k_batch`` scores a block of queries with one matrix
+``top_k`` scores one query with a matrix-vector product (GEMV) and returns
+its ``(token, score)`` pairs in rank order.  ``top_k_batch`` scores a block of queries with one matrix
 product (GEMM), whose scores can differ from the GEMV ones in the last
 bits.  It keeps a query's GEMM order only where a rounding-error bound
 proves that order is the GEMV one (see ``_certified``), and searches every
@@ -29,30 +29,6 @@ from .errors import CacheFormatError, StaleCacheError, UnknownTokenError, ZeroVe
 from .vectors import EmbeddingModel
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class NeighborSet:
-    """Ordered top-k cosine neighborhood of one query word in one model."""
-
-    query: str
-    k_requested: int
-    model_name: str
-    entries: tuple[tuple[str, float], ...]
-
-    def __post_init__(self):
-        if len(self.entries) > self.k_requested:
-            raise ValueError("more entries than requested")
-        previous = None
-        for token, score in self.entries:
-            if token == self.query:
-                raise ValueError("query token appears in its own neighborhood")
-            if previous is not None and score > previous:
-                raise ValueError("scores are not non-increasing")
-            previous = score
-
-    def tokens(self) -> list[str]:
-        return [t for t, _ in self.entries]
 
 
 @dataclass
@@ -108,20 +84,14 @@ def _select_top(scores: np.ndarray, k: int) -> np.ndarray:
     return chosen[order]
 
 
-def _query_scores(model: EmbeddingModel, row: int) -> np.ndarray:
+def _search(model: EmbeddingModel, query: str, k: int) -> list[tuple[str, float]]:
+    row = model.index[query]
     unit = model.unit_matrix()
     scores = unit @ unit[row]
     scores[row] = -np.inf
     if model.zero_rows:
         scores[list(model.zero_rows)] = -np.inf
-    return scores
-
-
-def _search(model: EmbeddingModel, query: str, k: int) -> NeighborSet:
-    scores = _query_scores(model, model.index[query])
-    idx = _select_top(scores, k)
-    entries = tuple((model.vocab[i], float(scores[i])) for i in idx)
-    return NeighborSet(query, k, model.name, entries)
+    return [(model.vocab[i], float(scores[i])) for i in _select_top(scores, k)]
 
 
 def queryable(model: EmbeddingModel, token: str) -> bool:
@@ -130,8 +100,9 @@ def queryable(model: EmbeddingModel, token: str) -> bool:
     return row is not None and row not in model.zero_rows
 
 
-def top_k(model: EmbeddingModel, query: str, k: int) -> NeighborSet:
-    """Exact k nearest neighbors of ``query`` by cosine similarity.
+def top_k(model: EmbeddingModel, query: str, k: int) -> list[tuple[str, float]]:
+    """Exact k nearest neighbors of ``query`` by cosine similarity, as
+    ``(token, score)`` pairs ordered by (descending score, ascending index).
 
     The query itself and zero-vector rows are excluded from the candidates.
     Raises UnknownTokenError for out-of-vocabulary queries and ZeroVectorError
@@ -211,15 +182,13 @@ def top_k_batch(model: EmbeddingModel, queries: list[str], k: int) -> BatchResul
         top_scores = np.take_along_axis(scores, top, axis=1)
         order = np.lexsort((top, -top_scores), axis=1)
         top = np.take_along_axis(top, order, axis=1)
-        if (top == block_rows[:, None]).any():
-            raise ValueError("query token appears in its own neighborhood")
         certified = _certified(np.take_along_axis(top_scores, order, axis=1), model.dim)
         for query, idx, ok in zip(wanted[start : start + block], top[:, :kk].tolist(), certified):
             if ok:
                 neighbor_sets.append((query, tuple(map(model.vocab.__getitem__, idx))))
             else:
                 fallbacks += 1
-                neighbor_sets.append((query, tuple(_search(model, query, k).tokens())))
+                neighbor_sets.append((query, tuple(t for t, _ in _search(model, query, k))))
     return BatchResult(neighbor_sets, fallbacks)
 
 

@@ -22,6 +22,7 @@ SKOS_NS = "http://www.w3.org/2004/02/skos/core#"
 
 RELATION_TYPES = ("broader", "narrower", "related", "altLabel")
 
+# The SKOS predicates read: N-Triples names them by IRI, TSV by their values.
 _PRED_BY_IRI = {
     SKOS_NS + "prefLabel": "prefLabel",
     SKOS_NS + "altLabel": "altLabel",
@@ -210,9 +211,6 @@ def parse_ntriples_skos(source: Source) -> Thesaurus:
     return th
 
 
-_TSV_PREDICATES = ("prefLabel", "altLabel", "broader", "narrower", "related")
-
-
 def parse_tsv(source: Source) -> Thesaurus:
     """Parse the TSV thesaurus format: subject, predicate, object, lang columns."""
     text = _decode(source)
@@ -234,7 +232,7 @@ def parse_tsv(source: Source) -> Thesaurus:
                 f"expected 4 columns, found {len(cols)}", line_no=line_no
             )
         subject, predicate, obj, lang = cols
-        if predicate not in _TSV_PREDICATES:
+        if predicate not in _PRED_BY_IRI.values():
             raise ThesaurusFormatError(
                 f"unknown predicate {predicate!r}", line_no=line_no
             )

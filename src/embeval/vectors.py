@@ -10,9 +10,10 @@ safe.
 chunk's rows to unit length as it stores them, so loading holds one
 matrix, the model's unit rows, and the vocabulary plus about one block,
 never the file's bytes, text or list of lines, nor its raw components.
-``load_vocab`` runs the same reader with the same checks but drops each
-chunk's rows once their zero rows are counted, for a command that reads
-only the vocabulary: it holds no matrix at all.
+Both loaders note each chunk's zero rows as they parse it.  ``load_vocab``
+runs the same reader with the same checks but drops each chunk's rows
+once their zero rows are noted, for a command that reads only the
+vocabulary: it holds no matrix at all.
 """
 
 import codecs
@@ -39,7 +40,7 @@ class EmbeddingModel:
     ``load_vec`` builds every model: it checks the file's tokens and
     components and scales each row to unit length a chunk at a time, and
     the model keeps those rows as they are, read-only.  ``zero_rows`` flags
-    tokens whose vector is all zeros, derived from the unit rows (a nonzero
+    the rows whose vector is all zeros, as the loader found them (a nonzero
     row stays nonzero): they are legal in input files but cosine similarity
     is undefined for them, so neighbor queries skip them.  ``source_digest``
     is the SHA-256 of the bytes the model was loaded from and keys the
@@ -47,10 +48,10 @@ class EmbeddingModel:
     """
 
     def __init__(self, name: str, dim: int, vocab: list[str], unit: np.ndarray,
-                 source_digest: str):
+                 zero_rows: frozenset[int], source_digest: str):
         self.name, self.dim, self.vocab, self.source_digest = name, dim, vocab, source_digest
         self.index = dict(zip(vocab, range(len(vocab))))
-        self.zero_rows = frozenset(np.flatnonzero(~unit.any(axis=1)).tolist())
+        self.zero_rows = zero_rows
         unit.flags.writeable = False
         self._unit = unit
 
@@ -117,10 +118,7 @@ def load_vec(source: Source, name: str) -> EmbeddingModel:
     the rest of the file is only decoded and its lines counted.
     """
     body, digest = _read(source, name, keep_rows=True)
-    model = body.model(digest)
-    if model.zero_rows:
-        logger.warning("%s: %d zero vector(s) in input", name, len(model.zero_rows))
-    return model
+    return body.model(digest)
 
 
 @dataclass(frozen=True)
@@ -150,17 +148,16 @@ def load_vocab(source: Source, name: str) -> Vocabulary:
     that the dimension of a file without rows is too large.
     """
     body, digest = _read(source, name, keep_rows=False)
-    if body.zero_rows:
-        logger.warning("%s: %d zero vector(s) in input", name, len(body.zero_rows))
     return Vocabulary(name, body.dim, body.vocab, frozenset(body.zero_rows), digest)
 
 
 def _read(source: Source, name: str, keep_rows: bool) -> tuple["_Body", str]:
     """Read and check the whole file; return its parsed body and sha256.
 
-    ``keep_rows`` says whether the body keeps the parsed rows or only
-    counts their zero rows.  The checks, their messages and their
-    precedence do not depend on it.
+    ``keep_rows`` says whether the body keeps the parsed rows; it notes
+    their zero rows either way, and a file that holds any gets one
+    warning.  The checks, their messages and their precedence do not
+    depend on it.
     """
     digest = hashlib.sha256()
     body: _Body | None = None
@@ -209,6 +206,8 @@ def _read(source: Source, name: str, keep_rows: bool) -> tuple["_Body", str]:
         raise VecFormatError(f"header declares {body.count} rows but file has {rows}")
     if error is not None:
         raise error
+    if body.zero_rows:
+        logger.warning("%s: %d zero vector(s) in input", name, len(body.zero_rows))
     return body, digest.hexdigest()
 
 
@@ -283,8 +282,8 @@ def _header(line: str) -> tuple[int, int]:
 
 
 class _Body:
-    """The vocabulary and either the unit rows or the zero rows of a file's
-    body lines, fed a block at a time."""
+    """The vocabulary, the zero rows and, if kept, the unit rows of a
+    file's body lines, fed a block at a time."""
 
     def __init__(self, name: str, count: int, dim: int, keep_rows: bool):
         self.name = name
@@ -293,7 +292,7 @@ class _Body:
         self.keep_rows = keep_rows
         self.vocab: list[str] = []
         self.seen: set[str] = set()
-        self.zero_rows: list[int] = []  # counted only if rows are not kept
+        self.zero_rows: list[int] = []
         # allocated once the first chunk has parsed, so a header's
         # dimension is backed by a body line before it sizes an array
         self.rows: np.ndarray | None = None
@@ -350,14 +349,14 @@ class _Body:
         return rests, line_nos, None
 
     def _store(self, rests, line_nos, use_loadtxt: bool) -> None:
-        """Parse the components of the last ``len(rests)`` tokens and store
-        them as unit rows, or, if rows are not kept, note their zero rows."""
+        """Parse the components of the last ``len(rests)`` tokens, note their
+        zero rows and, if rows are kept, store them as unit rows."""
         if not rests:
             return
         block = _parse_components(rests, line_nos, self.dim, use_loadtxt)
         start = len(self.vocab) - len(rests)
+        self.zero_rows += (np.flatnonzero(~block.any(axis=1)) + start).tolist()
         if not self.keep_rows:
-            self.zero_rows += (np.flatnonzero(~block.any(axis=1)) + start).tolist()
             return
         if self.rows is None:
             try:
@@ -378,7 +377,8 @@ class _Body:
                 rows = np.empty((0, self.dim), dtype=np.float64)
             except ValueError:
                 raise VecFormatError(f"dimension {self.dim} is too large", line_no=1) from None
-        return EmbeddingModel(self.name, self.dim, self.vocab, rows[: len(self.vocab)], digest)
+        return EmbeddingModel(self.name, self.dim, self.vocab, rows[: len(self.vocab)],
+                              frozenset(self.zero_rows), digest)
 
 
 def _parse_components(

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 from pathlib import Path
@@ -14,7 +13,7 @@ from embeval.metrics import (
     match_map,
     relational_coverage,
 )
-from embeval.neighbors import neighbor_map
+from embeval.neighbors import neighbor_map, top_k
 from embeval.stringsim import VocabIndex
 from embeval.thesaurus import keyword_tokens
 from embeval.vectors import EmbeddingModel, load_vec
@@ -69,6 +68,11 @@ def random_model(rng: np.random.Generator, name: str, n_vocab: int, dim: int,
     return make_model(name, [f"w{i:04d}" for i in range(n_vocab)], matrix, dim)
 
 
+def top_tokens(model: EmbeddingModel, query: str, k: int) -> list[str]:
+    """The tokens of ``top_k``, in rank order."""
+    return [token for token, _ in top_k(model, query, k)]
+
+
 def anchored(c: float, axis: int, dim: int = 2) -> list[float]:
     """Unit vector with cosine ``c`` against the given axis (2-D plant helper)."""
     rest = math.sqrt(max(0.0, 1.0 - c * c))
@@ -89,7 +93,7 @@ def read_neighbors(model, queries, k: int, lowercase: bool = True):
 def coverage_at(model, labels, s: float, lowercase: bool = True):
     keywords = [keyword_tokens(label, lowercase) for label in labels]
     matches = match_map(VocabIndex(model.vocab), keywords, s)
-    return coverage(model.name, keywords, s, matches=matches)
+    return coverage(keywords, s, matches=matches)
 
 
 def diversity_at(model_a, model_b, labels, k: int, lowercase: bool = True,
@@ -99,8 +103,7 @@ def diversity_at(model_a, model_b, labels, k: int, lowercase: bool = True,
     # keyed by side, so a model can be compared with itself
     maps = {"a": read_neighbors(model_a, queries, k, lowercase),
             "b": read_neighbors(model_b, queries, k, lowercase)}
-    result = diversity_matrix(maps, keywords, k, denominator=denominator)[("a", "b")]
-    return dataclasses.replace(result, model_a=model_a.name, model_b=model_b.name)
+    return diversity_matrix(maps, keywords, k, denominator=denominator)[("a", "b")]
 
 
 def pair_tokens(pairs, lowercase: bool = True):
@@ -118,8 +121,7 @@ def descriptor_queries(grouped) -> list[str]:
 def relational_at(model, pairs, k: int, lowercase: bool = True, oov_policy: str = "miss"):
     tokenized = pair_tokens(pairs, lowercase)
     neighbors = read_neighbors(model, descriptor_queries(tokenized), k, lowercase)
-    return relational_coverage(model.name, tokenized, k, neighbors=neighbors,
-                               oov_policy=oov_policy)
+    return relational_coverage(tokenized, k, neighbors=neighbors, oov_policy=oov_policy)
 
 
 @pytest.fixture

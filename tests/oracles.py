@@ -263,10 +263,12 @@ def load_vec_oracle(source: Source, name: str) -> tuple[EmbeddingModel, np.ndarr
         rows[len(vocab)] = values
         vocab.append(token)
 
-    # the whole matrix is normalized at once; the model derives its zero rows
-    model = EmbeddingModel(name, dim, vocab, _normalize_matrix(rows), digest)
-    if model.zero_rows:
-        logger.warning("%s: %d zero vector(s) in input", name, len(model.zero_rows))
+    # the whole matrix is normalized at once; the zero rows are read off the
+    # raw rows, one component at a time
+    zero_rows = frozenset(i for i, row in enumerate(rows.tolist()) if all(v == 0.0 for v in row))
+    model = EmbeddingModel(name, dim, vocab, _normalize_matrix(rows), zero_rows, digest)
+    if zero_rows:
+        logger.warning("%s: %d zero vector(s) in input", name, len(zero_rows))
     return model, rows
 
 
@@ -314,7 +316,7 @@ def coverage_oracle(
         raise ValueError(f"threshold s must be in (0, 1], got {s}")
     if index is None:
         index = VocabIndex(model.vocab)
-    result = CoverageResult(model.name, s, n_keywords=len(keywords), n_covered=0)
+    result = CoverageResult(n_keywords=len(keywords), n_covered=0)
     hits: dict[str, list[tuple[str, str, float]]] = {}
     for label in keywords:
         tokens = keyword_tokens(label, lowercase=lowercase)

@@ -93,10 +93,10 @@ def test_criterion_02_knn_oracle():
             k = int(rng.integers(0, n + 2))
             got = top_k(model, query, k)
             expected = knn_oracle(model, query, k)
-            assert got.tokens() == [t for t, _ in expected]
-            assert [s for _, s in got.entries] == [s for _, s in expected]
-            if trial % 100 == 0 and got.entries:
-                token, score = got.entries[0]
+            assert [t for t, _ in got] == [t for t, _ in expected]
+            assert [s for _, s in got] == [s for _, s in expected]
+            if trial % 100 == 0 and got:
+                token, score = got[0]
                 u = rows[model.index[query]]
                 v = rows[model.index[token]]
                 assert abs(score - raw_cosine(u, v)) <= 1e-12

@@ -224,7 +224,7 @@ def test_diversity_cache_of_the_per_rank_format_needs_refresh(
         header = {"digest": model.source_digest, "dim": model.dim, "k": 5, "model": name}
         lines = [json.dumps(header, sort_keys=True)]
         for query in (q for q in model.vocab if queryable(model, q)):
-            for rank, (token, score) in enumerate(top_k(model, query, 5).entries, 1):
+            for rank, (token, score) in enumerate(top_k(model, query, 5), 1):
                 lines.append(f"{query}\t{rank}\t{token}\t{score:.9f}")
         (cache / f"{name}.neighbors.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     args = ["diversity", *models, "--thesaurus", str(thesaurus_path), "--k", "5"]
@@ -534,6 +534,26 @@ def test_coverage_no_lowercase_flag(tmp_path, thesaurus_path):
     preserved = (out2 / "coverage.csv").read_text(encoding="utf-8").splitlines()[1]
     assert lowered.split(",")[4] == "0"
     assert preserved.split(",")[4] == "2"
+
+
+def test_coverage_warns_once_per_label_without_tokens(tmp_path, model_path, caplog):
+    tsv = tmp_path / "thesaurus.tsv"
+    tsv.write_text(
+        "subject\tpredicate\tobject\tlang\n"
+        "c1\tprefLabel\t–\tde\n"
+        "c2\tprefLabel\tArmut\tde\n",
+        encoding="utf-8",
+    )
+    other = tmp_path / "other.vec"
+    write_fixture_model(other, flip=True)
+    with caplog.at_level("WARNING"):
+        assert main(["coverage", "--model", str(model_path), "--model", str(other),
+                     "--thesaurus", str(tsv), "--out", str(tmp_path / "cov")]) == 0
+    warnings = [r.getMessage() for r in caplog.records if "no tokens" in r.getMessage()]
+    # two models and three thresholds read the label, which is named once
+    assert warnings == ["keyword '–' reduced to no tokens; counted as not covered"]
+    rows = (tmp_path / "cov" / "coverage.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[3:5] for row in rows] == [["2", "1"]] * 6
 
 
 def test_manifest_records_zero_vectors(tmp_path, thesaurus_path):

@@ -28,6 +28,7 @@ from conftest import (
     random_model,
     read_neighbors,
     relational_at,
+    top_tokens,
 )
 from oracles import coverage_oracle, naive_coverage_count, naive_diversity, naive_relational
 
@@ -54,10 +55,11 @@ def test_keyword_covered_compound_threshold():
 
 
 def test_keyword_covered_empty_warns(caplog):
+    # the metric counts an empty keyword as not covered; cli warns about its label
     model = make_model("m", ["macht"], [[1.0, 0.0]])
     with caplog.at_level("WARNING"):
         assert coverage_at(model, [" - "], 0.9).n_covered == 0
-    assert "no tokens" in caplog.text
+    assert "no tokens" not in caplog.text
 
 
 def test_coverage_superset_is_100():
@@ -160,7 +162,7 @@ def test_coverage_over_one_map_equals_per_threshold_oracle(case, lowercase):
     keywords = [keyword_tokens(label, lowercase) for label in labels]
     matches = match_map(index, keywords, min(s_values))
     for s in s_values:
-        got = coverage(model.name, keywords, s, matches=matches)
+        got = coverage(keywords, s, matches=matches)
         want, hits = coverage_oracle(model, labels, s, lowercase=lowercase, index=index)
         assert (got.n_keywords, got.n_covered) == (want.n_keywords, want.n_covered)
         for records in hits.values():
@@ -184,7 +186,7 @@ def test_match_map_matches_each_reachable_token_once(monkeypatch):
     # "sozial" and "yyy" only follow a miss
     assert calls == ["macht", "staat", "qqq", "xxx", "soziale"]
     assert set(matches) == set(calls)
-    covered = {s: coverage(model.name, keywords, s, matches=matches).n_covered
+    covered = {s: coverage(keywords, s, matches=matches).n_covered
                for s in (1.0, 0.95, 0.9)}
     assert covered == {1.0: 2, 0.95: 2, 0.9: 3}
     assert len(calls) == 5
@@ -193,7 +195,7 @@ def test_match_map_matches_each_reachable_token_once(monkeypatch):
 def test_coverage_rejects_a_map_lacking_a_token():
     model = make_model("m", ["macht"], [[1.0]])
     with pytest.raises(ValueError, match="lacks the keyword token 'macht'"):
-        coverage(model.name, [("macht",)], 0.9, matches={})
+        coverage([("macht",)], 0.9, matches={})
 
 
 def _diversity_plant():
@@ -215,12 +217,10 @@ def _diversity_plant():
 def test_diversity_planted_fixture():
     model_a, model_b = _diversity_plant()
     # sanity: the planted neighborhoods are what we think they are
-    from embeval.neighbors import top_k
-
-    assert set(top_k(model_a, "a", 2).tokens()) == {"x", "y"}
-    assert set(top_k(model_b, "a", 2).tokens()) == {"y", "z"}
-    assert set(top_k(model_a, "b", 2).tokens()) == {"p", "q"}
-    assert set(top_k(model_b, "b", 2).tokens()) == {"r", "t"}
+    assert set(top_tokens(model_a, "a", 2)) == {"x", "y"}
+    assert set(top_tokens(model_b, "a", 2)) == {"y", "z"}
+    assert set(top_tokens(model_a, "b", 2)) == {"p", "q"}
+    assert set(top_tokens(model_b, "b", 2)) == {"r", "t"}
 
     result = diversity_at(model_a, model_b, ["a", "b"], 2)
     assert result.n_evaluated == 2
@@ -511,7 +511,7 @@ def test_metrics_read_prefixes_of_a_larger_capacity():
     for k in (1, 4, 10, 29):
         fresh = diversity_at(model_a, model_b, labels, k)
         assert diversity_matrix(maps, keywords, k)[("A", "B")] == fresh
-        assert relational_coverage(model_a.name, tokenized, k, neighbors=rel_map) == (
+        assert relational_coverage(tokenized, k, neighbors=rel_map) == (
             relational_at(model_a, pairs, k)
         )
 
@@ -526,4 +526,4 @@ def test_metrics_reject_a_map_below_capacity():
     tokenized = pair_tokens(pairs)
     small = neighbor_map(model, descriptor_queries(tokenized), 2)
     with pytest.raises(ValueError):
-        relational_coverage(model.name, tokenized, 3, neighbors=small)
+        relational_coverage(tokenized, 3, neighbors=small)

@@ -21,7 +21,7 @@ from embeval.neighbors import (
     top_k,
     top_k_batch,
 )
-from conftest import make_model, random_model, random_rows
+from conftest import make_model, random_model, random_rows, top_tokens
 from oracles import knn_oracle, raw_cosine
 
 
@@ -47,13 +47,12 @@ def test_unit_matrix_keeps_zero_rows():
 
 def test_top_k_zero_k():
     model = make_model("m", ["a", "b"], [[1, 0], [0, 1]])
-    assert top_k(model, "a", 0).entries == ()
+    assert top_k(model, "a", 0) == []
 
 
 def test_top_k_planted_example():
     model = make_model("m", ["a", "b", "c", "d"], [[1, 0], [0.9, 0.1], [0, 1], [-1, 0]])
-    ns = top_k(model, "a", 2)
-    assert ns.tokens() == ["b", "c"]
+    assert top_tokens(model, "a", 2) == ["b", "c"]
     # brute force across all cosines agrees
     assert [t for t, _ in knn_oracle(model, "a", 2)] == ["b", "c"]
 
@@ -61,16 +60,16 @@ def test_top_k_planted_example():
 def test_top_k_tie_breaks_by_vocab_index():
     # b and c are identical rows: tie at the same score, b (lower index) first
     model = make_model("m", ["q", "b", "c"], [[1, 0], [0.5, 0.5], [0.5, 0.5]])
-    assert top_k(model, "q", 2).tokens() == ["b", "c"]
+    assert top_tokens(model, "q", 2) == ["b", "c"]
     model2 = make_model("m", ["q", "c", "b"], [[1, 0], [0.5, 0.5], [0.5, 0.5]])
-    assert top_k(model2, "q", 2).tokens() == ["c", "b"]
+    assert top_tokens(model2, "q", 2) == ["c", "b"]
 
 
 def test_top_k_excludes_query_and_zero_rows():
     model = make_model("m", ["q", "z", "a"], [[1, 0], [0, 0], [0.5, 0.1]])
     ns = top_k(model, "q", 5)
-    assert ns.tokens() == ["a"]
-    assert len(ns.entries) == 1  # shorter than k: only one candidate exists
+    assert [t for t, _ in ns] == ["a"]
+    assert len(ns) == 1  # shorter than k: only one candidate exists
 
 
 def test_top_k_unknown_and_zero_query():
@@ -94,8 +93,8 @@ def test_top_k_matches_oracle_on_random_models():
         k = int(rng.integers(0, n + 2))
         ns = top_k(model, query, k)
         expected = knn_oracle(model, query, k)
-        assert ns.tokens() == [t for t, _ in expected]
-        assert [s for _, s in ns.entries] == [s for _, s in expected]
+        assert [t for t, _ in ns] == [t for t, _ in expected]
+        assert [s for _, s in ns] == [s for _, s in expected]
 
 
 def test_top_k_scores_match_raw_cosine():
@@ -103,7 +102,7 @@ def test_top_k_scores_match_raw_cosine():
     rows = random_rows(rng, 40, 6)
     model = make_model("m", [f"w{i:04d}" for i in range(40)], rows)
     ns = top_k(model, model.vocab[0], 10)
-    for token, score in ns.entries:
+    for token, score in ns:
         u = rows[model.index[model.vocab[0]]]
         v = rows[model.index[token]]
         assert score == pytest.approx(raw_cosine(u, v), abs=1e-12)
@@ -115,7 +114,7 @@ def test_top_k_prefix_containment():
     query = model.vocab[7]
     previous = []
     for k in (1, 3, 5, 10, 25, 49):
-        tokens = top_k(model, query, k).tokens()
+        tokens = top_tokens(model, query, k)
         assert tokens[: len(previous)] == previous
         previous = tokens
 
@@ -124,19 +123,19 @@ def test_top_k_scale_invariance():
     rng = np.random.default_rng(6)
     base = rng.standard_normal((30, 4))
     model = make_model("m", [f"w{i}" for i in range(30)], base)
-    order = top_k(model, "w3", 10).tokens()
+    order = top_tokens(model, "w3", 10)
     scaled = base.copy()
     scaled[12] *= 37.5
     model2 = make_model("m", [f"w{i}" for i in range(30)], scaled)
-    assert top_k(model2, "w3", 10).tokens() == order
+    assert top_tokens(model2, "w3", 10) == order
 
 
 def test_batch_singleton_equals_top_k():
     rng = np.random.default_rng(9)
     model = random_model(rng, "m", 25, 4)
-    single = top_k(model, "w0003", 5)
+    single = top_tokens(model, "w0003", 5)
     batch = top_k_batch(model, ["w0003"], 5)
-    assert batch.neighbor_sets == [("w0003", tuple(single.tokens()))]
+    assert batch.neighbor_sets == [("w0003", tuple(single))]
 
 
 def test_batch_skips_unknown_queries():
@@ -175,7 +174,7 @@ def test_batch_moderate_scale_smoke():
     assert len(result.neighbor_sets) == len(queries)
     assert elapsed < 10.0
     query, tokens = result.neighbor_sets[0]
-    assert list(tokens) == top_k(model, query, 10).tokens()
+    assert list(tokens) == top_tokens(model, query, 10)
 
 
 def test_certification_needs_every_gap_above_the_bound():
@@ -200,7 +199,7 @@ def test_near_duplicate_rows_fall_back_to_the_gemv_order():
         queries = model.vocab[::7]
         batch = top_k_batch(model, queries, 10)
         assert batch.fallbacks == len(queries)
-        expected = {q: top_k(model, q, 10).tokens() for q in queries}
+        expected = {q: top_tokens(model, q, 10) for q in queries}
         assert {q: list(t) for q, t in batch.neighbor_sets} == expected
         unit = model.unit_matrix()
         query_rows = [model.index[q] for q in queries]
@@ -245,7 +244,7 @@ def test_cache_capacity_serves_every_smaller_k(tmp_path):
         loaded = cache_load(path, model, k)
         assert loaded.k == 3
         for q, tokens in loaded.tokens.items():
-            assert list(tokens[:k]) == top_k(model, q, k).tokens()
+            assert list(tokens[:k]) == top_tokens(model, q, k)
     assert cache_load(path, model, 4) is None  # below capacity: the caller rebuilds
 
 
@@ -266,7 +265,7 @@ def test_cache_records_empty_neighborhoods(tmp_path):
     # one real word, the rest zero rows: "a" is queryable but has no neighbors
     model = make_model("m", ["a", "z1", "z2"], [[1, 0], [0, 0], [0, 0]])
     first = neighbor_map(model, ["a", "z1"], 5, tmp_path)
-    assert first == NeighborMap(5, {"a": ()}) and top_k(model, "a", 5).entries == ()
+    assert first == NeighborMap(5, {"a": ()}) and top_k(model, "a", 5) == []
     text = Path(cache_path(tmp_path, "m")).read_text(encoding="utf-8")
     assert text.splitlines()[1:] == ["a"]
     assert neighbor_map(model, ["a", "z1"], 5, tmp_path) == first
@@ -316,7 +315,7 @@ def test_neighbor_map_searches_each_distinct_query_once(monkeypatch):
     result = neighbor_map(model, queries, 6)
     wanted = sorted({q for q in queries if queryable(model, q)})
     assert batches == [wanted]
-    assert result == NeighborMap(6, {q: tuple(top_k(model, q, 6).tokens()) for q in wanted})
+    assert result == NeighborMap(6, {q: tuple(top_tokens(model, q, 6)) for q in wanted})
 
 
 def test_neighbor_map_cache_policy(tmp_path):
@@ -339,7 +338,7 @@ def test_neighbor_map_cache_policy(tmp_path):
     served = neighbor_map(model, queries[:4], 5, tmp_path)
     assert path.read_bytes() == before
     assert {q: list(t[:5]) for q, t in served.tokens.items()} == {
-        q: top_k(model, q, 5).tokens() for q in queries[:4]
+        q: top_tokens(model, q, 5) for q in queries[:4]
     }
     # a missing query or other vectors make the file stale unless refresh
     with pytest.raises(StaleCacheError):
@@ -411,7 +410,7 @@ def _assert_prefixes_equal_top_k(model, queries, capacity):
     assert result.k == capacity
     for query, tokens in result.tokens.items():
         for k in range(capacity + 1):
-            assert list(tokens[:k]) == top_k(model, query, k).tokens()
+            assert list(tokens[:k]) == top_tokens(model, query, k)
 
 
 @settings(max_examples=150, deadline=None)
@@ -466,4 +465,4 @@ def test_cache_round_trip_prefix_equals_fresh_search(model, data):
             loaded = cache_load(path, model, k)
             assert set(loaded.tokens) == set(stored.tokens)
             for query, tokens in loaded.tokens.items():
-                assert list(tokens[:k]) == top_k(model, query, k).tokens()
+                assert list(tokens[:k]) == top_tokens(model, query, k)

@@ -24,4 +24,4 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     exec(compile(_library_example(), str(README), "exec"), {})
     coverage_line, neighbors_line = capsys.readouterr().out.splitlines()
     assert 0.0 < float(coverage_line) < 100.0  # a percentage
-    assert neighbors_line.startswith("(('armut', ")
+    assert neighbors_line.startswith("[('armut', ")

@@ -127,7 +127,7 @@ def test_load_rejects_token_holding_other_whitespace(space):
 
 def test_huge_row_ranks_by_its_true_cosine(recwarn):
     model = load_vec(_vec_bytes("3 2", "a 1e200 1e200", "b 1 1", "c 1 0"), "huge")
-    entries = top_k(model, "b", 2).entries
+    entries = top_k(model, "b", 2)
     assert [t for t, _ in entries] == ["a", "c"]
     assert entries[0][1] == pytest.approx(1.0)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
@@ -138,7 +138,7 @@ def test_tiny_row_is_not_a_zero_row(caplog):
         model = load_vec(_vec_bytes("3 2", "a 1e-200 1e-200", "b 1 1", "c 1 0"), "tiny")
     assert model.zero_rows == frozenset()
     assert "zero vector" not in caplog.text
-    entries = top_k(model, "b", 2).entries
+    entries = top_k(model, "b", 2)
     assert [t for t, _ in entries] == ["a", "c"]
     assert entries[0][1] == pytest.approx(1.0)
 
