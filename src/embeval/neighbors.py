@@ -1,26 +1,21 @@
 """Exact top-k cosine neighborhoods with deterministic ordering and an on-disk cache.
 
 Search is brute force on purpose: the evaluation metrics are set-membership
-tests, and an approximate index could silently bias them.  Ties are broken
-by ascending vocabulary index so repeated runs produce identical tables.
-Under that order the top-k of a query is exactly the first k entries of its
-top-K for any k <= K, so ``neighbor_map`` searches each query once at the
-largest k a run needs and the metrics read prefixes.
-
-``top_k`` scores one query with a matrix-vector product (GEMV) and returns
-its ``(token, score)`` pairs in rank order.  ``top_k_batch`` scores a block of queries with one matrix
-product (GEMM), whose scores can differ from the GEMV ones in the last
-bits.  It keeps a query's GEMM order only where a rounding-error bound
-proves that order is the GEMV one (see ``_certified``), and searches every
-other query again by GEMV, so both give the same tokens.  The metrics read
-only tokens, so a ``NeighborMap`` and the cache hold ordered token tuples
-and no scores.
+tests, and an approximate index could silently bias them.  Neighbors are
+ordered by (descending score, ascending vocabulary index), where a score is
+the exact dot product of two unit rows rounded once, so every machine ranks
+alike.  The top-k of a query is then the first k of its top-K for any
+k <= K, so ``neighbor_map`` searches each query once at the largest k a run
+needs, and a ``NeighborMap`` and the cache hold ordered tokens, no scores.
 """
 
 import json
 import logging
+import math
+import operator
 import os
 import tempfile
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +28,12 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class BatchResult:
-    """The ``(query, tokens)`` of each queryable query in input order, and
-    how many queries fell back to the GEMV search."""
+    """The ``(query, tokens)`` of each queryable query in input order, how
+    many queries were re-ranked exactly, and over how many boundary rows."""
 
     neighbor_sets: list[tuple[str, tuple[str, ...]]]
-    fallbacks: int
+    reranked: int
+    boundary_rows: int
 
 
 @dataclass(frozen=True)
@@ -61,39 +57,6 @@ class NeighborMap:
         return NeighborMap(self.k, lowered)
 
 
-def _select_top(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k best scores, ordered by (descending score, ascending index).
-
-    Exact also under ties: argpartition fixes the boundary score, then every
-    index strictly above it is taken and the remaining slots are filled with
-    the lowest indices at the boundary score.
-    """
-    n_candidates = int(np.count_nonzero(scores > -np.inf))
-    kk = min(k, n_candidates)
-    if kk == 0:
-        return np.empty(0, dtype=np.intp)
-    if kk < len(scores):
-        part = np.argpartition(-scores, kk - 1)[:kk]
-        boundary = scores[part].min()
-        above = np.flatnonzero(scores > boundary)
-        at_boundary = np.flatnonzero(scores == boundary)
-        chosen = np.concatenate([above, at_boundary[: kk - above.size]])
-    else:
-        chosen = np.flatnonzero(scores > -np.inf)
-    order = np.lexsort((chosen, -scores[chosen]))
-    return chosen[order]
-
-
-def _search(model: EmbeddingModel, query: str, k: int) -> list[tuple[str, float]]:
-    row = model.index[query]
-    unit = model.unit_matrix()
-    scores = unit @ unit[row]
-    scores[row] = -np.inf
-    if model.zero_rows:
-        scores[list(model.zero_rows)] = -np.inf
-    return [(model.vocab[i], float(scores[i])) for i in _select_top(scores, k)]
-
-
 def queryable(model: EmbeddingModel, token: str) -> bool:
     """Whether ``token`` has a neighborhood: it is in the vocabulary with a nonzero row."""
     row = model.index.get(token)
@@ -102,7 +65,7 @@ def queryable(model: EmbeddingModel, token: str) -> bool:
 
 def top_k(model: EmbeddingModel, query: str, k: int) -> list[tuple[str, float]]:
     """Exact k nearest neighbors of ``query`` by cosine similarity, as
-    ``(token, score)`` pairs ordered by (descending score, ascending index).
+    ``(token, score)`` pairs in the neighbor order, with exact scores.
 
     The query itself and zero-vector rows are excluded from the candidates.
     Raises UnknownTokenError for out-of-vocabulary queries and ZeroVectorError
@@ -115,7 +78,58 @@ def top_k(model: EmbeddingModel, query: str, k: int) -> list[tuple[str, float]]:
         raise UnknownTokenError(f"token {query!r} not in model {model.name!r}")
     if row in model.zero_rows:
         raise ZeroVectorError(f"query {query!r} has a zero vector in {model.name!r}")
-    return _search(model, query, k)
+    idx = next(_ranked(model, [row], k))[0].tolist()
+    return list(zip(map(model.vocab.__getitem__, idx), _exact_scores(model.unit_matrix(), row, idx)))
+
+
+def top_k_batch(model: EmbeddingModel, queries: list[str], k: int) -> BatchResult:
+    """The top-k tokens of each queryable query, as ``top_k`` ranks them;
+    unknown or zero-vector queries are skipped."""
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
+    wanted = [q for q in queries if queryable(model, q)]
+    rows = [model.index[q] for q in wanted]
+    ranked = [(tuple(map(model.vocab.__getitem__, idx.tolist())), b) for idx, b in _ranked(model, rows, k)]
+    boundaries = [b for _, b in ranked if b]
+    return BatchResult([(q, t) for q, (t, _) in zip(wanted, ranked)], len(boundaries), sum(boundaries))
+
+
+def _ranked(model: EmbeddingModel, rows: list[int], k: int) -> Iterator[tuple[np.ndarray, int]]:
+    """Per query row: the indices of its top k in the neighbor order, and
+    the number of boundary rows it was re-ranked over (0 when certified).
+
+    Each block of ``max(1, dim // 8)`` queries is scored by one GEMM, which
+    takes at most an eighth of the bytes of the unit matrix.  A query's top
+    K+1 GEMM scores in (score desc, index asc) order give its top K where
+    ``_certified``.  Otherwise K rows beat every row scoring below its K-th
+    minus ``_gap_bound``, so only the rows above that are scored exactly.
+    """
+    n = len(model)
+    n_candidates = n - 1 - len(model.zero_rows)
+    # one column at least, so that a query without candidates certifies ()
+    kk, m = min(k, n_candidates), max(1, min(k + 1, n_candidates))
+    unit = model.unit_matrix()
+    zero = np.fromiter(model.zero_rows, dtype=np.intp, count=len(model.zero_rows))
+    block = max(1, model.dim // 8)
+    for start in range(0, len(rows), block):
+        block_rows = rows[start : start + block]
+        scores = unit[block_rows] @ unit.T
+        scores[np.arange(len(block_rows)), block_rows] = -np.inf
+        scores[:, zero] = -np.inf
+        top = np.argpartition(scores, n - m, axis=1)[:, n - m :]
+        top_scores = np.take_along_axis(scores, top, axis=1)
+        order = np.lexsort((top, -top_scores), axis=1)
+        top = np.take_along_axis(top, order, axis=1)[:, :kk]
+        ordered = np.take_along_axis(top_scores, order, axis=1)
+        certified = _certified(ordered, model.dim)
+        for row, idx, gemm, kth, ok in zip(block_rows, top, scores, ordered[:, kk - 1], certified):
+            if ok:
+                yield idx, 0
+                continue
+            boundary = np.flatnonzero(gemm >= kth - _gap_bound(model.dim)).tolist()
+            exact = _exact_scores(unit, row, boundary)
+            ranked = sorted(zip(exact, boundary), key=lambda pair: (-pair[0], pair[1]))
+            yield np.array([i for _, i in ranked[:kk]], dtype=np.intp), len(boundary)
 
 
 # delta: the product of the norms of two rows of ``unit_matrix`` is at most
@@ -124,72 +138,56 @@ def top_k(model: EmbeddingModel, query: str, k: int) -> list[tuple[str, float]]:
 _NORM_SLACK = 2.0 ** -20
 
 
+def _gap_bound(dim: int) -> float:
+    n_eps = (dim + 2) * np.finfo(np.float64).eps
+    return 2.0 * n_eps / (1.0 - n_eps) * (1.0 + _NORM_SLACK)
+
+
 def _certified(ordered: np.ndarray, dim: int) -> np.ndarray:
     """Per row of GEMM scores in descending order: whether every adjacent gap
-    exceeds ``2 * gamma(d + 2) * (1 + delta)``.
+    exceeds ``2 * gamma(d + 2) * (1 + delta)``, which makes it the exact order.
 
-    ``gamma(n) = n*eps / (1 - n*eps)`` with ``eps = 2**-52``, twice the unit
-    roundoff u, and ``delta = 2**-20``.  A dot product of two d-vectors
-    computed in any summation order, with or without fused multiply-adds,
-    lies within ``gamma_u(d) * sum(|x_i * y_i|)`` of the exact one (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., section
-    3.1), and that sum is at most ``|x| |y| <= 1 + delta`` for unit rows.
-    So the GEMM and the GEMV score of one pair differ by at most
-    ``2 * gamma_u(d) * (1 + delta) <= gamma(d + 2) * (1 + delta)``, and two
-    GEMM scores further apart than twice that are in the same strict order
-    as their GEMV scores.
+    ``gamma(n) = n*eps / (1 - n*eps)``, ``eps = 2**-52 = 2u``, ``delta = 2**-20``.
+    In any summation order, with or without fused multiply-adds, a dot
+    product of unit d-rows is within ``gamma_u(d) * (1 + delta)``, a quarter
+    of the bound, of the exact one (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., section 3.1).  So a gap above the bound
+    keeps two exact scores over ``3 * 2**-52`` apart, in order once rounded.
     """
-    n_eps = (dim + 2) * np.finfo(np.float64).eps
-    bound = 2.0 * n_eps / (1.0 - n_eps) * (1.0 + _NORM_SLACK)
-    return (ordered[:, :-1] - ordered[:, 1:] > bound).all(axis=1)
+    return (ordered[:, :-1] - ordered[:, 1:] > _gap_bound(dim)).all(axis=1)
 
 
-def top_k_batch(model: EmbeddingModel, queries: list[str], k: int) -> BatchResult:
-    """The top-k tokens of each queryable query; unknown or zero-vector queries are skipped.
+# Veltkamp's 2**27 + 1 splits a double into halves of at most 26 bits.  A
+# product of two doubles that rounds to at least _TINY in magnitude has an
+# error that is a multiple of 2**-1074, so every step of TwoProduct is exact.
+_SPLIT, _TINY, _SLICE = 134217729.0, 2.0 ** -968, 512
 
-    Each block of ``max(1, dim // 8)`` queries is scored by one GEMM, so
-    the score block and its index array each take at most an eighth of the
-    bytes of the unit matrix (one query's scores when dim < 8).  A query's
-    top K+1 candidates (all of them when there are fewer) are ordered by
-    (score desc, index asc).  When ``_certified`` proves every adjacent gap
-    among them, the GEMV search of ``top_k`` ranks the same first K
-    candidates in the same order above every other row, so they are its
-    top K.  Any other query, such as one with an exact tie, is searched by
-    ``top_k`` itself.  The tokens are therefore those of ``top_k`` whatever
-    the shape of the batch.
+
+def _exact_scores(unit: np.ndarray, row: int, candidates: list[int]) -> list[float]:
+    """The exact dot product of unit row ``row`` with each candidate row, rounded once.
+
+    TwoProduct (Dekker's; Ogita, Rump and Oishi, "Accurate sum and dot
+    product", SISC 2005) writes each product as two floats, and ``math.fsum``
+    rounds their exact sum correctly.  A nonzero product below ``_TINY`` is
+    summed in rationals.  ``_SLICE`` rows at a time bound the temporaries.
     """
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    wanted = [q for q in queries if queryable(model, q)]
-    n = len(model)
-    n_candidates = n - 1 - len(model.zero_rows)
-    kk = min(k, n_candidates)
-    if kk <= 0:
-        return BatchResult([(q, ()) for q in wanted], fallbacks=0)
-    m = min(k + 1, n_candidates)
-    unit = model.unit_matrix()
-    zero = np.fromiter(model.zero_rows, dtype=np.intp, count=len(model.zero_rows))
-    rows = np.fromiter((model.index[q] for q in wanted), dtype=np.intp, count=len(wanted))
-    block = max(1, model.dim // 8)
-    neighbor_sets: list[tuple[str, tuple[str, ...]]] = []
-    fallbacks = 0
-    for start in range(0, len(wanted), block):
-        block_rows = rows[start : start + block]
-        scores = unit[block_rows] @ unit.T
-        scores[np.arange(block_rows.size), block_rows] = -np.inf
-        scores[:, zero] = -np.inf
-        top = np.argpartition(scores, n - m, axis=1)[:, n - m :]
-        top_scores = np.take_along_axis(scores, top, axis=1)
-        order = np.lexsort((top, -top_scores), axis=1)
-        top = np.take_along_axis(top, order, axis=1)
-        certified = _certified(np.take_along_axis(top_scores, order, axis=1), model.dim)
-        for query, idx, ok in zip(wanted[start : start + block], top[:, :kk].tolist(), certified):
-            if ok:
-                neighbor_sets.append((query, tuple(map(model.vocab.__getitem__, idx))))
-            else:
-                fallbacks += 1
-                neighbor_sets.append((query, tuple(t for t, _ in _search(model, query, k))))
-    return BatchResult(neighbor_sets, fallbacks)
+    x = unit[row]
+    hx = _SPLIT * x - (_SPLIT * x - x)
+    lx = x - hx
+    scores: list[float] = []
+    for start in range(0, len(candidates), _SLICE):
+        y = unit[candidates[start : start + _SLICE]]
+        p = y * x
+        hy = _SPLIT * y - (_SPLIT * y - y)
+        ly = y - hy
+        e = lx * ly - (((p - hx * hy) - lx * hy) - hx * ly)
+        scores += [math.fsum(terms) for terms in np.hstack((p, e)).tolist()]
+        for j in np.flatnonzero(((np.abs(p) < _TINY) & (y != 0.0) & (x != 0.0)).any(axis=1)).tolist():
+            from fractions import Fraction  # only rows with tiny products need it
+
+            exact = sum(map(operator.mul, map(Fraction, x.tolist()), map(Fraction, y[j].tolist())))
+            scores[start + j] = float(exact)
+    return scores
 
 
 def neighbor_map(model: EmbeddingModel, queries: list[str], k: int, cache_dir=None,
@@ -204,7 +202,7 @@ def neighbor_map(model: EmbeddingModel, queries: list[str], k: int, cache_dir=No
     of another SHA-256, written in another format or lacking a needed
     query raises StaleCacheError unless ``refresh`` asks for a rebuild.  A
     search logs at debug level how many queries it certified and how many
-    fell back to GEMV.
+    it re-ranked exactly, over how many boundary rows.
     """
     wanted = sorted(q for q in set(queries) if queryable(model, q))
     path = None if cache_dir is None else cache_path(cache_dir, model.name)
@@ -221,8 +219,8 @@ def neighbor_map(model: EmbeddingModel, queries: list[str], k: int, cache_dir=No
     batch = top_k_batch(model, wanted, k)
     searched = len(batch.neighbor_sets)
     logger.debug(
-        "%s: searched %d queries at k=%d: %d certified, %d fell back to GEMV",
-        model.name, searched, k, searched - batch.fallbacks, batch.fallbacks,
+        "%s: searched %d queries at k=%d: %d certified, %d re-ranked exactly over %d boundary rows",
+        model.name, searched, k, searched - batch.reranked, batch.reranked, batch.boundary_rows,
     )
     result = NeighborMap(k, dict(batch.neighbor_sets))
     if path is not None:
@@ -235,8 +233,9 @@ def cache_path(cache_dir, model_name: str) -> str:
 
 
 def _cache_header(model: EmbeddingModel, k: int) -> dict:
-    # "format" names the layout of the lines: the query, then its tokens
-    return {"digest": model.source_digest, "dim": model.dim, "format": "tokens",
+    # "format" names the layout of the lines, the query then its tokens, and
+    # their order by exact scores; "tokens" was the order by computed scores
+    return {"digest": model.source_digest, "dim": model.dim, "format": "exact-tokens",
             "k": k, "model": model.name}
 
 

@@ -26,9 +26,8 @@ _LANE_BITS = 63
 
 @dataclass(frozen=True)
 class RatioMatch:
-    """One vocabulary token that matched a keyword token."""
+    """The vocabulary token that best matched a keyword token, and its ratio."""
 
-    keyword_token: str
     matched_vocab_token: str
     ratio: float
 
@@ -182,7 +181,7 @@ def best_match(token: str, vocab: VocabIndex, s: float) -> Optional[RatioMatch]:
         raise ValueError(f"threshold s must be in (0, 1], got {s}")
     pos = vocab.position.get(token)
     if pos is not None:
-        return RatioMatch(token, token, 1.0)
+        return RatioMatch(token, 1.0)
     if s == 1.0:
         return None
 
@@ -217,7 +216,7 @@ def best_match(token: str, vocab: VocabIndex, s: float) -> Optional[RatioMatch]:
         idx = bucket[j]
         r = (total - d) / total
         if best is None or r > best.ratio or (r == best.ratio and idx < best_idx):
-            best = RatioMatch(token, vocab.tokens[idx], r)
+            best = RatioMatch(vocab.tokens[idx], r)
             best_idx = idx
     return best
 

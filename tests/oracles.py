@@ -8,8 +8,10 @@ logic with the code under test.
 import hashlib
 import logging
 import math
+import operator
 import os
 import re
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -62,24 +64,40 @@ def scan_match(token: str, vocab: VocabIndex, s: float) -> Optional[RatioMatch]:
         if r < s:
             continue
         if best is None or r > best.ratio:
-            best = RatioMatch(token, cand, r)
+            best = RatioMatch(cand, r)
     return best
+
+
+def _integer_row(row: list[float]) -> tuple[list[int], int]:
+    """Integers ``n_i`` and a power of two ``d`` with ``row[i] == n_i / d`` for every component."""
+    nums, dens = zip(*map(float.as_integer_ratio, row))
+    den = max(dens)
+    return [n * (den // d) for n, d in zip(nums, dens)], den
+
+
+def exact_dot(x: list[float], y: list[float]) -> Fraction:
+    """The dot product of two float rows as an exact rational."""
+    return sum(map(operator.mul, map(Fraction, x), map(Fraction, y)), Fraction(0))
 
 
 def knn_oracle(model, query: str, k: int) -> list[tuple[str, float]]:
     """Enumerate every candidate and fully sort by (-score, vocab index).
 
-    Scores come from the same unit-row product the engine uses, so the
-    selection logic is what gets verified, bit for bit.
+    A score is the exact dot product of the two unit rows, a rational whose
+    denominator is a power of two, rounded once to the nearest float.  Each
+    row is read as integers over one power of two, which keeps the exact
+    arithmetic cheap.
     """
-    unit = model.unit_matrix()
+    unit = model.unit_matrix().tolist()
     qi = model.index[query]
-    scores = unit @ unit[qi]
-    candidates = [
-        i for i in range(len(model.vocab)) if i != qi and i not in model.zero_rows
-    ]
-    order = sorted(candidates, key=lambda i: (-scores[i], i))
-    return [(model.vocab[i], float(scores[i])) for i in order[:k]]
+    q, q_den = _integer_row(unit[qi])
+    scores = {}
+    for i, row in enumerate(unit):
+        if i != qi and i not in model.zero_rows:
+            ints, den = _integer_row(row)
+            scores[i] = float(Fraction(sum(map(operator.mul, q, ints)), q_den * den))
+    order = sorted(scores, key=lambda i: (-scores[i], i))
+    return [(model.vocab[i], scores[i]) for i in order[:k]]
 
 
 def raw_cosine(u, v) -> float:

@@ -185,6 +185,14 @@ def test_diversity_stale_cache_errors_unless_refresh(tmp_path, thesaurus_path):
     write_fixture_model(a, "alpha", flip=True)
     assert main(args + ["--out", str(tmp_path / "d2")]) == 3
     assert main(args + ["--refresh", "--out", str(tmp_path / "d3")]) == 0
+    # a cache ranked by computed rather than exact scores reads "tokens"
+    path = cache / "alpha.neighbors.tsv"
+    header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+    path.write_text(json.dumps({**json.loads(header), "format": "tokens"}, sort_keys=True)
+                    + "\n" + rest, encoding="utf-8")
+    assert main(args + ["--out", str(tmp_path / "d4")]) == 3
+    assert main(args + ["--refresh", "--out", str(tmp_path / "d5")]) == 0
+    assert _diversity_tables(tmp_path / "d5") == _diversity_tables(tmp_path / "d3")
 
 
 def _diversity_tables(out: Path) -> tuple[bytes, bytes]:
@@ -443,6 +451,35 @@ def test_clean_imports_no_multiprocessing(tmp_path):
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_certified_diversity_loads_no_rational_arithmetic(tmp_path, thesaurus_path):
+    # exact re-ranking needs rationals only for rows with tiny components,
+    # and these Gaussian rows certify every query besides
+    rng = np.random.default_rng(8)
+    vocab = FIXTURE_VOCAB + [f"wort{i}" for i in range(30)]
+    models = []
+    for name in ("alpha", "beta"):
+        save_vec(vocab, rng.standard_normal((len(vocab), 16)), tmp_path / f"{name}.vec")
+        models += ["--model", str(tmp_path / f"{name}.vec")]
+    argv = ["diversity", *models, "--thesaurus", str(thesaurus_path), "--k", "10",
+            "--out", str(tmp_path / "d")]
+    script = (
+        "import logging, sys\n"
+        "logging.basicConfig(level=logging.DEBUG, format='%(message)s')\n"
+        "from embeval.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m in ('fractions', 'decimal')))\n"
+    )
+    import embeval
+
+    env = {**os.environ, "PYTHONPATH": str(Path(embeval.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+    searches = [line for line in result.stderr.splitlines() if ": searched " in line]
+    assert len(searches) == 2
+    assert all(line.endswith(" certified, 0 re-ranked exactly over 0 boundary rows") for line in searches)
 
 
 def test_package_exports_resolve_to_their_modules():

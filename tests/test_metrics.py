@@ -168,7 +168,7 @@ def test_coverage_over_one_map_equals_per_threshold_oracle(case, lowercase):
         for records in hits.values():
             for token, vocab_token, r in records:
                 m = matches[token]
-                assert (m.keyword_token, m.matched_vocab_token, m.ratio) == (token, vocab_token, r)
+                assert (m.matched_vocab_token, m.ratio) == (vocab_token, r)
 
 
 def test_match_map_matches_each_reachable_token_once(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -12,6 +13,7 @@ from embeval.errors import CacheFormatError, StaleCacheError, UnknownTokenError,
 from embeval.neighbors import (
     NeighborMap,
     _certified,
+    _exact_scores,
     _NORM_SLACK,
     cache_load,
     cache_path,
@@ -22,7 +24,7 @@ from embeval.neighbors import (
     top_k_batch,
 )
 from conftest import make_model, random_model, random_rows, top_tokens
-from oracles import knn_oracle, raw_cosine
+from oracles import exact_dot, knn_oracle, raw_cosine
 
 
 def test_unit_matrix_unit_rows_unchanged():
@@ -146,9 +148,13 @@ def test_batch_skips_unknown_queries():
 
 def test_batch_shape_independence():
     rng = np.random.default_rng(10)
-    for dim in (5, 16, 40):  # blocks of 1, 2 and 5 queries
-        model = random_model(rng, "m", 60, dim, n_duplicate_rows=4, n_zero_rows=2)
-        queries = [model.vocab[i] for i in (3, 9, 27, 41, 55, 0)]
+    # blocks of 1, 2 and 5 queries; the 1,003-row model reaches past the
+    # last full block of a BLAS kernel, with copies of row 3 in its tail
+    for n, dim in ((60, 5), (60, 16), (60, 40), (1_003, 40)):
+        rows = random_rows(rng, n, dim, n_duplicate_rows=4, n_zero_rows=2)
+        rows[[n // 2, n - 3, n - 2, n - 1]] = rows[3]
+        model = make_model("m", [f"w{i:04d}" for i in range(n)], rows)
+        queries = [model.vocab[i] for i in (3, 9, 27, 41, 55, 0) if i not in model.zero_rows]
         base = dict(top_k_batch(model, queries, 8).neighbor_sets)
         permuted = dict(top_k_batch(model, list(reversed(queries)), 8).neighbor_sets)
         halves = {
@@ -158,7 +164,8 @@ def test_batch_shape_independence():
         singletons = {}
         for q in queries:
             singletons.update(top_k_batch(model, [q], 8).neighbor_sets)
-        assert base == permuted == halves == singletons
+        exact = {q: tuple(t for t, _ in knn_oracle(model, q, 8)) for q in queries}
+        assert base == permuted == halves == singletons == exact
 
 
 def test_batch_moderate_scale_smoke():
@@ -188,9 +195,9 @@ def test_certification_needs_every_gap_above_the_bound():
         assert _certified(np.array([[0.0], [1.0]]), dim).tolist() == [True, True]
 
 
-def test_near_duplicate_rows_fall_back_to_the_gemv_order():
-    # one base row plus 1e-15 noise: GEMM and GEMV round the near-equal
-    # scores differently and often order them differently
+def test_near_duplicate_rows_are_reranked_exactly():
+    # one base row plus 1e-15 noise: the GEMM rounds the near-equal scores
+    # and often orders them unlike their exact scores
     raw_differs = 0
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -198,9 +205,10 @@ def test_near_duplicate_rows_fall_back_to_the_gemv_order():
         model = make_model("m", [f"w{i:02d}" for i in range(60)], rows)
         queries = model.vocab[::7]
         batch = top_k_batch(model, queries, 10)
-        assert batch.fallbacks == len(queries)
-        expected = {q: top_tokens(model, q, 10) for q in queries}
+        assert batch.reranked == len(queries)
+        expected = {q: [t for t, _ in knn_oracle(model, q, 10)] for q in queries}
         assert {q: list(t) for q, t in batch.neighbor_sets} == expected
+        assert {q: top_tokens(model, q, 10) for q in queries} == expected
         unit = model.unit_matrix()
         query_rows = [model.index[q] for q in queries]
         scores = unit[query_rows] @ unit.T
@@ -209,6 +217,74 @@ def test_near_duplicate_rows_fall_back_to_the_gemv_order():
             raw = [model.vocab[i] for i in np.lexsort((np.arange(60), -row))[:10]]
             raw_differs += raw != expected[query]
     assert raw_differs > 0  # the fixture does separate the two orders
+
+
+# Rows holding one vector in a 1,003-row file: at the head, in the middle
+# and past the last full block of a BLAS kernel, where a matrix-vector
+# product rounds the same dot product differently.
+_COPIES = [0, 1, 2, 3, 4, 5, 7, 500, 998, 999, 1000, 1001, 1002]
+
+
+@pytest.mark.parametrize("dim", [50, 100, 300])
+def test_identical_rows_rank_in_index_order(dim):
+    rng = np.random.default_rng(dim)
+    rows = rng.standard_normal((1_003, dim))
+    rows[_COPIES] = rows[0]
+    # 50 queries near the copies: the copies and the other 49 are their top 62
+    rows[10:60] = rows[0] + 0.3 * rng.standard_normal((50, dim))
+    model = make_model("m", [f"w{i:04d}" for i in range(1_003)], rows)
+    unit = model.unit_matrix()
+    # np.linalg.norm is numpy's own pairwise sum, not BLAS, so the copies
+    # normalize to the same bits wherever they sit
+    assert all(unit[i].tobytes() == unit[0].tobytes() for i in _COPIES)
+    copies = [model.vocab[i] for i in _COPIES]
+    queries = model.vocab[10:60]
+
+    def disordered(query, tokens):
+        return [t for t in tokens if t in copies] != copies
+
+    assert [q for q in queries if disordered(q, top_tokens(model, q, 62))] == []
+    batch = top_k_batch(model, queries, 62)
+    assert [q for q, tokens in batch.neighbor_sets if disordered(q, tokens)] == []
+    assert top_k(model, queries[0], 1_002) == knn_oracle(model, queries[0], 1_002)
+
+
+# full 53-bit mantissas where products straddle the smallest one whose
+# TwoProduct error terms do not underflow
+_NEAR_UNDERFLOW = st.builds(
+    lambda sign, low, exp: math.ldexp(sign * ((1 << 52) | low), exp),
+    st.sampled_from([1, -1]), st.integers(0, 2**52 - 1), st.integers(-560, -500),
+)
+_COMPONENTS = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022]),
+    st.floats(-(2.0**-1022), 2.0**-1022),
+    _NEAR_UNDERFLOW,
+)
+
+
+@st.composite
+def _cancelling_rows(draw):
+    """Rows ``x + x`` and ``y + z``, where z is -y moved by an ulp: their
+    products cancel to the low bits of the products, which TwoProduct loses
+    where it underflows."""
+    components = draw(st.sampled_from([_NEAR_UNDERFLOW, _COMPONENTS]))
+    x = draw(st.lists(components, min_size=1, max_size=2))
+    y = draw(st.lists(components, min_size=len(x), max_size=len(x)))
+    steps = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(x), max_size=len(x)))
+    return [x + x, y + [-(v + step * math.ulp(v)) for v, step in zip(y, steps)]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_exact_scores_equal_the_rational_dot_product(data):
+    # subnormal, signed zero, near-underflow and unit-magnitude components,
+    # on both sides of the threshold below which TwoProduct could underflow
+    dim = data.draw(st.integers(1, 8))
+    row = st.lists(_COMPONENTS, min_size=dim, max_size=dim)
+    rows = data.draw(_cancelling_rows() | st.lists(row, min_size=2, max_size=6))
+    got = _exact_scores(np.array(rows), 0, np.arange(1, len(rows)))
+    assert got == [float(exact_dot(rows[0], y)) for y in rows[1:]]
 
 
 def test_cache_round_trip(tmp_path):
@@ -409,8 +485,10 @@ def _assert_prefixes_equal_top_k(model, queries, capacity):
     assert set(result.tokens) == {q for q in queries if queryable(model, q)}
     assert result.k == capacity
     for query, tokens in result.tokens.items():
+        exact = [t for t, _ in knn_oracle(model, query, capacity)]
+        assert list(tokens) == exact
         for k in range(capacity + 1):
-            assert list(tokens[:k]) == top_tokens(model, query, k)
+            assert top_tokens(model, query, k) == exact[:k]
 
 
 @settings(max_examples=150, deadline=None)
@@ -428,19 +506,20 @@ def test_provider_prefix_equals_top_k_on_gaussian_rows(model, data):
     _assert_prefixes_equal_top_k(model, queries, capacity)
 
 
-def _logged_counts(records) -> dict[str, tuple[int, int, int]]:
+def _logged_counts(records) -> dict[str, tuple[int, int, int, int]]:
     counts = {}
     for record in records:
         found = re.fullmatch(
-            r"(\w+): searched (\d+) queries at k=\d+: (\d+) certified, (\d+) fell back to GEMV",
+            r"(\w+): searched (\d+) queries at k=\d+: (\d+) certified, "
+            r"(\d+) re-ranked exactly over (\d+) boundary rows",
             record.getMessage(),
         )
         if found:
-            counts[found[1]] = tuple(int(found[i]) for i in (2, 3, 4))
+            counts[found[1]] = tuple(int(found[i]) for i in (2, 3, 4, 5))
     return counts
 
 
-def test_neighbor_map_logs_certified_and_fallback_counts(caplog):
+def test_neighbor_map_logs_certified_and_reranked_counts(caplog):
     caplog.set_level(logging.DEBUG, logger="embeval.neighbors")
     rng = np.random.default_rng(40)
     gaussian = random_model(rng, "gauss", 200, 32)
@@ -448,9 +527,10 @@ def test_neighbor_map_logs_certified_and_fallback_counts(caplog):
     neighbor_map(gaussian, gaussian.vocab[:30], 20)
     neighbor_map(duplicated, duplicated.vocab, 20)
     counts = _logged_counts(caplog.records)
-    assert counts["gauss"] == (30, 30, 0)
-    searched, certified, fallbacks = counts["dup"]
-    assert searched == 200 and certified + fallbacks == 200 and fallbacks > 0
+    assert counts["gauss"] == (30, 30, 0, 0)
+    searched, certified, reranked, boundary = counts["dup"]
+    assert searched == 200 and certified + reranked == 200 and reranked > 0
+    assert boundary >= 20 * reranked  # each holds at least the top 20
 
 
 @settings(max_examples=100, deadline=None)
