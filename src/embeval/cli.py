@@ -4,11 +4,12 @@ Exit codes: 0 ok, 2 argument error, 3 input parse error, 4 internal error.
 All argument validation happens before any file is parsed or any heavy
 computation starts.  Besides the values of each option, it rejects an
 --out or a neighbor cache directory (--cache-dir or $EMBEVAL_CACHE_DIR)
-that is, or lies under, an existing file, and a clean --name that is
-empty, ``.``, ``..`` or holds a path separator.  Every command writes CSV
-and Markdown tables plus a run manifest into --out; rerunning with
-identical inputs and parameters reproduces the tables byte for byte (the
-manifest differs only in its duration field).
+that is, or lies under, an existing file, a clean --name that is empty,
+``.``, ``..`` or holds a path separator, a clean --out that is the
+--input directory, and a stats corpus file given twice.  Every command
+writes CSV and Markdown tables plus a run manifest into --out; rerunning
+with identical inputs and parameters reproduces the tables byte for byte
+(the manifest differs only in its duration field).
 
 The vector commands (coverage, diversity, relations) share one skeleton,
 ``_vector_command``: it parses the thesaurus, then loads one model at a
@@ -33,6 +34,7 @@ that step is ``relation_pairs``, which also applies --single-word-only.
 """
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
@@ -173,6 +175,8 @@ def cmd_clean(args) -> int:
     input_dir = Path(args.input)
     if not input_dir.is_dir():
         raise UsageError(f"no such input directory: {args.input}")
+    if Path(args.out).resolve() == input_dir.resolve():
+        raise UsageError(f"--out must not be the input directory: {args.out}")
     if args.config:
         _require_files(args.config)
     config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
@@ -187,16 +191,8 @@ def cmd_clean(args) -> int:
     with ManifestTimer(manifest):
         stats, report, outputs = run_pipeline(args.input, config, out, corpus_name=args.name)
         _write_stats(out / "corpus_stats.csv", stats)
-        summary = {
-            "files_processed": report.files_processed,
-            "files_skipped": report.files_skipped,
-            "empty_documents": report.empty_documents,
-            "unknown_lines": report.unknown_lines,
-            "dedup": {lang: {"kept": d.kept, "dropped": d.dropped} for lang, d in report.dedup.items()},
-            "warnings": report.warnings,
-        }
         (out / "clean_report.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
     manifest.write(out / "clean.manifest.json")
     for lang, path in outputs.items():
@@ -208,6 +204,8 @@ def cmd_clean(args) -> int:
 def cmd_stats(args) -> int:
     from .corpus import recount_stats
 
+    if len({Path(path).resolve() for path in args.corpus_files}) != len(args.corpus_files):
+        raise UsageError(f"corpus files are not distinct: {args.corpus_files}")
     _require_files(*args.corpus_files)
     out = _out_dir(args)
     manifest = _manifest("stats", list(args.corpus_files), {})

@@ -1,9 +1,11 @@
 """Cleaning cascade turning extracted document text into per-language corpora.
 
 Stages, in order: cover-page stripping, dehyphenation, camel-case splitting,
-then per line whitespace/lowercase normalization and tokenization,
-number-to-word conversion, language routing of the resulting line, and
-finally sentence deduplication.  Line boundaries are the sentence proxy
+then per line lowercasing and tokenization (which also collapses
+whitespace: a line is written as its tokens joined by single spaces),
+language routing, number-to-word conversion in the routed language and,
+when numbers were converted, routing again, and finally sentence
+deduplication.  Line boundaries are the sentence proxy
 throughout: dehyphenation joins words split across a line break but keeps
 the remaining breaks as boundaries, otherwise per-line language routing and
 line-level deduplication would have nothing to work on and the cascade would
@@ -42,7 +44,7 @@ from typing import Iterable, Union
 
 from .errors import InputParseError, WorkerError
 from .langid import UNKNOWN, classify_line_language, default_classifier
-from .numwords import MAX_NUMBER, number_to_words
+from .numwords import number_to_words
 from .thesaurus import DASH_CHARS, HYPHEN_CHARS
 
 logger = logging.getLogger(__name__)
@@ -56,6 +58,7 @@ _HYPHEN_RE = re.compile(f"[{HYPHEN_CHARS}{DASH_CHARS}]")
 # semicolons, question and exclamation marks (ASCII and typographic quotes).
 PUNCT_CHARS = ".,();:?!\"'„“”‚‘’«»"
 
+# At most six digits, so every match is within number_to_words' range 0..999,999.
 _INT_TOKEN_RE = re.compile(r"^(0|[1-9][0-9]{0,5})$")
 # _INT_TOKEN_RE needs an ASCII digit, so text without one has no number to convert.
 _DIGIT_RE = re.compile("[0-9]")
@@ -88,6 +91,8 @@ class PipelineConfig:
                 key, _, value = stripped.partition("=")
                 key = key.strip()
                 value = value.strip()
+                if key in values:
+                    raise InputParseError(f"{path}: line {line_no}: repeated key {key!r}")
                 if key == "languages":
                     languages = tuple(v.strip() for v in value.split(",") if v.strip())
                     # the classifier routes lines to its languages alone
@@ -195,13 +200,10 @@ def split_camel_case(text: str) -> str:
     return re.sub(f"(?<=[{re.escape(lower)}])(?=[{re.escape(upper)}])", " ", text)
 
 
-def normalize_ws_lower(text: str) -> str:
-    """Collapse whitespace runs to single spaces and lowercase everything.
-
-    Newlines are line boundaries and survive; each line is trimmed.
-    """
-    lines = text.split("\n")
-    return "\n".join(" ".join(line.split()).lower() for line in lines)
+def _core_bounds(chunk: str) -> tuple[int, int]:
+    """Start and end of ``chunk`` without its leading and trailing PUNCT_CHARS."""
+    start = len(chunk) - len(chunk.lstrip(PUNCT_CHARS))
+    return start, max(start, len(chunk.rstrip(PUNCT_CHARS)))
 
 
 def tokenize(text: str) -> list[str]:
@@ -211,19 +213,11 @@ def tokenize(text: str) -> list[str]:
         if chunk[0] not in PUNCT_CHARS and chunk[-1] not in PUNCT_CHARS:
             out.append(chunk)
             continue
-        head: list[str] = []
-        tail: list[str] = []
-        start, end = 0, len(chunk)
-        while start < end and chunk[start] in PUNCT_CHARS:
-            head.append(chunk[start])
-            start += 1
-        while end > start and chunk[end - 1] in PUNCT_CHARS:
-            tail.append(chunk[end - 1])
-            end -= 1
-        out.extend(head)
+        start, end = _core_bounds(chunk)
+        out.extend(chunk[:start])
         if start < end:
             out.append(chunk[start:end])
-        out.extend(reversed(tail))
+        out.extend(chunk[end:])
     return out
 
 
@@ -242,18 +236,11 @@ def numbers_to_words(text: str, lang: str) -> str:
         return text
 
     def convert_chunk(chunk: str) -> str:
-        start, end = 0, len(chunk)
-        while start < end and chunk[start] in PUNCT_CHARS:
-            start += 1
-        while end > start and chunk[end - 1] in PUNCT_CHARS:
-            end -= 1
+        start, end = _core_bounds(chunk)
         core = chunk[start:end]
         if not _INT_TOKEN_RE.match(core):
             return chunk
-        value = int(core)
-        if value > MAX_NUMBER:
-            return chunk
-        words = number_to_words(value, lang).replace("-", " ")
+        words = number_to_words(int(core), lang).replace("-", " ")
         return chunk[:start] + words + chunk[end:]
 
     return _CHUNK_RE.sub(lambda m: convert_chunk(m.group()), text)
@@ -274,6 +261,8 @@ def clean_document(text: str, config: PipelineConfig) -> tuple[list[tuple[str, s
     by its final, written text, so cleaning the output again routes every
     line the same way.  Numerals are spelled in the language of the line
     before conversion; when the words change the line, it is routed again.
+    Number words are lowercase tokens joined by single spaces, so the
+    converted line is already clean and is not tokenized again.
     """
 
     def route(line: str) -> str | None:
@@ -290,14 +279,14 @@ def clean_document(text: str, config: PipelineConfig) -> tuple[list[tuple[str, s
     text = dehyphenate(text)
     text = split_camel_case(text)
     for line in text.split("\n"):
-        line = " ".join(tokenize(normalize_ws_lower(line)))
+        line = " ".join(tokenize(line.lower()))
         if not line:
             continue
         routed = route(line)
         if routed is not None and config.convert_numbers:
             converted = numbers_to_words(line, routed)
             if converted != line:
-                line = " ".join(tokenize(normalize_ws_lower(converted)))
+                line = converted
                 routed = route(line)
         if routed is None:
             unknown_lines += 1
@@ -490,23 +479,33 @@ def run_pipeline(
             msg = f"no output lines for language {lang!r}"
             logger.warning(msg)
             report.warnings.append(msg)
-        tokens = 0
-        vocab: set[str] = set()
-        for line in kept:
+        stats.append(CorpusStats(lang, *_count(kept), len(contributors[lang]), _megabytes([path])))
+        outputs[lang] = path
+    return stats, report, outputs
+
+
+def _count(lines: Iterable[str]) -> tuple[int, int]:
+    """Token count and vocabulary size of corpus lines; tokens are split at
+    single spaces, a trailing newline is dropped and an empty line holds none."""
+    tokens = 0
+    vocab: set[str] = set()
+    for line in lines:
+        line = line.rstrip("\n")
+        if line:
             parts = line.split(" ")
             tokens += len(parts)
             vocab.update(parts)
-        stats.append(
-            CorpusStats(
-                lang=lang,
-                tokens=tokens,
-                vocabulary=len(vocab),
-                files=len(contributors[lang]),
-                megabytes=round(path.stat().st_size / 1_000_000, 2),
-            )
-        )
-        outputs[lang] = path
-    return stats, report, outputs
+    return tokens, len(vocab)
+
+
+def _megabytes(paths: list[Path]) -> float:
+    return round(sum(path.stat().st_size for path in paths) / 1_000_000, 2)
+
+
+def _read_lines(paths: list[Path]):
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from fh
 
 
 def recount_stats(paths: Iterable) -> list[CorpusStats]:
@@ -516,31 +515,9 @@ def recount_stats(paths: Iterable) -> list[CorpusStats]:
     (``name.de.txt`` -> ``de``); ``files`` counts the corpus files that were
     aggregated per language.
     """
-    by_lang: dict[str, dict] = {}
-    for path in paths:
-        path = Path(path)
+    by_lang: dict[str, list[Path]] = {}
+    for path in map(Path, paths):
         parts = path.name.split(".")
-        lang = parts[-2] if len(parts) >= 3 else "unknown"
-        acc = by_lang.setdefault(
-            lang, {"tokens": 0, "vocab": set(), "files": 0, "bytes": 0}
-        )
-        acc["files"] += 1
-        acc["bytes"] += path.stat().st_size
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split(" ")
-                acc["tokens"] += len(parts)
-                acc["vocab"].update(parts)
-    return [
-        CorpusStats(
-            lang=lang,
-            tokens=acc["tokens"],
-            vocabulary=len(acc["vocab"]),
-            files=acc["files"],
-            megabytes=round(acc["bytes"] / 1_000_000, 2),
-        )
-        for lang, acc in sorted(by_lang.items())
-    ]
+        by_lang.setdefault(parts[-2] if len(parts) >= 3 else "unknown", []).append(path)
+    return [CorpusStats(lang, *_count(_read_lines(files)), len(files), _megabytes(files))
+            for lang, files in sorted(by_lang.items())]

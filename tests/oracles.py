@@ -16,9 +16,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from embeval.corpus import DedupReport
+from embeval.corpus import DedupReport, dehyphenate, strip_cover
 from embeval.errors import ThesaurusFormatError, VecFormatError
-from embeval.langid import UNKNOWN
+from embeval.langid import UNKNOWN, classify_line_language
 from embeval.metrics import CoverageResult
 from embeval.numwords import MAX_NUMBER, number_to_words
 from embeval.stringsim import RatioMatch, VocabIndex, best_match, ratio
@@ -464,6 +464,42 @@ def numbers_to_words_oracle(text: str, lang: str) -> str:
             "".join(convert_chunk(p) if p and not p.isspace() else p for p in parts)
         )
     return "\n".join(converted)
+
+
+def clean_document_oracle(text: str, config) -> tuple[list[tuple[str, str]], int]:
+    """The per-document stages with a separate per-line normalization stage:
+    each line has its whitespace runs collapsed and is lowercased, then
+    tokenized; a line whose numerals were converted is normalized and
+    tokenized again before it is routed again."""
+
+    def normalize(line: str) -> str:
+        return " ".join(tokenize_oracle(" ".join(line.split()).lower()))
+
+    def route(line: str) -> Optional[str]:
+        lang, _ = classify_line_language(line, threshold=config.confidence_threshold)
+        return None if lang == UNKNOWN or lang not in config.languages else lang
+
+    lines: list[tuple[str, str]] = []
+    unknown_lines = 0
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if config.cover_delimiter:
+        text = strip_cover(text, config.cover_delimiter)
+    text = split_camel_case_oracle(dehyphenate(text))
+    for line in text.split("\n"):
+        line = normalize(line)
+        if not line:
+            continue
+        routed = route(line)
+        if routed is not None and config.convert_numbers:
+            converted = numbers_to_words_oracle(line, routed)
+            if converted != line:
+                line = normalize(converted)
+                routed = route(line)
+        if routed is None:
+            unknown_lines += 1
+            continue
+        lines.append((line, routed))
+    return lines, unknown_lines
 
 
 def fnv1a_64(data: bytes) -> int:

@@ -1084,6 +1084,45 @@ def test_clean_name_must_be_a_file_name_prefix(tmp_path, capsys, name):
     assert not out.exists()
 
 
+# A rerun into the input directory read its own corpus.<lang>.txt as
+# documents, so corpus_stats.csv counted two files for one document.
+@pytest.mark.parametrize("same", ["docs", "docs/../docs/."])
+def test_clean_out_that_is_the_input_is_an_argument_error(tmp_path, capsys, same):
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "a.txt").write_text("Die Gesellschaft wandelt sich.\n", encoding="utf-8")
+    rc = main(["clean", "--input", str(docs), "--out", str(tmp_path / same)])
+    assert rc == 2
+    assert f"--out must not be the input directory: {tmp_path / same}" in capsys.readouterr().err
+    assert [p.name for p in docs.iterdir()] == ["a.txt"]
+
+
+def test_clean_config_with_a_repeated_key_is_a_parse_error(tmp_path, capsys):
+    # the last value won silently: languages = de wrote no en corpus
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "a.txt").write_text("Die Gesellschaft wandelt sich.\n", encoding="utf-8")
+    config = tmp_path / "pipeline.conf"
+    config.write_text("languages = de,en\nlanguages = de\n", encoding="utf-8")
+    rc = main(["clean", "--input", str(docs), "--out", str(tmp_path / "o"), "--config", str(config)])
+    assert rc == 3
+    assert f"{config}: line 2: repeated key 'languages'" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "corpus_stats.csv").exists()
+
+
+# The same file given twice was counted twice: 14 tokens and 2 files for a
+# 7-token file.
+@pytest.mark.parametrize("again", ["x.de.txt", "./x.de.txt"])
+def test_stats_of_a_repeated_corpus_file_is_an_argument_error(tmp_path, monkeypatch, capsys, again):
+    (tmp_path / "x.de.txt").write_text("die gesellschaft wandelt sich schnell , oder ?\n",
+                                       encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    rc = main(["stats", "x.de.txt", again, "--out", "o"])
+    assert rc == 2
+    assert "corpus files are not distinct: ['x.de.txt', " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_thesaurus_is_parsed_before_any_model(tmp_path, monkeypatch, capsys):
     bad_model = tmp_path / "bad.vec"
     bad_model.write_text("not a header\n", encoding="utf-8")

@@ -18,7 +18,6 @@ from embeval.corpus import (
     clean_document,
     dedup_sentences,
     dehyphenate,
-    normalize_ws_lower,
     numbers_to_words,
     recount_stats,
     run_pipeline,
@@ -29,6 +28,7 @@ from embeval.corpus import (
 from embeval.langid import TrigramClassifier, _trigrams, default_classifier
 from oracles import (
     classify_oracle,
+    clean_document_oracle,
     dedup_sentences_oracle,
     fnv1a_64,
     numbers_to_words_oracle,
@@ -141,21 +141,6 @@ def test_numbers_to_words_respects_token_shapes():
 def test_numbers_to_words_rejects_unknown_language():
     with pytest.raises(ValueError):
         numbers_to_words("5", "fr")
-
-
-def test_normalize_ws_lower_examples():
-    assert normalize_ws_lower("A  B") == "a b"
-    assert normalize_ws_lower("ÜBER") == "über"
-    assert normalize_ws_lower("a\tb  c") == "a b c"
-
-
-def test_normalize_ws_lower_idempotent():
-    rng = random.Random(33)
-    pieces = ["A", "b", "  ", "\t", "Ü", "ß", "x ", "\n"]
-    for _ in range(500):
-        text = "".join(rng.choice(pieces) for _ in range(rng.randrange(0, 12)))
-        once = normalize_ws_lower(text)
-        assert normalize_ws_lower(once) == once
 
 
 def test_dedup_drops_later_duplicates():
@@ -462,6 +447,33 @@ def test_classify_equals_oracle(line):
     clf = default_classifier()
     assert _trigrams(line) == trigrams_oracle(line)
     assert clf.classify(line) == classify_oracle(clf, line)
+
+
+# Characters where lowercasing a line before or after its whitespace is
+# collapsed could differ: final and medial sigma, dotted capital I (which
+# lowercases to two characters), combining marks and a soft hyphen (the
+# final-sigma rule looks through these case-ignorable characters), every
+# whitespace character but the line break, detachable punctuation and digits.
+_WHITESPACE = [c for c in map(chr, range(0x3001)) if c.isspace() and c != "\n"]
+_CASED = list("ΣσςİıIiAa") + ["\u0301", "\u0307", "\u0345", "\xad"]
+_CLEAN_LINE = st.lists(
+    st.one_of(
+        st.sampled_from(_WHITESPACE),
+        st.sampled_from(_CASED + _SURROGATES),
+        st.sampled_from(list(PUNCT_CHARS) + list("0123456789")),
+        st.sampled_from(_WORDS + ["ist", "und", "of", "and", "ΣΟΦΙΑ", "İstanbul", "(1999)"]),
+        _NUMBERS,
+    ),
+    max_size=20,
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_CLEAN_LINE, min_size=1, max_size=6).map("\n".join), st.booleans())
+@example("Die ΑΣ\u3000Gesellschaft ist İ\x1c(42) ΟΔΟΣ\u0301 und\u2028ΟΣ\xad.", True)
+def test_clean_document_equals_oracle(text, convert_numbers):
+    config = PipelineConfig(confidence_threshold=0.6, convert_numbers=convert_numbers)
+    assert clean_document(text, config) == clean_document_oracle(text, config)
 
 
 class _OracleClassifier(TrigramClassifier):
