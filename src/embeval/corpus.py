@@ -81,54 +81,53 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
         values = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                if "=" not in stripped:
-                    raise InputParseError(f"{path}: line {line_no}: expected key=value")
-                key, _, value = stripped.partition("=")
-                key = key.strip()
-                value = value.strip()
-                if key in values:
-                    raise InputParseError(f"{path}: line {line_no}: repeated key {key!r}")
-                if key == "languages":
-                    languages = tuple(v.strip() for v in value.split(",") if v.strip())
-                    # the classifier routes lines to its languages alone
-                    known = default_classifier().languages
-                    distinct = len(set(languages)) == len(languages)
-                    if not (languages and distinct and set(languages) <= set(known)):
-                        raise InputParseError(f"{path}: line {line_no}: languages must be one or more "
-                                              f"distinct of {', '.join(known)}, got {value!r}")
-                    values[key] = languages
-                elif key == "confidence_threshold":
-                    try:
-                        threshold = float(value)
-                    except ValueError:
-                        raise InputParseError(
-                            f"{path}: line {line_no}: confidence_threshold must be a number"
-                        ) from None
-                    # A nan threshold would silently keep every line: confidence < nan is false.
-                    if not (math.isfinite(threshold) and 0.0 <= threshold <= 1.0):
-                        raise InputParseError(
-                            f"{path}: line {line_no}: confidence_threshold must be in [0, 1], got {value!r}"
-                        )
-                    values[key] = threshold
-                elif key == "cover_delimiter":
-                    try:
-                        re.compile(value)
-                    except re.error as exc:
-                        raise InputParseError(
-                            f"{path}: line {line_no}: cover_delimiter is not a valid regular expression: {exc}"
-                        ) from None
-                    values[key] = value or None
-                elif key == "convert_numbers":
-                    if value.lower() not in ("true", "false"):
-                        raise InputParseError(f"{path}: line {line_no}: convert_numbers must be true or false")
-                    values[key] = value.lower() == "true"
-                else:
-                    raise InputParseError(f"{path}: line {line_no}: unknown key {key!r}")
+        for line_no, line in enumerate(_read_lines([path]), start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            if "=" not in stripped:
+                raise InputParseError(f"{path}: line {line_no}: expected key=value")
+            key, _, value = stripped.partition("=")
+            key = key.strip()
+            value = value.strip()
+            if key in values:
+                raise InputParseError(f"{path}: line {line_no}: repeated key {key!r}")
+            if key == "languages":
+                languages = tuple(v.strip() for v in value.split(",") if v.strip())
+                # the classifier routes lines to its languages alone
+                known = default_classifier().languages
+                distinct = len(set(languages)) == len(languages)
+                if not (languages and distinct and set(languages) <= set(known)):
+                    raise InputParseError(f"{path}: line {line_no}: languages must be one or more "
+                                          f"distinct of {', '.join(known)}, got {value!r}")
+                values[key] = languages
+            elif key == "confidence_threshold":
+                try:
+                    threshold = float(value)
+                except ValueError:
+                    raise InputParseError(
+                        f"{path}: line {line_no}: confidence_threshold must be a number"
+                    ) from None
+                # A nan threshold would silently keep every line: confidence < nan is false.
+                if not (math.isfinite(threshold) and 0.0 <= threshold <= 1.0):
+                    raise InputParseError(
+                        f"{path}: line {line_no}: confidence_threshold must be in [0, 1], got {value!r}"
+                    )
+                values[key] = threshold
+            elif key == "cover_delimiter":
+                try:
+                    re.compile(value)
+                except re.error as exc:
+                    raise InputParseError(
+                        f"{path}: line {line_no}: cover_delimiter is not a valid regular expression: {exc}"
+                    ) from None
+                values[key] = value or None
+            elif key == "convert_numbers":
+                if value.lower() not in ("true", "false"):
+                    raise InputParseError(f"{path}: line {line_no}: convert_numbers must be true or false")
+                values[key] = value.lower() == "true"
+            else:
+                raise InputParseError(f"{path}: line {line_no}: unknown key {key!r}")
         return cls(**values)
 
 
@@ -502,10 +501,15 @@ def _megabytes(paths: list[Path]) -> float:
     return round(sum(path.stat().st_size for path in paths) / 1_000_000, 2)
 
 
-def _read_lines(paths: list[Path]):
+def _read_lines(paths: list):
+    """The lines of the user's text files; invalid UTF-8 is an InputParseError naming the file."""
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
-            yield from fh
+            try:
+                yield from fh
+            except UnicodeDecodeError as exc:
+                # the decoder reads ahead, so the position in exc is not the file's
+                raise InputParseError(f"{path}: not valid UTF-8: {exc.reason}") from None
 
 
 def recount_stats(paths: Iterable) -> list[CorpusStats]:

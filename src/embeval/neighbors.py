@@ -130,6 +130,9 @@ def _ranked(model: EmbeddingModel, rows: list[int], k: int) -> Iterator[tuple[np
             exact = _exact_scores(unit, row, boundary)
             ranked = sorted(zip(exact, boundary), key=lambda pair: (-pair[0], pair[1]))
             yield np.array([i for _, i in ranked[:kk]], dtype=np.intp), len(boundary)
+        # ``gemm`` is a view of ``scores``: neither may keep this block alive
+        # while the next one is scored and partitioned
+        del gemm, scores
 
 
 # delta: the product of the norms of two rows of ``unit_matrix`` is at most
@@ -277,8 +280,11 @@ def cache_load(path, model: EmbeddingModel, k: int) -> NeighborMap | None:
     per-rank lines with scores that earlier versions wrote), and
     CacheFormatError for a malformed line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise CacheFormatError(f"cache {os.fspath(path)} is not valid UTF-8: {exc}") from None
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:

@@ -6,9 +6,9 @@ line ``<count> <dim>`` followed by one line per word holding the token and
 model is built.  Models are immutable once loaded; concurrent readers are
 safe.
 
-``load_vec`` streams the file in fixed-size blocks and scales each parsed
-chunk's rows to unit length as it stores them, so loading holds one
-matrix, the model's unit rows, and the vocabulary plus about one block,
+``load_vec`` reads the file in groups of whole lines and scales each
+parsed chunk's rows to unit length as it stores them, so loading holds one
+matrix, the model's unit rows, and the vocabulary plus about one group,
 never the file's bytes, text or list of lines, nor its raw components.
 Both loaders note each chunk's zero rows as they parse it.  ``load_vocab``
 runs the same reader with the same checks but drops each chunk's rows
@@ -16,14 +16,15 @@ once their zero rows are noted, for a command that reads only the
 vocabulary: it holds no matrix at all.
 """
 
-import codecs
+import contextlib
 import hashlib
+import io
 import itertools
 import logging
 import os
 import warnings
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator, Sequence, Union
+from typing import BinaryIO, Sequence, Union
 
 import numpy as np
 
@@ -86,15 +87,16 @@ def _token_error(token: str, seen: set[str]) -> str | None:
     return None
 
 
-# Bytes read, hashed and decoded at a time.  The loader holds one block's
-# text and its lines next to the vocabulary and the unit rows; the bytes
-# are dropped once decoded.
+# The size hint, in bytes, of a group of whole lines read, hashed and
+# decoded at once: a group ends with the line that brings it to the hint
+# or past it.  The loader holds one group's text and its lines next to the
+# vocabulary and the unit rows; the bytes are dropped once decoded.
 _BLOCK = 1 << 20
 # Kept body lines whose components one np.loadtxt call parses.  8192 was no
 # faster and raised a two-model diversity run's peak RSS by about 10 MB.
 _CHUNK = 1024
 # ASCII separators that numpy strips around a number as whitespace but
-# float() rejects; the lines of a block holding one are parsed by float()
+# float() rejects; the lines of a group holding one are parsed by float()
 # alone.
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
@@ -102,15 +104,16 @@ _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 def load_vec(source: Source, name: str) -> EmbeddingModel:
     """Parse a word-vector text file into an EmbeddingModel.
 
-    The file is read, hashed and decoded ``_BLOCK`` bytes at a time, so it
-    is never held whole: memory peaks at the unit rows and the vocabulary
-    plus about one block.  A component is accepted when ``float()`` accepts
-    it and the result is finite.  The numbers of up to ``_CHUNK`` complete
-    lines of a block are parsed by one ``np.loadtxt`` call, after C-level
-    checks of the chunk's structure; a chunk failing them is checked line
-    by line, and the first failing line of the file names the error.  Each
-    parsed chunk is normalized into the model's rows, bit for bit as
-    normalizing the whole raw matrix would, and the model keeps no raw row.
+    The file is read, hashed and decoded in groups of whole lines of about
+    ``_BLOCK`` bytes, so it is never held whole: memory peaks at the unit
+    rows and the vocabulary plus about one group.  A component is accepted
+    when ``float()`` accepts it and the result is finite.  The numbers of
+    up to ``_CHUNK`` lines of a group are parsed by one ``np.loadtxt``
+    call, after C-level checks of the chunk's structure; a chunk failing
+    them is checked line by line, and the first failing line of the file
+    names the error.  Each parsed chunk is normalized into the model's
+    rows, bit for bit as normalizing the whole raw matrix would, and the
+    model keeps no raw row.
 
     Errors take this precedence: invalid UTF-8 anywhere in the file, then
     a BOM, an empty file or a malformed header, then a row count that is
@@ -142,7 +145,7 @@ def load_vocab(source: Source, name: str) -> Vocabulary:
     Every component is parsed and checked as ``load_vec`` checks it, but
     each chunk's rows are dropped once their zero rows are counted: memory
     holds the vocabulary, the set of its tokens that finds duplicates and
-    about one block, never the matrix.  So ``load_vocab`` raises what
+    about one group, never the matrix.  So ``load_vocab`` raises what
     ``load_vec`` raises for a malformed file, except the two errors of
     sizing the matrix: that the header's rows do not fit in memory, and
     that the dimension of a file without rows is too large.
@@ -162,46 +165,33 @@ def _read(source: Source, name: str, keep_rows: bool) -> tuple["_Body", str]:
     digest = hashlib.sha256()
     body: _Body | None = None
     error: VecFormatError | None = None
-    carry: list[str] = []  # the text of the line still open, in pieces
-    newlines = 0
-    open_tail = False  # the text read so far does not end in a newline
-    for text in _texts(source, digest):
-        if not text:
-            continue
-        n = text.count("\n")
-        newlines += n
-        open_tail = not text.endswith("\n")
-        if error is not None:
-            continue
-        if not n:
-            carry.append(text)
-            continue
-        lines = text.split("\n")
-        lines[0] = "".join(carry) + lines[0]
-        carry = [lines.pop()]
-        use_loadtxt = _loadtxt_safe(text) and _loadtxt_safe(lines[0])
-        del text
-        try:
-            if body is None:
-                body = _Body(name, *_header(lines[0]), keep_rows)
-                del lines[0]
-            body.feed(lines, use_loadtxt)
-        except VecFormatError as exc:
-            error = exc
-            carry = []
-        del lines
-    last = "".join(carry)
-    if last:  # the file does not end in a newline, and no error stopped parsing
-        try:
-            if body is None:
-                body = _Body(name, *_header(last), keep_rows)
-            else:
-                body.feed([last], _loadtxt_safe(last))
-        except VecFormatError as exc:
-            error = exc
+    position = lines_read = 0  # bytes and lines read; a last line needs no newline
+    with _open(source) as fh:
+        # a newline byte is never part of a multi-byte character, so each
+        # group of whole lines decodes on its own
+        for group in iter(lambda: b"".join(fh.readlines(_BLOCK)), b""):
+            digest.update(group)
+            text = _decode(group, position)
+            position += len(group)
+            del group
+            lines = text.split("\n")
+            if not lines[-1]:  # the group ends in a newline
+                lines.pop()
+            lines_read += len(lines)
+            use_loadtxt = _loadtxt_safe(text)
+            del text
+            if error is None:
+                try:
+                    if body is None:
+                        body = _Body(name, *_header(lines[0]), keep_rows)
+                        del lines[0]
+                    body.feed(lines, use_loadtxt)
+                except VecFormatError as exc:
+                    error = exc
+            del lines
     if body is None:
         raise error or VecFormatError("empty file", line_no=1)
-    rows = newlines + open_tail - 1
+    rows = lines_read - 1
     if rows != body.count:
         raise VecFormatError(f"header declares {body.count} rows but file has {rows}")
     if error is not None:
@@ -211,47 +201,25 @@ def _read(source: Source, name: str, keep_rows: bool) -> tuple["_Body", str]:
     return body, digest.hexdigest()
 
 
-def _blocks(source: Source) -> Iterator[bytes]:
-    """The bytes of ``source``, ``_BLOCK`` at a time."""
+def _open(source: Source):
+    """``source`` as a binary file to read in a ``with``; a caller's file stays open."""
     if isinstance(source, bytes):
-        for start in range(0, len(source), _BLOCK):
-            yield source[start : start + _BLOCK]
-    elif isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as fh:
-            yield from iter(lambda: fh.read(_BLOCK), b"")
-    else:
-        yield from iter(lambda: source.read(_BLOCK), b"")
+        return io.BytesIO(source)
+    if isinstance(source, (str, os.PathLike)):
+        return open(source, "rb")
+    return contextlib.nullcontext(source)
 
 
-def _texts(source: Source, digest) -> Iterator[str]:
-    """The decoded text of each block of ``source``, whose bytes go to ``digest``.
+def _decode(data: bytes, position: int) -> str:
+    """``data``, read from byte ``position`` of the file, as text.
 
-    A multi-byte character split between blocks is decoded with the later
-    one.  Invalid UTF-8 is a VecFormatError worded as ``bytes.decode`` of
-    the whole file words it, with the byte position in the file.
+    Invalid UTF-8 is a VecFormatError worded as ``bytes.decode`` of the
+    whole file words it, with the byte position in the file.
     """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    position = 0  # bytes passed to the decoder
-
-    def decode(block: bytes) -> str:
-        nonlocal position
-        digest.update(block)
-        text = _decode(decoder, block, position)
-        position += len(block)
-        return text
-
-    # no frame here holds a block or its text while the caller splits it
-    yield from map(decode, _blocks(source))
-    yield _decode(decoder, b"", position, final=True)
-
-
-def _decode(decoder, data: bytes, position: int, final: bool = False) -> str:
-    # the decoder still holds the bytes of a character begun before ``data``
-    offset = position - len(decoder.getstate()[0])
     try:
-        return decoder.decode(data, final)
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        start, end = offset + exc.start, offset + exc.end
+        start, end = position + exc.start, position + exc.end
         if exc.end - exc.start == 1:
             what = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
         else:
@@ -283,7 +251,7 @@ def _header(line: str) -> tuple[int, int]:
 
 class _Body:
     """The vocabulary, the zero rows and, if kept, the unit rows of a
-    file's body lines, fed a block at a time."""
+    file's body lines, fed a group of lines at a time."""
 
     def __init__(self, name: str, count: int, dim: int, keep_rows: bool):
         self.name = name

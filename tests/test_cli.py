@@ -1123,6 +1123,43 @@ def test_stats_of_a_repeated_corpus_file_is_an_argument_error(tmp_path, monkeypa
     assert not (tmp_path / "o").exists()
 
 
+# Invalid UTF-8 in these inputs exited 4, as an internal UnicodeDecodeError.
+def test_clean_config_of_invalid_utf8_is_a_parse_error(tmp_path, capsys):
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "a.txt").write_text("Die Gesellschaft wandelt sich.\n", encoding="utf-8")
+    config = tmp_path / "pipeline.conf"
+    config.write_bytes(b"languages = de\xff\n")
+    rc = main(["clean", "--input", str(docs), "--out", str(tmp_path / "o"), "--config", str(config)])
+    assert rc == 3
+    assert f"{config}: not valid UTF-8: invalid start byte" in capsys.readouterr().err
+
+
+def test_stats_of_invalid_utf8_is_a_parse_error(tmp_path, capsys):
+    corpus = tmp_path / "x.de.txt"
+    corpus.write_bytes(b"die gesellschaft\nwandelt sich \xff\n")
+    rc = main(["stats", str(corpus), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert f"{corpus}: not valid UTF-8: invalid start byte" in capsys.readouterr().err
+
+
+def test_diversity_cache_of_invalid_utf8_is_a_parse_error_unless_refresh(tmp_path, model_path,
+                                                                        thesaurus_path, capsys):
+    flipped = tmp_path / "flipped.vec"
+    write_fixture_model(flipped, "flipped", flip=True)
+    cache = tmp_path / "cache"
+    args = ["diversity", "--model", str(model_path), "--model", str(flipped),
+            "--thesaurus", str(thesaurus_path), "--k", "5", "--cache-dir", str(cache)]
+    assert main([*args, "--out", str(tmp_path / "o1")]) == 0
+    path = cache / "flipped.neighbors.tsv"
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "o2")]) == 3
+    assert f"parse error: cache {path} is not valid UTF-8: " in capsys.readouterr().err
+    assert main([*args, "--refresh", "--out", str(tmp_path / "o3")]) == 0
+    assert _diversity_tables(tmp_path / "o3") == _diversity_tables(tmp_path / "o1")
+
+
 def test_thesaurus_is_parsed_before_any_model(tmp_path, monkeypatch, capsys):
     bad_model = tmp_path / "bad.vec"
     bad_model.write_text("not a header\n", encoding="utf-8")

@@ -3,6 +3,7 @@ import logging
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,25 @@ def test_batch_moderate_scale_smoke():
     assert elapsed < 10.0
     query, tokens = result.neighbor_sets[0]
     assert list(tokens) == top_tokens(model, query, 10)
+
+
+def test_batch_search_holds_at_most_two_score_blocks():
+    # a block of max(1, dim // 8) queries scores against all n rows; its
+    # scores and their argpartition are two blocks of eight-byte values,
+    # and a finished block must be freed before the next one is scored
+    rng = np.random.default_rng(7)
+    n, dim = 50_000, 64
+    model = make_model("m", [f"w{i}" for i in range(n)], rng.integers(-9, 10, (n, dim)).astype(float))
+    block_bytes = (dim // 8) * n * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = top_k_batch(model, model.vocab[: 3 * (dim // 8)], 10)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(result.neighbor_sets) == 3 * (dim // 8)
+    assert peak < 2.2 * block_bytes
 
 
 def test_certification_needs_every_gap_above_the_bound():

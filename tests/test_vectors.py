@@ -1,4 +1,5 @@
 import io
+import os
 import tracemalloc
 
 import numpy as np
@@ -396,7 +397,8 @@ def _vec_files(draw):
 @settings(max_examples=600, deadline=None)
 @given(data=_vec_files(), chunk=st.integers(1, 3), block=st.integers(1, 64))
 def test_load_matches_per_component_oracle(data, chunk, block):
-    # blocks of 1-64 bytes end inside lines and inside multi-byte characters;
+    # size hints of 1-64 bytes make groups of one line or of a few lines, so
+    # group boundaries fall after any line and a bad byte in any group;
     # load_vocab runs the same checks as load_vec but keeps no rows
     def run(loader):
         try:
@@ -451,8 +453,8 @@ def test_rescaled_rows_on_both_sides_of_a_chunk_boundary(monkeypatch, chunk):
 
 
 def test_utf8_error_names_its_position_in_the_file(monkeypatch):
-    # the bad byte sits in the fourth 4-byte block, after a character split
-    # between blocks
+    # with a 4-byte size hint the bad byte is in a later group of lines than
+    # the multi-byte character, so its position counts the groups before it
     monkeypatch.setattr(vectors, "_BLOCK", 4)
     data = _vec_bytes("1 1", "日 1") + b"\xff\n"
     with pytest.raises(VecFormatError) as excinfo:
@@ -460,6 +462,32 @@ def test_utf8_error_names_its_position_in_the_file(monkeypatch):
     assert str(excinfo.value) == (
         "not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"
     )
+
+
+@pytest.mark.parametrize("loader", [load_vec, load_vocab])
+def test_file_objects_load_as_their_path_does(tmp_path, monkeypatch, loader):
+    # a 64-byte size hint reads the file in several groups of lines
+    monkeypatch.setattr(vectors, "_BLOCK", 64)
+    rows = np.random.default_rng(5).standard_normal((40, 3))
+    rows[::7] = 0.0
+    path = tmp_path / "m.vec"
+    save_vec([f"wört{i}" for i in range(40)], rows, path)
+    data = path.read_bytes()
+    assert len(data) < 4096  # the pipe holds the whole file before it is read
+    want = loader(path, "m")
+    assert want.zero_rows
+    r, w = os.pipe()
+    os.write(w, data)
+    os.close(w)
+    with open(path, "rb") as fh, open(r, "rb") as pipe:
+        for source in (fh, pipe):
+            got = loader(source, "m")
+            assert not source.closed
+            assert (got.vocab, got.zero_rows, got.source_digest) == (
+                want.vocab, want.zero_rows, want.source_digest
+            )
+            if loader is load_vec:
+                _assert_same_bits(got.unit_matrix(), want.unit_matrix())
 
 
 def test_load_peaks_at_the_model_plus_a_few_blocks(tmp_path):
