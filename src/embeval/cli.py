@@ -141,12 +141,19 @@ def _model_name(path: str) -> str:
     return name[: -len(".vec")] if name.endswith(".vec") else Path(path).stem
 
 
+def _parse_file(read, path, *args):
+    """``read(path, *args)``; a parse error names the file, as ``<path>: line N: ...``."""
+    try:
+        return read(path, *args)
+    except InputParseError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def _load_thesaurus(path: str):
     from .thesaurus import parse_ntriples_skos, parse_tsv
 
-    if str(path).endswith(".tsv"):
-        return parse_tsv(path)
-    return parse_ntriples_skos(path)
+    return _parse_file(parse_tsv if str(path).endswith(".tsv") else parse_ntriples_skos, path)
 
 
 def _manifest(command: str, inputs: list, parameters: dict) -> RunManifest:
@@ -245,7 +252,7 @@ def _vector_command(args, parameters: dict, prepare, load, build_map, tables) ->
         maps = []
         for path, name in zip(args.model, names):
             # the digest is that of the bytes parsed, so each file is read once
-            model = load(path, name)
+            model = _parse_file(load, path, name)
             manifest.add_input(path, model.source_digest)
             zero_vectors[name] = len(model.zero_rows)
             maps.append((name, len(model.vocab), build_map(model, prepared)))
@@ -431,7 +438,7 @@ def cmd_neighbors(args) -> int:
     out = _out_dir(args)
     manifest = _manifest("neighbors", [], {"word": args.word, "k": args.k})
     with ManifestTimer(manifest):
-        model = load_vec(args.model, _model_name(args.model))
+        model = _parse_file(load_vec, args.model, _model_name(args.model))
         manifest.add_input(args.model, model.source_digest)
         try:
             neighbors = top_k(model, args.word, args.k)

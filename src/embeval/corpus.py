@@ -436,7 +436,8 @@ def run_pipeline(
     report = PipelineReport()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # built before any fork, so workers inherit the trigram tables
+    # built before any fork, so workers share its trigram tables; each
+    # fills its own copy of the word memo
     default_classifier()
     if isinstance(documents, (str, os.PathLike)):
         items: list = sorted(Path(documents).glob("*.txt"))

@@ -545,21 +545,48 @@ def trigrams_oracle(text: str) -> list[str]:
     return [padded[i : i + 3] for i in range(len(padded) - 2)]
 
 
+def trigram_profiles_oracle(seeds: dict[str, str]) -> dict[str, tuple[dict[str, float], float]]:
+    """Per language: the add-one smoothed log-probability of each trigram of
+    its seed and lowercased seed, and that of an unseen trigram."""
+    counts = {}
+    for lang, seed in seeds.items():
+        counts[lang] = {}
+        for g in trigrams_oracle(seed) + trigrams_oracle(seed.lower()):
+            counts[lang][g] = counts[lang].get(g, 0) + 1
+    vocab = set()
+    for c in counts.values():
+        vocab |= set(c)
+    profiles = {}
+    for lang, c in counts.items():
+        total = sum(c.values()) + len(vocab) + 1
+        profiles[lang] = ({g: math.log((n + 1) / total) for g, n in c.items()}, math.log(1 / total))
+    return profiles
+
+
+def language_values(clf, lang: str, grams: list[str]) -> list[float]:
+    """The value of each gram under ``lang``: its part of the value in the
+    classifier's table of the pair that holds ``lang``."""
+    for languages, table, unseen, _ in clf._pairs:
+        if lang in languages:
+            part = "real" if languages[0] == lang else "imag"
+            return [getattr(table.get(g, unseen), part) for g in grams]
+    raise KeyError(lang)
+
+
 def classify_oracle(self, line: str) -> tuple[str, float]:
     """Best language and its posterior probability; UNKNOWN for letterless lines.
 
-    ``self`` is a ``TrigramClassifier``; this is its ``classify`` method.
+    ``self`` is a ``TrigramClassifier``; this is its ``classify`` method,
+    with one float sum per language over every trigram of the line.
     """
     if not any(ch.isalpha() for ch in line):
         return UNKNOWN, 0.0
     grams = trigrams_oracle(line)
     scores = {}
     for lang in self.languages:
-        table = self._logprob[lang]
-        fallback = self._fallback[lang]
         score = 0.0
-        for g in grams:
-            score += table.get(g, fallback)
+        for value in language_values(self, lang, grams):
+            score += value
         scores[lang] = score
     top = max(self.languages, key=lambda lang: scores[lang])
     peak = scores[top]

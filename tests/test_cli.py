@@ -1143,6 +1143,33 @@ def test_stats_of_invalid_utf8_is_a_parse_error(tmp_path, capsys):
     assert f"{corpus}: not valid UTF-8: invalid start byte" in capsys.readouterr().err
 
 
+# Parse errors of models and thesauri named no file: with two --model files
+# the user could not tell which one held the duplicate token.
+def test_model_parse_error_names_its_file(tmp_path, model_path, thesaurus_path, capsys):
+    dup = tmp_path / "dup.vec"
+    dup.write_text("2 1\na 1\na 2\n", encoding="utf-8")
+    rc = main(["coverage", "--model", str(model_path), "--model", str(dup),
+               "--thesaurus", str(thesaurus_path), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert f"parse error: {dup}: line 3: duplicate token 'a'\n" == capsys.readouterr().err
+    rc = main(["neighbors", "--model", str(dup), "--word", "a", "--out", str(tmp_path / "n")])
+    assert rc == 3
+    assert f"parse error: {dup}: line 3: duplicate token 'a'\n" == capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suffix", [".nt", ".tsv"])
+def test_thesaurus_parse_error_names_its_file(tmp_path, model_path, capsys, suffix):
+    thesaurus = tmp_path / f"th{suffix}"
+    thesaurus.write_bytes(b"# broken \xff\n")
+    rc = main(["coverage", "--model", str(model_path), "--thesaurus", str(thesaurus),
+               "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"parse error: {thesaurus}: not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+        "in position 9: invalid start byte\n"
+    )
+
+
 def test_diversity_cache_of_invalid_utf8_is_a_parse_error_unless_refresh(tmp_path, model_path,
                                                                         thesaurus_path, capsys):
     flipped = tmp_path / "flipped.vec"

@@ -1,11 +1,11 @@
 import builtins
 import math
-from itertools import repeat
 
 import pytest
 
+import embeval.langid as langid
 from embeval.langid import TrigramClassifier, _trigrams, classify_line_language, default_classifier
-from oracles import classify_oracle
+from oracles import classify_oracle, language_values, trigram_profiles_oracle
 
 
 def _read_fixture(path):
@@ -93,7 +93,7 @@ def _neumaier_sum(values, start=0):
 @pytest.mark.parametrize("line", ["and und", "die the", "social die of gesellschaft", "the of gesellschaft of"])
 def test_classify_does_not_depend_on_the_builtin_sum(monkeypatch, line):
     clf = default_classifier()
-    values = list(map(clf._logprob["de"].get, _trigrams(line), repeat(clf._fallback["de"])))
+    values = language_values(clf, "de", _trigrams(line))
     fold = 0.0
     for v in values:
         fold += v
@@ -103,3 +103,40 @@ def test_classify_does_not_depend_on_the_builtin_sum(monkeypatch, line):
         mp.setattr(builtins, "sum", _neumaier_sum)
         got = clf.classify(line)
     assert got == expected
+
+
+_SEEDS = {
+    "aa": "aaa aaaa aa aaa aab",
+    "bb": "bbb bbbb bb bbb bba",
+    "cc": "ccc cccc cc ccc cca",
+}
+
+
+def test_pair_tables_hold_each_languages_profile():
+    clf = TrigramClassifier(_SEEDS)
+    profiles = trigram_profiles_oracle(_SEEDS)
+    grams = set().union(*(logprob for logprob, _ in profiles.values())) | {"zzz"}
+    # the last of an odd number of languages is paired with a zero part
+    assert [languages for languages, *_ in clf._pairs] == [["aa", "bb"], ["cc"]]
+    assert all(v.imag == 0.0 for v in clf._pairs[1][1].values()) and clf._pairs[1][2].imag == 0.0
+    for lang, (logprob, unseen) in profiles.items():
+        expected = [logprob.get(g, unseen) for g in sorted(grams)]
+        assert language_values(clf, lang, sorted(grams)) == expected
+
+
+def test_memo_stays_within_its_bound_and_is_all_classify_changes(monkeypatch):
+    monkeypatch.setattr(langid, "_MEMO_ENTRIES", 5)
+    clf = TrigramClassifier(_SEEDS)
+    state = dict(vars(clf))
+    pairs = list(clf._pairs)
+    tables = [dict(table) for _, table, _, _ in pairs]
+    lines = ["aaa aab", "bbb bb a", "a b c d e f g h i j k", "cca ccc aaa aaa", "aa bb cc aa bb cc", "c"]
+    sizes = []
+    for line in lines * 2:
+        assert clf.classify(line) == classify_oracle(clf, line)
+        sizes.append([len(memo) for *_, memo in clf._pairs])
+    assert max(map(max, sizes)) == 5  # full, then cleared: a line of 11 new words fills it twice over
+    # nothing but the memos changes: no table is built or replaced after __init__
+    assert vars(clf).keys() == state.keys() and all(vars(clf)[k] is v for k, v in state.items())
+    assert len(clf._pairs) == len(pairs) and all(now is then for now, then in zip(clf._pairs, pairs))
+    assert [table for _, table, _, _ in clf._pairs] == tables
