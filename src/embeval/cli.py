@@ -42,7 +42,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import EmbevalError, InputParseError, UsageError
+from .errors import EmbevalError, InputParseError, UsageError, parse_file
 from .report import ManifestTimer, RunManifest, markdown_table, pct, write_csv
 
 # The vector commands import metrics, neighbors, stringsim, thesaurus and
@@ -91,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", action="append", type=int, help="neighborhood size (repeatable)")
     p.add_argument("--denominator", choices=DENOMINATOR_CHOICES, default="evaluated")
     p.add_argument("--cache-dir", help=f"neighbor cache directory (or ${CACHE_DIR_ENV})")
-    p.add_argument("--refresh", action="store_true", help="rebuild stale or incomplete caches")
 
     p = sub.add_parser("relations", parents=[vector], help="relational coverage per relation type")
     p.add_argument("--k", action="append", type=int)
@@ -141,19 +140,10 @@ def _model_name(path: str) -> str:
     return name[: -len(".vec")] if name.endswith(".vec") else Path(path).stem
 
 
-def _parse_file(read, path, *args):
-    """``read(path, *args)``; a parse error names the file, as ``<path>: line N: ...``."""
-    try:
-        return read(path, *args)
-    except InputParseError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
-
-
 def _load_thesaurus(path: str):
     from .thesaurus import parse_ntriples_skos, parse_tsv
 
-    return _parse_file(parse_tsv if str(path).endswith(".tsv") else parse_ntriples_skos, path)
+    return parse_file(parse_tsv if str(path).endswith(".tsv") else parse_ntriples_skos, path)
 
 
 def _manifest(command: str, inputs: list, parameters: dict) -> RunManifest:
@@ -252,7 +242,7 @@ def _vector_command(args, parameters: dict, prepare, load, build_map, tables) ->
         maps = []
         for path, name in zip(args.model, names):
             # the digest is that of the bytes parsed, so each file is read once
-            model = _parse_file(load, path, name)
+            model = parse_file(load, path, name)
             manifest.add_input(path, model.source_digest)
             zero_vectors[name] = len(model.zero_rows)
             maps.append((name, len(model.vocab), build_map(model, prepared)))
@@ -327,7 +317,7 @@ def cmd_diversity(args) -> int:
 
     def build_map(model, prepared):
         _, queries = prepared
-        neighbors = neighbor_map(model, queries, max(k_values), cache_dir, args.refresh)
+        neighbors = neighbor_map(model, queries, max(k_values), cache_dir)
         return neighbors.lowered() if lowercase else neighbors
 
     def tables(prepared, maps):
@@ -354,8 +344,7 @@ def cmd_diversity(args) -> int:
                   "n_skipped_multiword", "n_skipped_oov", "n_skipped_empty", "d", "denominator"]
         return header, rows, "\n".join(md_parts)
 
-    parameters = {"k": k_values, "denominator": args.denominator, "cache_dir": cache_dir,
-                  "refresh": args.refresh}
+    parameters = {"k": k_values, "denominator": args.denominator, "cache_dir": cache_dir}
     return _vector_command(args, parameters, prepare, load_vec, build_map, tables)
 
 
@@ -438,7 +427,7 @@ def cmd_neighbors(args) -> int:
     out = _out_dir(args)
     manifest = _manifest("neighbors", [], {"word": args.word, "k": args.k})
     with ManifestTimer(manifest):
-        model = _parse_file(load_vec, args.model, _model_name(args.model))
+        model = parse_file(load_vec, args.model, _model_name(args.model))
         manifest.add_input(args.model, model.source_digest)
         try:
             neighbors = top_k(model, args.word, args.k)

@@ -3,6 +3,7 @@
 ``InputParseError`` covers everything that went wrong while reading user
 supplied files (vec files, thesauri, caches, configs); the CLI maps it to
 its own exit code, distinct from argument errors and internal failures.
+``parse_file`` names the file in such an error.
 """
 
 
@@ -30,11 +31,10 @@ class ThesaurusFormatError(InputParseError):
 
 
 class CacheFormatError(InputParseError):
-    """Malformed neighbor cache file."""
+    """Malformed neighbor cache file; the message says that deleting it rebuilds it."""
 
-
-class StaleCacheError(InputParseError):
-    """Neighbor cache does not match the model/parameters it is asked for."""
+    def __init__(self, message: str, line_no: int | None = None):
+        super().__init__(f"{message}; delete the file to rebuild it", line_no)
 
 
 class UnknownTokenError(EmbevalError):
@@ -51,3 +51,12 @@ class UsageError(EmbevalError):
 
 class WorkerError(EmbevalError):
     """A worker process failed to clean a document."""
+
+
+def parse_file(read, path, *args):
+    """``read(path, *args)``; a parse error names the file, as ``<path>: line N: ...``."""
+    try:
+        return read(path, *args)
+    except InputParseError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CacheFormatError, StaleCacheError, UnknownTokenError, ZeroVectorError
+from .errors import CacheFormatError, UnknownTokenError, ZeroVectorError, parse_file
 from .vectors import EmbeddingModel
 
 logger = logging.getLogger(__name__)
@@ -193,32 +193,26 @@ def _exact_scores(unit: np.ndarray, row: int, candidates: list[int]) -> list[flo
     return scores
 
 
-def neighbor_map(model: EmbeddingModel, queries: list[str], k: int, cache_dir=None,
-                 refresh: bool = False) -> NeighborMap:
+def neighbor_map(model: EmbeddingModel, queries: list[str], k: int, cache_dir=None) -> NeighborMap:
     """Neighbor tokens at capacity >= k for exactly the queryable queries, each searched once.
 
     The map holds no other query, so a query is queryable exactly when it
     is in the map.  Any k' <= k is served by the first k' tokens.  With
-    ``cache_dir`` the map goes through the model's cache file: a file of
-    capacity >= k serves the call, restricted to the wanted queries; one
-    of smaller capacity is rebuilt at k; and one built from a model file
-    of another SHA-256, written in another format or lacking a needed
-    query raises StaleCacheError unless ``refresh`` asks for a rebuild.  A
-    search logs at debug level how many queries it certified and how many
-    it re-ranked exactly, over how many boundary rows.
+    ``cache_dir`` the map goes through the model's cache file: a file that
+    ``cache_load`` returns and that holds every wanted query serves the
+    call, restricted to those queries; any other well-formed file is
+    searched again at k and overwritten.  A malformed file raises
+    CacheFormatError naming it.  A search logs at debug level how many
+    queries it certified and how many it re-ranked exactly, over how many
+    boundary rows.
     """
     wanted = sorted(q for q in set(queries) if queryable(model, q))
     path = None if cache_dir is None else cache_path(cache_dir, model.name)
-    if path is not None and os.path.exists(path) and not refresh:
-        cached = cache_load(path, model, k)
-        if cached is not None:
-            missing = [q for q in wanted if q not in cached.tokens]
-            if missing:
-                raise StaleCacheError(
-                    f"cache {path} lacks {len(missing)} needed queries "
-                    f"(e.g. {missing[0]!r}); rerun with --refresh"
-                )
+    if path is not None and os.path.exists(path):
+        cached = parse_file(cache_load, path, model, k)
+        if cached is not None and cached.tokens.keys() >= set(wanted):
             return NeighborMap(cached.k, {q: cached.tokens[q] for q in wanted})
+        logger.debug("%s: rebuilding %s at k=%d", model.name, path, k)
     batch = top_k_batch(model, wanted, k)
     searched = len(batch.neighbor_sets)
     logger.debug(
@@ -273,18 +267,18 @@ def cache_store(path, model: EmbeddingModel, neighbors: NeighborMap) -> None:
 
 
 def cache_load(path, model: EmbeddingModel, k: int) -> NeighborMap | None:
-    """The cached neighbor map at the file's capacity, or None when that is below k.
+    """The cached neighbor map at the file's capacity, or None when the file
+    cannot serve k: its capacity is below k, or it was built for another
+    model name, a model file of another SHA-256 or in another format (such
+    as the per-rank lines with scores that earlier versions wrote).
 
-    Raises StaleCacheError when the file was built for another model name,
-    a model file of another SHA-256 or in another format (such as the
-    per-rank lines with scores that earlier versions wrote), and
-    CacheFormatError for a malformed line.
+    Raises CacheFormatError for a malformed file.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
-        raise CacheFormatError(f"cache {os.fspath(path)} is not valid UTF-8: {exc}") from None
+        raise CacheFormatError(f"not valid UTF-8: {exc}") from None
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -296,13 +290,7 @@ def cache_load(path, model: EmbeddingModel, k: int) -> NeighborMap | None:
     capacity = header.get("k") if isinstance(header, dict) else None
     if type(capacity) is not int or capacity < 0:
         raise CacheFormatError("cache header lacks a capacity k", line_no=1)
-    expected = _cache_header(model, capacity)
-    if header != expected:
-        raise StaleCacheError(
-            f"cache at {os.fspath(path)} was built for {header}, need {expected}; "
-            "rerun with --refresh to rebuild"
-        )
-    if capacity < k:
+    if header != _cache_header(model, capacity) or capacity < k:
         return None
 
     tokens: dict[str, tuple[str, ...]] = {}

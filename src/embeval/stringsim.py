@@ -186,24 +186,15 @@ def best_match(token: str, vocab: VocabIndex, s: float) -> Optional[RatioMatch]:
         return None
 
     lt = len(token)
-    # ratio >= s forces |len(a)-len(b)| <= (1-s)(len(a)+len(b)); the resulting
-    # candidate length window is widened by one on each side so float rounding
-    # can only add candidates (the distance limit rejects them exactly).
-    lo = max(1, int(lt * s / (2.0 - s)) - 1)
-    hi = int(lt * (2.0 - s) / s) + 2
-
     best: RatioMatch | None = None
     best_idx = -1
-    for length in range(lo, hi + 1):
-        bucket = vocab.by_length.get(length)
-        if not bucket:
-            continue
+    for length, bucket in vocab.by_length.items():
         total = lt + length
         limit = _max_distance_for(s, total)
         # Every candidate differs from token (an exact hit returned above), so
         # its distance is at least the length difference, and at least 2 (one
         # substitution) at equal length: skip a bucket that cannot get within
-        # the limit, such as the padded window's edges.
+        # the limit.
         if (abs(length - lt) or 2) > limit:
             continue
         # Within a bucket the smallest distance is the largest LCS, and

@@ -11,6 +11,7 @@ import pytest
 
 from embeval.cli import main
 from embeval.corpus import recount_stats
+from embeval.neighbors import queryable, top_k
 from embeval.vectors import load_vec
 from conftest import DATA_DIR, coverage_at, save_vec
 
@@ -170,29 +171,64 @@ def test_diversity_cache_reuse_is_byte_identical(tmp_path, thesaurus_path):
     assert (out1 / "diversity.md").read_bytes() == (out2 / "diversity.md").read_bytes()
 
 
-def test_diversity_stale_cache_errors_unless_refresh(tmp_path, thesaurus_path):
-    a = tmp_path / "alpha.vec"
-    b = tmp_path / "beta.vec"
-    write_fixture_model(a, "alpha")
-    write_fixture_model(b, "beta", flip=True)
+def _per_rank_layout(header: dict, body: list[str], model) -> tuple[dict, list[str]]:
+    # the layout earlier versions wrote: no format in the header, then
+    # query TAB rank TAB neighbor TAB score per entry
+    lines = [f"{query}\t{rank}\t{token}\t{score:.9f}"
+             for query in model.vocab if queryable(model, query)
+             for rank, (token, score) in enumerate(top_k(model, query, header["k"]), 1)]
+    return {key: header[key] for key in ("digest", "dim", "k", "model")}, lines
+
+
+# (header, lines after it, model) of a file that serves the run -> a
+# well-formed file that cannot serve it
+_CACHES_THAT_CANNOT_SERVE = {
+    "another-digest": lambda header, body, model: ({**header, "digest": "0" * 64}, body),
+    "format-tokens": lambda header, body, model: ({**header, "format": "tokens"}, body),
+    "per-rank-layout": _per_rank_layout,
+    "missing-query": lambda header, body, model: (header, body[1:]),
+    "smaller-capacity": lambda header, body, model: (
+        {**header, "k": 2}, ["\t".join(line.split("\t")[:3]) for line in body]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CACHES_THAT_CANNOT_SERVE))
+def test_diversity_rebuilds_a_cache_that_cannot_serve_the_run(tmp_path, thesaurus_path,
+                                                              monkeypatch, caplog, kind):
+    monkeypatch.delenv("EMBEVAL_CACHE_DIR", raising=False)
+    models = []
+    for name, flip in (("alpha", False), ("beta", True)):
+        write_fixture_model(tmp_path / f"{name}.vec", name, flip=flip)
+        models += ["--model", str(tmp_path / f"{name}.vec")]
+    args = ["diversity", *models, "--thesaurus", str(thesaurus_path), "--k", "5"]
     cache = tmp_path / "cache"
-    args = [
-        "diversity", "--model", str(a), "--model", str(b),
-        "--thesaurus", str(thesaurus_path), "--k", "5", "--cache-dir", str(cache),
-    ]
-    assert main(args + ["--out", str(tmp_path / "d1")]) == 0
-    # same model name, different content: digest mismatch makes the cache stale
-    write_fixture_model(a, "alpha", flip=True)
-    assert main(args + ["--out", str(tmp_path / "d2")]) == 3
-    assert main(args + ["--refresh", "--out", str(tmp_path / "d3")]) == 0
-    # a cache ranked by computed rather than exact scores reads "tokens"
-    path = cache / "alpha.neighbors.tsv"
-    header, rest = path.read_text(encoding="utf-8").split("\n", 1)
-    path.write_text(json.dumps({**json.loads(header), "format": "tokens"}, sort_keys=True)
-                    + "\n" + rest, encoding="utf-8")
-    assert main(args + ["--out", str(tmp_path / "d4")]) == 3
-    assert main(args + ["--refresh", "--out", str(tmp_path / "d5")]) == 0
-    assert _diversity_tables(tmp_path / "d5") == _diversity_tables(tmp_path / "d3")
+    cached = args + ["--cache-dir", str(cache)]
+    assert main(args + ["--out", str(tmp_path / "fresh")]) == 0
+    assert main(cached + ["--out", str(tmp_path / "first")]) == 0
+    paths = [cache / "alpha.neighbors.tsv", cache / "beta.neighbors.tsv"]
+    built = [path.read_bytes() for path in paths]
+    for path, name in zip(paths, ("alpha", "beta")):
+        header, *body = path.read_text(encoding="utf-8").splitlines()
+        assert body
+        model = load_vec(tmp_path / f"{name}.vec", name)
+        header, body = _CACHES_THAT_CANNOT_SERVE[kind](json.loads(header), body, model)
+        path.write_text("\n".join([json.dumps(header, sort_keys=True), *body]) + "\n",
+                        encoding="utf-8")
+
+    with caplog.at_level("DEBUG", logger="embeval.neighbors"):
+        assert main(cached + ["--out", str(tmp_path / "rebuilt")]) == 0
+    assert [r.getMessage() for r in caplog.records if "rebuilding" in r.getMessage()] == [
+        f"{name}: rebuilding {path} at k=5" for name, path in zip(("alpha", "beta"), paths)]
+    assert _diversity_tables(tmp_path / "rebuilt") == _diversity_tables(tmp_path / "fresh")
+    assert [path.read_bytes() for path in paths] == built
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rebuilt cache was not used")
+
+    monkeypatch.setattr("embeval.neighbors.top_k_batch", refuse)
+    assert main(cached + ["--out", str(tmp_path / "warm")]) == 0
+    assert _diversity_tables(tmp_path / "warm") == _diversity_tables(tmp_path / "fresh")
+    assert [path.read_bytes() for path in paths] == built
 
 
 def _diversity_tables(out: Path) -> tuple[bytes, bytes]:
@@ -214,40 +250,6 @@ def test_diversity_cache_records_empty_neighborhoods(tmp_path, thesaurus_path):
     assert row.split(",")[8] == "1"  # n_skipped_empty: "armut"
 
 
-def test_diversity_cache_of_the_per_rank_format_needs_refresh(
-    tmp_path, thesaurus_path, capsys, monkeypatch
-):
-    from embeval.neighbors import queryable, top_k
-
-    monkeypatch.delenv("EMBEVAL_CACHE_DIR", raising=False)
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    models = []
-    for name, flip in (("alpha", False), ("beta", True)):
-        write_fixture_model(tmp_path / f"{name}.vec", name, flip=flip)
-        model = load_vec(tmp_path / f"{name}.vec", name)
-        models += ["--model", str(tmp_path / f"{name}.vec")]
-        # the layout earlier versions wrote: no format in the header, then
-        # query TAB rank TAB neighbor TAB score per entry
-        header = {"digest": model.source_digest, "dim": model.dim, "k": 5, "model": name}
-        lines = [json.dumps(header, sort_keys=True)]
-        for query in (q for q in model.vocab if queryable(model, q)):
-            for rank, (token, score) in enumerate(top_k(model, query, 5), 1):
-                lines.append(f"{query}\t{rank}\t{token}\t{score:.9f}")
-        (cache / f"{name}.neighbors.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    args = ["diversity", *models, "--thesaurus", str(thesaurus_path), "--k", "5"]
-    cached = args + ["--cache-dir", str(cache)]
-
-    assert main(cached + ["--out", str(tmp_path / "stale")]) == 3
-    assert "--refresh" in capsys.readouterr().err
-    assert main(cached + ["--refresh", "--out", str(tmp_path / "rebuilt")]) == 0
-    assert main(cached + ["--out", str(tmp_path / "warm")]) == 0
-    assert main(args + ["--out", str(tmp_path / "fresh")]) == 0
-    fresh = _diversity_tables(tmp_path / "fresh")
-    assert _diversity_tables(tmp_path / "rebuilt") == fresh
-    assert _diversity_tables(tmp_path / "warm") == fresh
-
-
 def test_diversity_cache_capacity_serves_smaller_k(tmp_path, thesaurus_path):
     rng = np.random.default_rng(5)
     vocab = FIXTURE_VOCAB + [f"wort{i}" for i in range(30)]
@@ -263,7 +265,7 @@ def test_diversity_cache_capacity_serves_smaller_k(tmp_path, thesaurus_path):
         ])
 
     assert run("5", "k5", cache) == 0
-    # a larger k rebuilds the smaller-capacity files without --refresh
+    # a larger k rebuilds the smaller-capacity files
     assert run("20", "k20", cache) == 0
     assert run("20", "fresh20", tmp_path / "fresh20") == 0
     assert _diversity_tables(tmp_path / "k20") == _diversity_tables(tmp_path / "fresh20")
@@ -1170,8 +1172,8 @@ def test_thesaurus_parse_error_names_its_file(tmp_path, model_path, capsys, suff
     )
 
 
-def test_diversity_cache_of_invalid_utf8_is_a_parse_error_unless_refresh(tmp_path, model_path,
-                                                                        thesaurus_path, capsys):
+def test_diversity_cache_of_invalid_utf8_is_a_parse_error_naming_its_file(
+        tmp_path, model_path, thesaurus_path, capsys):
     flipped = tmp_path / "flipped.vec"
     write_fixture_model(flipped, "flipped", flip=True)
     cache = tmp_path / "cache"
@@ -1182,9 +1184,30 @@ def test_diversity_cache_of_invalid_utf8_is_a_parse_error_unless_refresh(tmp_pat
     path.write_bytes(path.read_bytes() + b"\xff\n")
     capsys.readouterr()
     assert main([*args, "--out", str(tmp_path / "o2")]) == 3
-    assert f"parse error: cache {path} is not valid UTF-8: " in capsys.readouterr().err
-    assert main([*args, "--refresh", "--out", str(tmp_path / "o3")]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: {path}: not valid UTF-8: ")
+    assert err.endswith("; delete the file to rebuild it\n")
+    assert err.count(str(path)) == 1
+    path.unlink()
+    assert main([*args, "--out", str(tmp_path / "o3")]) == 0
     assert _diversity_tables(tmp_path / "o3") == _diversity_tables(tmp_path / "o1")
+
+
+def test_diversity_cache_parse_error_names_its_file(tmp_path, model_path, thesaurus_path, capsys):
+    flipped = tmp_path / "flipped.vec"
+    write_fixture_model(flipped, "flipped", flip=True)
+    cache = tmp_path / "cache"
+    args = ["diversity", "--model", str(model_path), "--model", str(flipped),
+            "--thesaurus", str(thesaurus_path), "--k", "5", "--cache-dir", str(cache)]
+    assert main([*args, "--out", str(tmp_path / "o1")]) == 0
+    path = cache / "flipped.neighbors.tsv"
+    path.write_text(path.read_text(encoding="utf-8") + "haus\t\n", encoding="utf-8")
+    line_no = len(path.read_text(encoding="utf-8").splitlines())
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "o2")]) == 3
+    assert capsys.readouterr().err == (
+        f"parse error: {path}: line {line_no}: empty field; delete the file to rebuild it\n"
+    )
 
 
 def test_thesaurus_is_parsed_before_any_model(tmp_path, monkeypatch, capsys):
@@ -1241,22 +1264,6 @@ def test_vector_commands_hold_one_model_at_a_time(tmp_path, model_path, thesauru
         "--thesaurus", str(thesaurus_path), "--out", str(tmp_path / "o"),
     ]) == 0
     assert len(loaded) == 2
-
-
-def test_stale_cache_of_a_model_is_reported_before_a_later_model_is_read(
-        tmp_path, model_path, thesaurus_path, capsys):
-    flipped = tmp_path / "flipped.vec"
-    write_fixture_model(flipped, "flipped", flip=True)
-    cache = tmp_path / "cache"
-    args = ["diversity", "--model", str(model_path), "--model", str(flipped),
-            "--thesaurus", str(thesaurus_path), "--cache-dir", str(cache)]
-    assert main([*args, "--out", str(tmp_path / "o1")]) == 0
-    # new vectors for the first model make its cache stale; the second
-    # model is no longer a word-vector file
-    write_fixture_model(model_path, flip=True)
-    flipped.write_text("not a header\n", encoding="utf-8")
-    assert main([*args, "--out", str(tmp_path / "o2")]) == 3
-    assert "--refresh" in capsys.readouterr().err
 
 
 def test_vector_commands_import_no_cleaning_cascade(tmp_path, model_path, thesaurus_path):

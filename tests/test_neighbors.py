@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from embeval.errors import CacheFormatError, StaleCacheError, UnknownTokenError, ZeroVectorError
+from embeval.errors import CacheFormatError, UnknownTokenError, ZeroVectorError
 from embeval.neighbors import (
     NeighborMap,
     _certified,
@@ -325,10 +325,9 @@ def test_cache_detects_digest_mismatch(tmp_path):
     other = random_model(rng, "toy", 20, 4)
     path = tmp_path / "c.tsv"
     cache_store(path, model, neighbor_map(model, model.vocab[:4], 3))
-    with pytest.raises(StaleCacheError):
-        cache_load(path, other, 3)
-    with pytest.raises(StaleCacheError):
-        cache_load(path, other, 4)  # stale whatever the capacity asked for
+    assert cache_load(path, model, 3) is not None
+    assert cache_load(path, other, 3) is None  # the caller rebuilds
+    assert cache_load(path, other, 2) is None  # whatever the capacity asked for
 
 
 def test_cache_capacity_serves_every_smaller_k(tmp_path):
@@ -425,7 +424,7 @@ def test_neighbor_map_cache_policy(tmp_path):
 
     neighbor_map(model, queries, 3, tmp_path)
     assert capacity() == 3
-    # a smaller stored capacity is rebuilt at the larger k without refresh
+    # a smaller stored capacity is rebuilt at the larger k
     assert neighbor_map(model, queries, 8, tmp_path) == neighbor_map(model, queries, 8)
     assert capacity() == 8
     # a larger stored capacity serves a smaller k and is left as it is; the
@@ -436,14 +435,16 @@ def test_neighbor_map_cache_policy(tmp_path):
     assert {q: list(t[:5]) for q, t in served.tokens.items()} == {
         q: top_tokens(model, q, 5) for q in queries[:4]
     }
-    # a missing query or other vectors make the file stale unless refresh
-    with pytest.raises(StaleCacheError):
-        neighbor_map(model, model.vocab[:7], 5, tmp_path)
-    other = random_model(rng, "toy", 30, 4)
-    with pytest.raises(StaleCacheError):
-        neighbor_map(other, queries, 5, tmp_path)
-    assert neighbor_map(other, queries, 5, tmp_path, refresh=True) == neighbor_map(other, queries, 5)
+    # a missing query rebuilds the file at the k asked for, with the queries asked for
+    more = model.vocab[:7]
+    assert neighbor_map(model, more, 5, tmp_path) == neighbor_map(model, more, 5)
     assert capacity() == 5
+    assert set(cache_load(path, model, 5).tokens) == set(more)
+    # so do other vectors under the same model name
+    other = random_model(rng, "toy", 30, 4)
+    assert neighbor_map(other, queries, 4, tmp_path) == neighbor_map(other, queries, 4)
+    assert capacity() == 4
+    assert cache_load(path, other, 4) is not None
 
 
 def test_cache_of_a_model_built_in_memory_is_keyed_by_its_exact_rows(tmp_path):
@@ -453,9 +454,9 @@ def test_cache_of_a_model_built_in_memory_is_keyed_by_its_exact_rows(tmp_path):
     m1 = make_model("m", ["q", "x", "y"], rows)
     m2 = make_model("m", ["q", "x", "y"], [rows[0], rows[2], rows[1]])
     assert neighbor_map(m1, ["q"], 1, tmp_path).tokens == {"q": ("x",)}
-    with pytest.raises(StaleCacheError):
-        neighbor_map(m2, ["q"], 1, tmp_path)
-    assert neighbor_map(m2, ["q"], 1, tmp_path, refresh=True).tokens == {"q": ("y",)}
+    # m1's file does not serve m2: it is rebuilt from m2's rows
+    assert neighbor_map(m2, ["q"], 1, tmp_path).tokens == {"q": ("y",)}
+    assert cache_load(cache_path(tmp_path, "m"), m2, 1).tokens == {"q": ("y",)}
 
 
 def test_cache_of_a_model_built_in_memory_serves_the_next_call(tmp_path, monkeypatch):
