@@ -1,24 +1,17 @@
 """Line-level language identification from character trigram profiles.
 
-A small seed corpus per language is compiled into smoothed trigram
-log-probabilities when the classifier is built; a line is scored by summing
-the log probability of each of its trigrams under every profile and
-converting the scores into a posterior over the configured languages.
-
-The languages are scored in pairs: one table maps each trigram to a
-``complex`` whose real part is the first language's log-probability and
-whose imaginary part the second's (zero for a last, unpaired language).
-CPython adds complex numbers part by part, so one left-to-right fold of a
-line's values gives both languages' scores, each bit for bit the float fold
-of that language alone.  The values of the trigrams within a word (those of
-``" " + word + " "``) are kept in a per-pair memo of at most
-``_MEMO_ENTRIES`` words, cleared when full; only the trigram spanning each
-pair of adjacent words is looked up per line.  The values are folded in the
-order of the line's trigrams, so a score does not depend on the memo.
-
-Profiles are built over the seed text and its lowercased copy, so lines
-keep working after the pipeline's lowercasing stage while capitalization
-still contributes signal when present.
+The seed corpus of each of exactly two languages, with its lowercased copy
+so that lines keep working after the pipeline's lowercasing stage, is
+compiled into smoothed trigram log-probabilities.  One table maps each
+trigram to a ``complex`` whose real part is the first language's
+log-probability and whose imaginary part the second's.  CPython adds
+complex numbers part by part, so one left-to-right fold of a line's values
+gives both scores, each bit for bit the float fold of that language alone,
+and the two scores give a posterior.  The values of the trigrams within a
+word (those of ``" " + word + " "``) are kept in a memo of at most
+``_MEMO_ENTRIES`` words, cleared when full; only the trigram spanning two
+adjacent words is looked up per line.  The values are folded in the order
+of the line's trigrams, so a score does not depend on the memo.
 """
 
 import math
@@ -28,7 +21,7 @@ from functools import reduce
 
 UNKNOWN = "unknown"
 
-# Words whose trigram values a pair's memo keeps; at about 240 bytes a word
+# Words whose trigram values the memo keeps; at about 240 bytes a word
 # (key, tuple, dict slot) a full memo holds about 2 MB.
 _MEMO_ENTRIES = 8192
 
@@ -87,71 +80,58 @@ def _trigrams(text: str) -> list[str]:
 
 
 class TrigramClassifier:
-    """Smoothed trigram language scorer over a fixed language set."""
+    """Smoothed trigram language scorer over exactly two languages."""
 
     def __init__(self, seeds: dict[str, str]):
-        if len(seeds) < 2:
-            raise ValueError("need at least two languages to discriminate")
+        if len(seeds) != 2:
+            raise ValueError(f"need exactly two languages to discriminate, got {len(seeds)}")
         self.languages = sorted(seeds)
-        counts = {
-            lang: Counter(_trigrams(seed) + _trigrams(seed.lower()))
-            for lang, seed in seeds.items()
-        }
-        vocab = set()
-        for c in counts.values():
-            vocab.update(c)
-        smooth_vocab = len(vocab) + 1
+        counts = [Counter(_trigrams(seeds[lang]) + _trigrams(seeds[lang].lower()))
+                  for lang in self.languages]
+        smooth_vocab = len(counts[0].keys() | counts[1].keys()) + 1
         profiles = []
-        for lang in self.languages:
-            total = sum(counts[lang].values()) + smooth_vocab
-            logprob = {g: math.log((n + 1) / total) for g, n in counts[lang].items()}
-            profiles.append((logprob, math.log(1 / total)))
-        # (languages, trigram -> complex value, value of an unseen trigram, memo);
-        # a last, unpaired language is paired with an empty profile of value 0
-        self._pairs: list[tuple[list[str], dict[str, complex], complex, dict]] = []
-        for i in range(0, len(profiles), 2):
-            (first, first_unseen), (second, second_unseen) = (profiles[i : i + 2] + [({}, 0.0)])[:2]
-            table = {
-                g: complex(first.get(g, first_unseen), second.get(g, second_unseen))
-                for g in first.keys() | second.keys()
-            }
-            unseen = complex(first_unseen, second_unseen)
-            self._pairs.append((self.languages[i : i + 2], table, unseen, {}))
+        for c in counts:
+            total = sum(c.values()) + smooth_vocab
+            profiles.append(({g: math.log((n + 1) / total) for g, n in c.items()}, math.log(1 / total)))
+        (first, first_unseen), (second, second_unseen) = profiles
+        # trigram -> complex(first language's log-probability, second's)
+        self._table = {g: complex(first.get(g, first_unseen), second.get(g, second_unseen))
+                       for g in first.keys() | second.keys()}
+        self._unseen = complex(first_unseen, second_unseen)
+        self._memo: dict[str, tuple[complex, ...]] = {}
 
     def classify(self, line: str) -> tuple[str, float]:
-        """Best language and its posterior probability; UNKNOWN for letterless lines."""
+        """Best language and its posterior probability; UNKNOWN for letterless lines.
+
+        On a tie the first of the sorted languages wins.
+        """
         if not any(ch.isalpha() for ch in line):
             return UNKNOWN, 0.0
-        words = line.split()
-        scores = {}
-        for languages, table, unseen, memo in self._pairs:
-            get = table.get
-            values = []
-            prev = None
-            # The trigrams of _trigrams(line) in order: within the first
-            # word, then per next word the one spanning the gap and those
-            # within the word.
-            for word in words:
-                grams = memo.get(word)
-                if grams is None:
-                    if len(memo) >= _MEMO_ENTRIES:
-                        memo.clear()
-                    padded = " " + word + " "
-                    grams = memo[word] = tuple([get(padded[i : i + 3], unseen) for i in range(len(word))])
-                if prev is not None:
-                    values.append(get(prev[-1] + " " + word[0], unseen))
-                values.extend(grams)
-                prev = word
-            # A plain left-to-right fold, as a per-gram loop adds: the builtin
-            # sum compensates its rounding since Python 3.12, and it, fsum,
-            # numpy or partial sums would make the score bits, and with them
-            # the routing, depend on the interpreter.
-            total = reduce(operator.add, values, 0j)
-            scores.update(zip(languages, (total.real, total.imag)))
-        top = max(self.languages, key=scores.__getitem__)
-        peak = scores[top]
-        denom = reduce(operator.add, (math.exp(s - peak) for s in scores.values()), 0.0)
-        return top, 1.0 / denom
+        get, unseen, memo = self._table.get, self._unseen, self._memo
+        values = []
+        prev = None
+        # The trigrams of _trigrams(line) in order: within the first word,
+        # then per next word the one spanning the gap and those within the
+        # word.
+        for word in line.split():
+            grams = memo.get(word)
+            if grams is None:
+                if len(memo) >= _MEMO_ENTRIES:
+                    memo.clear()
+                padded = " " + word + " "
+                grams = memo[word] = tuple([get(padded[i : i + 3], unseen) for i in range(len(word))])
+            if prev is not None:
+                values.append(get(prev[-1] + " " + word[0], unseen))
+            values.extend(grams)
+            prev = word
+        # A plain left-to-right fold, as a per-gram loop adds: the builtin
+        # sum compensates its rounding since Python 3.12, and it, fsum,
+        # numpy or partial sums would make the score bits, and with them
+        # the routing, depend on the interpreter.
+        total = reduce(operator.add, values, 0j)
+        first, second = total.real, total.imag
+        top, gap = (1, first - second) if second > first else (0, second - first)
+        return self.languages[top], 1.0 / (1.0 + math.exp(gap))
 
 
 _default: TrigramClassifier | None = None

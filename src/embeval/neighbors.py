@@ -12,7 +12,6 @@ needs, and a ``NeighborMap`` and the cache hold ordered tokens, no scores.
 import json
 import logging
 import math
-import operator
 import os
 import tempfile
 from collections.abc import Iterator
@@ -160,10 +159,8 @@ def _certified(ordered: np.ndarray, dim: int) -> np.ndarray:
     return (ordered[:, :-1] - ordered[:, 1:] > _gap_bound(dim)).all(axis=1)
 
 
-# Veltkamp's 2**27 + 1 splits a double into halves of at most 26 bits.  A
-# product of two doubles that rounds to at least _TINY in magnitude has an
-# error that is a multiple of 2**-1074, so every step of TwoProduct is exact.
-_SPLIT, _TINY, _SLICE = 134217729.0, 2.0 ** -968, 512
+# Veltkamp's 2**27 + 1 splits a double into halves of at most 26 bits.
+_SPLIT, _SLICE = 134217729.0, 512
 
 
 def _exact_scores(unit: np.ndarray, row: int, candidates: list[int]) -> list[float]:
@@ -171,8 +168,9 @@ def _exact_scores(unit: np.ndarray, row: int, candidates: list[int]) -> list[flo
 
     TwoProduct (Dekker's; Ogita, Rump and Oishi, "Accurate sum and dot
     product", SISC 2005) writes each product as two floats, and ``math.fsum``
-    rounds their exact sum correctly.  A nonzero product below ``_TINY`` is
-    summed in rationals.  ``_SLICE`` rows at a time bound the temporaries.
+    rounds their exact sum correctly.  The loader flushes unit components
+    below 2**-484 to zero, so every product TwoProduct forms is a multiple
+    of 2**-1072 and exact.  ``_SLICE`` rows at a time bound the temporaries.
     """
     x = unit[row]
     hx = _SPLIT * x - (_SPLIT * x - x)
@@ -185,11 +183,6 @@ def _exact_scores(unit: np.ndarray, row: int, candidates: list[int]) -> list[flo
         ly = y - hy
         e = lx * ly - (((p - hx * hy) - lx * hy) - hx * ly)
         scores += [math.fsum(terms) for terms in np.hstack((p, e)).tolist()]
-        for j in np.flatnonzero(((np.abs(p) < _TINY) & (y != 0.0) & (x != 0.0)).any(axis=1)).tolist():
-            from fractions import Fraction  # only rows with tiny products need it
-
-            exact = sum(map(operator.mul, map(Fraction, x.tolist()), map(Fraction, y[j].tolist())))
-            scores[start + j] = float(exact)
     return scores
 
 
@@ -199,30 +192,31 @@ def neighbor_map(model: EmbeddingModel, queries: list[str], k: int, cache_dir=No
     The map holds no other query, so a query is queryable exactly when it
     is in the map.  Any k' <= k is served by the first k' tokens.  With
     ``cache_dir`` the map goes through the model's cache file: a file that
-    ``cache_load`` returns and that holds every wanted query serves the
-    call, restricted to those queries; any other well-formed file is
-    searched again at k and overwritten.  A malformed file raises
-    CacheFormatError naming it.  A search logs at debug level how many
-    queries it certified and how many it re-ranked exactly, over how many
-    boundary rows.
+    ``cache_load`` returns serves the queries it holds, and only the
+    missing ones are searched, at the file's capacity, and added to it.
+    Any other well-formed file is searched again at k and overwritten.  A
+    malformed file raises CacheFormatError naming it.  A search logs at
+    debug level how many queries it certified and how many it re-ranked
+    exactly, over how many boundary rows.
     """
     wanted = sorted(q for q in set(queries) if queryable(model, q))
     path = None if cache_dir is None else cache_path(cache_dir, model.name)
-    if path is not None and os.path.exists(path):
-        cached = parse_file(cache_load, path, model, k)
-        if cached is not None and cached.tokens.keys() >= set(wanted):
-            return NeighborMap(cached.k, {q: cached.tokens[q] for q in wanted})
-        logger.debug("%s: rebuilding %s at k=%d", model.name, path, k)
-    batch = top_k_batch(model, wanted, k)
-    searched = len(batch.neighbor_sets)
-    logger.debug(
-        "%s: searched %d queries at k=%d: %d certified, %d re-ranked exactly over %d boundary rows",
-        model.name, searched, k, searched - batch.reranked, batch.reranked, batch.boundary_rows,
-    )
-    result = NeighborMap(k, dict(batch.neighbor_sets))
-    if path is not None:
-        cache_store(path, model, result)
-    return result
+    exists = path is not None and os.path.exists(path)
+    held = (parse_file(cache_load, path, model, k) if exists else None) or NeighborMap(k, {})
+    missing = [q for q in wanted if q not in held.tokens]
+    if missing:
+        if exists:
+            logger.debug("%s: rebuilding %s at k=%d", model.name, path, held.k)
+        batch = top_k_batch(model, missing, held.k)
+        searched = len(batch.neighbor_sets)
+        logger.debug(
+            "%s: searched %d queries at k=%d: %d certified, %d re-ranked exactly over %d boundary rows",
+            model.name, searched, held.k, searched - batch.reranked, batch.reranked, batch.boundary_rows,
+        )
+        held = NeighborMap(held.k, {**held.tokens, **dict(batch.neighbor_sets)})
+        if path is not None:
+            cache_store(path, model, held)
+    return NeighborMap(held.k, {q: held.tokens[q] for q in wanted})
 
 
 def cache_path(cache_dir, model_name: str) -> str:
@@ -231,8 +225,9 @@ def cache_path(cache_dir, model_name: str) -> str:
 
 def _cache_header(model: EmbeddingModel, k: int) -> dict:
     # "format" names the layout of the lines, the query then its tokens, and
-    # their order by exact scores; "tokens" was the order by computed scores
-    return {"digest": model.source_digest, "dim": model.dim, "format": "exact-tokens",
+    # their order by exact scores of flushed unit rows; "exact-tokens" was
+    # that order before the flush, "tokens" the order by computed scores
+    return {"digest": model.source_digest, "dim": model.dim, "format": "flushed-exact-tokens",
             "k": k, "model": model.name}
 
 

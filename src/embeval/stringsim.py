@@ -75,7 +75,8 @@ def ratio(a: str, b: str) -> float:
 
 
 class VocabIndex:
-    """Immutable token collection with hash and length lookups for best_match.
+    """Immutable collection of distinct tokens with hash and length lookups
+    for best_match; a token that repeats raises ValueError.
 
     Each scanned length bucket also keeps its code points as columns, built
     the first time best_match scans it (see ``columns``).
@@ -83,13 +84,15 @@ class VocabIndex:
 
     def __init__(self, tokens: Sequence[str]):
         self.tokens = list(tokens)
-        self.position: dict[str, int] = {}
+        self.position = dict(zip(self.tokens, range(len(self.tokens))))
+        if len(self.position) < len(self.tokens):
+            repeated = next(tok for i, tok in enumerate(self.tokens) if self.position[tok] != i)
+            raise ValueError(f"token {repeated!r} repeats")
         self.by_length: dict[int, list[int]] = {}
+        # the position's int objects, not a second copy of each
+        for tok, i in self.position.items():
+            self.by_length.setdefault(len(tok), []).append(i)
         self._columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for i, tok in enumerate(self.tokens):
-            if tok not in self.position:
-                self.position[tok] = i
-                self.by_length.setdefault(len(tok), []).append(i)
 
     def __len__(self) -> int:
         return len(self.tokens)

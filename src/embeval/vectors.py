@@ -396,6 +396,10 @@ def _check_finite(block: np.ndarray, line_nos: list[int]) -> None:
 # and has lost precision: the direct formula scales the row (1e-160) to
 # 1.0000056, not 1.
 _MIN_DIRECT_NORM = np.sqrt(np.finfo(np.float64).tiny)
+# Unit components below this magnitude become zeros, so a nonzero product of
+# two is at least 2**-968 and exact scoring cannot underflow.  A float32 row
+# has none: its least nonzero unit component is at least 2**-277 / sqrt(dim).
+_FLUSH = 2.0 ** -484
 
 
 def _normalize_matrix(matrix: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -403,8 +407,9 @@ def _normalize_matrix(matrix: np.ndarray, out: np.ndarray | None = None) -> np.n
 
     A nonzero row whose squared norm is subnormal or overflows is divided by
     its largest absolute component first; every other row is divided by
-    its norm as computed directly.  Each row is computed on its own, so
-    normalizing a matrix in slices of rows gives the same bits.
+    its norm as computed directly; then each unit component below ``_FLUSH``
+    in magnitude becomes a zero of its sign.  Each row is computed on its
+    own, so normalizing a matrix in slices of rows gives the same bits.
     """
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(matrix, axis=1)
@@ -414,4 +419,5 @@ def _normalize_matrix(matrix: np.ndarray, out: np.ndarray | None = None) -> np.n
     if rescale.size:
         scaled = matrix[rescale] / np.abs(matrix[rescale]).max(axis=1)[:, None]
         unit[rescale] = scaled / np.linalg.norm(scaled, axis=1)[:, None]
+    np.copysign(0.0, unit, out=unit, where=np.abs(unit) < _FLUSH)
     return unit

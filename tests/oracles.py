@@ -564,13 +564,11 @@ def trigram_profiles_oracle(seeds: dict[str, str]) -> dict[str, tuple[dict[str, 
 
 
 def language_values(clf, lang: str, grams: list[str]) -> list[float]:
-    """The value of each gram under ``lang``: its part of the value in the
-    classifier's table of the pair that holds ``lang``."""
-    for languages, table, unseen, _ in clf._pairs:
-        if lang in languages:
-            part = "real" if languages[0] == lang else "imag"
-            return [getattr(table.get(g, unseen), part) for g in grams]
-    raise KeyError(lang)
+    """The value of each gram under ``lang``: the real part of its value in
+    the classifier's table for the first language, the imaginary part for
+    the second."""
+    part = ("real", "imag")[clf.languages.index(lang)]
+    return [getattr(clf._table.get(g, clf._unseen), part) for g in grams]
 
 
 def classify_oracle(self, line: str) -> tuple[str, float]:

@@ -185,6 +185,7 @@ def _per_rank_layout(header: dict, body: list[str], model) -> tuple[dict, list[s
 _CACHES_THAT_CANNOT_SERVE = {
     "another-digest": lambda header, body, model: ({**header, "digest": "0" * 64}, body),
     "format-tokens": lambda header, body, model: ({**header, "format": "tokens"}, body),
+    "format-exact-tokens": lambda header, body, model: ({**header, "format": "exact-tokens"}, body),
     "per-rank-layout": _per_rank_layout,
     "missing-query": lambda header, body, model: (header, body[1:]),
     "smaller-capacity": lambda header, body, model: (
@@ -456,21 +457,28 @@ def test_clean_imports_no_multiprocessing(tmp_path):
 
 
 def test_certified_diversity_loads_no_rational_arithmetic(tmp_path, thesaurus_path):
-    # exact re-ranking needs rationals only for rows with tiny components,
-    # and these Gaussian rows certify every query besides
+    # Gaussian rows certify every query.  Then a run over rows with
+    # components far below the flush bound (1e-300), and the ties their
+    # flushing leaves, is re-ranked exactly without rationals either.
     rng = np.random.default_rng(8)
     vocab = FIXTURE_VOCAB + [f"wort{i}" for i in range(30)]
-    models = []
-    for name in ("alpha", "beta"):
-        save_vec(vocab, rng.standard_normal((len(vocab), 16)), tmp_path / f"{name}.vec")
-        models += ["--model", str(tmp_path / f"{name}.vec")]
-    argv = ["diversity", *models, "--thesaurus", str(thesaurus_path), "--k", "10",
-            "--out", str(tmp_path / "d")]
+    runs = []
+    for names, tiny in ((("alpha", "beta"), False), (("gamma", "delta"), True)):
+        models = []
+        for name in names:
+            rows = rng.standard_normal((len(vocab), 16))
+            if tiny:
+                rows[len(FIXTURE_VOCAB):] = rows[0]
+                rows[len(FIXTURE_VOCAB):, 15] = [1e-300, -1e-290, 0.0] * 10
+            save_vec(vocab, rows, tmp_path / f"{name}.vec")
+            models += ["--model", str(tmp_path / f"{name}.vec")]
+        runs.append(["diversity", *models, "--thesaurus", str(thesaurus_path), "--k", "10",
+                     "--out", str(tmp_path / names[0])])
     script = (
         "import logging, sys\n"
         "logging.basicConfig(level=logging.DEBUG, format='%(message)s')\n"
         "from embeval.cli import main\n"
-        f"assert main({argv!r}) == 0\n"
+        f"assert all(main(argv) == 0 for argv in {runs!r})\n"
         "print(sorted(m for m in sys.modules if m in ('fractions', 'decimal')))\n"
     )
     import embeval
@@ -480,8 +488,9 @@ def test_certified_diversity_loads_no_rational_arithmetic(tmp_path, thesaurus_pa
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
     searches = [line for line in result.stderr.splitlines() if ": searched " in line]
-    assert len(searches) == 2
-    assert all(line.endswith(" certified, 0 re-ranked exactly over 0 boundary rows") for line in searches)
+    assert len(searches) == 4
+    assert all(line.endswith(" certified, 0 re-ranked exactly over 0 boundary rows") for line in searches[:2])
+    assert all(" 0 re-ranked " not in line for line in searches[2:])
 
 
 def test_package_exports_resolve_to_their_modules():

@@ -441,16 +441,6 @@ def test_dedup_sentences_equals_oracle(lines):
     assert (report.kept, report.dropped) == (expected_report.kept, expected_report.dropped)
 
 
-# A third language, whose pair holds a zero second part.
-_FR_SEED = """
-La société moderne est un thème central des sciences sociales. Les études
-examinent le rapport entre éducation, revenu et participation à la vie
-publique. Les résultats montrent des différences nettes entre les régions.
-"""
-_CLASSIFIERS = {
-    "de en": default_classifier(),
-    "de en fr": TrigramClassifier({"de": langid._DE_SEED, "en": langid._EN_SEED, "fr": _FR_SEED}),
-}
 # Lines of repeated words, one- and two-character ones among them, between
 # runs of every whitespace character.
 _SPACES = [c for c in map(chr, range(0x3001)) if c.isspace()]
@@ -461,24 +451,23 @@ _WORD_LINE = st.lists(
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.sampled_from(sorted(_CLASSIFIERS)), _texts(surrogates=True) | _WORD_LINE)
-def test_classify_equals_oracle(languages, line):
-    clf = _CLASSIFIERS[languages]
+@given(_texts(surrogates=True) | _WORD_LINE)
+def test_classify_equals_oracle(line):
+    clf = default_classifier()
     assert _trigrams(line) == trigrams_oracle(line)
     assert clf.classify(line) == classify_oracle(clf, line)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(sorted(_CLASSIFIERS)), st.lists(_WORD_LINE, min_size=1, max_size=8))
-def test_classify_equals_oracle_across_memo_clears(languages, lines):
-    clf = _CLASSIFIERS[languages]
+@given(st.lists(_WORD_LINE, min_size=1, max_size=8))
+def test_classify_equals_oracle_across_memo_clears(lines):
+    clf = default_classifier()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(langid, "_MEMO_ENTRIES", 3)
-        for *_, memo in clf._pairs:
-            memo.clear()
+        clf._memo.clear()
         for line in lines:
             assert clf.classify(line) == classify_oracle(clf, line)
-            assert all(len(memo) <= 3 for *_, memo in clf._pairs)
+            assert len(clf._memo) <= 3
 
 
 # Characters where lowercasing a line before or after its whitespace is

@@ -70,8 +70,15 @@ def test_classifier_is_extensible():
 
 
 def test_classifier_needs_two_languages():
-    with pytest.raises(ValueError):
-        TrigramClassifier({"de": "nur eine"})
+    for seeds in ({"de": "nur eine"}, {"de": "eine", "en": "two", "fr": "trois"}):
+        with pytest.raises(ValueError, match="exactly two languages"):
+            TrigramClassifier(seeds)
+
+
+def test_tie_goes_to_the_first_language():
+    clf = TrigramClassifier({"bb": "abc abd", "aa": "abc abd"})
+    assert clf.classify("abc") == ("aa", 0.5)
+    assert clf.classify("xyz") == classify_oracle(clf, "xyz") == ("aa", 0.5)
 
 
 def test_default_classifier_is_cached():
@@ -108,7 +115,6 @@ def test_classify_does_not_depend_on_the_builtin_sum(monkeypatch, line):
 _SEEDS = {
     "aa": "aaa aaaa aa aaa aab",
     "bb": "bbb bbbb bb bbb bba",
-    "cc": "ccc cccc cc ccc cca",
 }
 
 
@@ -116,9 +122,8 @@ def test_pair_tables_hold_each_languages_profile():
     clf = TrigramClassifier(_SEEDS)
     profiles = trigram_profiles_oracle(_SEEDS)
     grams = set().union(*(logprob for logprob, _ in profiles.values())) | {"zzz"}
-    # the last of an odd number of languages is paired with a zero part
-    assert [languages for languages, *_ in clf._pairs] == [["aa", "bb"], ["cc"]]
-    assert all(v.imag == 0.0 for v in clf._pairs[1][1].values()) and clf._pairs[1][2].imag == 0.0
+    # one table: the first language's values are the real parts, the second's the imaginary
+    assert clf.languages == ["aa", "bb"] and not hasattr(clf, "_pairs")
     for lang, (logprob, unseen) in profiles.items():
         expected = [logprob.get(g, unseen) for g in sorted(grams)]
         assert language_values(clf, lang, sorted(grams)) == expected
@@ -128,15 +133,13 @@ def test_memo_stays_within_its_bound_and_is_all_classify_changes(monkeypatch):
     monkeypatch.setattr(langid, "_MEMO_ENTRIES", 5)
     clf = TrigramClassifier(_SEEDS)
     state = dict(vars(clf))
-    pairs = list(clf._pairs)
-    tables = [dict(table) for _, table, _, _ in pairs]
-    lines = ["aaa aab", "bbb bb a", "a b c d e f g h i j k", "cca ccc aaa aaa", "aa bb cc aa bb cc", "c"]
+    table = dict(clf._table)
+    lines = ["aaa aab", "bbb bb a", "a b c d e f g h i j k", "bba bbb aaa aaa", "aa bb cc aa bb cc", "c"]
     sizes = []
     for line in lines * 2:
         assert clf.classify(line) == classify_oracle(clf, line)
-        sizes.append([len(memo) for *_, memo in clf._pairs])
-    assert max(map(max, sizes)) == 5  # full, then cleared: a line of 11 new words fills it twice over
-    # nothing but the memos changes: no table is built or replaced after __init__
+        sizes.append(len(clf._memo))
+    assert max(sizes) == 5  # full, then cleared: a line of 11 new words fills it twice over
+    # nothing but the memo changes: no table is built or replaced after __init__
     assert vars(clf).keys() == state.keys() and all(vars(clf)[k] is v for k, v in state.items())
-    assert len(clf._pairs) == len(pairs) and all(now is then for now, then in zip(clf._pairs, pairs))
-    assert [table for _, table, _, _ in clf._pairs] == tables
+    assert clf._table == table

@@ -122,8 +122,8 @@ _WORD = st.text(alphabet="abcäßéBÄ", min_size=1, max_size=7)
 
 @st.composite
 def _coverage_cases(draw):
-    """A vocabulary with duplicates, labels of 1-3 tokens and 1-4 thresholds."""
-    vocab = draw(st.lists(_WORD, min_size=1, max_size=12))
+    """A vocabulary of distinct words, labels of 1-3 tokens and 1-4 thresholds."""
+    vocab = draw(st.lists(_WORD, min_size=1, max_size=12, unique=True))
 
     def near(word):
         pos = draw(st.integers(0, len(word)))

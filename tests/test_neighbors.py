@@ -269,16 +269,17 @@ def test_identical_rows_rank_in_index_order(dim):
     assert top_k(model, queries[0], 1_002) == knn_oracle(model, queries[0], 1_002)
 
 
-# full 53-bit mantissas where products straddle the smallest one whose
-# TwoProduct error terms do not underflow
+# Unit components are 0 or at least 2**-484 in magnitude (the loader
+# flushes smaller ones), so products are 0 or at least 2**-968.  Full 53-bit
+# mantissas from 2**-484 up put products at and just above that least one.
 _NEAR_UNDERFLOW = st.builds(
     lambda sign, low, exp: math.ldexp(sign * ((1 << 52) | low), exp),
-    st.sampled_from([1, -1]), st.integers(0, 2**52 - 1), st.integers(-560, -500),
+    st.sampled_from([1, -1]), st.integers(0, 2**52 - 1), st.integers(-536, -500),
 )
 _COMPONENTS = st.one_of(
-    st.floats(-1.0, 1.0),
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022]),
-    st.floats(-(2.0**-1022), 2.0**-1022),
+    st.floats(2.0**-484, 1.0),
+    st.floats(-1.0, -(2.0**-484)),
+    st.sampled_from([0.0, -0.0, 2.0**-484, -(2.0**-484)]),
     _NEAR_UNDERFLOW,
 )
 
@@ -286,8 +287,8 @@ _COMPONENTS = st.one_of(
 @st.composite
 def _cancelling_rows(draw):
     """Rows ``x + x`` and ``y + z``, where z is -y moved by an ulp: their
-    products cancel to the low bits of the products, which TwoProduct loses
-    where it underflows."""
+    products cancel to the low bits of the products, which TwoProduct would
+    lose if it underflowed."""
     components = draw(st.sampled_from([_NEAR_UNDERFLOW, _COMPONENTS]))
     x = draw(st.lists(components, min_size=1, max_size=2))
     y = draw(st.lists(components, min_size=len(x), max_size=len(x)))
@@ -298,13 +299,39 @@ def _cancelling_rows(draw):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_exact_scores_equal_the_rational_dot_product(data):
-    # subnormal, signed zero, near-underflow and unit-magnitude components,
-    # on both sides of the threshold below which TwoProduct could underflow
+    # signed zero, near-underflow and unit-magnitude components, down to the
+    # least magnitude the loader leaves
     dim = data.draw(st.integers(1, 8))
     row = st.lists(_COMPONENTS, min_size=dim, max_size=dim)
     rows = data.draw(_cancelling_rows() | st.lists(row, min_size=2, max_size=6))
     got = _exact_scores(np.array(rows), 0, np.arange(1, len(rows)))
     assert got == [float(exact_dot(rows[0], y)) for y in rows[1:]]
+
+
+# a and b: unit rows whose dot product is 1 + 2**-53, halfway between two
+# floats, plus the product of their last components, which would break the
+# tie upwards were they not flushed.  w and v: equal rows once flushed, an
+# exact tie for c and z.
+_TINY_ROWS = {
+    "a": [1.0, 2.0**-27, 1e-300], "b": [1.0, 2.0**-26, 1e-300],
+    "w": [1e-300, 1.0, 0.0], "v": [-1e-290, 2.0, 0.0], "c": [0.0, 0.0, 1.0], "z": [0.0, 1e-300, -1.0],
+}
+
+
+def test_components_below_the_flush_bound_search_as_zeros():
+    model = make_model("tiny", list(_TINY_ROWS), list(_TINY_ROWS.values()))
+    unit = model.unit_matrix()
+    assert unit[:, 2].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0, -1.0]
+    assert unit[2].tolist() == unit[3].tolist() == [0.0, 1.0, 0.0]
+    assert np.signbit(unit[3, 0]) and not np.signbit(unit[2, 0])  # a zero of its sign
+    for k in range(len(model)):
+        batch = top_k_batch(model, model.vocab, k)
+        for query, tokens in batch.neighbor_sets:
+            expected = knn_oracle(model, query, k)
+            assert top_k(model, query, k) == expected
+            assert list(tokens) == [t for t, _ in expected]
+    assert top_k(model, "a", 1) == [("b", 1.0)]
+    assert batch.reranked > 0
 
 
 def test_cache_round_trip(tmp_path):
@@ -435,16 +462,35 @@ def test_neighbor_map_cache_policy(tmp_path):
     assert {q: list(t[:5]) for q, t in served.tokens.items()} == {
         q: top_tokens(model, q, 5) for q in queries[:4]
     }
-    # a missing query rebuilds the file at the k asked for, with the queries asked for
+    # a missing query is searched at the file's capacity and added to the file
     more = model.vocab[:7]
-    assert neighbor_map(model, more, 5, tmp_path) == neighbor_map(model, more, 5)
-    assert capacity() == 5
-    assert set(cache_load(path, model, 5).tokens) == set(more)
+    assert neighbor_map(model, more, 5, tmp_path) == neighbor_map(model, more, 8)
+    assert capacity() == 8
+    assert set(cache_load(path, model, 8).tokens) == set(more)
     # so do other vectors under the same model name
     other = random_model(rng, "toy", 30, 4)
     assert neighbor_map(other, queries, 4, tmp_path) == neighbor_map(other, queries, 4)
     assert capacity() == 4
     assert cache_load(path, other, 4) is not None
+
+
+def test_alternating_query_sets_share_one_cache(tmp_path, monkeypatch):
+    # two query sets over one cache directory: each is searched once, and the
+    # file then holds both and serves either
+    model = random_model(np.random.default_rng(22), "m", 200, 8)
+    sets = [model.vocab[:50], model.vocab[50:100]]
+    expected = [neighbor_map(model, queries, 10) for queries in sets]
+    batches = []
+    real = top_k_batch
+
+    def spy(model, queries, k):
+        batches.append(list(queries))
+        return real(model, queries, k)
+
+    monkeypatch.setattr("embeval.neighbors.top_k_batch", spy)
+    assert [neighbor_map(model, queries, 10, tmp_path) for queries in sets * 2] == expected * 2
+    assert batches == sets
+    assert set(cache_load(cache_path(tmp_path, "m"), model, 10).tokens) == set(model.vocab[:100])
 
 
 def test_cache_of_a_model_built_in_memory_is_keyed_by_its_exact_rows(tmp_path):

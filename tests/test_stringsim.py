@@ -119,6 +119,12 @@ def test_best_match_rejects_bad_threshold():
         best_match("a", vocab, 1.5)
 
 
+def test_vocab_index_rejects_a_repeated_token():
+    # the first token that repeats is named, whichever repeat comes first
+    with pytest.raises(ValueError, match="'macht' repeats"):
+        VocabIndex(["macht", "armut", "armut", "macht"])
+
+
 def _random_vocab(rng: random.Random, n: int) -> list[str]:
     alphabet = "abcdefghü"
     out = []
@@ -172,10 +178,10 @@ def _scan_cases(draw):
     if draw(st.booleans()):
         alphabet = draw(st.sampled_from(["ab", "abäß", "aß\U0001d518\x00"]))
         word = st.text(alphabet=alphabet, max_size=9)
-        return draw(st.lists(word, min_size=1, max_size=40)), draw(word)
+        return draw(st.lists(word, min_size=1, max_size=40, unique=True)), draw(word)
     base = draw(st.text(alphabet=_CHARS, min_size=62, max_size=130))
     query, *vocab = draw(_near_words(base, draw(st.integers(2, 6))))
-    return vocab, query
+    return list(dict.fromkeys(vocab)), query
 
 
 @settings(max_examples=400, deadline=None)
@@ -198,7 +204,7 @@ def test_pruned_equals_unpruned_scan_at_any_threshold(case, s):
 )
 def test_bucket_lcs_gives_edit_distance(token, length, data):
     bucket = data.draw(st.lists(
-        st.text(alphabet=_CHARS, min_size=length, max_size=length), min_size=1, max_size=5
+        st.text(alphabet=_CHARS, min_size=length, max_size=length), min_size=1, max_size=5, unique=True
     ))
     vocab = VocabIndex(bucket)
     lcs = _bucket_lcs(token, vocab, length)

@@ -1,4 +1,5 @@
 import io
+import math
 import os
 import tracemalloc
 
@@ -149,6 +150,13 @@ _COMPONENTS = st.sampled_from(
 )
 # the least norm whose squares sum to a normal float
 _DIRECT_NORM = np.sqrt(np.finfo(np.float64).tiny)
+# the least magnitude of a nonzero unit component
+_FLUSH = 2.0**-484
+
+
+def _flushed(row: np.ndarray) -> np.ndarray:
+    """``row`` with each component below ``_FLUSH`` in magnitude a zero of its sign."""
+    return np.array([math.copysign(0.0, v) if abs(v) < _FLUSH else v for v in row.tolist()])
 
 
 @settings(max_examples=300, deadline=None)
@@ -170,10 +178,11 @@ def test_unit_rows_keep_the_direct_formula_where_it_is_defined(rows):
             continue
         assert i not in model.zero_rows
         if _DIRECT_NORM <= norms[i] < np.inf:
-            assert np.array_equal(unit[i].view(np.uint64), direct[i].view(np.uint64))
+            assert np.array_equal(unit[i].view(np.uint64), _flushed(direct[i]).view(np.uint64))
         else:
             scaled = row / np.abs(row).max()
-            assert unit[i] == pytest.approx(scaled / np.linalg.norm(scaled))
+            assert unit[i] == pytest.approx(_flushed(scaled / np.linalg.norm(scaled)))
+        assert ((unit[i] == 0.0) | (np.abs(unit[i]) >= _FLUSH)).all()
         assert np.linalg.norm(unit[i]) == pytest.approx(1.0)
 
 
@@ -448,6 +457,7 @@ def test_rescaled_rows_on_both_sides_of_a_chunk_boundary(monkeypatch, chunk):
     _assert_same_bits(raw, want_raw)
     unit = model.unit_matrix()
     _assert_same_bits(unit, _normalize_matrix(want_raw))
+    assert unit[5].tolist() == [1.0, 0.0]  # "1e250 1": the rescaled 1e-250 is flushed
     assert model.zero_rows == {len(rows) - 1}
     assert np.linalg.norm(unit[:-1], axis=1) == pytest.approx(np.ones(len(rows) - 1))
 
