@@ -6,11 +6,15 @@ line ``<count> <dim>`` followed by one line per word holding the token and
 model is built.  Models are immutable once loaded; concurrent readers are
 safe.
 
-``load_vec`` reads the file in groups of whole lines and scales each
-parsed chunk's rows to unit length as it stores them, so loading holds one
-matrix, the model's unit rows, and the vocabulary plus about one group,
-never the file's bytes, text or list of lines, nor its raw components.
-Both loaders note each chunk's zero rows as they parse it.  ``load_vocab``
+``load_vec`` reads the file in groups of whole lines and parses each
+group in chunks of lines, by one of two paths.  A chunk that passes
+C-level checks of its structure and one ``np.loadtxt`` call is taken
+whole; any other chunk is read line by line with ``float()``, and its
+first failing line names the error.  Each parsed chunk's rows are scaled
+to unit length as they are stored, so loading holds one matrix, the
+model's unit rows, and the vocabulary plus about one group, never the
+file's bytes, text or list of lines, nor its raw components.  Both
+loaders note each chunk's zero rows as they parse it.  ``load_vocab``
 runs the same reader with the same checks but drops each chunk's rows
 once their zero rows are noted, for a command that reads only the
 vocabulary: it holds no matrix at all.
@@ -24,7 +28,7 @@ import logging
 import os
 import warnings
 from dataclasses import dataclass
-from typing import BinaryIO, Sequence, Union
+from typing import BinaryIO, Union
 
 import numpy as np
 
@@ -69,13 +73,8 @@ class EmbeddingModel:
 
 # The token rules, stated once for both loaders: a token is not empty,
 # holds no whitespace ``str.split()`` splits on, and does not repeat.
-# ``_plain`` tests the first two for a batch of tokens at C speed;
+# ``_Body._parsed`` tests them for a chunk of tokens at C speed;
 # ``_token_error`` tests one token and words what is wrong with it.
-def _plain(tokens: Sequence[str]) -> bool:
-    """Whether a join and a whitespace split give ``tokens`` back."""
-    return " ".join(tokens).split() == list(tokens)
-
-
 def _token_error(token: str, seen: set[str]) -> str | None:
     """What is wrong with ``token`` after the tokens ``seen``, or None."""
     if not token:
@@ -107,13 +106,14 @@ def load_vec(source: Source, name: str) -> EmbeddingModel:
     The file is read, hashed and decoded in groups of whole lines of about
     ``_BLOCK`` bytes, so it is never held whole: memory peaks at the unit
     rows and the vocabulary plus about one group.  A component is accepted
-    when ``float()`` accepts it and the result is finite.  The numbers of
-    up to ``_CHUNK`` lines of a group are parsed by one ``np.loadtxt``
-    call, after C-level checks of the chunk's structure; a chunk failing
-    them is checked line by line, and the first failing line of the file
-    names the error.  Each parsed chunk is normalized into the model's
-    rows, bit for bit as normalizing the whole raw matrix would, and the
-    model keeps no raw row.
+    when ``float()`` accepts it and the result is finite.  A group is
+    parsed in chunks of up to ``_CHUNK`` lines.  A chunk that passes
+    C-level checks of its structure and one ``np.loadtxt`` call, with
+    finite numbers, is taken whole; any other chunk is read line by line
+    with ``float()``, and its first failing line names the error.  Each
+    parsed chunk is normalized into the model's rows, bit for bit as
+    normalizing the whole raw matrix would, and the model keeps no raw
+    row.
 
     Errors take this precedence: invalid UTF-8 anywhere in the file, then
     a BOM, an empty file or a malformed header, then a row count that is
@@ -275,54 +275,76 @@ class _Body:
             if self.lines > self.count:
                 # stops parsing; load_vec reports the row count at EOF
                 raise VecFormatError(f"header declares {self.count} rows but file has more")
-            rests, line_nos, error = self._check(chunk, first)
-            # an error on an earlier line of the chunk wins
-            self._store(rests, line_nos, use_loadtxt)
-            if error is not None:
-                raise error
+            block = self._parsed(chunk) if use_loadtxt else None
+            self._store(self._parsed_lines(chunk, first) if block is None else block)
 
-    def _check(self, chunk: list[str], first: int):
-        """Append the chunk's tokens up to its first failing line; return their
-        component strings, their line numbers and that line's error, if any.
+    def _parsed(self, chunk: list[str]) -> np.ndarray | None:
+        """The chunk's rows, its tokens taken, if the whole chunk passes; else None.
 
-        C-level calls check the whole chunk: every line holds ``dim``
-        spaces, the tokens survive a join and whitespace split (none is
-        empty or holds whitespace), and none repeats.  Only a chunk that
-        fails is checked line by line.
+        C-level calls check that every line holds ``dim`` spaces, that the
+        tokens survive a join and whitespace split (none is empty or holds
+        whitespace) and that none repeats; one ``np.loadtxt`` call must then
+        read ``dim`` finite components per line.  loadtxt and float() both
+        round correctly, so they agree on every literal loadtxt accepts;
+        where loadtxt fails or drops a line (it rejects ``1_0`` and
+        non-ASCII digits, which float() accepts, and skips an empty line),
+        the chunk is read line by line.
         """
-        if set(map(str.count, chunk, itertools.repeat(" "))) == {self.dim}:
-            tokens, _, rests = zip(*map(str.partition, chunk, itertools.repeat(" ")))
-            distinct = set(tokens)
-            if len(distinct) == len(tokens) and self.seen.isdisjoint(distinct) and _plain(tokens):
-                self.seen |= distinct
-                self.vocab += tokens
-                return rests, range(first, first + len(chunk)), None
-        return self._check_lines(chunk, first)
+        if set(map(str.count, chunk, itertools.repeat(" "))) != {self.dim}:
+            return None
+        tokens, _, rests = zip(*map(str.partition, chunk, itertools.repeat(" ")))
+        distinct = set(tokens)
+        if (len(distinct) != len(tokens) or not self.seen.isdisjoint(distinct)
+                or " ".join(tokens).split() != list(tokens)):
+            return None
+        try:
+            with warnings.catch_warnings():
+                # a chunk of empty strings is "no data" to loadtxt
+                warnings.simplefilter("ignore", UserWarning)
+                block = np.loadtxt(
+                    rests, delimiter=" ", comments=None, quotechar=None,
+                    dtype=np.float64, ndmin=2,
+                )
+        except ValueError:
+            return None
+        if block.shape != (len(chunk), self.dim) or not np.isfinite(block).all():
+            return None
+        self.seen |= distinct
+        self.vocab += tokens
+        return block
 
-    def _check_lines(self, chunk: list[str], first: int):
-        rests: list[str] = []
-        line_nos: list[int] = []
+    def _parsed_lines(self, chunk: list[str], first: int) -> np.ndarray:
+        """The chunk's rows, each line checked in file order and its
+        components read by float(); raises at the first failing line.
+
+        The rows become an array only once every line has passed, so a
+        header's dimension sizes no array before a body line backs it.
+        """
+        rows = []
         for line_no, line in enumerate(chunk, start=first):
             token, _, rest = line.partition(" ")
-            if line.count(" ") != self.dim:
-                error = f"expected token plus {self.dim} components, found {line.count(' ')}"
+            spaces = line.count(" ")
+            if spaces != self.dim:
+                error = f"expected token plus {self.dim} components, found {spaces}"
             else:
                 error = _token_error(token, self.seen)
+            if error is None:
+                try:
+                    rows.append([float(p) for p in rest.split(" ")])
+                except ValueError:
+                    error = "unparseable vector component"
+                if error is None and not np.isfinite(rows[-1]).all():
+                    error = "non-finite vector component"
             if error is not None:
-                return rests, line_nos, VecFormatError(error, line_no=line_no)
+                raise VecFormatError(error, line_no=line_no)
             self.seen.add(token)
             self.vocab.append(token)
-            rests.append(rest)
-            line_nos.append(line_no)
-        return rests, line_nos, None
+        return np.array(rows, dtype=np.float64)
 
-    def _store(self, rests, line_nos, use_loadtxt: bool) -> None:
-        """Parse the components of the last ``len(rests)`` tokens, note their
-        zero rows and, if rows are kept, store them as unit rows."""
-        if not rests:
-            return
-        block = _parse_components(rests, line_nos, self.dim, use_loadtxt)
-        start = len(self.vocab) - len(rests)
+    def _store(self, block: np.ndarray) -> None:
+        """Note the zero rows of ``block``, the raw rows of the last
+        ``len(block)`` tokens, and, if rows are kept, store them as unit rows."""
+        start = len(self.vocab) - len(block)
         self.zero_rows += (np.flatnonzero(~block.any(axis=1)) + start).tolist()
         if not self.keep_rows:
             return
@@ -335,7 +357,7 @@ class _Body:
                     f"{self.count} rows of dimension {self.dim} do not fit in memory",
                     line_no=1,
                 ) from None
-        _normalize_matrix(block, out=self.rows[start : start + len(rests)])
+        _normalize_matrix(block, out=self.rows[start : start + len(block)])
 
     def model(self, digest: str) -> EmbeddingModel:
         self.seen.clear()
@@ -347,49 +369,6 @@ class _Body:
                 raise VecFormatError(f"dimension {self.dim} is too large", line_no=1) from None
         return EmbeddingModel(self.name, self.dim, self.vocab, rows[: len(self.vocab)],
                               frozenset(self.zero_rows), digest)
-
-
-def _parse_components(
-    rests: list[str], line_nos: list[int], dim: int, use_loadtxt: bool
-) -> np.ndarray:
-    """The ``(len(rests), dim)`` rows spelled by the component strings ``rests``.
-
-    loadtxt and float() both round correctly, so they agree on every literal
-    loadtxt accepts.  Where loadtxt fails or drops a line (it rejects ``1_0``
-    and non-ASCII digits, which float() accepts, and skips an empty line),
-    the chunk is re-read with float(), which alone decides what is
-    unparseable.
-    """
-    block = None
-    if use_loadtxt:
-        try:
-            with warnings.catch_warnings():
-                # a chunk of empty strings is "no data" to loadtxt
-                warnings.simplefilter("ignore", UserWarning)
-                block = np.loadtxt(
-                    rests, delimiter=" ", comments=None, quotechar=None,
-                    dtype=np.float64, ndmin=2,
-                )
-        except ValueError:
-            pass
-    if block is None or block.shape != (len(rests), dim):
-        block = np.empty((len(rests), dim), dtype=np.float64)
-        for i, rest in enumerate(rests):
-            try:
-                block[i] = [float(p) for p in rest.split(" ")]
-            except ValueError:
-                _check_finite(block[:i], line_nos)
-                raise VecFormatError(
-                    "unparseable vector component", line_no=line_nos[i]
-                ) from None
-    _check_finite(block, line_nos)
-    return block
-
-
-def _check_finite(block: np.ndarray, line_nos: list[int]) -> None:
-    bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
-    if bad.size:
-        raise VecFormatError("non-finite vector component", line_no=line_nos[bad[0]])
 
 
 # Below this norm the sum of squares np.linalg.norm takes is subnormal or 0

@@ -23,15 +23,14 @@ def _load_raw(data, name: str = "m") -> tuple[EmbeddingModel, np.ndarray]:
     """``load_vec``'s model and the raw rows its parse layer handed to the
     store, in file order; the model keeps only their unit rows."""
     blocks = []
-    parse = vectors._parse_components
+    store = vectors._Body._store
 
-    def spy(*args):
-        block = parse(*args)
+    def spy(body, block):
         blocks.append(block.copy())
-        return block
+        store(body, block)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(vectors, "_parse_components", spy)
+        mp.setattr(vectors._Body, "_store", spy)
         model = load_vec(data, name)
     return model, np.concatenate(blocks) if blocks else np.empty((0, model.dim))
 
@@ -266,13 +265,13 @@ def test_make_model_reads_its_rows_back_bit_for_bit(monkeypatch):
     # digits would round the unit rows a property test compares
     rows = np.array([[-0.0, 5e-324], [1.7976931348623157e308, 0.1], [0.0, 0.0]])
     parsed = []
-    parse = vectors._parse_components
+    store = vectors._Body._store
 
-    def spy(*args):
-        parsed.append(parse(*args).copy())
-        return parsed[-1]
+    def spy(body, block):
+        parsed.append(block.copy())
+        store(body, block)
 
-    monkeypatch.setattr(vectors, "_parse_components", spy)
+    monkeypatch.setattr(vectors._Body, "_store", spy)
     model = make_model("m", ["a", "b", "z"], rows)
     _assert_same_bits(np.concatenate(parsed), rows)
     _assert_same_bits(model.unit_matrix(), _normalize_matrix(rows))
@@ -361,6 +360,12 @@ def test_load_errors_across_chunk_boundaries(monkeypatch):
     with pytest.raises(VecFormatError) as excinfo:
         load_vec(_vec_bytes("5 1", "a 1", "b 2", "a 3", "c 4", "d 5"), "chunks")
     assert str(excinfo.value) == "line 4: duplicate token 'a'"
+    # loadtxt rejects "1_0", so the first chunk is read line by line; the
+    # loadtxt path took none of its tokens, so "a" and "b" are taken once
+    # and the repeat of "a" is found in the next chunk
+    with pytest.raises(VecFormatError) as excinfo:
+        load_vec(_vec_bytes("4 1", "a 1_0", "b 2", "c 3", "a 4"), "chunks")
+    assert str(excinfo.value) == "line 5: duplicate token 'a'"
 
 
 _TOKENS = st.sampled_from(["a", "b", "c", "ä", "wort", "日本", "𝔘x"])
@@ -403,9 +408,7 @@ def _vec_files(draw):
     return data
 
 
-@settings(max_examples=600, deadline=None)
-@given(data=_vec_files(), chunk=st.integers(1, 3), block=st.integers(1, 64))
-def test_load_matches_per_component_oracle(data, chunk, block):
+def _matches_per_component_oracle(data, chunk, block, line_by_line=False):
     # size hints of 1-64 bytes make groups of one line or of a few lines, so
     # group boundaries fall after any line and a bad byte in any group;
     # load_vocab runs the same checks as load_vec but keeps no rows
@@ -418,6 +421,8 @@ def test_load_matches_per_component_oracle(data, chunk, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(vectors, "_CHUNK", chunk)
         mp.setattr(vectors, "_BLOCK", block)
+        if line_by_line:
+            mp.setattr(vectors, "_loadtxt_safe", lambda text: False)
         got = run(_load_raw)
         vocab = run(load_vocab)
     want = run(load_vec_oracle)
@@ -440,6 +445,19 @@ def test_load_matches_per_component_oracle(data, chunk, block):
     assert got.zero_rows == want.zero_rows
     assert got.source_digest == want.source_digest
     assert got.dim == want.dim
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=_vec_files(), chunk=st.integers(1, 3), block=st.integers(1, 64))
+def test_load_matches_per_component_oracle(data, chunk, block):
+    _matches_per_component_oracle(data, chunk, block)
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=_vec_files(), chunk=st.integers(1, 3), block=st.integers(1, 64))
+def test_load_matches_per_component_oracle_line_by_line(data, chunk, block):
+    # no chunk is offered to loadtxt: every one is read by float() alone
+    _matches_per_component_oracle(data, chunk, block, line_by_line=True)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 4])
