@@ -1,16 +1,16 @@
 """Cleaning cascade turning extracted document text into per-language corpora.
 
-Stages, in order: cover-page stripping, dehyphenation, camel-case splitting,
-then per line lowercasing and tokenization (which also collapses
-whitespace: a line is written as its tokens joined by single spaces),
-language routing, number-to-word conversion in the routed language and,
-when numbers were converted, routing again, and finally sentence
-deduplication.  Line boundaries are the sentence proxy
-throughout: dehyphenation joins words split across a line break but keeps
-the remaining breaks as boundaries, otherwise per-line language routing and
-line-level deduplication would have nothing to work on and the cascade would
-not be idempotent.  A line is routed by the text that is written, so a
-rerun on the output routes it the same way.
+Stages, in order: NFC with ligatures spelled out, cover-page stripping,
+dehyphenation, camel-case splitting, then per line lowercasing and
+tokenization (which also collapses whitespace: a line is written as its
+tokens joined by single spaces), language routing, number-to-word
+conversion in the routed language and, when numbers were converted, routing
+again, and finally sentence deduplication.  Line boundaries are the sentence
+proxy throughout: dehyphenation joins words split across a line break but
+keeps the remaining breaks as boundaries, otherwise per-line language
+routing and line-level deduplication would have nothing to work on and the
+cascade would not be idempotent.  A line is routed by the text that is
+written, so a rerun on the output routes it the same way.
 
 Deduplication is exact and keeps the first occurrence of each final
 tokenized line, so two raw lines that clean to the same sentence count as
@@ -38,6 +38,7 @@ import os
 import re
 import signal
 import traceback
+import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Union
@@ -53,6 +54,9 @@ logger = logging.getLogger(__name__)
 # directly before a line break, which joins the split word instead.
 _HYPHEN_BREAK_RE = re.compile(f"[{HYPHEN_CHARS}][ \t]*\n[ \t]*")
 _HYPHEN_RE = re.compile(f"[{HYPHEN_CHARS}{DASH_CHARS}]")
+
+# The Latin ligatures U+FB00-U+FB06 as NFKC spells them; all of NFKC would make "²" a "2".
+_LIGATURES = {chr(c): unicodedata.normalize("NFKC", chr(c)) for c in range(0xFB00, 0xFB07)}
 
 # Detachable punctuation: periods, commas, parentheses, quotes, colons,
 # semicolons, question and exclamation marks (ASCII and typographic quotes).
@@ -273,12 +277,16 @@ def clean_document(text: str, config: PipelineConfig) -> tuple[list[tuple[str, s
     lines: list[tuple[str, str]] = []
     unknown_lines = 0
     text = text.replace("\r\n", "\n").replace("\r", "\n")
+    text = unicodedata.normalize("NFC", text)
+    for ligature, letters in _LIGATURES.items():  # str.translate is 15x slower
+        text = text.replace(ligature, letters)
     if config.cover_delimiter:
         text = strip_cover(text, config.cover_delimiter)
     text = dehyphenate(text)
     text = split_camel_case(text)
-    for line in text.split("\n"):
-        line = " ".join(tokenize(line.lower()))
+    # lowercasing can make a pair composable: "t\u0308" has a precomposed form, "T\u0308" not
+    for line in unicodedata.normalize("NFC", text.lower()).split("\n"):
+        line = " ".join(tokenize(line))
         if not line:
             continue
         routed = route(line)
@@ -473,8 +481,7 @@ def run_pipeline(
         report.dedup[lang] = dedup_report
         path = out / f"{corpus_name}.{lang}.txt"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for line in kept:
-                fh.write(line + "\n")
+            fh.writelines(line + "\n" for line in kept)
         if not kept:
             msg = f"no output lines for language {lang!r}"
             logger.warning(msg)

@@ -98,10 +98,12 @@ def _ranked(model: EmbeddingModel, rows: list[int], k: int) -> Iterator[tuple[np
     the number of boundary rows it was re-ranked over (0 when certified).
 
     Each block of ``max(1, dim // 8)`` queries is scored by one GEMM, which
-    takes at most an eighth of the bytes of the unit matrix.  A query's top
-    K+1 GEMM scores in (score desc, index asc) order give its top K where
-    ``_certified``.  Otherwise K rows beat every row scoring below its K-th
-    minus ``_gap_bound``, so only the rows above that are scored exactly.
+    takes at most an eighth of the bytes of the unit matrix.  Each query's
+    top K+1 is selected from its own score row, so the search holds one
+    block's scores and one row's indices.  A query's top K+1 GEMM scores in
+    (score desc, index asc) order give its top K where ``_certified``.
+    Otherwise K rows beat every row scoring below its K-th minus
+    ``_gap_bound``, so only the rows above that are scored exactly.
     """
     n = len(model)
     n_candidates = n - 1 - len(model.zero_rows)
@@ -115,7 +117,9 @@ def _ranked(model: EmbeddingModel, rows: list[int], k: int) -> Iterator[tuple[np
         scores = unit[block_rows] @ unit.T
         scores[np.arange(len(block_rows)), block_rows] = -np.inf
         scores[:, zero] = -np.inf
-        top = np.argpartition(scores, n - m, axis=1)[:, n - m :]
+        top = np.empty((len(block_rows), m), dtype=np.intp)
+        for i in range(len(block_rows)):
+            top[i] = np.argpartition(scores[i], n - m)[n - m :]
         top_scores = np.take_along_axis(scores, top, axis=1)
         order = np.lexsort((top, -top_scores), axis=1)
         top = np.take_along_axis(top, order, axis=1)[:, :kk]

@@ -13,6 +13,7 @@ edge is queryable as the inverse narrower edge and vice versa.
 import functools
 import os
 import re
+import unicodedata
 from dataclasses import dataclass, field
 from typing import BinaryIO, Union
 
@@ -82,10 +83,10 @@ Source = Union[str, os.PathLike, bytes, BinaryIO]
 def keyword_tokens(label: str, lowercase: bool = True) -> tuple[str, ...]:
     """Tokens of a thesaurus label, aligned with corpus tokens.
 
-    Hyphens and dashes become spaces before the whitespace split, as the
-    corpus cleaning does, so every metric reads a label the same way.
+    Read in NFC, with hyphens and dashes as spaces before the whitespace
+    split, as the corpus cleaning does, so every metric reads a label alike.
     """
-    text = label.lower() if lowercase else label
+    text = unicodedata.normalize("NFC", label.lower() if lowercase else label)
     return tuple(_HYPHEN_TO_SPACE.sub(" ", text).split())
 
 
@@ -228,14 +229,10 @@ def parse_tsv(source: Source) -> Thesaurus:
             continue
         cols = line.rstrip("\r").split("\t")
         if len(cols) != 4:
-            raise ThesaurusFormatError(
-                f"expected 4 columns, found {len(cols)}", line_no=line_no
-            )
+            raise ThesaurusFormatError(f"expected 4 columns, found {len(cols)}", line_no=line_no)
         subject, predicate, obj, lang = cols
         if predicate not in _PRED_BY_IRI.values():
-            raise ThesaurusFormatError(
-                f"unknown predicate {predicate!r}", line_no=line_no
-            )
+            raise ThesaurusFormatError(f"unknown predicate {predicate!r}", line_no=line_no)
         th.add_triple(subject, predicate, obj, lang.lower())
     return th
 

@@ -7,17 +7,12 @@ model is built.  Models are immutable once loaded; concurrent readers are
 safe.
 
 ``load_vec`` reads the file in groups of whole lines and parses each
-group in chunks of lines, by one of two paths.  A chunk that passes
-C-level checks of its structure and one ``np.loadtxt`` call is taken
-whole; any other chunk is read line by line with ``float()``, and its
-first failing line names the error.  Each parsed chunk's rows are scaled
-to unit length as they are stored, so loading holds one matrix, the
-model's unit rows, and the vocabulary plus about one group, never the
-file's bytes, text or list of lines, nor its raw components.  Both
-loaders note each chunk's zero rows as they parse it.  ``load_vocab``
-runs the same reader with the same checks but drops each chunk's rows
-once their zero rows are noted, for a command that reads only the
-vocabulary: it holds no matrix at all.
+group in chunks of lines, by the two paths its docstring names.  Each
+chunk's rows are scaled to unit length as they are stored, so loading
+holds the model's unit rows and vocabulary plus about one group, never
+the file's bytes, text or lines, nor its raw components.  ``load_vocab``
+runs the same reader and checks but drops each chunk's rows once their
+zero rows are noted: it holds no matrix at all.
 """
 
 import contextlib
@@ -89,8 +84,9 @@ def _token_error(token: str, seen: set[str]) -> str | None:
 # The size hint, in bytes, of a group of whole lines read, hashed and
 # decoded at once: a group ends with the line that brings it to the hint
 # or past it.  The loader holds one group's text and its lines next to the
-# vocabulary and the unit rows; the bytes are dropped once decoded.
-_BLOCK = 1 << 20
+# vocabulary and the unit rows; the bytes are dropped once decoded.  With
+# 1 MiB a diversity run kept about 3 MB more heap.
+_BLOCK = 1 << 18
 # Kept body lines whose components one np.loadtxt call parses.  8192 was no
 # faster and raised a two-model diversity run's peak RSS by about 10 MB.
 _CHUNK = 1024
@@ -104,10 +100,10 @@ def load_vec(source: Source, name: str) -> EmbeddingModel:
     """Parse a word-vector text file into an EmbeddingModel.
 
     The file is read, hashed and decoded in groups of whole lines of about
-    ``_BLOCK`` bytes, so it is never held whole: memory peaks at the unit
-    rows and the vocabulary plus about one group.  A component is accepted
-    when ``float()`` accepts it and the result is finite.  A group is
-    parsed in chunks of up to ``_CHUNK`` lines.  A chunk that passes
+    ``_BLOCK`` bytes (256 KiB), so it is never held whole: memory peaks at
+    the unit rows and the vocabulary plus about one group.  A component is
+    accepted when ``float()`` accepts it and the result is finite.  A group
+    is parsed in chunks of up to ``_CHUNK`` lines.  A chunk that passes
     C-level checks of its structure and one ``np.loadtxt`` call, with
     finite numbers, is taken whole; any other chunk is read line by line
     with ``float()``, and its first failing line names the error.  Each

@@ -11,6 +11,7 @@ import math
 import operator
 import os
 import re
+import unicodedata
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -466,14 +467,23 @@ def numbers_to_words_oracle(text: str, lang: str) -> str:
     return "\n".join(converted)
 
 
+# The Latin ligatures U+FB00-U+FB06 and their letters, as the Unicode
+# character names spell them.
+_LIGATURE_LETTERS = {"\ufb00": "ff", "\ufb01": "fi", "\ufb02": "fl", "\ufb03": "ffi",
+                     "\ufb04": "ffl", "\ufb05": "st", "\ufb06": "st"}
+
+
 def clean_document_oracle(text: str, config) -> tuple[list[tuple[str, str]], int]:
     """The per-document stages with a separate per-line normalization stage:
-    each line has its whitespace runs collapsed and is lowercased, then
-    tokenized; a line whose numerals were converted is normalized and
-    tokenized again before it is routed again."""
+    each line has its whitespace runs collapsed, is lowercased and composed
+    to NFC, then tokenized; a line whose numerals were converted is
+    normalized and tokenized again before it is routed again.  The document
+    is composed to NFC first, and its ligatures replaced one character at a
+    time."""
 
     def normalize(line: str) -> str:
-        return " ".join(tokenize_oracle(" ".join(line.split()).lower()))
+        lowered = " ".join(line.split()).lower()
+        return " ".join(tokenize_oracle(unicodedata.normalize("NFC", lowered)))
 
     def route(line: str) -> Optional[str]:
         lang, _ = classify_line_language(line, threshold=config.confidence_threshold)
@@ -482,6 +492,7 @@ def clean_document_oracle(text: str, config) -> tuple[list[tuple[str, str]], int
     lines: list[tuple[str, str]] = []
     unknown_lines = 0
     text = text.replace("\r\n", "\n").replace("\r", "\n")
+    text = "".join(_LIGATURE_LETTERS.get(c, c) for c in unicodedata.normalize("NFC", text))
     if config.cover_delimiter:
         text = strip_cover(text, config.cover_delimiter)
     text = split_camel_case_oracle(dehyphenate(text))

@@ -1,13 +1,16 @@
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from embeval.cli import main
 from embeval.corpus import recount_stats
@@ -491,6 +494,79 @@ def test_certified_diversity_loads_no_rational_arithmetic(tmp_path, thesaurus_pa
     assert len(searches) == 4
     assert all(line.endswith(" certified, 0 re-ranked exactly over 0 boundary rows") for line in searches[:2])
     assert all(" 0 re-ranked " not in line for line in searches[2:])
+
+
+def test_diversity_tables_do_not_depend_on_the_blas_thread_count(tmp_path, thesaurus_path):
+    # 2,000 rows of dimension 64 make each block's GEMM large enough for
+    # OpenBLAS to split it over threads; small integer components plant
+    # exact ties, which are re-ranked exactly
+    rng = np.random.default_rng(9)
+    vocab = FIXTURE_VOCAB + [f"wort{i}" for i in range(2000)]
+    models = []
+    for name in ("alpha", "beta"):
+        save_vec(vocab, rng.integers(-3, 4, (len(vocab), 64)), tmp_path / f"{name}.vec")
+        models += ["--model", str(tmp_path / f"{name}.vec")]
+    import embeval
+
+    # the child's own environment only: without a thread variable OpenBLAS
+    # uses every core
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(embeval.__file__).parents[1])
+    tables = []
+    for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        out = tmp_path / f"out{len(tables)}"
+        argv = ["diversity", *models, "--thesaurus", str(thesaurus_path),
+                "--k", "10", "--k", "50", "--out", str(out)]
+        result = subprocess.run([sys.executable, "-m", "embeval.cli", *argv],
+                                capture_output=True, text=True, env={**env, **threads})
+        assert result.returncode == 0, result.stderr
+        tables.append(_diversity_tables(out))
+    assert tables[0] == tables[1]
+
+
+def _fixture_vec() -> bytes:
+    buffer = io.BytesIO()
+    save_vec(FIXTURE_VOCAB, FIXTURE_ROWS, buffer)
+    return buffer.getvalue()
+
+
+@st.composite
+def _mutated_vec_files(draw):
+    """The fixture model's file after one to three mutations, each a byte
+    flipped, bytes inserted or deleted, or the tail cut off."""
+    data = bytearray(_fixture_vec())
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, max(0, len(data) - 1)))
+        how = draw(st.sampled_from(["flip", "insert", "delete", "truncate"]))
+        if how == "flip" and data:
+            data[at] ^= draw(st.integers(1, 255))
+        elif how == "insert":
+            data[at:at] = draw(st.binary(min_size=1, max_size=3))
+        elif how == "delete":
+            del data[at : at + draw(st.integers(1, 8))]
+        else:
+            del data[at:]
+    return bytes(data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mutated_vec_files())
+def test_vector_commands_never_fail_internally_on_a_mutated_vec(data):
+    # every exit is a result (0), an argument error (2) or a parse error
+    # (3), never an internal error (4)
+    thesaurus = str(DATA_DIR / "thesaurus_mini.nt")
+    with tempfile.TemporaryDirectory() as tmp:
+        mutated, good = Path(tmp, "mutated.vec"), Path(tmp, "good.vec")
+        mutated.write_bytes(data)
+        good.write_bytes(_fixture_vec())
+        runs = [
+            ["coverage", "--model", str(mutated), "--thesaurus", thesaurus],
+            ["diversity", "--model", str(mutated), "--model", str(good), "--thesaurus", thesaurus,
+             "--k", "3", "--cache-dir", str(Path(tmp, "cache"))],
+        ]
+        for argv in runs:
+            assert main(argv + ["--out", str(Path(tmp, argv[0]))]) in (0, 2, 3)
 
 
 def test_package_exports_resolve_to_their_modules():

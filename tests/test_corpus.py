@@ -3,6 +3,7 @@ import os
 import random
 import signal
 import tempfile
+import unicodedata
 from pathlib import Path
 
 import pytest
@@ -317,6 +318,53 @@ def test_clean_document_handles_crlf():
     assert lines[0][0] == "sozialwissenschaft ist wichtig ."
 
 
+def _ligatured(text: str) -> str:
+    """``text`` with its letter pairs written as Latin ligatures, as PDF
+    extraction may leave them."""
+    for letters, ligature in (("ffi", "\ufb03"), ("ffl", "\ufb04"), ("ff", "\ufb00"),
+                              ("fi", "\ufb01"), ("fl", "\ufb02"), ("st", "\ufb06")):
+        text = text.replace(letters, ligature)
+    return text
+
+
+def test_clean_writes_the_same_bytes_for_nfd_and_ligature_spellings(tmp_path):
+    text = (GERMAN_DOC + MIXED_DOC + ENGLISH_DOC
+            + "Die Definition der Öffentlichkeit betrifft die offizielle Bevölkerungsstatistik.\n")
+    config = tmp_path / "clean.cfg"
+    config.write_text("cover_delimiter=^---$\n", encoding="utf-8")
+    corpora = []
+    for spelling in (text, unicodedata.normalize("NFD", text), _ligatured(text)):
+        docs, out = tmp_path / f"docs{len(corpora)}", tmp_path / f"out{len(corpora)}"
+        docs.mkdir()
+        (docs / "d.txt").write_text(spelling, encoding="utf-8")
+        assert main(["clean", "--input", str(docs), "--out", str(out), "--config", str(config)]) == 0
+        corpora.append([(out / f"corpus.{lang}.txt").read_bytes() for lang in ("de", "en")])
+    assert corpora[1] == corpora[0]
+    assert corpora[2] == corpora[0]
+    assert "die definition der öffentlichkeit".encode("utf-8") in corpora[0][0]
+
+
+# Words with composed letters, with the letter pairs of ligatures, or both,
+# in either case; and a capital T with a combining diaeresis.
+_SPELLED = st.lists(
+    st.sampled_from(["Öffentlichkeit", "ÖFFENTLICH", "Bevölkerung", "Definition", "Einfluss",
+                     "Straße", "Äußerung", "official", "staff", "über", "Stiftung", "Effizienz",
+                     "T\u0308", "und", "ist", "the", "of", " ", "\n", "Sozial-\n", "42"]),
+    max_size=20,
+).map(" ".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SPELLED)
+def test_clean_document_reads_every_unicode_spelling_alike(text):
+    config = PipelineConfig(confidence_threshold=0.6)
+    expected = clean_document(text, config)
+    assert clean_document(unicodedata.normalize("NFD", text), config) == expected
+    assert clean_document(_ligatured(text), config) == expected
+    for line, _ in expected[0]:
+        assert unicodedata.is_normalized("NFC", line)
+
+
 def test_run_pipeline_warns_on_empty_language(tmp_path):
     config = PipelineConfig()
     stats, report, outputs = run_pipeline(
@@ -475,8 +523,10 @@ def test_classify_equals_oracle_across_memo_clears(lines):
 # lowercases to two characters), combining marks and a soft hyphen (the
 # final-sigma rule looks through these case-ignorable characters), every
 # whitespace character but the line break, detachable punctuation and digits.
+# Also where NFC and lowercasing meet: a capital T, which composes with no
+# diaeresis where a small t does, and two ligatures.
 _WHITESPACE = [c for c in map(chr, range(0x3001)) if c.isspace() and c != "\n"]
-_CASED = list("ΣσςİıIiAa") + ["\u0301", "\u0307", "\u0345", "\xad"]
+_CASED = list("ΣσςİıIiAaTﬁﬅ") + ["\u0301", "\u0307", "\u0308", "\u0345", "\xad"]
 _CLEAN_LINE = st.lists(
     st.one_of(
         st.sampled_from(_WHITESPACE),

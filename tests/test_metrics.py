@@ -45,6 +45,16 @@ def test_keyword_covered_exact():
         assert coverage_at(model, ["macht"], s).n_covered == 1
 
 
+def test_label_in_nfd_is_covered_by_its_nfc_token():
+    # "Bevölkerung" with a decomposed umlaut, as PDF-extracted labels may
+    # spell it; its ratio to the composed token is below 0.9
+    label = "Bevo\u0308lkerung"
+    assert keyword_tokens(label) == ("bev\u00f6lkerung",)
+    assert keyword_tokens(label, lowercase=False) == ("Bev\u00f6lkerung",)
+    model = make_model("m", ["bev\u00f6lkerung"], [[1.0, 0.0]])
+    assert coverage_at(model, [label], 1.0).n_covered == 1
+
+
 def test_keyword_covered_compound_threshold():
     model = make_model("m", ["sozial", "ungleichheit"], [[1, 0], [0, 1]])
     assert coverage_at(model, ["soziale ungleichheit"], 1.0).n_covered == 0
