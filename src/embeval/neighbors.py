@@ -206,11 +206,13 @@ def neighbor_map(model: EmbeddingModel, queries: list[str], k: int, cache_dir=No
     wanted = sorted(q for q in set(queries) if queryable(model, q))
     path = None if cache_dir is None else cache_path(cache_dir, model.name)
     exists = path is not None and os.path.exists(path)
-    held = (parse_file(cache_load, path, model, k) if exists else None) or NeighborMap(k, {})
+    loaded = parse_file(cache_load, path, model, k) if exists else None
+    held = loaded or NeighborMap(k, {})
     missing = [q for q in wanted if q not in held.tokens]
     if missing:
         if exists:
-            logger.debug("%s: rebuilding %s at k=%d", model.name, path, held.k)
+            event = "rebuilding %s" if loaded is None else f"extending %s with {len(missing)} queries"
+            logger.debug("%s: " + event + " at k=%d", model.name, path, held.k)
         batch = top_k_batch(model, missing, held.k)
         searched = len(batch.neighbor_sets)
         logger.debug(
@@ -271,7 +273,9 @@ def cache_load(path, model: EmbeddingModel, k: int) -> NeighborMap | None:
     model name, a model file of another SHA-256 or in another format (such
     as the per-rank lines with scores that earlier versions wrote).
 
-    Raises CacheFormatError for a malformed file.
+    Raises CacheFormatError for a malformed file, such as one with a line
+    no search could write, which lists other than ``min(capacity, n)``
+    distinct model tokens, n being the model's nonzero rows less one.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -292,18 +296,24 @@ def cache_load(path, model: EmbeddingModel, k: int) -> NeighborMap | None:
     if header != _cache_header(model, capacity) or capacity < k:
         return None
 
+    found = min(capacity, len(model) - 1 - len(model.zero_rows))
     tokens: dict[str, tuple[str, ...]] = {}
     for line_no, line in enumerate(lines[1:], start=2):
         query, *neighbors = line.split("\t")
+        distinct = set(neighbors)
         error = None
         if not query or "" in neighbors:
             error = "empty field"
         elif query in tokens:
             error = f"query {query!r} repeated"
-        elif len(neighbors) > capacity:
-            error = f"{len(neighbors)} neighbors of {query!r} exceed the capacity {capacity}"
-        elif query in neighbors:
+        elif len(neighbors) != found:
+            error = f"query {query!r} lists {len(neighbors)} neighbors, not {found}"
+        elif query in distinct:
             error = f"query {query!r} lists itself"
+        elif len(distinct) != found:
+            error = f"query {query!r} lists a token twice"
+        elif not model.index.keys() >= distinct:
+            error = f"query {query!r} lists a token not in the model"
         if error is not None:
             raise CacheFormatError(error, line_no=line_no)
         tokens[query] = tuple(neighbors)

@@ -7,12 +7,12 @@ model is built.  Models are immutable once loaded; concurrent readers are
 safe.
 
 ``load_vec`` reads the file in groups of whole lines and parses each
-group in chunks of lines, by the two paths its docstring names.  Each
-chunk's rows are scaled to unit length as they are stored, so loading
-holds the model's unit rows and vocabulary plus about one group, never
-the file's bytes, text or lines, nor its raw components.  ``load_vocab``
-runs the same reader and checks but drops each chunk's rows once their
-zero rows are noted: it holds no matrix at all.
+group at once, by the two paths its docstring names.  Each group's rows
+are scaled to unit length as they are stored, so loading holds the
+model's unit rows and vocabulary plus about one group, never the file's
+bytes, text or lines, nor its raw components.  ``load_vocab`` runs the
+same reader and checks but drops each group's rows once their zero rows
+are noted: it holds no matrix at all.
 """
 
 import contextlib
@@ -38,7 +38,7 @@ class EmbeddingModel:
     """A vocabulary plus the unit rows of its vectors, one array per model.
 
     ``load_vec`` builds every model: it checks the file's tokens and
-    components and scales each row to unit length a chunk at a time, and
+    components and scales each row to unit length a group at a time, and
     the model keeps those rows as they are, read-only.  ``zero_rows`` flags
     the rows whose vector is all zeros, as the loader found them (a nonzero
     row stays nonzero): they are legal in input files but cosine similarity
@@ -68,7 +68,7 @@ class EmbeddingModel:
 
 # The token rules, stated once for both loaders: a token is not empty,
 # holds no whitespace ``str.split()`` splits on, and does not repeat.
-# ``_Body._parsed`` tests them for a chunk of tokens at C speed;
+# ``_Body._parsed`` tests them for a group's tokens at C speed;
 # ``_token_error`` tests one token and words what is wrong with it.
 def _token_error(token: str, seen: set[str]) -> str | None:
     """What is wrong with ``token`` after the tokens ``seen``, or None."""
@@ -81,15 +81,12 @@ def _token_error(token: str, seen: set[str]) -> str | None:
     return None
 
 
-# The size hint, in bytes, of a group of whole lines read, hashed and
-# decoded at once: a group ends with the line that brings it to the hint
-# or past it.  The loader holds one group's text and its lines next to the
-# vocabulary and the unit rows; the bytes are dropped once decoded.  With
-# 1 MiB a diversity run kept about 3 MB more heap.
+# The size hint, in bytes, of a group of whole lines read, hashed, decoded
+# and parsed at once: a group ends with the line that brings it to the
+# hint or past it.  The loader holds one group's text, lines and rows next
+# to the vocabulary and the unit rows.  With 1 MiB a diversity run kept
+# about 3 MB more heap.
 _BLOCK = 1 << 18
-# Kept body lines whose components one np.loadtxt call parses.  8192 was no
-# faster and raised a two-model diversity run's peak RSS by about 10 MB.
-_CHUNK = 1024
 # ASCII separators that numpy strips around a number as whitespace but
 # float() rejects; the lines of a group holding one are parsed by float()
 # alone.
@@ -103,13 +100,12 @@ def load_vec(source: Source, name: str) -> EmbeddingModel:
     ``_BLOCK`` bytes (256 KiB), so it is never held whole: memory peaks at
     the unit rows and the vocabulary plus about one group.  A component is
     accepted when ``float()`` accepts it and the result is finite.  A group
-    is parsed in chunks of up to ``_CHUNK`` lines.  A chunk that passes
-    C-level checks of its structure and one ``np.loadtxt`` call, with
-    finite numbers, is taken whole; any other chunk is read line by line
-    with ``float()``, and its first failing line names the error.  Each
-    parsed chunk is normalized into the model's rows, bit for bit as
-    normalizing the whole raw matrix would, and the model keeps no raw
-    row.
+    that passes C-level checks of its structure and one ``np.loadtxt``
+    call, with finite numbers, is taken whole; any other group is read
+    line by line with ``float()``, and its first failing line names the
+    error.  Each parsed group is normalized into the model's rows, bit for
+    bit as normalizing the whole raw matrix would, and the model keeps no
+    raw row.
 
     Errors take this precedence: invalid UTF-8 anywhere in the file, then
     a BOM, an empty file or a malformed header, then a row count that is
@@ -139,7 +135,7 @@ def load_vocab(source: Source, name: str) -> Vocabulary:
     """The vocabulary of a word-vector text file, validated as ``load_vec`` does.
 
     Every component is parsed and checked as ``load_vec`` checks it, but
-    each chunk's rows are dropped once their zero rows are counted: memory
+    each group's rows are dropped once their zero rows are counted: memory
     holds the vocabulary, the set of its tokens that finds duplicates and
     about one group, never the matrix.  So ``load_vocab`` raises what
     ``load_vec`` raises for a malformed file, except the two errors of
@@ -161,7 +157,7 @@ def _read(source: Source, name: str, keep_rows: bool) -> tuple["_Body", str]:
     digest = hashlib.sha256()
     body: _Body | None = None
     error: VecFormatError | None = None
-    position = lines_read = 0  # bytes and lines read; a last line needs no newline
+    position, rows = 0, -1  # bytes read and body lines read; a last line needs no newline
     with _open(source) as fh:
         # a newline byte is never part of a multi-byte character, so each
         # group of whole lines decodes on its own
@@ -173,7 +169,7 @@ def _read(source: Source, name: str, keep_rows: bool) -> tuple["_Body", str]:
             lines = text.split("\n")
             if not lines[-1]:  # the group ends in a newline
                 lines.pop()
-            lines_read += len(lines)
+            rows += len(lines)
             use_loadtxt = _loadtxt_safe(text)
             del text
             if error is None:
@@ -181,13 +177,13 @@ def _read(source: Source, name: str, keep_rows: bool) -> tuple["_Body", str]:
                     if body is None:
                         body = _Body(name, *_header(lines[0]), keep_rows)
                         del lines[0]
-                    body.feed(lines, use_loadtxt)
+                    if lines:  # the first group may hold only the header
+                        body.feed(lines, use_loadtxt)
                 except VecFormatError as exc:
                     error = exc
             del lines
     if body is None:
         raise error or VecFormatError("empty file", line_no=1)
-    rows = lines_read - 1
     if rows != body.count:
         raise VecFormatError(f"header declares {body.count} rows but file has {rows}")
     if error is not None:
@@ -257,25 +253,20 @@ class _Body:
         self.vocab: list[str] = []
         self.seen: set[str] = set()
         self.zero_rows: list[int] = []
-        # allocated once the first chunk has parsed, so a header's
+        # allocated once the first group has parsed, so a header's
         # dimension is backed by a body line before it sizes an array
         self.rows: np.ndarray | None = None
-        self.lines = 0  # body lines fed
 
     def feed(self, lines: list[str], use_loadtxt: bool) -> None:
-        """Parse body lines in chunks; raises VecFormatError at the first failing one."""
-        for start in range(0, len(lines), _CHUNK):
-            chunk = lines[start : start + _CHUNK]
-            first = self.lines + 2  # file line of chunk[0]
-            self.lines += len(chunk)
-            if self.lines > self.count:
-                # stops parsing; load_vec reports the row count at EOF
-                raise VecFormatError(f"header declares {self.count} rows but file has more")
-            block = self._parsed(chunk) if use_loadtxt else None
-            self._store(self._parsed_lines(chunk, first) if block is None else block)
+        """Parse a group of body lines; raises VecFormatError at the first failing one."""
+        if len(self.vocab) + len(lines) > self.count:
+            # stops parsing; load_vec reports the row count at EOF
+            raise VecFormatError(f"header declares {self.count} rows but file has more")
+        block = self._parsed(lines) if use_loadtxt else None
+        self._store(self._parsed_lines(lines) if block is None else block)
 
-    def _parsed(self, chunk: list[str]) -> np.ndarray | None:
-        """The chunk's rows, its tokens taken, if the whole chunk passes; else None.
+    def _parsed(self, lines: list[str]) -> np.ndarray | None:
+        """The group's rows, its tokens taken, if the whole group passes; else None.
 
         C-level calls check that every line holds ``dim`` spaces, that the
         tokens survive a join and whitespace split (none is empty or holds
@@ -284,18 +275,18 @@ class _Body:
         round correctly, so they agree on every literal loadtxt accepts;
         where loadtxt fails or drops a line (it rejects ``1_0`` and
         non-ASCII digits, which float() accepts, and skips an empty line),
-        the chunk is read line by line.
+        the group is read line by line.
         """
-        if set(map(str.count, chunk, itertools.repeat(" "))) != {self.dim}:
+        if set(map(str.count, lines, itertools.repeat(" "))) != {self.dim}:
             return None
-        tokens, _, rests = zip(*map(str.partition, chunk, itertools.repeat(" ")))
+        tokens, _, rests = zip(*map(str.partition, lines, itertools.repeat(" ")))
         distinct = set(tokens)
         if (len(distinct) != len(tokens) or not self.seen.isdisjoint(distinct)
                 or " ".join(tokens).split() != list(tokens)):
             return None
         try:
             with warnings.catch_warnings():
-                # a chunk of empty strings is "no data" to loadtxt
+                # a group of empty strings is "no data" to loadtxt
                 warnings.simplefilter("ignore", UserWarning)
                 block = np.loadtxt(
                     rests, delimiter=" ", comments=None, quotechar=None,
@@ -303,21 +294,21 @@ class _Body:
                 )
         except ValueError:
             return None
-        if block.shape != (len(chunk), self.dim) or not np.isfinite(block).all():
+        if block.shape != (len(lines), self.dim) or not np.isfinite(block).all():
             return None
         self.seen |= distinct
         self.vocab += tokens
         return block
 
-    def _parsed_lines(self, chunk: list[str], first: int) -> np.ndarray:
-        """The chunk's rows, each line checked in file order and its
+    def _parsed_lines(self, lines: list[str]) -> np.ndarray:
+        """The group's rows, each line checked in file order and its
         components read by float(); raises at the first failing line.
 
         The rows become an array only once every line has passed, so a
         header's dimension sizes no array before a body line backs it.
         """
         rows = []
-        for line_no, line in enumerate(chunk, start=first):
+        for line_no, line in enumerate(lines, start=len(self.vocab) + 2):  # after the header
             token, _, rest = line.partition(" ")
             spaces = line.count(" ")
             if spaces != self.dim:
@@ -357,14 +348,12 @@ class _Body:
 
     def model(self, digest: str) -> EmbeddingModel:
         self.seen.clear()
-        rows = self.rows
-        if rows is None:
+        if self.rows is None:
             try:
-                rows = np.empty((0, self.dim), dtype=np.float64)
+                self.rows = np.empty((0, self.dim), dtype=np.float64)
             except ValueError:
                 raise VecFormatError(f"dimension {self.dim} is too large", line_no=1) from None
-        return EmbeddingModel(self.name, self.dim, self.vocab, rows[: len(self.vocab)],
-                              frozenset(self.zero_rows), digest)
+        return EmbeddingModel(self.name, self.dim, self.vocab, self.rows, frozenset(self.zero_rows), digest)
 
 
 # Below this norm the sum of squares np.linalg.norm takes is subnormal or 0

@@ -221,8 +221,10 @@ def test_diversity_rebuilds_a_cache_that_cannot_serve_the_run(tmp_path, thesauru
 
     with caplog.at_level("DEBUG", logger="embeval.neighbors"):
         assert main(cached + ["--out", str(tmp_path / "rebuilt")]) == 0
-    assert [r.getMessage() for r in caplog.records if "rebuilding" in r.getMessage()] == [
-        f"{name}: rebuilding {path} at k=5" for name, path in zip(("alpha", "beta"), paths)]
+    # a file that serves the run but lacks a query is extended, not rebuilt
+    event = "extending {} with 1 queries" if kind == "missing-query" else "rebuilding {}"
+    assert [m for m in caplog.messages if m.split()[1] in ("rebuilding", "extending")] == [
+        f"{name}: {event.format(path)} at k=5" for name, path in zip(("alpha", "beta"), paths)]
     assert _diversity_tables(tmp_path / "rebuilt") == _diversity_tables(tmp_path / "fresh")
     assert [path.read_bytes() for path in paths] == built
 
@@ -1292,6 +1294,29 @@ def test_diversity_cache_parse_error_names_its_file(tmp_path, model_path, thesau
     assert main([*args, "--out", str(tmp_path / "o2")]) == 3
     assert capsys.readouterr().err == (
         f"parse error: {path}: line {line_no}: empty field; delete the file to rebuild it\n"
+    )
+
+
+def test_diversity_cache_cut_to_one_neighbor_is_a_parse_error(tmp_path, model_path,
+                                                               thesaurus_path, capsys):
+    # no search at k=5 lists one neighbor in a model of more than two rows,
+    # so a file whose lines were cut is malformed, not served
+    flipped = tmp_path / "flipped.vec"
+    write_fixture_model(flipped, "flipped", flip=True)
+    cache = tmp_path / "cache"
+    args = ["diversity", "--model", str(model_path), "--model", str(flipped),
+            "--thesaurus", str(thesaurus_path), "--k", "5", "--cache-dir", str(cache)]
+    assert main([*args, "--out", str(tmp_path / "o1")]) == 0
+    path = cache / "flipped.neighbors.tsv"
+    header, *body = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([header, *("\t".join(line.split("\t")[:2]) for line in body)]) + "\n",
+                    encoding="utf-8")
+    query = body[0].split("\t")[0]
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "o2")]) == 3
+    assert capsys.readouterr().err == (
+        f"parse error: {path}: line 2: query {query!r} lists 1 neighbors, not 5; "
+        "delete the file to rebuild it\n"
     )
 
 

@@ -408,7 +408,7 @@ def test_cache_rejects_ranks_beyond_a_record(tmp_path, extra):
 
 
 @pytest.mark.parametrize("body, line_no, message", [
-    (["a\tb\tc"], 2, "2 neighbors of 'a' exceed the capacity 1"),
+    (["a\tb\tc"], 2, "query 'a' lists 2 neighbors, not 1"),
     (["a\tb", "a\tc"], 3, "query 'a' repeated"),
     (["b\tc", "a\ta"], 3, "query 'a' lists itself"),
     (["a\tb", "c\t"], 3, "empty field"),
@@ -422,6 +422,27 @@ def test_cache_rejects_malformed_lines(tmp_path, body, line_no, message):
     with pytest.raises(CacheFormatError, match=f"^line {line_no}: {message}") as exc:
         cache_load(path, model, 1)
     assert exc.value.line_no == line_no
+
+
+@pytest.mark.parametrize("line, message", [
+    ("a\tb", "query 'a' lists 1 neighbors, not 2"),
+    ("a\tb\tc\tz", "query 'a' lists 3 neighbors, not 2"),
+    ("a\tb\tb", "query 'a' lists a token twice"),
+    ("a\tb\tx", "query 'a' lists a token not in the model"),
+])
+def test_cache_rejects_lines_no_search_could_write(tmp_path, line, message):
+    # a search at capacity 3 lists the two other nonzero rows of a query:
+    # no fewer, no more, each once and each a token of the model
+    model = make_model("m", ["a", "b", "c", "z"], [[1, 0], [0, 1], [1, 1], [0, 0]])
+    path = tmp_path / "m.neighbors.tsv"
+    searched = neighbor_map(model, model.vocab, 3)
+    cache_store(path, model, searched)
+    assert cache_load(path, model, 3) == searched
+    header, *body = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([header, line, *body[1:]]) + "\n", encoding="utf-8")
+    with pytest.raises(CacheFormatError, match=f"^line 2: {message}; delete the file") as exc:
+        cache_load(path, model, 3)
+    assert exc.value.line_no == 2
 
 
 def test_neighbor_map_searches_each_distinct_query_once(monkeypatch):

@@ -352,7 +352,9 @@ def test_load_first_failing_line_wins_within_a_chunk(lines, message):
 
 
 def test_load_errors_across_chunk_boundaries(monkeypatch):
-    monkeypatch.setattr(vectors, "_CHUNK", 2)
+    # a 12-byte size hint puts the header and two one-byte rows in the first
+    # group of lines, and each group is parsed as one chunk
+    monkeypatch.setattr(vectors, "_BLOCK", 12)
     data = _vec_bytes("5 1", "a 1", "b 2", "c 3", "d inf", "a 5")
     with pytest.raises(VecFormatError) as excinfo:
         load_vec(data, "chunks")
@@ -360,9 +362,9 @@ def test_load_errors_across_chunk_boundaries(monkeypatch):
     with pytest.raises(VecFormatError) as excinfo:
         load_vec(_vec_bytes("5 1", "a 1", "b 2", "a 3", "c 4", "d 5"), "chunks")
     assert str(excinfo.value) == "line 4: duplicate token 'a'"
-    # loadtxt rejects "1_0", so the first chunk is read line by line; the
+    # loadtxt rejects "1_0", so the first group is read line by line; the
     # loadtxt path took none of its tokens, so "a" and "b" are taken once
-    # and the repeat of "a" is found in the next chunk
+    # and the repeat of "a" is found in the next group
     with pytest.raises(VecFormatError) as excinfo:
         load_vec(_vec_bytes("4 1", "a 1_0", "b 2", "c 3", "a 4"), "chunks")
     assert str(excinfo.value) == "line 5: duplicate token 'a'"
@@ -408,7 +410,7 @@ def _vec_files(draw):
     return data
 
 
-def _matches_per_component_oracle(data, chunk, block, line_by_line=False):
+def _matches_per_component_oracle(data, block, line_by_line=False):
     # size hints of 1-64 bytes make groups of one line or of a few lines, so
     # group boundaries fall after any line and a bad byte in any group;
     # load_vocab runs the same checks as load_vec but keeps no rows
@@ -419,7 +421,6 @@ def _matches_per_component_oracle(data, chunk, block, line_by_line=False):
             return str(exc)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(vectors, "_CHUNK", chunk)
         mp.setattr(vectors, "_BLOCK", block)
         if line_by_line:
             mp.setattr(vectors, "_loadtxt_safe", lambda text: False)
@@ -438,7 +439,7 @@ def _matches_per_component_oracle(data, chunk, block, line_by_line=False):
     assert not isinstance(got, str), got
     got, raw = got
     assert got.vocab == want.vocab
-    # the parsed components, then their unit rows normalized a chunk at a
+    # the parsed components, then their unit rows normalized a group at a
     # time against the whole raw matrix normalized at once
     _assert_same_bits(raw, want_raw)
     _assert_same_bits(got.unit_matrix(), _normalize_matrix(want_raw))
@@ -448,28 +449,29 @@ def _matches_per_component_oracle(data, chunk, block, line_by_line=False):
 
 
 @settings(max_examples=600, deadline=None)
-@given(data=_vec_files(), chunk=st.integers(1, 3), block=st.integers(1, 64))
-def test_load_matches_per_component_oracle(data, chunk, block):
-    _matches_per_component_oracle(data, chunk, block)
+@given(data=_vec_files(), block=st.integers(1, 64))
+def test_load_matches_per_component_oracle(data, block):
+    _matches_per_component_oracle(data, block)
 
 
 @settings(max_examples=600, deadline=None)
-@given(data=_vec_files(), chunk=st.integers(1, 3), block=st.integers(1, 64))
-def test_load_matches_per_component_oracle_line_by_line(data, chunk, block):
-    # no chunk is offered to loadtxt: every one is read by float() alone
-    _matches_per_component_oracle(data, chunk, block, line_by_line=True)
+@given(data=_vec_files(), block=st.integers(1, 64))
+def test_load_matches_per_component_oracle_line_by_line(data, block):
+    # no group is offered to loadtxt: every one is read by float() alone
+    _matches_per_component_oracle(data, block, line_by_line=True)
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 4])
-def test_rescaled_rows_on_both_sides_of_a_chunk_boundary(monkeypatch, chunk):
+@pytest.mark.parametrize("lines", [1, 2, 3, 4])
+def test_rescaled_rows_on_both_sides_of_a_chunk_boundary(monkeypatch, lines):
     # rows whose squared norm is subnormal (first column) or overflows
-    # (second) alternate, so every chunk size puts both kinds next to a
-    # boundary; the loader normalizes each chunk as the whole matrix would be
+    # (second) alternate; size hints of 16 to 64 bytes make groups of one to
+    # four rows, so both kinds sit next to a group boundary, and the loader
+    # normalizes each group as the whole matrix would be
     tiny = ["1e-170 -3e-170", "5e-324 0", "1e-200 1e-160"]
     huge = ["1e200 -1e300", "-1.7e308 1e308", "1e250 1"]
     rows = [row for pair in zip(tiny, huge) for row in pair] + ["3 4", "0 0"]
     data = _vec_bytes(f"{len(rows)} 2", *(f"w{i} {row}" for i, row in enumerate(rows)))
-    monkeypatch.setattr(vectors, "_CHUNK", chunk)
+    monkeypatch.setattr(vectors, "_BLOCK", 16 * lines)
     model, raw = _load_raw(data)
     _, want_raw = load_vec_oracle(data, "m")
     _assert_same_bits(raw, want_raw)
@@ -518,34 +520,39 @@ def test_file_objects_load_as_their_path_does(tmp_path, monkeypatch, loader):
                 _assert_same_bits(got.unit_matrix(), want.unit_matrix())
 
 
+def _traced(loader, path):
+    """The loader's result, the memory it keeps and the peak above what was held before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = loader(path, "m")
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - before, peak - before
+
+
+def _random_vec(tmp_path, n, dim):
+    path = tmp_path / f"m{n}x{dim}.vec"
+    rows = np.random.default_rng(3).standard_normal((n, dim))
+    save_vec([f"w{i:05d}" for i in range(n)], rows, path)
+    return path
+
+
 def test_load_peaks_at_the_model_plus_a_few_blocks(tmp_path):
-    rng = np.random.default_rng(3)
     n, dim = 50_000, 10
-    path = tmp_path / "m.vec"
-    save_vec([f"w{i:05d}" for i in range(n)], rng.standard_normal((n, dim)), path)
-
-    def traced(loader):
-        """The result, the memory it keeps and the peak above what was held before."""
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            result = loader(path, "m")
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return result, held - before, peak - before
-
-    model, held, peak = traced(load_vec)
+    path = _random_vec(tmp_path, n, dim)
+    model, held, peak = _traced(load_vec, path)
     # ``held`` is what the model keeps: its unit rows, the vocabulary and
     # its index; reading the file whole would add its bytes, text and
     # lines, and normalizing it whole a second matrix
     assert peak - held < 3 * vectors._BLOCK
     # the unit rows a search reads are the rows the model already holds
-    unit, grew, _ = traced(lambda path, name: model.unit_matrix())
+    unit, grew, _ = _traced(lambda path, name: model.unit_matrix(), path)
     assert unit.shape == (n, dim)
     assert grew < unit.nbytes
 
-    vocab, vocab_held, vocab_peak = traced(load_vocab)
+    vocab, vocab_held, vocab_peak = _traced(load_vocab, path)
     assert vocab.vocab == model.vocab
     # the vocabulary alone is less than the matrix (4 MB) ...
     assert vocab_held < unit.nbytes
@@ -555,3 +562,20 @@ def test_load_peaks_at_the_model_plus_a_few_blocks(tmp_path):
     # read and is about as large as the model's index, which load_vocab does
     # not keep.  Holding the matrix even briefly would break the bound.
     assert vocab_peak < held - unit.nbytes + 3 * vectors._BLOCK
+
+
+def test_float_path_peaks_at_the_model_plus_a_few_blocks(tmp_path, monkeypatch):
+    # every group is read by float(), whose lists of Python floats take a
+    # few times the bytes of the group's text
+    monkeypatch.setattr(vectors, "_loadtxt_safe", lambda text: False)
+    model, held, peak = _traced(load_vec, _random_vec(tmp_path, 20_000, 50))
+    # measured 2.65 MB, about ten blocks, where the file is 9.3 MB
+    assert peak - held < 12 * vectors._BLOCK
+
+    path = _random_vec(tmp_path, 50_000, 10)
+    model, held, _ = _traced(load_vec, path)
+    vocab, _, vocab_peak = _traced(load_vocab, path)
+    assert vocab.vocab == model.vocab
+    # as on the loadtxt path, at most what the model keeps besides its
+    # matrix plus three blocks (measured 0.27 MB above it, one block)
+    assert vocab_peak < held - model.unit_matrix().nbytes + 3 * vectors._BLOCK
