@@ -28,15 +28,26 @@ steps (routing, deduplication, stats) alone.  The corpora, stats and
 report are therefore identical for any number of workers.  With one CPU,
 or on a platform without ``os.fork``, the documents are cleaned serially
 in the process itself.
+
+The parent does not hold the routed lines.  It writes each to a spill file
+of its language, in order, and with its index to one of ``_PARTITIONS``
+partition files chosen by a hash of the line, in a temporary directory in
+the output directory that every exit removes.  Identical lines share a
+partition, so ``dedup_sentences`` on one partition at a time is exact; the
+kept indices, one byte per line, then filter the spill file into the corpus
+file.  The parent holds about one partition's share of a language's text,
+not the corpus, and writes the same bytes.
 """
 
 import contextlib
+import itertools
 import logging
 import marshal
 import math
 import os
 import re
 import signal
+import tempfile
 import traceback
 import unicodedata
 from dataclasses import dataclass, field
@@ -71,6 +82,10 @@ _DIGIT_RE = re.compile("[0-9]")
 # The lookbehind starts a match only at a chunk's start and the first class
 # cannot cross a digit, so the scan stays linear in the text's length.
 _CHUNK_RE = re.compile(r"(?<!\S)[^\s0-9]*[0-9]\S*")
+
+# Routed lines are deduplicated in this many hash partitions per language,
+# one at a time, so the parent holds about this share of a language's text.
+_PARTITIONS = 16
 
 
 @dataclass(frozen=True)
@@ -453,42 +468,84 @@ def run_pipeline(
         items = list(documents)
     workers = min(len(items), _usable_cpus())
 
-    routed: dict[str, list[str]] = {lang: [] for lang in config.languages}
     contributors: dict[str, set[str]] = {lang: set() for lang in config.languages}
+    counts = dict.fromkeys(config.languages, 0)
 
     if workers > 1 and hasattr(os, "fork"):
         records = _forked_records(items, workers, config)
     else:
         records = (_clean_item(item, config) for item in items)
-    with contextlib.closing(records):
-        for item, (skipped, unknown_lines, lines) in zip(items, records):
-            doc_id = _doc_id(item)
-            if skipped:
-                report.files_skipped.append(doc_id)
-                continue
-            report.files_processed += 1
-            report.unknown_lines += unknown_lines
-            if not lines:
-                report.empty_documents += 1
-            for text, lang in lines:
-                routed[lang].append(text)
-                contributors[lang].add(doc_id)
-
     stats: list[CorpusStats] = []
     outputs: dict[str, Path] = {}
-    for lang in config.languages:
-        kept, dedup_report = dedup_sentences(routed[lang])
-        report.dedup[lang] = dedup_report
-        path = out / f"{corpus_name}.{lang}.txt"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(line + "\n" for line in kept)
-        if not kept:
-            msg = f"no output lines for language {lang!r}"
-            logger.warning(msg)
-            report.warnings.append(msg)
-        stats.append(CorpusStats(lang, *_count(kept), len(contributors[lang]), _megabytes([path])))
-        outputs[lang] = path
+    with tempfile.TemporaryDirectory(prefix=".spill-", dir=out) as tmp:
+        spill = Path(tmp)
+        with contextlib.closing(records), contextlib.ExitStack() as files:
+            ordered = {lang: files.enter_context(_spill_open(spill / f"{lang}.txt", "w"))
+                       for lang in config.languages}
+            parts = {lang: [files.enter_context(_spill_open(spill / f"{lang}.{p}.txt", "w"))
+                            for p in range(_PARTITIONS)] for lang in config.languages}
+            for item, (skipped, unknown_lines, lines) in zip(items, records):
+                doc_id = _doc_id(item)
+                if skipped:
+                    report.files_skipped.append(doc_id)
+                    continue
+                report.files_processed += 1
+                report.unknown_lines += unknown_lines
+                if not lines:
+                    report.empty_documents += 1
+                for text, lang in lines:
+                    ordered[lang].write(text + "\n")
+                    parts[lang][hash(text) % _PARTITIONS].write(f"{counts[lang]}\t{text}\n")
+                    counts[lang] += 1
+                    contributors[lang].add(doc_id)
+
+        for lang in config.languages:
+            path = out / f"{corpus_name}.{lang}.txt"
+            report.dedup[lang] = _write_corpus(spill, lang, counts[lang], path)
+            if not report.dedup[lang].kept:
+                msg = f"no output lines for language {lang!r}"
+                logger.warning(msg)
+                report.warnings.append(msg)
+            stats.append(CorpusStats(lang, *_count(_read_lines([path])), len(contributors[lang]),
+                                     _megabytes([path])))
+            outputs[lang] = path
     return stats, report, outputs
+
+
+def _spill_open(path: Path, mode: str):
+    """A spill file of lines that hold no tab or newline.  A lone surrogate
+    passes, so encoding fails only where the corpus file is written."""
+    return open(path, mode, encoding="utf-8", errors="surrogatepass", newline="\n")
+
+
+def _write_corpus(spill: Path, lang: str, n: int, path: Path) -> DedupReport:
+    """Write the kept lines of a language's ``n`` spilled lines to ``path``;
+    return the sum of its partitions' dedup reports."""
+    flags = bytearray(n)
+    reports = [_mark_kept(spill / f"{lang}.{p}.txt", flags) for p in range(_PARTITIONS)]
+    with _spill_open(spill / f"{lang}.txt", "r") as src, open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(itertools.compress(src, flags))
+    return DedupReport(sum(r.kept for r in reports), sum(r.dropped for r in reports))
+
+
+def _mark_kept(partition: Path, flags: bytearray) -> DedupReport:
+    """Set the flag of each line ``dedup_sentences`` keeps of a partition.
+
+    A partition's rows, each an index, a tab and a line, are in index
+    order, so the lines it keeps, first occurrences in that order, are
+    found in one walk.
+    """
+    with _spill_open(partition, "r") as fh:
+        kept, report = dedup_sentences(row[row.index("\t") + 1 : -1] for row in fh)
+        fh.seek(0)
+        pending = iter(kept)
+        wanted = next(pending, None)
+        for row in fh:
+            index, _, line = row[:-1].partition("\t")
+            if line == wanted:
+                flags[int(index)] = 1
+                wanted = next(pending, None)
+    return report
 
 
 def _count(lines: Iterable[str]) -> tuple[int, int]:

@@ -274,8 +274,9 @@ def cache_load(path, model: EmbeddingModel, k: int) -> NeighborMap | None:
     as the per-rank lines with scores that earlier versions wrote).
 
     Raises CacheFormatError for a malformed file, such as one with a line
-    no search could write, which lists other than ``min(capacity, n)``
-    distinct model tokens, n being the model's nonzero rows less one.
+    no search could write: one whose query is not queryable, or which lists
+    other than ``min(capacity, n)`` distinct model tokens, n being the
+    model's nonzero rows less one.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -306,6 +307,8 @@ def cache_load(path, model: EmbeddingModel, k: int) -> NeighborMap | None:
             error = "empty field"
         elif query in tokens:
             error = f"query {query!r} repeated"
+        elif not queryable(model, query):
+            error = f"query {query!r} is not a model token with a nonzero row"
         elif len(neighbors) != found:
             error = f"query {query!r} lists {len(neighbors)} neighbors, not {found}"
         elif query in distinct:

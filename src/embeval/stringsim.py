@@ -113,11 +113,14 @@ class VocabIndex:
         if cols is None:
             bucket = self.by_length[length]
             points = np.array([self.tokens[i] for i in bucket], dtype=f"<U{length}").view(np.uint32)
-            alphabet, inverse = np.unique(points, return_inverse=True)
+            present = np.zeros(int(points.max()) + 1, dtype=bool)
+            present[points] = True
+            alphabet = np.flatnonzero(present).astype(np.uint32)
             # the narrowest unsigned type that indexes the alphabet, since
             # the columns of every scanned bucket stay in memory
-            inverse = inverse.astype(np.min_scalar_type(len(alphabet) - 1))
-            codes = np.ascontiguousarray(inverse.reshape(len(bucket), length).T)
+            lookup = np.zeros(len(present), dtype=np.min_scalar_type(len(alphabet) - 1))
+            lookup[alphabet] = np.arange(len(alphabet))
+            codes = np.ascontiguousarray(lookup[points].reshape(len(bucket), length).T)
             cols = self._columns[length] = (alphabet, codes)
         return cols
 

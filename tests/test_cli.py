@@ -1320,6 +1320,29 @@ def test_diversity_cache_cut_to_one_neighbor_is_a_parse_error(tmp_path, model_pa
     )
 
 
+def test_diversity_cache_with_an_unknown_query_is_a_parse_error(tmp_path, model_path,
+                                                                thesaurus_path, capsys):
+    # a line for a token the model lacks, listing valid neighbors, is one no
+    # search writes, so the file is malformed rather than carried into rewrites
+    flipped = tmp_path / "flipped.vec"
+    write_fixture_model(flipped, "flipped", flip=True)
+    cache = tmp_path / "cache"
+    args = ["diversity", "--model", str(model_path), "--model", str(flipped),
+            "--thesaurus", str(thesaurus_path), "--k", "5", "--cache-dir", str(cache)]
+    assert main([*args, "--out", str(tmp_path / "o1")]) == 0
+    assert "fehlt" not in FIXTURE_VOCAB
+    path = cache / "flipped.neighbors.tsv"
+    header, *body = path.read_text(encoding="utf-8").splitlines()
+    neighbors = body[0].split("\t")[1:]
+    path.write_text("\n".join([header, *body, "\t".join(["fehlt", *neighbors])]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "o2")]) == 3
+    assert capsys.readouterr().err == (
+        f"parse error: {path}: line {len(body) + 2}: query 'fehlt' is not a model token with a nonzero row; "
+        "delete the file to rebuild it\n"
+    )
+
+
 def test_thesaurus_is_parsed_before_any_model(tmp_path, monkeypatch, capsys):
     bad_model = tmp_path / "bad.vec"
     bad_model.write_text("not a header\n", encoding="utf-8")

@@ -3,6 +3,7 @@ import os
 import random
 import signal
 import tempfile
+import tracemalloc
 import unicodedata
 from pathlib import Path
 
@@ -222,6 +223,8 @@ def test_run_pipeline_end_to_end(tmp_path):
     out = tmp_path / "out"
     stats, report, outputs = run_pipeline(docs, config, out)
 
+    # the spill directory is gone
+    assert sorted(path.name for path in out.iterdir()) == ["corpus.de.txt", "corpus.en.txt"]
     assert report.files_processed == 4
     assert report.empty_documents == 1
 
@@ -309,6 +312,7 @@ def test_run_pipeline_skips_unreadable_files(tmp_path):
     stats, report, outputs = run_pipeline(docs, PipelineConfig(), tmp_path / "o")
     assert report.files_processed == 1
     assert report.files_skipped == [str(docs / "broken.txt")]
+    assert sorted(path.name for path in (tmp_path / "o").iterdir()) == ["corpus.de.txt", "corpus.en.txt"]
     assert "gesellschaft" in outputs["de"].read_text(encoding="utf-8")
 
 
@@ -574,21 +578,31 @@ def test_run_pipeline_equals_oracle_cascade(texts):
     # Documents read from UTF-8 files cannot hold lone surrogates, so none are drawn.
     docs = [(f"d{i}", text + "\n" + texts[0]) for i, text in enumerate(texts)]
     config = PipelineConfig(confidence_threshold=0.6)
-    with tempfile.TemporaryDirectory() as tmp:
-        out, oracle_out = Path(tmp, "new"), Path(tmp, "oracle")
-        stats, report, _ = run_pipeline(docs, config, out)
-        with pytest.MonkeyPatch.context() as mp:
+    oracle_calls = []
+
+    def oracle_dedup(lines):
+        oracle_calls.append(None)
+        return dedup_sentences_oracle(lines)
+
+    # at every partition count the oracle deduplicates each partition
+    for partitions in (1, 7, corpus._PARTITIONS):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus, "_PARTITIONS", partitions)
+            out, oracle_out = Path(tmp, "new"), Path(tmp, "oracle")
+            stats, report, _ = run_pipeline(docs, config, out)
             mp.setattr(corpus, "split_camel_case", split_camel_case_oracle)
             mp.setattr(corpus, "numbers_to_words", numbers_to_words_oracle)
             mp.setattr(corpus, "tokenize", tokenize_oracle)
-            mp.setattr(corpus, "dedup_sentences", dedup_sentences_oracle)
+            mp.setattr(corpus, "dedup_sentences", oracle_dedup)
             mp.setattr(langid, "_default", _OracleClassifier())
+            oracle_calls.clear()
             oracle_stats, oracle_report, _ = run_pipeline(docs, config, oracle_out)
-        for lang in config.languages:
-            name = f"corpus.{lang}.txt"
-            assert (out / name).read_bytes() == (oracle_out / name).read_bytes()
-    assert stats == oracle_stats
-    assert report == oracle_report
+            assert len(oracle_calls) == partitions * len(config.languages)
+            for lang in config.languages:
+                name = f"corpus.{lang}.txt"
+                assert (out / name).read_bytes() == (oracle_out / name).read_bytes()
+        assert stats == oracle_stats
+        assert report == oracle_report
 
 
 @settings(max_examples=60, deadline=None)
@@ -642,6 +656,80 @@ def test_run_pipeline_output_does_not_depend_on_the_worker_count(texts, unreadab
             assert report.empty_documents >= texts.count("")
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.lists(_DOCUMENT | st.just(""), min_size=1, max_size=5))
+def test_run_pipeline_output_does_not_depend_on_the_partition_count(texts):
+    # identical lines share a partition at any count; the first document
+    # repeats in every other, so each count has duplicates to drop
+    documents = [(f"d{i}", text + "\n" + texts[0]) for i, text in enumerate(texts)]
+    config = PipelineConfig(confidence_threshold=0.6)
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        for partitions in (1, 2, 7):
+            mp.setattr(corpus, "_PARTITIONS", partitions)
+            for workers in (1, 3):
+                out = Path(tmp, f"p{partitions}w{workers}")
+                stats, report, _ = _with_workers(workers, documents, config, out)
+                corpora = [(out / f"corpus.{lang}.txt").read_bytes() for lang in config.languages]
+                runs.append((stats, report, corpora))
+    assert all(run == runs[0] for run in runs[1:])
+
+
+# Lines of ten long words from a fixed list: the vocabulary, the classifier's
+# word memo and the per-document work do not grow with the document count.
+_LONG_WORDS = ("gesellschaftsstruktur bildungsungleichheit einkommensverteilung arbeitsmarktpolitik "
+               "wohlfahrtsstaat socialstratification educationalattainment incomedistribution "
+               "welfareregimes livingconditions und the").split()
+
+
+def _long_word_docs(directory: Path, n: int, seed: int) -> tuple[int, int]:
+    """Write n documents of 50 random lines each; return their bytes and lines."""
+    directory.mkdir()
+    rng = random.Random(seed)
+    size = 0
+    for i in range(n):
+        text = "\n".join(" ".join(rng.choice(_LONG_WORDS) for _ in range(10)) for _ in range(50)) + "\n"
+        (directory / f"d{i:03d}.txt").write_text(text, encoding="utf-8")
+        size += len(text.encode("utf-8"))
+    return size, 50 * n
+
+
+def test_run_pipeline_peak_grows_by_a_partition_share_not_the_text(tmp_path, monkeypatch):
+    # The spill files' write buffers are a fixed cost of about 16 KB a file
+    # that a small input does not fill; at 4 partitions (10 files) both runs
+    # fill them, so the difference is what grows with the corpus.
+    monkeypatch.setattr(corpus, "_PARTITIONS", 4)
+    monkeypatch.setattr(corpus, "_usable_cpus", lambda: 1)
+    config = PipelineConfig(confidence_threshold=0.0)
+
+    def peak(docs: Path) -> int:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run_pipeline(docs, config, tmp_path / f"out-{docs.name}")
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    _long_word_docs(tmp_path / "warm", 2, 0)
+    peak(tmp_path / "warm")  # fills the classifier's tables and word memo
+    small_bytes, small_lines = _long_word_docs(tmp_path / "small", 10, 1)
+    large_bytes, large_lines = _long_word_docs(tmp_path / "large", 40, 2)
+    grown = peak(tmp_path / "large") - peak(tmp_path / "small")
+    # holding the routed lines would grow the peak by more than the extra text
+    assert grown < (large_bytes - small_bytes) / 4 + (large_lines - small_lines), grown
+
+
+def test_a_failed_serial_run_leaves_no_spill_directory(tmp_path, monkeypatch):
+    def fail(text, *args):
+        raise RuntimeError("simulated fault")
+
+    monkeypatch.setattr(corpus, "clean_document", fail)
+    with pytest.raises(RuntimeError, match="simulated fault"):
+        _with_workers(1, _write_docs(tmp_path), PipelineConfig(), tmp_path / "o")
+    assert list((tmp_path / "o").iterdir()) == []
+
+
 def test_run_pipeline_runs_serially_without_fork(tmp_path, monkeypatch):
     monkeypatch.delattr(corpus.os, "fork")
     stats, report, _ = _with_workers(3, _write_docs(tmp_path), PipelineConfig(), tmp_path / "o")
@@ -684,6 +772,7 @@ def test_worker_failure_names_the_document_and_leaves_no_child(tmp_path, monkeyp
         assert "Traceback" in message
         assert "in clean_or_fail" in message
         assert "RuntimeError: simulated fault" in message
+        assert list((tmp_path / "o").iterdir()) == []  # no spill directory
         assert main(["clean", "--input", str(docs), "--out", str(tmp_path / "cli")]) == 4
     assert "RuntimeError: simulated fault" in capsys.readouterr().err
     with pytest.raises(ChildProcessError):

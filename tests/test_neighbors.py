@@ -445,6 +445,20 @@ def test_cache_rejects_lines_no_search_could_write(tmp_path, line, message):
     assert exc.value.line_no == 2
 
 
+@pytest.mark.parametrize("query", ["z", "q"])
+def test_cache_rejects_a_query_no_search_answers(tmp_path, query):
+    # a search answers only a model token with a nonzero row: neither the
+    # zero row z nor the unknown q, though each lists two valid neighbors
+    model = make_model("m", ["a", "b", "c", "z"], [[1, 0], [0, 1], [1, 1], [0, 0]])
+    path = tmp_path / "m.neighbors.tsv"
+    cache_store(path, model, neighbor_map(model, model.vocab, 2))
+    path.write_text(path.read_text(encoding="utf-8") + f"{query}\ta\tb\n", encoding="utf-8")
+    message = f"^line 5: query {query!r} is not a model token with a nonzero row; delete the file"
+    with pytest.raises(CacheFormatError, match=message) as exc:
+        cache_load(path, model, 2)
+    assert exc.value.line_no == 5
+
+
 def test_neighbor_map_searches_each_distinct_query_once(monkeypatch):
     rng = np.random.default_rng(16)
     model = random_model(rng, "m", 30, 4, n_zero_rows=2)

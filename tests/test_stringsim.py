@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -212,6 +213,38 @@ def test_bucket_lcs_gives_edit_distance(token, length, data):
     assert len(lcs) == len(candidates)
     for cand, common in zip(candidates, lcs.tolist()):
         assert len(token) + length - 2 * common == edit_distance_sub2(token, cand)
+
+
+# NUL, ASCII, Latin-1, a lone surrogate, the last BMP code point and two astral ones
+_COLUMN_CHARS = st.sampled_from(["\x00", "a", "ß", "\ud800", "\uffff", "\U0001d518", "\U0010ffff"]) | st.characters()
+
+
+@st.composite
+def _buckets(draw):
+    """(tokens, length): a few tokens of one length, or 257 to 400 tokens of
+    two code points, BMP then astral, whose alphabet needs uint16 indices."""
+    if draw(st.booleans()):
+        length = draw(st.integers(1, 8))
+        word = st.text(alphabet=_COLUMN_CHARS, min_size=length, max_size=length)
+        return draw(st.lists(word, min_size=1, max_size=30, unique=True)), length
+    n = draw(st.integers(257, 400))
+    return [chr(0x100 + i) + chr(0x10000 + 7 * i) for i in range(n)], 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(_buckets())
+def test_columns_equal_the_unique_construction(case):
+    tokens, length = case
+    vocab = VocabIndex(tokens)
+    alphabet, codes = vocab.columns(length)
+    points = np.array([vocab.tokens[i] for i in vocab.by_length[length]], dtype=f"<U{length}").view(np.uint32)
+    expected_alphabet, inverse = np.unique(points, return_inverse=True)
+    expected_codes = inverse.astype(np.min_scalar_type(len(expected_alphabet) - 1)).reshape(-1, length).T
+    assert alphabet.dtype == expected_alphabet.dtype
+    assert np.array_equal(alphabet, expected_alphabet)
+    assert codes.dtype == expected_codes.dtype
+    assert codes.flags.c_contiguous
+    assert np.array_equal(codes, expected_codes)
 
 
 def test_best_match_tie_across_buckets_prefers_lowest_index():
